@@ -28,12 +28,7 @@ import sys
 from pathlib import Path
 
 from . import progen
-from .clients import (
-    PrecisionViolation,
-    compare_modes,
-    def_use_report,
-    uninit_report,
-)
+from .clients import PrecisionViolation, compare_modes
 from .frontend import MiniIrProgram, ParseError, emit_dot_program, parse_program
 from .lattice import make_analysis
 from .lifted import ALL_OPTS, solve_fpmfp_interprocedural, sorted_keys
@@ -246,15 +241,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     analysis = make_analysis(name, program)
     try:
         report = compare_modes(program, analysis, args.opts)
-        client = None
-        if args.analysis in ("rd", "uninit"):
-            flat = solve_mfp(program, analysis)
-            universe = detect_mips(program)
-            lifted = solve_fpmfp_interprocedural(
-                program, analysis, universe, args.opts)
-            builder = def_use_report if args.analysis == "rd" else \
-                uninit_report
-            client = builder(program, flat, lifted)
     except NonTermination as exc:
         raise _Failure(str(exc)) from exc
     except PrecisionViolation as exc:
@@ -262,17 +248,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 2
     if args.format == "table":
         text = report.to_table()
-        if client is not None:
-            text += "\n" + client.to_table()
+        if report.client is not None:
+            text += "\n" + report.client.to_table()
         if not text.endswith("\n"):
             text += "\n"
     else:
         payload = {"schema": SCHEMA,
                    **report.to_json(timing=not args.no_timing)}
         if args.analysis == "rd":
-            payload["def_use"] = client.to_json()
+            payload["def_use"] = report.client.to_json()
         elif args.analysis == "uninit":
-            payload["alarms"] = client.to_json()
+            payload["alarms"] = report.client.to_json()
         text = _json_text(payload)
     _write_text(text, args.output)
     return 0

@@ -230,6 +230,9 @@ def uninit_report(program: MiniIrProgram, flat: MfpSolution,
     )
 
 
+_CLIENT_REPORTS = {"rd": def_use_report, "must-defined": uninit_report}
+
+
 class ModeRow(NamedTuple):
     """One location's value in both modes."""
 
@@ -255,7 +258,11 @@ def _check_refines(analysis: Analysis, flat: dict[int, object],
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Both modes on one program: values, strictness, times, pair stats."""
+    """Both modes on one program: values, strictness, times, pair stats.
+
+    ``client`` is the def-use (rd) or alarm (must-defined) report of both
+    modes, and None for other analyses.
+    """
 
     analysis: Analysis
     opts: tuple[int, ...]
@@ -264,6 +271,7 @@ class ComparisonReport:
     edge_rows: dict[int, ModeRow]
     times: dict[str, float]
     stats: PairStats
+    client: DefUseReport | UninitReport | None
 
     @property
     def strict_nodes(self) -> tuple[int, ...]:
@@ -344,6 +352,7 @@ def compare_modes(program: MiniIrProgram, analysis,
         analysis, flat.node_in, lifted.folded_in, "node")
     edge_rows = _check_refines(
         analysis, flat.edge_values, lifted.folded_edges, "edge")
+    client = _CLIENT_REPORTS.get(analysis.name)
     return ComparisonReport(
         analysis=analysis,
         opts=tuple(sorted(opts)),
@@ -352,4 +361,5 @@ def compare_modes(program: MiniIrProgram, analysis,
         edge_rows=edge_rows,
         times={"mfp": flat_time, "fpmfp": lifted_time},
         stats=lifted.stats,
+        client=client(program, flat, lifted) if client else None,
     )

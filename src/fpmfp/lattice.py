@@ -409,9 +409,6 @@ class IntervalAnalysis(Analysis):
             out[p] = (-INF, INF)
         return out
 
-    def project_globals(self, value: IntervalValue) -> IntervalValue:
-        return {v: iv for v, iv in value.items() if v in self.program.globals}
-
     def apply_call(self, value: IntervalValue, callee_exit: IntervalValue,
                    modified_globals: frozenset[str]) -> IntervalValue:
         """Substitute the callee's exit intervals for modified globals."""

@@ -41,19 +41,16 @@ from .frontend import (
     MiniIrProgram,
     Node,
     Procedure,
-    StKind,
     build_call_graph,
 )
 from .lattice import Analysis, BitvectorAnalysis, WideningState
 from .mfp import (
-    MAX_ROUNDS,
     NonTermination,
     Summaries,
-    _boundary_for,
-    _make_call_transfer,
-    _reachable_procs,
+    compute_summaries,
+    solve_procedures,
 )
-from .mips import Mips, MipsUniverse
+from .mips import MipsUniverse
 
 Key = frozenset[int]
 LiftedValue = dict[Key, object]
@@ -362,53 +359,6 @@ def lifted_edge_flow(edge: Edge, value: LiftedValue, universe: MipsUniverse,
     return flow.edge_flow(edge, source_node, value)
 
 
-def solve_fpmfp(cfg: Cfg, analysis: Analysis, universe: MipsUniverse,
-                boundary, opts: frozenset[int] = ALL_OPTS, *,
-                node_transfer: Callable | None = None,
-                widening: WideningState | None = None,
-                stats: PairStats | None = None) -> FpmfpSolution:
-    """Lifted fixpoint over one CFG with an explicit boundary value."""
-    transfer = node_transfer or analysis.transfer
-    if widening is None:
-        widening = WideningState(analysis.kind == "interval")
-    stats = stats if stats is not None else PairStats()
-    drop_top = transfer_preserves_top(cfg, transfer, analysis.top())
-    flow = _Flow(
-        universe, cfg.proc_name,
-        meet=analysis.meet, top=analysis.top(), refine=analysis.refine,
-        opts=opts, drop_top=drop_top, widening=widening,
-        back=cfg.back_edges() if widening.enabled else frozenset(),
-        stats=stats,
-    )
-    node_in, edge_vals, steps = _lifted_fixpoint(
-        cfg, boundary=boundary, top=analysis.top(), meet=analysis.meet,
-        transfer=transfer, flow=flow, max_steps=_budget(cfg, universe),
-    )
-    return _package(cfg.proc_name, cfg, analysis, universe, opts, node_in,
-                    edge_vals, boundary, transfer, stats, steps)
-
-
-def _package(proc_name: str, cfg: Cfg, analysis: Analysis,
-             universe: MipsUniverse, opts: frozenset[int],
-             node_in: dict[int, LiftedValue],
-             edge_vals: dict[int, LiftedValue], boundary,
-             transfer: Callable, stats: PairStats,
-             steps: int) -> FpmfpSolution:
-    node_out = {
-        n: {key: transfer(cfg.nodes[n], v) for key, v in lifted.items()}
-        for n, lifted in node_in.items()
-    }
-    return FpmfpSolution(
-        proc_name=proc_name, analysis=analysis, universe=universe,
-        opts=opts, node_in=node_in, node_out=node_out,
-        edge_values=edge_vals,
-        folded_in={n: fold(v, analysis) for n, v in node_in.items()},
-        folded_out={n: fold(v, analysis) for n, v in node_out.items()},
-        folded_edges={e: fold(v, analysis) for e, v in edge_vals.items()},
-        boundary=boundary, stats=stats, steps=steps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Lifted gen/kill summaries
 # ---------------------------------------------------------------------------
@@ -424,51 +374,13 @@ def compute_lifted_summaries(
     that only happens inside an infeasible segment of the callee never
     reaches the exit fold.
     """
-    cg = call_graph or build_call_graph(program)
-    gmask = analysis.globals_mask
-    gsum: dict[str, int] = {}
-    ksum: dict[str, int] = {}
-    for scc in cg.sccs:
-        for name in scc:
-            gsum[name] = 0
-            ksum[name] = 0
-        while True:
-            stable = True
-            for name in scc:
-                proc = program.by_name[name]
-                cfg = proc.cfg
+    def exit_value(cfg: Cfg, *, transfer: Callable, meet: Callable, top):
+        return _summary_fixpoint(cfg, universe, opts, transfer=transfer,
+                                 meet=meet, top=top)
 
-                def kill_xfer(node: Node, value: int) -> int:
-                    st = node.statement
-                    if st.kind == StKind.CALL:
-                        if st.callee in program.externs:
-                            return value
-                        return value | ksum[st.callee]
-                    return value | analysis.kill_mask(node.id)
-
-                def gen_xfer(node: Node, value: int) -> int:
-                    st = node.statement
-                    if st.kind == StKind.CALL:
-                        if st.callee in program.externs:
-                            return value
-                        return (value & ~ksum[st.callee]) | gsum[st.callee]
-                    return analysis.transfer(node, value)
-
-                new_ksum = _summary_fixpoint(
-                    cfg, universe, opts, transfer=kill_xfer,
-                    meet=lambda a, b: a & b, top=analysis.full_mask,
-                ) & gmask
-                new_gsum = _summary_fixpoint(
-                    cfg, universe, opts, transfer=gen_xfer,
-                    meet=analysis.meet, top=analysis.top(),
-                ) & gmask
-                if (new_gsum, new_ksum) != (gsum[name], ksum[name]):
-                    gsum[name] = new_gsum
-                    ksum[name] = new_ksum
-                    stable = False
-            if stable:
-                break
-    return Summaries(gsum, ksum)
+    return compute_summaries(program, analysis,
+                             call_graph or build_call_graph(program),
+                             exit_value=exit_value)
 
 
 def _summary_fixpoint(cfg: Cfg, universe: MipsUniverse,
@@ -495,7 +407,7 @@ def _summary_fixpoint(cfg: Cfg, universe: MipsUniverse,
 
 @dataclass
 class FpmfpProgramSolution:
-    """Whole-program lifted solution; mirrors the MFP driver's shape."""
+    """Whole-program lifted solution; mirrors the MFP solution's shape."""
 
     program: MiniIrProgram
     analysis: Analysis
@@ -509,53 +421,22 @@ class FpmfpProgramSolution:
     widening: WideningState
     stats: PairStats
     steps: int
+    # Folded (plain-lattice) node transfer the driver solved with, for
+    # path-oracle comparison.
+    node_transfer: Callable
 
-    @property
-    def node_in(self) -> dict[int, LiftedValue]:
-        out: dict[int, LiftedValue] = {}
+    def _merged(self, view: str) -> dict:
+        """One per-procedure view merged over all procedures."""
+        out: dict = {}
         for sol in self.procs.values():
-            out.update(sol.node_in)
+            out.update(getattr(sol, view))
         return out
 
-    @property
-    def folded_in(self) -> dict[int, object]:
-        out: dict[int, object] = {}
-        for sol in self.procs.values():
-            out.update(sol.folded_in)
-        return out
-
-    @property
-    def folded_out(self) -> dict[int, object]:
-        out: dict[int, object] = {}
-        for sol in self.procs.values():
-            out.update(sol.folded_out)
-        return out
-
-    @property
-    def edge_values(self) -> dict[int, LiftedValue]:
-        out: dict[int, LiftedValue] = {}
-        for sol in self.procs.values():
-            out.update(sol.edge_values)
-        return out
-
-    @property
-    def folded_edges(self) -> dict[int, object]:
-        out: dict[int, object] = {}
-        for sol in self.procs.values():
-            out.update(sol.folded_edges)
-        return out
-
-    def call_transfer(self, node: Node, value):
-        return _make_call_transfer(
-            self.program, self.analysis, self.call_graph, self.summaries,
-            self.exit_values,
-        )(node, value)
-
-    def node_transfer(self, node: Node, value):
-        """Folded (plain-lattice) transfer, for path-oracle comparison."""
-        if node.statement.kind == StKind.CALL:
-            return self.call_transfer(node, value)
-        return self.analysis.transfer(node, value)
+    node_in = property(lambda self: self._merged("node_in"))
+    folded_in = property(lambda self: self._merged("folded_in"))
+    folded_out = property(lambda self: self._merged("folded_out"))
+    edge_values = property(lambda self: self._merged("edge_values"))
+    folded_edges = property(lambda self: self._merged("folded_edges"))
 
 
 def solve_fpmfp_interprocedural(
@@ -565,10 +446,10 @@ def solve_fpmfp_interprocedural(
         call_graph: CallGraph | None = None) -> FpmfpProgramSolution:
     """Whole-program lifted solution for one analysis.
 
-    Same round structure as the MFP driver: callee boundaries are the met
-    folded call-site values (a single empty-key entry), call nodes apply
-    lifted summaries or folded callee exits pointwise, and rounds repeat
-    until every procedure's lifted solution is stable.
+    Scheduled by the same procedure-worklist driver as MFP: callee
+    boundaries are the met folded call-site values (a single empty-key
+    entry), and call nodes apply lifted summaries or folded callee exits
+    pointwise.
     """
     cg = call_graph or build_call_graph(program)
     summaries = (
@@ -577,94 +458,51 @@ def solve_fpmfp_interprocedural(
         if isinstance(analysis, BitvectorAnalysis) else None
     )
     widening = WideningState(widen and analysis.kind == "interval")
-    reachable = _reachable_procs(program, cg)
     stats = PairStats()
-    sites: dict[str, list[int]] = {p.name: [] for p in program.procedures}
-    for proc in program.procedures:
-        for nid in proc.cfg.node_ids():
-            st = proc.cfg.nodes[nid].statement
-            if st.kind == StKind.CALL and st.callee in sites:
-                sites[st.callee].append(nid)
+    top = analysis.top()
+    solved: dict[str, tuple] = {}
 
-    exit_values: dict[str, object] = {}
-    boundaries: dict[str, object] = {}
-    folded_in: dict[int, object] = {}
-    lifted_in: dict[str, dict[int, LiftedValue]] = {}
-    lifted_edges: dict[str, dict[int, LiftedValue]] = {}
-    proc_steps: dict[str, int] = {}
-    steps_total = 0
-
-    for _ in range(MAX_ROUNDS):
-        call_xfer = _make_call_transfer(
-            program, analysis, cg, summaries, dict(exit_values))
-
-        def node_transfer(node: Node, value):
-            if node.statement.kind == StKind.CALL:
-                return call_xfer(node, value)
-            return analysis.transfer(node, value)
-
-        changed = False
-        for idx, proc in enumerate(program.procedures):
-            bi = _boundary_for(
-                program, analysis, proc, idx, sites, folded_in, reachable,
-                cg, widening,
-            )
-            cfg = proc.cfg
-            flow = _Flow(
-                universe, cfg.proc_name,
-                meet=analysis.meet, top=analysis.top(),
-                refine=analysis.refine, opts=opts,
-                drop_top=transfer_preserves_top(
-                    cfg, node_transfer, analysis.top()),
-                widening=widening,
-                back=cfg.back_edges() if widening.enabled else frozenset(),
-                stats=stats,
-            )
-            p_in, p_edges, steps = _lifted_fixpoint(
-                cfg, boundary=bi, top=analysis.top(), meet=analysis.meet,
-                transfer=node_transfer, flow=flow,
-                max_steps=_budget(cfg, universe),
-            )
-            steps_total += steps
-            p_folded = {n: fold(v, analysis) for n, v in p_in.items()}
-            p_exit = p_folded[cfg.exit]
-            if (boundaries.get(proc.name) != bi
-                    or exit_values.get(proc.name) != p_exit
-                    or lifted_in.get(proc.name) != p_in
-                    or lifted_edges.get(proc.name) != p_edges):
-                changed = True
-            boundaries[proc.name] = bi
-            exit_values[proc.name] = p_exit
-            lifted_in[proc.name] = p_in
-            lifted_edges[proc.name] = p_edges
-            folded_in.update(p_folded)
-            proc_steps[proc.name] = steps
-        if not changed:
-            break
-    else:
-        raise NonTermination(
-            f"interprocedural rounds exceeded {MAX_ROUNDS}")
-
-    final_call_xfer = _make_call_transfer(
-        program, analysis, cg, summaries, dict(exit_values))
-
-    def final_transfer(node: Node, value):
-        if node.statement.kind == StKind.CALL:
-            return final_call_xfer(node, value)
-        return analysis.transfer(node, value)
-
-    procs = {
-        proc.name: _package(
-            proc.name, proc.cfg, analysis, universe, opts,
-            lifted_in[proc.name], lifted_edges[proc.name],
-            boundaries[proc.name], final_transfer, stats,
-            proc_steps[proc.name],
+    def solve(proc: Procedure, boundary, node_transfer):
+        cfg = proc.cfg
+        flow = _Flow(
+            universe, cfg.proc_name,
+            meet=analysis.meet, top=top, refine=analysis.refine, opts=opts,
+            drop_top=transfer_preserves_top(cfg, node_transfer, top),
+            widening=widening,
+            back=cfg.back_edges() if widening.enabled else frozenset(),
+            stats=stats,
         )
-        for proc in program.procedures
-    }
+        p_in, p_edges, steps = _lifted_fixpoint(
+            cfg, boundary=boundary, top=top, meet=analysis.meet,
+            transfer=node_transfer, flow=flow,
+            max_steps=_budget(cfg, universe),
+        )
+        folded = {n: fold(v, analysis) for n, v in p_in.items()}
+        solved[proc.name] = (p_in, p_edges, folded, steps)
+        return folded, steps
+
+    sched = solve_procedures(program, analysis, cg, summaries, widening,
+                             solve)
+    procs = {}
+    for proc in program.procedures:
+        p_in, p_edges, folded, steps = solved[proc.name]
+        node_out = {
+            n: {key: sched.node_transfer(proc.cfg.nodes[n], v)
+                for key, v in lifted.items()}
+            for n, lifted in p_in.items()
+        }
+        procs[proc.name] = FpmfpSolution(
+            proc_name=proc.name, analysis=analysis, universe=universe,
+            opts=opts, node_in=p_in, node_out=node_out, edge_values=p_edges,
+            folded_in=folded,
+            folded_out={n: fold(v, analysis) for n, v in node_out.items()},
+            folded_edges={e: fold(v, analysis) for e, v in p_edges.items()},
+            boundary=sched.boundaries[proc.name], stats=stats, steps=steps,
+        )
     return FpmfpProgramSolution(
         program=program, analysis=analysis, universe=universe, opts=opts,
-        procs=procs, boundaries=boundaries, exit_values=exit_values,
-        call_graph=cg, summaries=summaries, widening=widening,
-        stats=stats, steps=steps_total,
+        procs=procs, boundaries=sched.boundaries,
+        exit_values=sched.exit_values, call_graph=cg, summaries=summaries,
+        widening=widening, stats=stats, steps=sched.steps,
+        node_transfer=sched.node_transfer,
     )

@@ -1,11 +1,14 @@
-"""Classic forward MFP solver, intra- and interprocedural.
+"""Classic forward MFP solver and the interprocedural driver it shares.
 
 The interprocedural model keeps one CFG per procedure and treats a call as a
 single node.  Bit-vector analyses flow through calls via gen/kill summaries
 computed bottom-up over call-graph SCCs; the interval analysis substitutes
 the callee's exit intervals for the globals the callee may modify.  Callee
 boundary values are the met call-site In values projected to globals (plus
-parameters); the solver iterates whole-program rounds until nothing changes.
+parameters).  One procedure-worklist driver, :func:`solve_procedures`,
+schedules the per-procedure solves of both this solver and the lifted one:
+it re-solves a procedure only when its boundary or a callee exit it reads
+may have changed.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ class NonTermination(RuntimeError):
     """The solver exceeded its step budget without stabilizing."""
 
 
-MAX_ROUNDS = 10_000
+# Interprocedural budget: procedure solves per procedure.
+MAX_SOLVES = 10_000
 
 
 def _intra_fixpoint(
@@ -98,89 +102,76 @@ class Summaries:
     ksum: dict[str, int]
 
 
+def _plain_exit(cfg: Cfg, *, transfer: Callable, meet: Callable, top):
+    """Exit value of one summary fixpoint from the empty boundary."""
+    node_in, _, _ = _intra_fixpoint(
+        cfg, boundary=0, top=top, meet=meet, transfer=transfer,
+        max_steps=200 * (len(cfg.nodes) + 1) + 10_000,
+    )
+    return node_in[cfg.exit]
+
+
 def compute_summaries(program: MiniIrProgram, analysis: BitvectorAnalysis,
-                      call_graph: CallGraph) -> Summaries:
+                      call_graph: CallGraph, *,
+                      exit_value: Callable = _plain_exit) -> Summaries:
+    """Gen/kill masks per procedure, bottom-up over call-graph SCCs.
+
+    Within an SCC the kill masks are iterated to their fixpoint first and
+    the gen masks second, with the kills held fixed: each loop is then
+    monotone from the empty mask and ends within one round per global
+    fact and member.  (Updating both together lets a gen fact produced
+    while a callee's kill mask was still empty circle the SCC forever.)
+    ``exit_value(cfg, transfer=, meet=, top=)`` solves one procedure body.
+    """
     gmask = analysis.globals_mask
     gsum: dict[str, int] = {}
     ksum: dict[str, int] = {}
+
+    def kill_xfer(node: Node, value: int) -> int:
+        st = node.statement
+        if st.kind == StKind.CALL:
+            if st.callee in program.externs:
+                return value
+            return value | ksum[st.callee]
+        return value | analysis.kill_mask(node.id)
+
+    def gen_xfer(node: Node, value: int) -> int:
+        st = node.statement
+        if st.kind == StKind.CALL:
+            if st.callee in program.externs:
+                return value
+            return (value & ~ksum[st.callee]) | gsum[st.callee]
+        return analysis.transfer(node, value)
+
     for scc in call_graph.sccs:  # bottom-up: callees before callers
         for name in scc:
             gsum[name] = 0
             ksum[name] = 0
-        while True:
-            stable = True
-            for name in scc:
-                proc = program.by_name[name]
-                cfg = proc.cfg
-                budget = 200 * (len(cfg.nodes) + 1) + 10_000
-
-                def kill_xfer(node: Node, value: int) -> int:
-                    st = node.statement
-                    if st.kind == StKind.CALL:
-                        if st.callee in program.externs:
-                            return value
-                        return value | ksum[st.callee]
-                    return value | analysis.kill_mask(node.id)
-
-                k_in, _, _ = _intra_fixpoint(
-                    cfg, boundary=0, top=analysis.full_mask,
-                    meet=lambda a, b: a & b, transfer=kill_xfer,
-                    max_steps=budget,
-                )
-                new_ksum = k_in[cfg.exit] & gmask
-
-                def gen_xfer(node: Node, value: int) -> int:
-                    st = node.statement
-                    if st.kind == StKind.CALL:
-                        if st.callee in program.externs:
-                            return value
-                        return (value & ~ksum[st.callee]) | gsum[st.callee]
-                    return analysis.transfer(node, value)
-
-                g_in, _, _ = _intra_fixpoint(
-                    cfg, boundary=0, top=analysis.top(),
-                    meet=analysis.meet, transfer=gen_xfer,
-                    max_steps=budget,
-                )
-                new_gsum = g_in[cfg.exit] & gmask
-                if (new_gsum, new_ksum) != (gsum[name], ksum[name]):
-                    gsum[name] = new_gsum
-                    ksum[name] = new_ksum
-                    stable = False
-            if stable:
-                break
+        rounds = len(scc) * gmask.bit_count() + 1
+        for masks, transfer, meet, top in (
+                (ksum, kill_xfer, lambda a, b: a & b, analysis.full_mask),
+                (gsum, gen_xfer, analysis.meet, analysis.top())):
+            for _ in range(rounds):
+                stable = True
+                for name in scc:
+                    new = exit_value(
+                        program.by_name[name].cfg, transfer=transfer,
+                        meet=meet, top=top) & gmask
+                    if new != masks[name]:
+                        masks[name] = new
+                        stable = False
+                if stable:
+                    break
+            else:
+                raise NonTermination(
+                    f"call summaries of {', '.join(scc)} did not "
+                    f"stabilize within {rounds} rounds")
     return Summaries(gsum, ksum)
 
 
 # ---------------------------------------------------------------------------
 # Interprocedural driver
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MfpSolution:
-    program: MiniIrProgram
-    analysis: Analysis
-    node_in: dict[int, object]
-    edge_values: dict[int, object]
-    boundaries: dict[str, object]
-    exit_values: dict[str, object]
-    call_graph: CallGraph
-    summaries: Summaries | None
-    widening: WideningState
-    steps: int
-
-    def call_transfer(self, node: Node, value):
-        """The call transfer this solution was computed with."""
-        return _make_call_transfer(
-            self.program, self.analysis, self.call_graph, self.summaries,
-            self.exit_values,
-        )(node, value)
-
-    def node_transfer(self, node: Node, value):
-        if node.statement.kind == StKind.CALL:
-            return self.call_transfer(node, value)
-        return self.analysis.transfer(node, value)
-
 
 def _make_call_transfer(program, analysis, call_graph, summaries, exit_values):
     def xfer(node: Node, value):
@@ -209,6 +200,134 @@ def _reachable_procs(program: MiniIrProgram, cg: CallGraph) -> frozenset[str]:
     return frozenset(seen)
 
 
+@dataclass
+class ProgramSchedule:
+    """What the driver hands back: the values its solves agreed on."""
+
+    boundaries: dict[str, object]
+    exit_values: dict[str, object]
+    node_in: dict[int, object]
+    node_transfer: Callable
+    steps: int
+
+
+def solve_procedures(program: MiniIrProgram, analysis: Analysis,
+                     cg: CallGraph, summaries: Summaries | None,
+                     widening: WideningState,
+                     solve: Callable) -> ProgramSchedule:
+    """Procedure-worklist driver shared by the MFP and FPMFP solvers.
+
+    ``solve(proc, boundary, node_transfer)`` solves one procedure and
+    returns its (plain or folded) node In values and its step count.
+    Sweeps over the dirty procedures alternate callers-first and
+    callees-first until none is dirty.  A procedure becomes dirty when
+    the In value at one of its call sites changes, and, when calls read
+    callee exits instead of summaries, when a callee's exit changes.
+    Call transfers read the live exit values.  Interval boundaries and
+    exits are widened on synthetic per-procedure keys, so values that
+    descend through calls, with no CFG back edge between them, stabilize.
+    """
+    procs = program.procedures
+    index = {proc.name: i for i, proc in enumerate(procs)}
+    reachable = _reachable_procs(program, cg)
+    # Call sites in reachable procedures: per callee, in node-id order for
+    # deterministic meets, and per caller.
+    sites: dict[str, list[int]] = {p.name: [] for p in procs}
+    calls: dict[str, list[tuple[int, str]]] = {p.name: [] for p in procs}
+    for proc in procs:
+        for nid in proc.cfg.node_ids():
+            st = proc.cfg.nodes[nid].statement
+            if (st.kind == StKind.CALL and st.callee in sites
+                    and proc.name in reachable):
+                sites[st.callee].append(nid)
+                calls[proc.name].append((nid, st.callee))
+
+    top = analysis.top()
+    exit_values: dict[str, object] = {}
+    boundaries: dict[str, object] = {}
+    node_in: dict[int, object] = {}
+    call_xfer = _make_call_transfer(
+        program, analysis, cg, summaries, exit_values)
+
+    def node_transfer(node: Node, value):
+        if node.statement.kind == StKind.CALL:
+            return call_xfer(node, value)
+        return analysis.transfer(node, value)
+
+    def widen(key: int, value):
+        widening.observe(key, value)
+        return widening.apply(key, value)
+
+    def boundary_for(proc: Procedure):
+        if not sites[proc.name]:
+            return analysis.entry_boundary(proc)
+        met = top
+        for nid in sites[proc.name]:
+            met = analysis.meet(met, node_in.get(nid, top))
+        bi = analysis.callee_boundary(proc, met)
+        if proc.name == program.entry:
+            bi = analysis.meet(analysis.entry_boundary(proc), bi)
+        return widen(-1 - index[proc.name], bi)
+
+    callees_first = [name for scc in cg.sccs for name in scc]
+    sweeps = (callees_first[::-1], callees_first)
+    dirty = set(callees_first)
+    budget = MAX_SOLVES * len(procs)
+    solves = steps = sweep = 0
+    while dirty:
+        for name in sweeps[sweep % 2]:
+            if name not in dirty:
+                continue
+            dirty.discard(name)
+            solves += 1
+            if solves > budget:
+                raise NonTermination(
+                    f"interprocedural solving exceeded {budget} "
+                    f"procedure solves")
+            proc = program.by_name[name]
+            bi = boundary_for(proc)
+            p_in, p_steps = solve(proc, bi, node_transfer)
+            steps += p_steps
+            for nid, callee in calls[name]:
+                if p_in[nid] != node_in.get(nid, top):
+                    dirty.add(callee)
+            p_exit = widen(-1 - len(procs) - index[name],
+                           p_in[proc.cfg.exit])
+            if summaries is None and p_exit != exit_values.get(name, top):
+                dirty.update(cg.callers[name])
+            boundaries[name] = bi
+            exit_values[name] = p_exit
+            node_in.update(p_in)
+        sweep += 1
+    # Report in procedure order, so no dict order depends on the schedule.
+    return ProgramSchedule(
+        {p.name: boundaries[p.name] for p in procs},
+        {p.name: exit_values[p.name] for p in procs},
+        {n: node_in[n] for p in procs for n in p.cfg.nodes},
+        node_transfer, steps)
+
+
+# ---------------------------------------------------------------------------
+# Whole-program MFP
+# ---------------------------------------------------------------------------
+
+@dataclass
+class MfpSolution:
+    program: MiniIrProgram
+    analysis: Analysis
+    node_in: dict[int, object]
+    edge_values: dict[int, object]
+    boundaries: dict[str, object]
+    exit_values: dict[str, object]
+    call_graph: CallGraph
+    summaries: Summaries | None
+    widening: WideningState
+    steps: int
+    # The node transfer the solution was computed with; call nodes apply
+    # the summaries or the final callee exits.
+    node_transfer: Callable
+
+
 def solve_mfp(program: MiniIrProgram, analysis: Analysis, *,
               widen: bool = True,
               call_graph: CallGraph | None = None) -> MfpSolution:
@@ -219,96 +338,26 @@ def solve_mfp(program: MiniIrProgram, analysis: Analysis, *,
         if isinstance(analysis, BitvectorAnalysis) else None
     )
     widening = WideningState(widen and analysis.kind == "interval")
-    reachable = _reachable_procs(program, cg)
-    # Call sites per callee, in node-id order for deterministic meets.
-    sites: dict[str, list[int]] = {p.name: [] for p in program.procedures}
-    for proc in program.procedures:
-        for nid in proc.cfg.node_ids():
-            st = proc.cfg.nodes[nid].statement
-            if st.kind == StKind.CALL and st.callee in sites:
-                sites[st.callee].append(nid)
+    edges: dict[str, dict[int, object]] = {}
 
-    exit_values: dict[str, object] = {}
-    boundaries: dict[str, object] = {}
-    node_in: dict[int, object] = {}
-    edge_values: dict[int, object] = {}
-    steps_total = 0
+    def solve(proc: Procedure, boundary, node_transfer):
+        p_in, p_edges, steps = _intra_fixpoint(
+            proc.cfg, boundary=boundary, top=analysis.top(),
+            meet=analysis.meet, transfer=node_transfer,
+            refine=analysis.refine, widening=widening,
+            max_steps=2_000 * (len(proc.cfg.nodes) + 1) + 10_000,
+        )
+        edges[proc.name] = p_edges
+        return p_in, steps
 
-    for _ in range(MAX_ROUNDS):
-        call_xfer = _make_call_transfer(
-            program, analysis, cg, summaries, dict(exit_values))
-
-        def node_transfer(node: Node, value):
-            if node.statement.kind == StKind.CALL:
-                return call_xfer(node, value)
-            return analysis.transfer(node, value)
-
-        changed = False
-        for idx, proc in enumerate(program.procedures):
-            bi = _boundary_for(
-                program, analysis, proc, idx, sites, node_in, reachable,
-                cg, widening,
-            )
-            budget = 2_000 * (len(proc.cfg.nodes) + 1) + 10_000
-            p_in, p_edges, steps = _intra_fixpoint(
-                proc.cfg, boundary=bi, top=analysis.top(),
-                meet=analysis.meet, transfer=node_transfer,
-                refine=analysis.refine, widening=widening,
-                max_steps=budget,
-            )
-            steps_total += steps
-            p_exit = p_in[proc.cfg.exit]
-            if (boundaries.get(proc.name) != bi
-                    or exit_values.get(proc.name) != p_exit
-                    or any(node_in.get(n) != v for n, v in p_in.items())
-                    or any(edge_values.get(e) != v
-                           for e, v in p_edges.items())):
-                changed = True
-            boundaries[proc.name] = bi
-            exit_values[proc.name] = p_exit
-            node_in.update(p_in)
-            edge_values.update(p_edges)
-        if not changed:
-            break
-    else:
-        raise NonTermination(
-            f"interprocedural rounds exceeded {MAX_ROUNDS}")
-
+    sched = solve_procedures(program, analysis, cg, summaries, widening,
+                             solve)
     return MfpSolution(
-        program=program, analysis=analysis, node_in=node_in,
-        edge_values=edge_values, boundaries=boundaries,
-        exit_values=exit_values, call_graph=cg, summaries=summaries,
-        widening=widening, steps=steps_total,
+        program=program, analysis=analysis, node_in=sched.node_in,
+        edge_values={e: v for p in program.procedures
+                     for e, v in edges[p.name].items()},
+        boundaries=sched.boundaries,
+        exit_values=sched.exit_values, call_graph=cg, summaries=summaries,
+        widening=widening, steps=sched.steps,
+        node_transfer=sched.node_transfer,
     )
-
-
-def _boundary_for(program, analysis, proc: Procedure, idx: int,
-                  sites: dict[str, list[int]], node_in: dict[int, object],
-                  reachable: frozenset[str], cg: CallGraph,
-                  widening: WideningState):
-    """Boundary value for one procedure in the current round."""
-    is_entry = proc.name == program.entry
-    if proc.name not in reachable:
-        return analysis.entry_boundary(proc)
-    live_sites = [
-        nid for nid in sites[proc.name]
-        if program.proc_of_node(nid).name in reachable
-    ]
-    if not live_sites and not is_entry:
-        return analysis.entry_boundary(proc)
-    if live_sites:
-        met = analysis.top()
-        for nid in live_sites:
-            met = analysis.meet(met, node_in.get(nid, analysis.top()))
-        bi = analysis.callee_boundary(proc, met)
-        if is_entry:
-            bi = analysis.meet(analysis.entry_boundary(proc), bi)
-        if (analysis.kind == "interval" and proc.name in cg.recursive):
-            # Boundary values of recursive procedures can descend through
-            # call-graph cycles with no CFG back edge to widen on; use a
-            # synthetic per-procedure key.
-            key = -1 - idx
-            widening.observe(key, bi)
-            bi = widening.apply(key, bi)
-        return bi
-    return analysis.entry_boundary(proc)

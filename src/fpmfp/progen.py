@@ -5,7 +5,9 @@ straight-line assignments, reads, prints, and correlated conditional
 pairs over a shared selector variable — the shape that produces
 infeasible path segments.  Loop bodies are restricted to counted
 ``x = x + c`` updates so widening behaves identically under every
-optimization setting.  Everything is a pure function of the seed.
+optimization setting.  Multi-procedure programs add globals, call
+chains, guarded self and mutual recursion, loops that update globals and
+extern calls.  Everything is a pure function of the seed.
 """
 from __future__ import annotations
 
@@ -151,6 +153,97 @@ def check_programs(seed: int, count: int, *,
         (f"gen-{seed}-{i}", generate_program(seed + i, acyclic=acyclic))
         for i in range(count)
     ]
+
+
+_GLOBALS = ("g0", "g1")
+
+
+def _global_update(b: _Builder) -> None:
+    rng = b.rng
+    g = rng.choice(_GLOBALS)
+    if rng.random() < 0.5:
+        b.emit(f"{g} = {rng.randint(0, 5)};")
+    else:
+        b.emit(f"{g} = {g} + {rng.randint(1, 3)};")
+
+
+def _global_loop(b: _Builder) -> None:
+    """A counted loop whose body bumps a global."""
+    rng = b.rng
+    g = rng.choice(_GLOBALS)
+    bound = rng.randint(2, 5)
+    b.emit("k = 0;")
+    b.emit(f"while (k < {bound}) {{ {g} = {g} + {rng.randint(1, 2)}; "
+           f"k = k + 1; }}")
+    b.define("k")
+
+
+def _guarded_call(b: _Builder, callee: str) -> None:
+    """A recursive call under a test, so some path returns."""
+    rng = b.rng
+    if rng.random() < 0.5:
+        g = rng.choice(_GLOBALS)
+        b.emit(f"if ({g} > {rng.randint(0, 3)}) {{ {g} = {g} - 1; "
+               f"{callee}(); }}")
+    else:
+        b.emit(f"if ({rng.choice(_SELECTORS)} == {rng.randint(0, 2)}) "
+               f"{{ {callee}(); }}")
+
+
+def generate_multi_program(seed: int) -> str:
+    """One deterministic program of 2-6 procedures sharing two globals.
+
+    ``main`` is first; procedure i calls i+1 (a call chain), may call a
+    later procedure too, may call itself or an earlier non-entry
+    procedure under a test (self and mutual recursion), may run a
+    counted loop over a global and may call the extern ``lib``.  Between
+    these sit the single-procedure fragments, over local selectors.
+    """
+    rng = random.Random(f"progen-multi-{seed}")
+    names = ["main"] + [f"p{i}" for i in range(1, rng.randint(2, 6))]
+    procs: list[str] = []
+    for i, name in enumerate(names):
+        b = _Builder(rng)
+        if i == 0:
+            for g in _GLOBALS:
+                b.emit(f"{g} = {rng.randint(0, 3)};")
+        for sel in _SELECTORS:
+            b.emit(f"read {sel};")
+            b.define(sel)
+        actions = ["pair", "pair", "global"]
+        if i + 1 < len(names):
+            actions.append(f"call {names[i + 1]}")
+            if i + 2 < len(names) and rng.random() < 0.4:
+                actions.append(f"call {rng.choice(names[i + 2:])}")
+        if i > 0 and rng.random() < 0.25:
+            actions.append(f"recurse {name}")
+        if i > 1 and rng.random() < 0.3:
+            actions.append(f"recurse {rng.choice(names[1:i])}")
+        if rng.random() < 0.4:
+            actions.append("loop")
+        if rng.random() < 0.2:
+            actions.append("extern")
+        rng.shuffle(actions)
+        for action in actions:
+            if action == "pair":
+                _correlated_pair(b, rng.choice(_SELECTORS))
+            elif action == "global":
+                _global_update(b)
+            elif action == "loop":
+                _global_loop(b)
+            elif action == "extern":
+                b.emit("lib();")
+            elif action.startswith("call "):
+                b.emit(f"{action[5:]}();")
+            else:
+                _guarded_call(b, action[8:])
+            if rng.random() < 0.4:
+                b.filler()
+        b.emit(f"print {rng.choice(_GLOBALS)};")
+        body = "\n".join(_indent(b.lines))
+        procs.append(f"proc {name}() {{\n{body}\n}}\n")
+    head = "global g0; global g1; extern lib;\n"
+    return head + "\n".join(procs)
 
 
 def perf_program(modules: int = 100, target_nodes: int = 2000) -> str:

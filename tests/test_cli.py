@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from fpmfp import cli, clients
 from fpmfp.cli import main
 
 from conftest import FIXTURES
@@ -251,6 +252,29 @@ class TestCompare:
         data = json.loads(out)
         assert data["segments"] == 0
         assert data["strict_nodes"] == []
+
+    @pytest.mark.parametrize("flag", ["rd", "uninit", "interval"])
+    def test_detects_and_solves_each_mode_once(self, capsys, monkeypatch,
+                                               flag):
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (clients, cli):
+            for name in ("detect_mips", "solve_mfp",
+                         "solve_fpmfp_interprocedural"):
+                counted(module, name)
+        code, _, _ = run(capsys, "compare", "--program", fix("sphinx_like"),
+                         "--analysis", flag, "--no-timing")
+        assert code == 0
+        assert sorted(calls) == ["detect_mips", "solve_fpmfp_interprocedural",
+                                 "solve_mfp"]
 
 
 class TestOracleCheck:
