@@ -151,6 +151,16 @@ class TestAnalyze:
         assert code == 0
         assert out == golden("analyze_fig2_interval_fpmfp.json")
 
+    @pytest.mark.parametrize("name,flag", [
+        ("summary_block", "rd"), ("summary_block", "interval"),
+        ("loop", "interval"),
+    ])
+    def test_mfp_matches_golden(self, capsys, name, flag):
+        code, out, _ = run(capsys, "analyze", "--program", fix(name),
+                           "--analysis", flag, "--mode", "mfp")
+        assert code == 0
+        assert out == golden(f"analyze_{name}_{flag}_mfp.json")
+
     def test_fig2_interval_mfp(self, capsys):
         code, out, _ = run(capsys, "analyze", "--program", fix("fig2"),
                            "--analysis", "interval", "--mode", "mfp")

@@ -242,3 +242,32 @@ class TestNonTermination:
         sol = solve_mfp(program, analysis, widen=False)
         assert sol.node_in[2] == {"x": (0, 10)}
         assert sol.node_in[4] == {"x": (10, 10)}
+
+
+class TestSteps:
+    # Worklist pops per fixture for (rd, must-defined, interval).
+    STEPS = {
+        "call_a": (8, 8, 14),
+        "call_b": (6, 6, 6),
+        "fig10": (8, 8, 8),
+        "fig11": (8, 8, 8),
+        "fig12": (9, 9, 9),
+        "fig2": (7, 7, 7),
+        "fig3": (7, 7, 7),
+        "fig4": (7, 7, 7),
+        "fig7": (10, 10, 17),
+        "fig8": (8, 8, 8),
+        "loop": (9, 5, 17),
+        "nlkain_like": (7, 7, 7),
+        "sphinx_like": (8, 8, 8),
+        "straight": (4, 4, 4),
+        "stripcc_like": (7, 7, 7),
+        "summary_block": (12, 12, 16),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    @pytest.mark.parametrize("index,analysis_name",
+                             enumerate(["rd", "must-defined", "interval"]))
+    def test_steps_are_pinned(self, name, index, analysis_name):
+        _, sol = solved(f"{name}.mir", analysis_name)
+        assert sol.steps == self.STEPS[name][index]
