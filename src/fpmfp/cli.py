@@ -31,8 +31,14 @@ from . import progen
 from .clients import PrecisionViolation, compare_modes
 from .frontend import MiniIrProgram, ParseError, emit_dot_program, parse_program
 from .lattice import make_analysis
-from .lifted import ALL_OPTS, solve_fpmfp_interprocedural, sorted_keys
-from .mfp import NonTermination, solve_mfp
+from .lifted import (
+    ALL_OPTS,
+    NonTermination,
+    PairBoundError,
+    solve_fpmfp_interprocedural,
+    sorted_keys,
+)
+from .mfp import solve_mfp
 from .mips import detect_mips
 from .oracle import Explosion, mips_free_meets, solution_semantics
 
@@ -196,37 +202,34 @@ def _edge_pair_records(program: MiniIrProgram, analysis, edge_values):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     analysis = make_analysis(_ANALYSIS_FOR_FLAG[args.analysis], program)
-    try:
-        if args.mode == "mfp":
-            solution = solve_mfp(program, analysis)
-            outs = {
-                nid: solution.node_transfer(program.node(nid), value)
-                for nid, value in solution.node_in.items()
-            }
-            payload = {
-                "schema": SCHEMA,
-                "analysis": analysis.name,
-                "mode": "mfp",
-                "solution": _node_records(
-                    program, analysis, solution.node_in, outs),
-            }
-        else:
-            universe = detect_mips(program)
-            solution = solve_fpmfp_interprocedural(
-                program, analysis, universe, args.opts)
-            payload = {
-                "schema": SCHEMA,
-                "analysis": analysis.name,
-                "mode": "fpmfp",
-                "opts": sorted(args.opts),
-                "solution": _node_records(
-                    program, analysis, solution.folded_in,
-                    solution.folded_out),
-                "edge_pairs": _edge_pair_records(
-                    program, analysis, solution.edge_values),
-            }
-    except NonTermination as exc:
-        raise _Failure(str(exc)) from exc
+    if args.mode == "mfp":
+        solution = solve_mfp(program, analysis)
+        outs = {
+            nid: solution.node_transfer(program.node(nid), value)
+            for nid, value in solution.node_in.items()
+        }
+        payload = {
+            "schema": SCHEMA,
+            "analysis": analysis.name,
+            "mode": "mfp",
+            "solution": _node_records(
+                program, analysis, solution.node_in, outs),
+        }
+    else:
+        universe = detect_mips(program)
+        solution = solve_fpmfp_interprocedural(
+            program, analysis, universe, args.opts)
+        payload = {
+            "schema": SCHEMA,
+            "analysis": analysis.name,
+            "mode": "fpmfp",
+            "opts": sorted(args.opts),
+            "solution": _node_records(
+                program, analysis, solution.folded_in,
+                solution.folded_out),
+            "edge_pairs": _edge_pair_records(
+                program, analysis, solution.edge_values),
+        }
     _write_text(_json_text(payload), args.output)
     return 0
 
@@ -241,8 +244,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     analysis = make_analysis(name, program)
     try:
         report = compare_modes(program, analysis, args.opts)
-    except NonTermination as exc:
-        raise _Failure(str(exc)) from exc
     except PrecisionViolation as exc:
         sys.stderr.write(f"fpmfp: precision violation: {exc}\n")
         return 2
@@ -477,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"fpmfp: {exc}\n")
         return 64
-    except _Failure as exc:
+    except (_Failure, NonTermination, PairBoundError) as exc:
         sys.stderr.write(f"fpmfp: error: {exc}\n")
         return 1
 

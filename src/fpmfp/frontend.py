@@ -72,6 +72,10 @@ class Expr:
 
 
 CONST_EXPR_OPS = {"+", "-", "*"}
+# Deepest block nesting the parser accepts.  Parsing and CFG construction
+# recurse once per level, so the bound keeps them well inside Python's
+# default recursion limit.
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -518,6 +522,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -584,12 +589,17 @@ class _Parser:
         return AstProc(name.text, tuple(params), body, head.line)
 
     def parse_block(self) -> list[AstStmt]:
-        self.expect("op", "{")
+        brace = self.expect("op", "{")
+        if self.depth == MAX_NESTING:
+            raise self.error(f"blocks nested deeper than {MAX_NESTING}",
+                             brace)
+        self.depth += 1
         stmts: list[AstStmt] = []
         while not self.accept("op", "}"):
             if self.peek().kind == "eof":
                 raise self.error("unterminated block")
             stmts.append(self.parse_stmt())
+        self.depth -= 1
         return stmts
 
     # -- statements -------------------------------------------------------
@@ -974,54 +984,6 @@ def parse_program(source: str) -> MiniIrProgram:
 
 def build_call_graph(program: MiniIrProgram) -> CallGraph:
     return CallGraph(program)
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer
-# ---------------------------------------------------------------------------
-
-def pretty_print(program: MiniIrProgram) -> str:
-    out: list[str] = []
-    for name in sorted(program.globals):
-        out.append(f"global {name};")
-    for name in sorted(program.externs):
-        out.append(f"extern {name};")
-    if program.globals or program.externs:
-        out.append("")
-    for proc in program.procedures:
-        params = ", ".join(proc.params)
-        out.append(f"proc {proc.name}({params}) {{")
-        _pp_block(proc.body, out, 1)
-        out.append("}")
-        out.append("")
-    return "\n".join(out).rstrip() + "\n"
-
-
-def _pp_block(block: list[AstStmt], out: list[str], depth: int) -> None:
-    pad = "  " * depth
-    for stmt in block:
-        if stmt.kind == StKind.BRANCH:
-            head = "while" if getattr(stmt, "is_loop", False) else "if"
-            out.append(f"{pad}{head} ({stmt.cond.to_text()}) {{")
-            _pp_block(stmt.body, out, depth + 1)
-            if stmt.orelse:
-                out.append(f"{pad}}} else {{")
-                _pp_block(stmt.orelse, out, depth + 1)
-            out.append(f"{pad}}}")
-        elif stmt.kind == StKind.SWITCH:
-            out.append(f"{pad}switch ({stmt.var}) {{")
-            for value, body in stmt.cases:
-                out.append(f"{pad}  case {value}: {{")
-                _pp_block(body, out, depth + 2)
-                out.append(f"{pad}  }}")
-            out.append(f"{pad}  default: {{")
-            _pp_block(stmt.default, out, depth + 2)
-            out.append(f"{pad}  }}")
-            out.append(f"{pad}}}")
-        else:
-            st = Statement(stmt.kind, var=stmt.var, expr=stmt.expr,
-                           cond=stmt.cond, callee=stmt.callee)
-            out.append(f"{pad}{st.to_text()}")
 
 
 # ---------------------------------------------------------------------------

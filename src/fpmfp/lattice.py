@@ -51,9 +51,6 @@ class Analysis(abc.ABC):
     def leq(self, a, b) -> bool:
         ...
 
-    def is_top(self, value) -> bool:
-        return value == self.top()
-
     @abc.abstractmethod
     def transfer(self, node: Node, value):
         """Statement transfer; call nodes are handled by the solvers."""
@@ -116,9 +113,6 @@ class BitvectorAnalysis(Analysis):
 
     def transfer(self, node: Node, value: int) -> int:
         return (value & ~self.kill.get(node.id, 0)) | self.gen.get(node.id, 0)
-
-    def gen_mask(self, node_id: int) -> int:
-        return self.gen.get(node_id, 0)
 
     def kill_mask(self, node_id: int) -> int:
         return self.kill.get(node_id, 0)
@@ -341,9 +335,6 @@ class IntervalAnalysis(Analysis):
 
     def leq(self, a: IntervalValue, b: IntervalValue) -> bool:
         return interval_leq(a, b)
-
-    def is_top(self, value: IntervalValue) -> bool:
-        return not value
 
     def transfer(self, node: Node, value: IntervalValue) -> IntervalValue:
         st = node.statement

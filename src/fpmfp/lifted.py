@@ -1,4 +1,4 @@
-"""Feasible-path solver: data-flow values keyed by tracked infeasible segments.
+"""The fixpoint engine: data-flow values keyed by tracked infeasible segments.
 
 A lifted value is a sparse map from frozen sets of segment ids to lattice
 values; an absent key stands for the analysis top.  The boundary is the
@@ -7,6 +7,11 @@ pair onto the tracking key; a pair whose key holds a segment that completes
 at an edge is dropped there, so its value never escapes an infeasible
 segment.  Folding (meet of all stored values) recovers the reported
 solution, which is never less precise than MFP.
+
+This is the only fixpoint engine.  Over the empty segment universe every
+value is the single empty-key pair and folding is the identity, so the
+classic MFP solution (:func:`fpmfp.mfp.solve_mfp`) is this solver run
+over ``MipsUniverse(program, [])``.
 
 Normalization after each edge flow keeps the maps small:
 
@@ -21,17 +26,21 @@ Normalization after each edge flow keeps the maps small:
   reaching-definitions pair at top still generates facts downstream and
   must be kept.
 
+The first two are identities on fewer than two pairs and are skipped there.
+
 Interprocedurally a call node applies the callee's folded effect pointwise
 per pair: gen/kill summary masks (themselves computed by lifted fixpoints
 over the callee, so effects on infeasible-only paths drop out) for
 bit-vector analyses, folded exit intervals for the interval analysis.
-Tracking keys never cross a call boundary.
+Tracking keys never cross a call boundary.  Callee boundary values are the
+met folded call-site In values projected to globals (plus parameters).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .frontend import (
@@ -41,15 +50,10 @@ from .frontend import (
     MiniIrProgram,
     Node,
     Procedure,
+    StKind,
     build_call_graph,
 )
 from .lattice import Analysis, BitvectorAnalysis, WideningState
-from .mfp import (
-    NonTermination,
-    Summaries,
-    compute_summaries,
-    solve_procedures,
-)
 from .mips import MipsUniverse
 
 Key = frozenset[int]
@@ -58,38 +62,41 @@ LiftedValue = dict[Key, object]
 ALL_OPTS = frozenset({1, 2, 3})
 EMPTY_KEY: Key = frozenset()
 
+# Interprocedural budget: procedure solves per procedure.
+MAX_SOLVES = 10_000
+
+
+class NonTermination(RuntimeError):
+    """The solver exceeded its step budget without stabilizing."""
+
+
+class PairBoundError(RuntimeError):
+    """An edge carried more pairs than the procedure's segments plus one."""
+
 
 def _key_order(key: Key):
     return (len(key), sorted(key))
 
 
 def sorted_keys(value: LiftedValue) -> list[Key]:
+    if len(value) < 2:
+        return list(value)
     return sorted(value, key=_key_order)
+
+
+def _meet_all(value: LiftedValue, meet: Callable, top):
+    if len(value) == 1:
+        (only,) = value.values()
+        return only
+    out = top
+    for key in sorted_keys(value):
+        out = meet(out, value[key])
+    return out
 
 
 def fold(value: LiftedValue, analysis: Analysis):
     """Meet of all stored pair values; top when no pair is stored."""
-    out = analysis.top()
-    for key in sorted_keys(value):
-        out = analysis.meet(out, value[key])
-    return out
-
-
-def lifted_meet(a: LiftedValue, b: LiftedValue, analysis: Analysis) -> LiftedValue:
-    """Keywise meet; a key absent on one side keeps the other side's value."""
-    out = dict(a)
-    for key, v in b.items():
-        if key in out:
-            out[key] = analysis.meet(out[key], v)
-        else:
-            out[key] = v
-    return out
-
-
-def lifted_transfer(node: Node, value: LiftedValue,
-                    analysis: Analysis) -> LiftedValue:
-    """Statement transfer applied pointwise; keys are untouched."""
-    return {key: analysis.transfer(node, v) for key, v in value.items()}
+    return _meet_all(value, analysis.meet, analysis.top())
 
 
 @dataclass
@@ -150,23 +157,22 @@ class _Flow:
             else:
                 moved[tracked] = v
         if self.widening is not None and edge.id in self.back:
-            folded = self.top
-            for key in sorted_keys(moved):
-                folded = self.meet(folded, moved[key])
-            self.widening.observe(edge.id, folded)
+            self.widening.observe(edge.id,
+                                  _meet_all(moved, self.meet, self.top))
             moved = {
                 key: self.widening.apply(edge.id, v)
                 for key, v in moved.items()
             }
-        if 1 in self.opts:
+        if 1 in self.opts and len(moved) > 1:
             moved = self._merge_same_ends(moved)
-        if 2 in self.opts:
+        if 2 in self.opts and len(moved) > 1:
             moved = self._shift_duplicates(edge.id, moved)
         if 3 in self.opts and self.drop_top:
             moved = {k: v for k, v in moved.items() if v != self.top}
-        assert len(moved) <= self.pair_limit, (
-            f"pair count {len(moved)} exceeds limit {self.pair_limit} "
-            f"at edge {edge.id}")
+        if len(moved) > self.pair_limit:
+            raise PairBoundError(
+                f"pair count {len(moved)} exceeds limit {self.pair_limit} "
+                f"at edge {edge.id}")
         if self.stats is not None:
             self.stats.record(edge.id, len(moved))
         return moved
@@ -267,24 +273,21 @@ def transfer_preserves_top(cfg: Cfg, transfer: Callable, top) -> bool:
 # Intraprocedural fixpoint
 # ---------------------------------------------------------------------------
 
-def _lifted_fixpoint(
+def _fixpoint(
     cfg: Cfg,
     *,
     boundary,
-    top,
-    meet: Callable,
     transfer: Callable,
     flow: _Flow,
-    max_steps: int,
 ) -> tuple[dict[int, LiftedValue], dict[int, LiftedValue], int]:
-    """Worklist fixpoint over lifted values for one CFG."""
+    """Worklist fixpoint over lifted values for one CFG.
 
-    def lmeet(a: LiftedValue, b: LiftedValue) -> LiftedValue:
-        out = dict(a)
-        for key, v in b.items():
-            out[key] = meet(out[key], v) if key in out else v
-        return out
-
+    Returns (node In, edge values, steps).  ``transfer(node, value)`` must
+    be monotone; values only descend.  The step budget grows with the CFG
+    and with the number of pairs an edge may carry.
+    """
+    meet = flow.meet
+    max_steps = flow.pair_limit * (2_000 * (len(cfg.nodes) + 1) + 10_000)
     rpo = cfg.rpo()
     pos = {n: i for i, n in enumerate(rpo)}
     node_in: dict[int, LiftedValue] = {n: {} for n in cfg.nodes}
@@ -299,7 +302,7 @@ def _lifted_fixpoint(
         steps += 1
         if steps > max_steps:
             raise NonTermination(
-                f"no lifted fixpoint within {max_steps} steps in proc "
+                f"no fixpoint within {max_steps} steps in proc "
                 f"'{cfg.proc_name}'"
             )
         node = cfg.nodes[n]
@@ -307,8 +310,11 @@ def _lifted_fixpoint(
         for e in cfg.out_edges(n):
             moved = flow.edge_flow(e, node, out)
             edge_vals[e.id] = moved
-            new = lmeet(node_in[e.target], moved)
-            if new != node_in[e.target]:
+            old = node_in[e.target]
+            new = dict(old)
+            for key, v in moved.items():
+                new[key] = meet(new[key], v) if key in new else v
+            if new != old:
                 node_in[e.target] = new
                 if e.target not in queued:
                     queued.add(e.target)
@@ -316,9 +322,93 @@ def _lifted_fixpoint(
     return node_in, edge_vals, steps
 
 
-def _budget(cfg: Cfg, universe: MipsUniverse) -> int:
-    base = 2_000 * (len(cfg.nodes) + 1) + 10_000
-    return (len(universe.for_proc(cfg.proc_name)) + 1) * base
+# ---------------------------------------------------------------------------
+# Gen/kill call summaries
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Summaries:
+    """Per-procedure call-transfer masks, projected to globals.
+
+    A call to ``p`` transforms a set as ``(X & ~ksum[p]) | gsum[p]``.
+    """
+
+    gsum: dict[str, int]
+    ksum: dict[str, int]
+
+
+def _summary_exit(cfg: Cfg, universe: MipsUniverse, opts: frozenset[int], *,
+                  transfer: Callable, meet: Callable, top) -> int:
+    """Folded exit value of one summary fixpoint from the empty boundary."""
+    flow = _Flow(
+        universe, cfg.proc_name, meet=meet, top=top, refine=None,
+        opts=opts,
+        drop_top=3 in opts and transfer_preserves_top(cfg, transfer, top),
+    )
+    node_in, _, _ = _fixpoint(cfg, boundary=0, transfer=transfer, flow=flow)
+    return _meet_all(node_in[cfg.exit], meet, top)
+
+
+def compute_lifted_summaries(
+        program: MiniIrProgram, analysis: BitvectorAnalysis,
+        universe: MipsUniverse, opts: frozenset[int] = ALL_OPTS, *,
+        call_graph: CallGraph | None = None) -> Summaries:
+    """Gen/kill masks per procedure, bottom-up over call-graph SCCs.
+
+    Both the accumulated-kill and the gen fixpoints run lifted, so a gen
+    or kill that only happens inside an infeasible segment of the callee
+    never reaches the exit fold.  Within an SCC the kill masks are
+    iterated to their fixpoint first and the gen masks second, with the
+    kills held fixed: each loop is then monotone from the empty mask and
+    ends within one round per global fact and member.  (Updating both
+    together lets a gen fact produced while a callee's kill mask was
+    still empty circle the SCC forever.)
+    """
+    cg = call_graph or build_call_graph(program)
+    gmask = analysis.globals_mask
+    gsum: dict[str, int] = {}
+    ksum: dict[str, int] = {}
+
+    def kill_xfer(node: Node, value: int) -> int:
+        st = node.statement
+        if st.kind == StKind.CALL:
+            if st.callee in program.externs:
+                return value
+            return value | ksum[st.callee]
+        return value | analysis.kill_mask(node.id)
+
+    def gen_xfer(node: Node, value: int) -> int:
+        st = node.statement
+        if st.kind == StKind.CALL:
+            if st.callee in program.externs:
+                return value
+            return (value & ~ksum[st.callee]) | gsum[st.callee]
+        return analysis.transfer(node, value)
+
+    for scc in cg.sccs:  # bottom-up: callees before callers
+        for name in scc:
+            gsum[name] = 0
+            ksum[name] = 0
+        rounds = len(scc) * gmask.bit_count() + 1
+        for masks, transfer, meet, top in (
+                (ksum, kill_xfer, lambda a, b: a & b, analysis.full_mask),
+                (gsum, gen_xfer, analysis.meet, analysis.top())):
+            for _ in range(rounds):
+                stable = True
+                for name in scc:
+                    new = _summary_exit(
+                        program.by_name[name].cfg, universe, opts,
+                        transfer=transfer, meet=meet, top=top) & gmask
+                    if new != masks[name]:
+                        masks[name] = new
+                        stable = False
+                if stable:
+                    break
+            else:
+                raise NonTermination(
+                    f"call summaries of {', '.join(scc)} did not "
+                    f"stabilize within {rounds} rounds")
+    return Summaries(gsum, ksum)
 
 
 # ---------------------------------------------------------------------------
@@ -327,98 +417,46 @@ def _budget(cfg: Cfg, universe: MipsUniverse) -> int:
 
 @dataclass
 class FpmfpSolution:
-    """Per-procedure lifted solution with its folded projection."""
+    """Per-procedure lifted solution with its folded projection.
 
-    proc_name: str
+    Out values and the folded Out and edge views are computed on first
+    use.
+    """
+
     analysis: Analysis
-    universe: MipsUniverse
-    opts: frozenset[int]
+    cfg: Cfg
     node_in: dict[int, LiftedValue]
-    node_out: dict[int, LiftedValue]
     edge_values: dict[int, LiftedValue]
     folded_in: dict[int, object]
-    folded_out: dict[int, object]
-    folded_edges: dict[int, object]
-    boundary: object
-    stats: PairStats
-    steps: int
+    node_transfer: Callable
 
+    @cached_property
+    def node_out(self) -> dict[int, LiftedValue]:
+        nodes = self.cfg.nodes
+        return {
+            n: {key: self.node_transfer(nodes[n], v)
+                for key, v in lifted.items()}
+            for n, lifted in self.node_in.items()
+        }
 
-def lifted_edge_flow(edge: Edge, value: LiftedValue, universe: MipsUniverse,
-                     opts: frozenset[int] = ALL_OPTS, *,
-                     analysis: Analysis, source_node: Node,
-                     drop_top: bool = False,
-                     stats: PairStats | None = None) -> LiftedValue:
-    """One edge flow: track/block per pair, refine, then normalize."""
-    proc = universe.program.proc_of_node(source_node.id)
-    flow = _Flow(
-        universe, proc.name,
-        meet=analysis.meet, top=analysis.top(), refine=analysis.refine,
-        opts=opts, drop_top=drop_top, stats=stats,
-    )
-    return flow.edge_flow(edge, source_node, value)
+    @cached_property
+    def folded_out(self) -> dict[int, object]:
+        return {n: fold(v, self.analysis) for n, v in self.node_out.items()}
 
+    @cached_property
+    def folded_edges(self) -> dict[int, object]:
+        return {e: fold(v, self.analysis)
+                for e, v in self.edge_values.items()}
 
-# ---------------------------------------------------------------------------
-# Lifted gen/kill summaries
-# ---------------------------------------------------------------------------
-
-def compute_lifted_summaries(
-        program: MiniIrProgram, analysis: BitvectorAnalysis,
-        universe: MipsUniverse, opts: frozenset[int] = ALL_OPTS, *,
-        call_graph: CallGraph | None = None) -> Summaries:
-    """Call-transfer masks whose in-callee flow blocks infeasible segments.
-
-    Same bottom-up shape as the plain summaries, but both the
-    accumulated-kill and the gen fixpoints run lifted, so a gen or kill
-    that only happens inside an infeasible segment of the callee never
-    reaches the exit fold.
-    """
-    def exit_value(cfg: Cfg, *, transfer: Callable, meet: Callable, top):
-        return _summary_fixpoint(cfg, universe, opts, transfer=transfer,
-                                 meet=meet, top=top)
-
-    return compute_summaries(program, analysis,
-                             call_graph or build_call_graph(program),
-                             exit_value=exit_value)
-
-
-def _summary_fixpoint(cfg: Cfg, universe: MipsUniverse,
-                      opts: frozenset[int], *, transfer: Callable,
-                      meet: Callable, top) -> int:
-    flow = _Flow(
-        universe, cfg.proc_name, meet=meet, top=top, refine=None,
-        opts=opts, drop_top=transfer_preserves_top(cfg, transfer, top),
-    )
-    node_in, _, _ = _lifted_fixpoint(
-        cfg, boundary=0, top=top, meet=meet, transfer=transfer,
-        flow=flow, max_steps=_budget(cfg, universe),
-    )
-    exit_value = node_in[cfg.exit]
-    folded = top
-    for key in sorted_keys(exit_value):
-        folded = meet(folded, exit_value[key])
-    return folded
-
-
-# ---------------------------------------------------------------------------
-# Interprocedural driver
-# ---------------------------------------------------------------------------
 
 @dataclass
 class FpmfpProgramSolution:
-    """Whole-program lifted solution; mirrors the MFP solution's shape."""
+    """Whole-program lifted solution."""
 
-    program: MiniIrProgram
     analysis: Analysis
-    universe: MipsUniverse
-    opts: frozenset[int]
     procs: dict[str, FpmfpSolution]
     boundaries: dict[str, object]
     exit_values: dict[str, object]
-    call_graph: CallGraph
-    summaries: Summaries | None
-    widening: WideningState
     stats: PairStats
     steps: int
     # Folded (plain-lattice) node transfer the driver solved with, for
@@ -439,6 +477,21 @@ class FpmfpProgramSolution:
     folded_edges = property(lambda self: self._merged("folded_edges"))
 
 
+# ---------------------------------------------------------------------------
+# Interprocedural driver
+# ---------------------------------------------------------------------------
+
+def _reachable_procs(program: MiniIrProgram, cg: CallGraph) -> frozenset[str]:
+    seen = {program.entry}
+    stack = [program.entry]
+    while stack:
+        for callee in sorted(cg.callees[stack.pop()]):
+            if callee not in seen:
+                seen.add(callee)
+                stack.append(callee)
+    return frozenset(seen)
+
+
 def solve_fpmfp_interprocedural(
         program: MiniIrProgram, analysis: Analysis,
         universe: MipsUniverse, opts: frozenset[int] = ALL_OPTS, *,
@@ -446,10 +499,15 @@ def solve_fpmfp_interprocedural(
         call_graph: CallGraph | None = None) -> FpmfpProgramSolution:
     """Whole-program lifted solution for one analysis.
 
-    Scheduled by the same procedure-worklist driver as MFP: callee
-    boundaries are the met folded call-site values (a single empty-key
-    entry), and call nodes apply lifted summaries or folded callee exits
-    pointwise.
+    A procedure worklist schedules the per-procedure fixpoints.  Sweeps
+    over the dirty procedures alternate callers-first and callees-first
+    until none is dirty.  A procedure becomes dirty when the folded In
+    value at one of its call sites changes, and, when calls read callee
+    exits instead of summaries, when a callee's exit changes.  Call nodes
+    apply lifted summaries or the live folded callee exits pointwise.
+    Interval boundaries and exits are widened on synthetic per-procedure
+    keys, so values that descend through calls, with no CFG back edge
+    between them, stabilize.
     """
     cg = call_graph or build_call_graph(program)
     summaries = (
@@ -460,49 +518,108 @@ def solve_fpmfp_interprocedural(
     widening = WideningState(widen and analysis.kind == "interval")
     stats = PairStats()
     top = analysis.top()
-    solved: dict[str, tuple] = {}
+    procs = program.procedures
+    index = {proc.name: i for i, proc in enumerate(procs)}
+    reachable = _reachable_procs(program, cg)
+    # Call sites in reachable procedures: per callee, in node-id order for
+    # deterministic meets, and per caller.
+    sites: dict[str, list[int]] = {p.name: [] for p in procs}
+    calls: dict[str, list[tuple[int, str]]] = {p.name: [] for p in procs}
+    for proc in procs:
+        for nid in proc.cfg.node_ids():
+            st = proc.cfg.nodes[nid].statement
+            if (st.kind == StKind.CALL and st.callee in sites
+                    and proc.name in reachable):
+                sites[st.callee].append(nid)
+                calls[proc.name].append((nid, st.callee))
 
-    def solve(proc: Procedure, boundary, node_transfer):
-        cfg = proc.cfg
-        flow = _Flow(
-            universe, cfg.proc_name,
-            meet=analysis.meet, top=top, refine=analysis.refine, opts=opts,
-            drop_top=transfer_preserves_top(cfg, node_transfer, top),
-            widening=widening,
-            back=cfg.back_edges() if widening.enabled else frozenset(),
-            stats=stats,
-        )
-        p_in, p_edges, steps = _lifted_fixpoint(
-            cfg, boundary=boundary, top=top, meet=analysis.meet,
-            transfer=node_transfer, flow=flow,
-            max_steps=_budget(cfg, universe),
-        )
-        folded = {n: fold(v, analysis) for n, v in p_in.items()}
-        solved[proc.name] = (p_in, p_edges, folded, steps)
-        return folded, steps
+    exit_values: dict[str, object] = {}
+    boundaries: dict[str, object] = {}
+    folded_in: dict[int, object] = {}
+    solved: dict[str, FpmfpSolution] = {}
 
-    sched = solve_procedures(program, analysis, cg, summaries, widening,
-                             solve)
-    procs = {}
-    for proc in program.procedures:
-        p_in, p_edges, folded, steps = solved[proc.name]
-        node_out = {
-            n: {key: sched.node_transfer(proc.cfg.nodes[n], v)
-                for key, v in lifted.items()}
-            for n, lifted in p_in.items()
-        }
-        procs[proc.name] = FpmfpSolution(
-            proc_name=proc.name, analysis=analysis, universe=universe,
-            opts=opts, node_in=p_in, node_out=node_out, edge_values=p_edges,
-            folded_in=folded,
-            folded_out={n: fold(v, analysis) for n, v in node_out.items()},
-            folded_edges={e: fold(v, analysis) for e, v in p_edges.items()},
-            boundary=sched.boundaries[proc.name], stats=stats, steps=steps,
-        )
+    def node_transfer(node: Node, value):
+        st = node.statement
+        if st.kind != StKind.CALL:
+            return analysis.transfer(node, value)
+        if st.callee in program.externs:
+            if analysis.kind == "interval":
+                return analysis.havoc_globals(value)
+            return value
+        if summaries is not None:
+            return ((value & ~summaries.ksum[st.callee])
+                    | summaries.gsum[st.callee])
+        return analysis.apply_call(
+            value, exit_values.get(st.callee, top), cg.may_modify[st.callee])
+
+    def widen_at(key: int, value):
+        widening.observe(key, value)
+        return widening.apply(key, value)
+
+    def boundary_for(proc: Procedure):
+        if not sites[proc.name]:
+            return analysis.entry_boundary(proc)
+        met = top
+        for nid in sites[proc.name]:
+            met = analysis.meet(met, folded_in.get(nid, top))
+        bi = analysis.callee_boundary(proc, met)
+        if proc.name == program.entry:
+            bi = analysis.meet(analysis.entry_boundary(proc), bi)
+        return widen_at(-1 - index[proc.name], bi)
+
+    callees_first = [name for scc in cg.sccs for name in scc]
+    sweeps = (callees_first[::-1], callees_first)
+    dirty = set(callees_first)
+    budget = MAX_SOLVES * len(procs)
+    solves = steps = sweep = 0
+    while dirty:
+        for name in sweeps[sweep % 2]:
+            if name not in dirty:
+                continue
+            dirty.discard(name)
+            solves += 1
+            if solves > budget:
+                raise NonTermination(
+                    f"interprocedural solving exceeded {budget} "
+                    f"procedure solves")
+            proc = program.by_name[name]
+            cfg = proc.cfg
+            bi = boundary_for(proc)
+            flow = _Flow(
+                universe, name,
+                meet=analysis.meet, top=top, refine=analysis.refine,
+                opts=opts,
+                drop_top=(3 in opts and transfer_preserves_top(
+                    cfg, node_transfer, top)),
+                widening=widening,
+                back=cfg.back_edges() if widening.enabled else frozenset(),
+                stats=stats,
+            )
+            p_in, p_edges, p_steps = _fixpoint(
+                cfg, boundary=bi, transfer=node_transfer, flow=flow)
+            p_folded = {n: fold(v, analysis) for n, v in p_in.items()}
+            steps += p_steps
+            for nid, callee in calls[name]:
+                if p_folded[nid] != folded_in.get(nid, top):
+                    dirty.add(callee)
+            p_exit = widen_at(-1 - len(procs) - index[name],
+                              p_folded[cfg.exit])
+            if summaries is None and p_exit != exit_values.get(name, top):
+                dirty.update(cg.callers[name])
+            boundaries[name] = bi
+            exit_values[name] = p_exit
+            folded_in.update(p_folded)
+            solved[name] = FpmfpSolution(
+                analysis=analysis, cfg=cfg, node_in=p_in,
+                edge_values=p_edges, folded_in=p_folded,
+                node_transfer=node_transfer)
+        sweep += 1
+
+    # Report in procedure order, so no dict order depends on the schedule.
     return FpmfpProgramSolution(
-        program=program, analysis=analysis, universe=universe, opts=opts,
-        procs=procs, boundaries=sched.boundaries,
-        exit_values=sched.exit_values, call_graph=cg, summaries=summaries,
-        widening=widening, stats=stats, steps=sched.steps,
-        node_transfer=sched.node_transfer,
+        analysis=analysis,
+        procs={p.name: solved[p.name] for p in procs},
+        boundaries={p.name: boundaries[p.name] for p in procs},
+        exit_values={p.name: exit_values[p.name] for p in procs},
+        stats=stats, steps=steps, node_transfer=node_transfer,
     )

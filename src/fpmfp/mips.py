@@ -422,26 +422,6 @@ class MipsUniverse:
         """True when some tracked segment completes at this edge."""
         return bool(tracked & self._ends.get(edge_id, self._empty))
 
-    def cpo(self, edge_id: int, mips: Mips) -> frozenset[int]:
-        """Segments necessarily co-tracked with ``mips`` at this edge.
-
-        A segment qualifies when its matched prefix at the edge is a suffix
-        of the given segment's matched prefix.
-        """
-        pos = mips.position(edge_id)
-        prefix = mips.edges[:pos + 1]
-        out = set()
-        for other in self.for_proc(mips.proc):
-            try:
-                opos = other.position(edge_id)
-            except EdgeNotInMips:
-                continue
-            oprefix = other.edges[:opos + 1]
-            if len(oprefix) <= len(prefix) \
-                    and prefix[len(prefix) - len(oprefix):] == oprefix:
-                out.add(other.id)
-        return frozenset(out)
-
     def cso(self, edge_id: int, mips: Mips) -> frozenset[int]:
         """Segments whose remaining path is an initial run of this one's.
 

@@ -158,39 +158,6 @@ def solution_semantics(solution, proc: Procedure):
     return node_transfer, refine
 
 
-def enumerate_paths(
-    cfg: Cfg,
-    *,
-    max_len: int | None = None,
-    edge_cap: int = 2,
-    limit: int = 1_000_000,
-) -> list[tuple[int, ...]]:
-    """All bounded entry-to-exit edge paths, in DFS order."""
-    if max_len is None:
-        max_len = 2 * len(cfg.edges)
-    paths: list[tuple[int, ...]] = []
-    stack: list[tuple[int, tuple[int, ...], dict[int, int]]] = [
-        (cfg.start, (), {})]
-    expansions = 0
-    while stack:
-        node, path, counts = stack.pop()
-        expansions += 1
-        if expansions > limit:
-            raise Explosion(f"path enumeration exceeded {limit} expansions")
-        if node == cfg.exit:
-            paths.append(path)
-            continue
-        if len(path) >= max_len:
-            continue
-        for edge in reversed(cfg.out_edges(node)):
-            if counts.get(edge.id, 0) >= edge_cap:
-                continue
-            new_counts = dict(counts)
-            new_counts[edge.id] = new_counts.get(edge.id, 0) + 1
-            stack.append((edge.target, path + (edge.id,), new_counts))
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Concrete execution over an input box
 # ---------------------------------------------------------------------------

@@ -7,15 +7,17 @@ generated programs.
 """
 from __future__ import annotations
 
-import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-import fpmfp.lifted as lifted_module
+import fpmfp
 from fpmfp.clients import def_use_report, uninit_report
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import INF, make_analysis
@@ -236,11 +238,43 @@ class TestCriterion5PairBound:
                                     (name, analysis_name, eid, seen))
         assert violations == []
 
-    def test_bound_is_a_runtime_assertion(self):
-        # The solver enforces the bound unconditionally on every run, not
-        # just under test: a real assert in the per-edge flow.
-        source = inspect.getsource(lifted_module)
-        assert "assert len(moved) <= self.pair_limit" in source
+    def test_pair_bound_is_a_real_check(self):
+        # Two hand-made segments both continue through fig2's edge 5, so
+        # the four keys {}, {1}, {2}, {1, 2} stay apart there: one more
+        # pair than the procedure's segments plus one.  The check must
+        # hold under ``python -O``, which strips assertions.
+        script = (
+            "from fpmfp.frontend import parse_program\n"
+            "from fpmfp.lattice import make_analysis\n"
+            "from fpmfp.lifted import PairBoundError, _Flow\n"
+            "from fpmfp.mips import Mips, MipsUniverse\n"
+            "import sys\n"
+            "program = parse_program(sys.stdin.read())\n"
+            "an = make_analysis('interval', program)\n"
+            "universe = MipsUniverse(program, [Mips(1, 'f', (3, 5, 6)),\n"
+            "                                  Mips(2, 'f', (4, 5, 7))])\n"
+            "flow = _Flow(universe, 'f', meet=an.meet, top=an.top(),\n"
+            "             refine=None, opts=frozenset(), drop_top=False)\n"
+            "cfg = program.procedures[0].cfg\n"
+            "value = {frozenset(k): {'a': (i, i)} for i, k in\n"
+            "         enumerate([(), (1,), (2,), (1, 2)])}\n"
+            "try:\n"
+            "    flow.edge_flow(cfg.edges[5], cfg.nodes[cfg.edges[5].source],\n"
+            "                   value)\n"
+            "except PairBoundError as exc:\n"
+            "    print(f'debug={__debug__} raised: {exc}')\n"
+        )
+        src = str(Path(fpmfp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        for flags in (["-O"], []):
+            child = subprocess.run(
+                [sys.executable, *flags, "-c", script],
+                input=fixture_text("fig2"), capture_output=True, text=True,
+                env=env, timeout=60)
+            assert child.returncode == 0, child.stderr
+            assert child.stdout == (
+                f"debug={not flags} raised: pair count 4 exceeds limit 3 "
+                f"at edge 5\n")
 
 
 class TestCriterion6InfeasibilityWitness:

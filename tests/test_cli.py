@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fpmfp import cli, clients
+from fpmfp import cli, clients, lifted
 from fpmfp.cli import main
 
 from conftest import FIXTURES
@@ -94,6 +94,36 @@ class TestInputErrors:
         code, _, err = run(capsys, "detect-mips", "--program", str(bad))
         assert code == 1
         assert "bad.mir" in err
+
+    @pytest.mark.parametrize("command", [
+        ("analyze", "--mode", "fpmfp"), ("compare",),
+    ], ids=lambda c: c[0])
+    def test_pair_bound_error_exits_one(self, capsys, monkeypatch, command):
+        def overflow(flow, edge, source, value):
+            raise lifted.PairBoundError("pair count 9 exceeds limit 2")
+
+        monkeypatch.setattr(lifted._Flow, "edge_flow", overflow)
+        code, out, err = run(capsys, *command, "--program", fix("fig2"),
+                             "--analysis", "rd")
+        assert code == 1
+        assert out == ""
+        assert err == "fpmfp: error: pair count 9 exceeds limit 2\n"
+
+    @pytest.mark.parametrize("command", [
+        ("detect-mips",), ("compare", "--analysis", "rd"),
+    ], ids=lambda c: c[0])
+    def test_deep_nesting_is_an_error_not_a_traceback(self, capsys, tmp_path,
+                                                      command):
+        deep = tmp_path / "deep.mir"
+        deep.write_text("proc main() {\n  read x;\n"
+                        + "".join(f"if (x > {i}) {{\n" for i in range(600))
+                        + "print x;\n" + "}\n" * 601)
+        code, out, err = run(capsys, *command, "--program", str(deep))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fpmfp: error: ")
+        assert "nested deeper than" in err
+        assert "Traceback" not in err
 
     def test_special_file_destinations_are_written_through(
             self, capsys, tmp_path):

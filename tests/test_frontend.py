@@ -4,19 +4,67 @@ from __future__ import annotations
 import pytest
 
 from fpmfp.frontend import (
+    MAX_NESTING,
+    AstStmt,
     Cfg,
     LabelKind,
+    MiniIrProgram,
     ParseError,
+    Statement,
     StKind,
     UnreachableNode,
     UnresolvedCall,
     build_call_graph,
     emit_dot,
     parse_program,
-    pretty_print,
 )
 
 from conftest import fixture_program, fixture_text
+
+
+def pretty_print(program: MiniIrProgram) -> str:
+    """MiniIR source text of a parsed program."""
+    out: list[str] = []
+    for name in sorted(program.globals):
+        out.append(f"global {name};")
+    for name in sorted(program.externs):
+        out.append(f"extern {name};")
+    if program.globals or program.externs:
+        out.append("")
+    for proc in program.procedures:
+        params = ", ".join(proc.params)
+        out.append(f"proc {proc.name}({params}) {{")
+        _pp_block(proc.body, out, 1)
+        out.append("}")
+        out.append("")
+    return "\n".join(out).rstrip() + "\n"
+
+
+def _pp_block(block: list[AstStmt], out: list[str], depth: int) -> None:
+    pad = "  " * depth
+    for stmt in block:
+        if stmt.kind == StKind.BRANCH:
+            head = "while" if stmt.is_loop else "if"
+            out.append(f"{pad}{head} ({stmt.cond.to_text()}) {{")
+            _pp_block(stmt.body, out, depth + 1)
+            if stmt.orelse:
+                out.append(f"{pad}}} else {{")
+                _pp_block(stmt.orelse, out, depth + 1)
+            out.append(f"{pad}}}")
+        elif stmt.kind == StKind.SWITCH:
+            out.append(f"{pad}switch ({stmt.var}) {{")
+            for value, body in stmt.cases:
+                out.append(f"{pad}  case {value}: {{")
+                _pp_block(body, out, depth + 2)
+                out.append(f"{pad}  }}")
+            out.append(f"{pad}  default: {{")
+            _pp_block(stmt.default, out, depth + 2)
+            out.append(f"{pad}  }}")
+            out.append(f"{pad}}}")
+        else:
+            st = Statement(stmt.kind, var=stmt.var, expr=stmt.expr,
+                           cond=stmt.cond, callee=stmt.callee)
+            out.append(f"{pad}{st.to_text()}")
 
 
 def edge_table(cfg: Cfg) -> list[tuple[int, int, int, str]]:
@@ -308,6 +356,18 @@ class TestErrors:
             parse_program(
                 "proc main() { while (x > 0 && y > 0) { x = 0; } }"
             )
+
+    def test_nesting_is_bounded(self):
+        def nested(ifs: int) -> str:
+            return ("proc main() { read x; "
+                    + "if (x > 0) { " * ifs + "print x; " + "} " * ifs + "}")
+
+        # The procedure body is the first level.  Nodes: the read, one
+        # branch per if, the print and the exit.
+        program = parse_program(nested(MAX_NESTING - 1))
+        assert len(program.procedures[0].cfg.nodes) == MAX_NESTING + 2
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_program(nested(MAX_NESTING))
 
     def test_variable_compare_requires_equality(self):
         with pytest.raises(ParseError):

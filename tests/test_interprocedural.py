@@ -6,11 +6,16 @@ from functools import lru_cache
 
 import pytest
 
+from fpmfp import lifted as engine
 from fpmfp.clients import compare_modes
 from fpmfp.frontend import build_call_graph, parse_program
 from fpmfp.lattice import INF, make_analysis
-from fpmfp.lifted import compute_lifted_summaries, solve_fpmfp_interprocedural
-from fpmfp.mfp import NonTermination, compute_summaries, solve_mfp
+from fpmfp.lifted import (
+    NonTermination,
+    compute_lifted_summaries,
+    solve_fpmfp_interprocedural,
+)
+from fpmfp.mfp import compute_summaries, solve_mfp
 from fpmfp.mips import detect_mips
 from fpmfp.oracle import mips_free_meets, solution_semantics
 from fpmfp.progen import generate_multi_program
@@ -70,17 +75,17 @@ class TestCallSummaries:
             report = compare_modes(program, name)
             assert report.strict_nodes == ()
 
-    def test_summary_rounds_are_bounded(self):
+    def test_summary_rounds_are_bounded(self, monkeypatch):
         program = parse_program(MUTUAL)
         an = make_analysis("rd", program)
         flips = iter(range(1_000_000))
 
-        def oscillating(cfg, *, transfer, meet, top):
+        def oscillating(cfg, universe, opts, *, transfer, meet, top):
             return next(flips) % 2 * an.globals_mask
 
+        monkeypatch.setattr(engine, "_summary_exit", oscillating)
         with pytest.raises(NonTermination, match="did not stabilize"):
-            compute_summaries(program, an, build_call_graph(program),
-                              exit_value=oscillating)
+            compute_summaries(program, an, build_call_graph(program))
 
 
 class TestWorklistDriver:

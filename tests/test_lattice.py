@@ -65,25 +65,25 @@ class TestReachingDefinitions:
         program = fixture_program("fig2.mir")
         rd = ReachingDefinitions(program)
         n3 = program.node(3)
-        before = rd.gen_mask(1)  # {(a, 1)}
+        before = rd.gen[1]  # {(a, 1)}
         after = rd.transfer(n3, before)
         assert rd.decode(after) == [("a", 3)]
 
     def test_non_defining_statements_are_identity(self):
         program = fixture_program("fig2.mir")
         rd = ReachingDefinitions(program)
-        value = rd.gen_mask(1) | rd.gen_mask(3)
+        value = rd.gen[1] | rd.gen[3]
         for nid in (2, 4, 5, 6, 7):
             assert rd.transfer(program.node(nid), value) == value
 
     def test_lattice_orientation(self):
         rd = ReachingDefinitions(fixture_program("fig2.mir"))
-        small, large = rd.gen_mask(1), rd.gen_mask(1) | rd.gen_mask(3)
+        small, large = rd.gen[1], rd.gen[1] | rd.gen[3]
         # May-analysis: the larger set is the lower (safer) value.
         assert rd.leq(large, small)
         assert not rd.leq(small, large)
         assert rd.top() == 0
-        assert rd.meet(small, rd.gen_mask(3)) == large
+        assert rd.meet(small, rd.gen[3]) == large
 
     def test_read_is_a_definition(self):
         program = fixture_program("fig12.mir")
@@ -414,7 +414,7 @@ class TestSerialization:
     def test_rd_json(self):
         program = fixture_program("fig2.mir")
         rd = ReachingDefinitions(program)
-        assert rd.to_json(rd.gen_mask(1) | rd.gen_mask(3)) == [["a", 1], ["a", 3]]
+        assert rd.to_json(rd.gen[1] | rd.gen[3]) == [["a", 1], ["a", 3]]
 
     def test_unknown_analysis_rejected(self):
         with pytest.raises(ValueError):

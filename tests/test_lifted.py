@@ -8,17 +8,15 @@ from fpmfp.lattice import INF, make_analysis
 from fpmfp.lifted import (
     ALL_OPTS,
     EMPTY_KEY,
+    NonTermination,
     PairStats,
+    _Flow,
     compute_lifted_summaries,
     fold,
-    lifted_edge_flow,
-    lifted_meet,
-    lifted_transfer,
     solve_fpmfp_interprocedural,
-    sorted_keys,
     transfer_preserves_top,
 )
-from fpmfp.mfp import NonTermination, compute_summaries, solve_mfp
+from fpmfp.mfp import compute_summaries, solve_mfp
 from fpmfp.mips import MipsUniverse, detect_mips
 from fpmfp.oracle import Explosion, mips_free_meets, solution_semantics
 
@@ -53,6 +51,18 @@ def solved(name: str, analysis_name: str, opts: frozenset[int] = ALL_OPTS):
     return analysis, universe, sol
 
 
+def edge_flow(universe: MipsUniverse, analysis, edge_id: int, value,
+              opts: frozenset[int] = ALL_OPTS, stats: PairStats | None = None):
+    """One edge flow through the solver's engine, for one procedure."""
+    program = universe.program
+    proc = program.proc_of_edge(edge_id)
+    edge = proc.cfg.edges[edge_id]
+    flow = _Flow(universe, proc.name, meet=analysis.meet, top=analysis.top(),
+                 refine=analysis.refine, opts=opts, drop_top=False,
+                 stats=stats)
+    return flow.edge_flow(edge, proc.cfg.nodes[edge.source], value)
+
+
 def keyed(sol, edge_id: int) -> dict[tuple[int, ...], object]:
     """Edge pairs re-keyed by sorted tuples for readable assertions."""
     return {tuple(sorted(k)): v for k, v in sol.edge_values[edge_id].items()}
@@ -77,28 +87,11 @@ class TestLiftedOps:
         }
         assert fold(value, an) == {"a": (0, 5)}
 
-    def test_lifted_meet_is_keywise(self):
+    def test_fold_of_one_pair_is_its_value(self):
         program = fixture_program("fig2")
         an = make_analysis("interval", program)
-        a = {EMPTY_KEY: {"a": (0, 0)}, frozenset({1}): {"a": (3, 3)}}
-        b = {EMPTY_KEY: {"a": (5, 5)}, frozenset({2}): {"a": (7, 7)}}
-        merged = lifted_meet(a, b, an)
-        assert merged == {
-            EMPTY_KEY: {"a": (0, 5)},
-            frozenset({1}): {"a": (3, 3)},
-            frozenset({2}): {"a": (7, 7)},
-        }
-
-    def test_lifted_transfer_applies_pointwise(self):
-        program = fixture_program("fig2")
-        an = make_analysis("interval", program)
-        cfg = program.procedures[0].cfg
-        assign = cfg.nodes[1]  # x = input parameter handling: first assign
-        value = {EMPTY_KEY: {}, frozenset({1}): {"x": (2, 2)}}
-        out = lifted_transfer(assign, value, an)
-        assert set(out) == {EMPTY_KEY, frozenset({1})}
-        for key in out:
-            assert out[key] == an.transfer(assign, value[key])
+        value = {"a": (5, 5)}
+        assert fold({frozenset({1}): value}, an) is value
 
 
 class TestEdgeFlowUnit:
@@ -108,16 +101,12 @@ class TestEdgeFlowUnit:
         program = fixture_program("fig2")
         an = make_analysis("interval", program)
         universe = detect_mips(program)
-        cfg = program.procedures[0].cfg
-        edge = cfg.edges[6]
-        source = cfg.nodes[edge.source]
         stats = PairStats()
         value = {
             EMPTY_KEY: {"a": (5, 5)},
             frozenset({1}): {"a": (0, 0)},
         }
-        out = lifted_edge_flow(edge, value, universe, ALL_OPTS,
-                               analysis=an, source_node=source, stats=stats)
+        out = edge_flow(universe, an, 6, value, stats=stats)
         assert out == {EMPTY_KEY: {"a": (5, 5)}}
         assert stats.blocked == 1
 
@@ -125,11 +114,7 @@ class TestEdgeFlowUnit:
         program = fixture_program("fig2")
         an = make_analysis("interval", program)
         universe = detect_mips(program)
-        cfg = program.procedures[0].cfg
-        edge = cfg.edges[3]
-        source = cfg.nodes[edge.source]
-        out = lifted_edge_flow(edge, {EMPTY_KEY: {"a": (0, 0)}}, universe,
-                               ALL_OPTS, analysis=an, source_node=source)
+        out = edge_flow(universe, an, 3, {EMPTY_KEY: {"a": (0, 0)}})
         assert set(out) == {frozenset({1})}
 
     def test_leaving_the_route_clears_the_tracking(self):
@@ -138,11 +123,7 @@ class TestEdgeFlowUnit:
         program = fixture_program("fig11")
         an = make_analysis("must-defined", program)
         universe = detect_mips(program)
-        cfg = program.procedures[0].cfg
-        edge = cfg.edges[8]
-        source = cfg.nodes[edge.source]
-        out = lifted_edge_flow(edge, {frozenset({1}): 3}, universe,
-                               frozenset(), analysis=an, source_node=source)
+        out = edge_flow(universe, an, 8, {frozenset({1}): 3}, frozenset())
         assert out == {EMPTY_KEY: 3}
 
     def test_stats_track_pair_counts_per_edge(self):

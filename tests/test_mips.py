@@ -312,21 +312,6 @@ class TestTrackingOps:
         assert u.ext(6, frozenset()) == frozenset()
         assert u.ext(m.end, frozenset()) == frozenset()
 
-    def test_cpo_on_own_path(self, load_program):
-        u = detect(load_program("fig12"))
-        (m,) = u.all
-        for eid in m.edges:
-            assert m.id in u.cpo(eid, m)
-
-    def test_cpo_matches_walk(self, load_program):
-        for name in ("fig2", "fig8", "fig10", "fig11", "fig12"):
-            u = detect(load_program(name))
-            for m in u.all:
-                tracked = frozenset()
-                for eid in m.edges:
-                    tracked = u.ext(eid, tracked)
-                    assert u.cpo(eid, m) <= tracked
-
     def test_cso_reflexive_and_prefix_shaped(self, load_program):
         for name in ("fig8", "fig10", "fig11"):
             u = detect(load_program(name))
@@ -387,8 +372,6 @@ class TestTrackingOps:
     def test_edge_not_in_mips(self, load_program):
         u = detect(load_program("fig12"))
         (m,) = u.all
-        with pytest.raises(EdgeNotInMips):
-            u.cpo(1, m)
         with pytest.raises(EdgeNotInMips):
             u.cso(2, m)
         with pytest.raises(EdgeNotInMips):

@@ -11,7 +11,6 @@ from fpmfp.oracle import (
     Trace,
     _advance,
     contains_segment,
-    enumerate_paths,
     execute_all,
     mips_free_meets,
     solution_semantics,
@@ -152,35 +151,6 @@ class TestMeets:
     def test_explosion_guard(self, load_program):
         with pytest.raises(Explosion):
             oracle_for(load_program("fig12"), "rd", limit=3)
-
-
-class TestEnumeratePaths:
-    def test_fig2_complete_paths(self, load_program):
-        cfg = load_program("fig2").procedures[0].cfg
-        assert enumerate_paths(cfg) == [
-            (1, 2, 4, 5, 6, 8),
-            (1, 2, 4, 5, 7),
-            (1, 3, 5, 6, 8),
-            (1, 3, 5, 7),
-        ]
-
-    def test_loop_bounded_unrollings(self, load_program):
-        cfg = load_program("loop").procedures[0].cfg
-        assert enumerate_paths(cfg) == [
-            (1, 2, 4, 2, 4, 3, 5),
-            (1, 2, 4, 3, 5),
-            (1, 3, 5),
-        ]
-
-    def test_straight_single_path(self, load_program):
-        cfg = load_program("straight").procedures[0].cfg
-        paths = enumerate_paths(cfg)
-        assert len(paths) == 1
-
-    def test_explosion_guard(self, load_program):
-        cfg = load_program("fig12").procedures[0].cfg
-        with pytest.raises(Explosion):
-            enumerate_paths(cfg, limit=2)
 
 
 # ---------------------------------------------------------------------------
