@@ -1,11 +1,12 @@
 """Classic forward MFP: the feasible-path engine over no segments.
 
 With an empty segment universe nothing is ever tracked or blocked, every
-lifted value is the single empty-key pair, and its fold is the plain
-value.  MFP is therefore :func:`fpmfp.lifted.solve_fpmfp_interprocedural`
-run over ``MipsUniverse(program, [])``, projected to plain node In and
-edge values; the call summaries are the lifted summaries over the same
-empty universe.  No normalization is requested: merging and shifting
+lifted value holds at most the single empty-key pair, and its fold is the
+plain value.  MFP is therefore
+:func:`fpmfp.lifted.solve_fpmfp_interprocedural` run over
+``MipsUniverse(program, [])``, projected to plain node In and edge
+values; the call summaries are the lifted summaries over the same empty
+universe.  No normalization is requested: merging and shifting
 need two pairs, and dropping a top pair changes no fold.
 """
 

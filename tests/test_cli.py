@@ -95,19 +95,24 @@ class TestInputErrors:
         assert code == 1
         assert "bad.mir" in err
 
+    @pytest.mark.parametrize("error", [
+        lifted.PairBoundError, lifted.NonTermination,
+    ], ids=lambda e: e.__name__)
     @pytest.mark.parametrize("command", [
-        ("analyze", "--mode", "fpmfp"), ("compare",),
-    ], ids=lambda c: c[0])
-    def test_pair_bound_error_exits_one(self, capsys, monkeypatch, command):
-        def overflow(flow, edge, source, value):
-            raise lifted.PairBoundError("pair count 9 exceeds limit 2")
+        ("analyze", "--mode", "mfp"), ("analyze", "--mode", "fpmfp"),
+        ("compare",),
+    ], ids=lambda c: "-".join(c[::2]))
+    def test_solver_errors_exit_one(self, capsys, monkeypatch, command,
+                                    error):
+        def fail(flow, edge, source, value):
+            raise error("solver gave up")
 
-        monkeypatch.setattr(lifted._Flow, "edge_flow", overflow)
+        monkeypatch.setattr(lifted._Flow, "edge_flow", fail)
         code, out, err = run(capsys, *command, "--program", fix("fig2"),
                              "--analysis", "rd")
         assert code == 1
         assert out == ""
-        assert err == "fpmfp: error: pair count 9 exceeds limit 2\n"
+        assert err == "fpmfp: error: solver gave up\n"
 
     @pytest.mark.parametrize("command", [
         ("detect-mips",), ("compare", "--analysis", "rd"),
