@@ -344,14 +344,16 @@ def compare_modes(program: MiniIrProgram, analysis,
     flat = solve_mfp(program, analysis)
     flat_time = time.perf_counter() - start
 
+    # Both windows include folding the edge values, which MFP does eagerly.
     start = time.perf_counter()
     lifted = solve_fpmfp_interprocedural(program, analysis, universe, opts)
+    lifted_edges = lifted.folded_edges
     lifted_time = time.perf_counter() - start
 
     node_rows = _check_refines(
         analysis, flat.node_in, lifted.folded_in, "node")
     edge_rows = _check_refines(
-        analysis, flat.edge_values, lifted.folded_edges, "edge")
+        analysis, flat.edge_values, lifted_edges, "edge")
     client = _CLIENT_REPORTS.get(analysis.name)
     return ComparisonReport(
         analysis=analysis,

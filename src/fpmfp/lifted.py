@@ -109,12 +109,6 @@ class PairStats:
     end_merges: int = 0
     value_shifts: int = 0
 
-    def record(self, edge_id: int, count: int) -> None:
-        if count > self.per_edge_max.get(edge_id, 0):
-            self.per_edge_max[edge_id] = count
-        if count > self.max_pairs:
-            self.max_pairs = count
-
 
 class _Flow:
     """Edge-flow engine for one lifted fixpoint problem.
@@ -133,48 +127,56 @@ class _Flow:
         self.meet = meet
         self.top = top
         self.refine = refine
-        self.opts = opts
-        self.drop_top = drop_top
+        self.merge_ends = 1 in opts
+        self.shift = 2 in opts
+        self.drop_top = drop_top and 3 in opts
         self.widening = widening
-        self.back = back
+        self.back = back if widening is not None else frozenset()
         self.stats = stats
         self.pair_limit = len(universe.for_proc(proc_name)) + 1
 
     def edge_flow(self, edge: Edge, source: Node,
                   value: LiftedValue) -> LiftedValue:
+        eid = edge.id
+        starts, continues, ends = self.universe.crossing(eid)
+        refine = self.refine
         moved: LiftedValue = {}
         for key in sorted_keys(value):
-            tracked = self.universe.ext(edge.id, key)
-            if self.universe.endof(tracked, edge.id):
+            tracked = starts | (key & continues) if continues else starts
+            if ends and tracked & ends:
                 if self.stats is not None:
                     self.stats.blocked += 1
                 continue
             v = value[key]
-            if self.refine is not None:
-                v = self.refine(edge, source, v)
+            if refine is not None:
+                v = refine(edge, source, v)
             if tracked in moved:
                 moved[tracked] = self.meet(moved[tracked], v)
             else:
                 moved[tracked] = v
-        if self.widening is not None and edge.id in self.back:
-            self.widening.observe(edge.id,
-                                  _meet_all(moved, self.meet, self.top))
-            moved = {
-                key: self.widening.apply(edge.id, v)
-                for key, v in moved.items()
-            }
-        if 1 in self.opts and len(moved) > 1:
-            moved = self._merge_same_ends(moved)
-        if 2 in self.opts and len(moved) > 1:
-            moved = self._shift_duplicates(edge.id, moved)
-        if 3 in self.opts and self.drop_top:
+        if eid in self.back:
+            widening = self.widening
+            widening.observe(eid, _meet_all(moved, self.meet, self.top))
+            moved = {key: widening.apply(eid, v) for key, v in moved.items()}
+        # Normalizations 1 and 2 are identities on fewer than two pairs.
+        if len(moved) > 1:
+            if self.merge_ends:
+                moved = self._merge_same_ends(moved)
+            if self.shift and len(moved) > 1:
+                moved = self._shift_duplicates(eid, moved)
+        if self.drop_top:
             moved = {k: v for k, v in moved.items() if v != self.top}
-        if len(moved) > self.pair_limit:
+        count = len(moved)
+        if count > self.pair_limit:
             raise PairBoundError(
-                f"pair count {len(moved)} exceeds limit {self.pair_limit} "
-                f"at edge {edge.id}")
-        if self.stats is not None:
-            self.stats.record(edge.id, len(moved))
+                f"pair count {count} exceeds limit {self.pair_limit} "
+                f"at edge {eid}")
+        stats = self.stats
+        if stats is not None:
+            if count > stats.per_edge_max.get(eid, 0):
+                stats.per_edge_max[eid] = count
+            if count > stats.max_pairs:
+                stats.max_pairs = count
         return moved
 
     def _merge_same_ends(self, pairs: LiftedValue) -> LiftedValue:
@@ -306,15 +308,24 @@ def _fixpoint(
                 f"'{cfg.proc_name}'"
             )
         node = cfg.nodes[n]
-        out = {key: transfer(node, v) for key, v in node_in[n].items()}
+        out: LiftedValue = {}
+        for key, v in node_in[n].items():
+            out[key] = transfer(node, v)
         for e in cfg.out_edges(n):
             moved = flow.edge_flow(e, node, out)
             edge_vals[e.id] = moved
             old = node_in[e.target]
-            new = dict(old)
+            # Copy the target's In only once some pair of it changes.
+            new = None
             for key, v in moved.items():
-                new[key] = meet(new[key], v) if key in new else v
-            if new != old:
+                if key in old:
+                    v = meet(old[key], v)
+                    if v == old[key]:
+                        continue
+                if new is None:
+                    new = dict(old)
+                new[key] = v
+            if new is not None:
                 node_in[e.target] = new
                 if e.target not in queued:
                     queued.add(e.target)

@@ -384,9 +384,6 @@ class MipsUniverse:
         for proc in program.procedures:
             self._by_proc[proc.name] = tuple(
                 m for m in self.all if m.proc == proc.name)
-        self._starts: dict[int, frozenset[int]] = {}
-        self._continues: dict[int, frozenset[int]] = {}
-        self._ends: dict[int, frozenset[int]] = {}
         starts: dict[int, set[int]] = {}
         continues: dict[int, set[int]] = {}
         ends: dict[int, set[int]] = {}
@@ -395,10 +392,14 @@ class MipsUniverse:
             ends.setdefault(m.end, set()).add(m.id)
             for e in m.edges[1:]:
                 continues.setdefault(e, set()).add(m.id)
-        self._starts = {e: frozenset(s) for e, s in starts.items()}
-        self._continues = {e: frozenset(s) for e, s in continues.items()}
-        self._ends = {e: frozenset(s) for e, s in ends.items()}
-        self._empty: frozenset[int] = frozenset()
+        # Every end edge is a start or a continuing edge of its segment.
+        self._crossing: dict[int, tuple[frozenset[int], ...]] = {
+            e: (frozenset(starts.get(e, ())), frozenset(continues.get(e, ())),
+                frozenset(ends.get(e, ())))
+            for e in starts.keys() | continues.keys()
+        }
+        empty: frozenset[int] = frozenset()
+        self._untouched = (empty, empty, empty)
         self._cso_cache: dict[tuple[int, int], frozenset[int]] = {}
 
     def __len__(self) -> int:
@@ -407,20 +408,16 @@ class MipsUniverse:
     def for_proc(self, name: str) -> tuple[Mips, ...]:
         return self._by_proc.get(name, ())
 
-    def ext(self, edge_id: int, tracked: frozenset[int]) -> frozenset[int]:
-        """Tracked set after crossing an edge.
+    def crossing(self, edge_id: int) -> tuple[frozenset[int], ...]:
+        """Segments that start at, continue over and end at an edge.
 
-        Segments starting at the edge join unconditionally; tracked segments
+        A tracked set ``t`` crosses the edge as ``starts | (t & continues)``:
+        segments starting there join unconditionally, and tracked segments
         survive exactly when the edge is their next (position-determined)
         edge, which for cycle-free segments is membership past the start.
+        The pair is blocked when that set meets ``ends``.
         """
-        started = self._starts.get(edge_id, self._empty)
-        continued = tracked & self._continues.get(edge_id, self._empty)
-        return started | continued
-
-    def endof(self, tracked: frozenset[int], edge_id: int) -> bool:
-        """True when some tracked segment completes at this edge."""
-        return bool(tracked & self._ends.get(edge_id, self._empty))
+        return self._crossing.get(edge_id, self._untouched)
 
     def cso(self, edge_id: int, mips: Mips) -> frozenset[int]:
         """Segments whose remaining path is an initial run of this one's.
