@@ -196,6 +196,12 @@ class TestAnalyze:
         assert code == 0
         assert out == golden(f"analyze_{name}_{flag}_mfp.json")
 
+    def test_fig12_rd_fpmfp_matches_golden(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--program", fix("fig12"),
+                           "--analysis", "rd", "--mode", "fpmfp")
+        assert code == 0
+        assert out == golden("analyze_fig12_rd_fpmfp.json")
+
     def test_fig2_interval_mfp(self, capsys):
         code, out, _ = run(capsys, "analyze", "--program", fix("fig2"),
                            "--analysis", "interval", "--mode", "mfp")
@@ -255,6 +261,22 @@ class TestCompare:
                            "--format", "table", "--no-timing")
         assert code == 0
         assert out == golden("compare_nlkain_uninit.txt")
+
+    def test_sphinx_rd_table_matches_golden(self, capsys):
+        code, out, _ = run(capsys, "compare", "--program",
+                           fix("sphinx_like"), "--analysis", "rd",
+                           "--format", "table", "--no-timing")
+        assert code == 0
+        assert out == golden("compare_sphinx_rd.txt")
+
+    @pytest.mark.parametrize("name,flag", [
+        ("summary_block", "rd"), ("loop", "interval"),
+    ])
+    def test_json_matches_golden(self, capsys, name, flag):
+        code, out, _ = run(capsys, "compare", "--program", fix(name),
+                           "--analysis", flag, "--no-timing")
+        assert code == 0
+        assert out == golden(f"compare_{name}_{flag}.json")
 
     def test_sphinx_rd_json_attaches_def_use(self, capsys):
         code, out, _ = run(capsys, "compare", "--program",
