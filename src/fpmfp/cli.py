@@ -95,8 +95,89 @@ def _load_program(path: str) -> MiniIrProgram:
     return program
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _recurring(payload) -> set[int]:
+    """Ids of the containers that ``payload`` holds more than once."""
+    seen: set[int] = set()
+    again: set[int] = set()
+    stack = [payload]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            children = obj.values()
+        elif isinstance(obj, (list, tuple)):
+            children = obj
+        else:
+            continue
+        if id(obj) in seen:
+            again.add(id(obj))
+            continue
+        seen.add(id(obj))
+        stack.extend(children)
+    return again
+
+
+def _json_key(key) -> str:
+    """A non-string key as ``json.dumps`` writes it: quoted scalar text."""
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
+
+    The same bytes, but a container the payload holds more than once is
+    encoded once per depth and its text reused, so a report whose rows
+    share value views costs time in its distinct content, not its length.
+    Both caches live for this call only.
+    """
+    recurring = _recurring(payload)
+    texts: dict[tuple[int, int], str] = {}
+    strings: dict[str, str] = {}
+
+    def encode(obj, depth: int) -> str:
+        if isinstance(obj, str):
+            text = strings.get(obj)
+            if text is None:
+                text = strings[obj] = json.dumps(obj)
+            return text
+        if obj is None or obj is True or obj is False \
+                or isinstance(obj, float):
+            return json.dumps(obj)
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        shared = id(obj) in recurring
+        if shared:
+            text = texts.get((id(obj), depth))
+            if text is not None:
+                return text
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            text = "".join((
+                "[", inner,
+                ("," + inner).join([encode(item, depth + 1) for item in obj]),
+                "\n", "  " * depth, "]"))
+        elif isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            text = "".join((
+                "{", inner,
+                ("," + inner).join([
+                    (encode(key, 0) if isinstance(key, str)
+                     else _json_key(key)) + ": " + encode(value, depth + 1)
+                    for key, value in sorted(obj.items())]),
+                "\n", "  " * depth, "}"))
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            f"is not JSON serializable")
+        if shared:
+            texts[id(obj), depth] = text
+        return text
+
+    return encode(payload, 0) + "\n"
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -169,20 +250,20 @@ def _cmd_detect_mips(args: argparse.Namespace) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _node_records(program: MiniIrProgram, analysis, ins: dict, outs: dict):
+def _node_records(program: MiniIrProgram, view, ins: dict, outs: dict):
     records = []
     for proc in program.procedures:
         for nid in sorted(proc.cfg.nodes):
             records.append({
                 "proc": proc.name,
                 "node": nid,
-                "in": analysis.to_json(ins[nid]),
-                "out": analysis.to_json(outs[nid]),
+                "in": view(ins[nid]),
+                "out": view(outs[nid]),
             })
     return records
 
 
-def _edge_pair_records(program: MiniIrProgram, analysis, edge_values):
+def _edge_pair_records(program: MiniIrProgram, view, edge_values):
     records = []
     for proc in program.procedures:
         for eid in sorted(proc.cfg.edges):
@@ -191,8 +272,7 @@ def _edge_pair_records(program: MiniIrProgram, analysis, edge_values):
                 "proc": proc.name,
                 "edge": f"e{eid}",
                 "pairs": [
-                    {"mips": sorted(key),
-                     "value": analysis.to_json(pairs[key])}
+                    {"mips": sorted(key), "value": view(pairs[key])}
                     for key in sorted_keys(pairs)
                 ],
             })
@@ -202,6 +282,7 @@ def _edge_pair_records(program: MiniIrProgram, analysis, edge_values):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     analysis = make_analysis(_ANALYSIS_FOR_FLAG[args.analysis], program)
+    view = analysis.json_views()
     if args.mode == "mfp":
         solution = solve_mfp(program, analysis)
         outs = {
@@ -213,7 +294,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "analysis": analysis.name,
             "mode": "mfp",
             "solution": _node_records(
-                program, analysis, solution.node_in, outs),
+                program, view, solution.node_in, outs),
         }
     else:
         universe = detect_mips(program)
@@ -225,10 +306,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "mode": "fpmfp",
             "opts": sorted(args.opts),
             "solution": _node_records(
-                program, analysis, solution.folded_in,
-                solution.folded_out),
+                program, view, solution.folded_in, solution.folded_out),
             "edge_pairs": _edge_pair_records(
-                program, analysis, solution.edge_values),
+                program, view, solution.edge_values),
         }
     _write_text(_json_text(payload), args.output)
     return 0

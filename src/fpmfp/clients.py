@@ -74,11 +74,11 @@ def def_use_pairs(program: MiniIrProgram, solution) -> tuple[DefUse, ...]:
             used = proc.cfg.nodes[nid].statement.uses()
             if not used:
                 continue
-            reaching = analysis.decode(values[nid])
+            value = values[nid]
             for var in sorted(used):
-                for fact_var, def_node in reaching:
-                    if fact_var == var:
-                        out.append(DefUse(def_node, nid, var))
+                for _, def_node in analysis.decode(
+                        value & analysis.var_mask.get(var, 0)):
+                    out.append(DefUse(def_node, nid, var))
     return tuple(sorted(out, key=lambda p: (p.use_node, p.var, p.def_node)))
 
 
@@ -156,8 +156,9 @@ class DefUseReport:
             f"def-use pairs  mfp={len(self.mfp)}  fpmfp={len(self.fpmfp)}"
             f"  reduction={_percent_text(self.reduction)}",
         ]
+        fpmfp = set(self.fpmfp)
         for pair in self.mfp:
-            kept = "kept " if pair in set(self.fpmfp) else "gone "
+            kept = "kept " if pair in fpmfp else "gone "
             lines.append(
                 f"  {kept} n{pair.def_node} -> n{pair.use_node}"
                 f"  {pair.var}")
@@ -208,8 +209,9 @@ class UninitReport:
             f"  fpmfp={len(self.fpmfp)}"
             f"  reduction={_percent_text(self.reduction)}",
         ]
+        fpmfp = set(self.fpmfp)
         for alarm in self.mfp:
-            kept = "kept " if alarm in set(self.fpmfp) else "gone "
+            kept = "kept " if alarm in fpmfp else "gone "
             lines.append(f"  {kept} n{alarm.use_node}  {alarm.var}")
         return "\n".join(lines)
 
@@ -284,21 +286,21 @@ class ComparisonReport:
                      if row.strict)
 
     def to_json(self, *, timing: bool = True) -> dict:
-        fmt = self.analysis.to_json
+        view = self.analysis.json_views()
+
+        def record(row: ModeRow) -> dict:
+            low = view(row.mfp)
+            return {"mfp": low, "fpmfp": view(row.fpmfp) if row.strict
+                    else low, "strict": row.strict}
+
         out = {
             "analysis": self.analysis.name,
             "opts": list(self.opts),
             "segments": self.segment_count,
-            "nodes": {
-                str(n): {"mfp": fmt(row.mfp), "fpmfp": fmt(row.fpmfp),
-                         "strict": row.strict}
-                for n, row in sorted(self.node_rows.items())
-            },
-            "edges": {
-                str(e): {"mfp": fmt(row.mfp), "fpmfp": fmt(row.fpmfp),
-                         "strict": row.strict}
-                for e, row in sorted(self.edge_rows.items())
-            },
+            "nodes": {str(n): record(row)
+                      for n, row in sorted(self.node_rows.items())},
+            "edges": {str(e): record(row)
+                      for e, row in sorted(self.edge_rows.items())},
             "strict_nodes": list(self.strict_nodes),
             "strict_edges": list(self.strict_edges),
             "stats": {

@@ -14,6 +14,8 @@ never-assigned variable in a branch condition behaves nondeterministically.
 from __future__ import annotations
 
 import abc
+from typing import Callable
+
 from .frontend import (
     Cond,
     Expr,
@@ -71,6 +73,29 @@ class Analysis(abc.ABC):
     def to_json(self, value):
         ...
 
+    def json_views(self) -> Callable[[object], object]:
+        """``to_json`` that returns one shared view per distinct value.
+
+        A report built from these views holds each distinct value once,
+        and the CLI's writer encodes a shared container once.  The views
+        are read-only and live as long as the returned function.
+        """
+        views: dict = {}
+        key_of = self._view_key
+
+        def view(value):
+            key = key_of(value)
+            out = views.get(key)
+            if out is None:
+                out = views[key] = self.to_json(value)
+            return out
+        return view
+
+    @staticmethod
+    def _view_key(value):
+        """A hashable key equal for equal values."""
+        return value
+
     @abc.abstractmethod
     def format(self, value) -> str:
         ...
@@ -79,6 +104,14 @@ class Analysis(abc.ABC):
 # ---------------------------------------------------------------------------
 # Bit-vector analyses
 # ---------------------------------------------------------------------------
+
+def _set_bits(value: int):
+    """Indices of the set bits of ``value``, lowest first."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low
+
 
 class BitvectorAnalysis(Analysis):
     """Set-valued analysis over a fixed program-wide fact table.
@@ -122,7 +155,7 @@ class ReachingDefinitions(BitvectorAnalysis):
     """Which definition sites may reach a point.
 
     Facts are ``(variable, node id)`` for every assignment and ``read`` in the
-    program, ordered by node id.
+    program, ordered by node id, so bit order is decode order.
     """
 
     name = "rd"
@@ -137,6 +170,8 @@ class ReachingDefinitions(BitvectorAnalysis):
                 st = cfg.nodes[nid].statement
                 if st.kind in (StKind.ASSIGN, StKind.READ):
                     self.facts.append((st.var, nid))
+        self.facts.sort(key=lambda f: (f[1], f[0]))
+        self._fact_views = [[var, nid] for var, nid in self.facts]
         self.fact_bit = {fact: i for i, fact in enumerate(self.facts)}
         self.full_mask = (1 << len(self.facts)) - 1
         var_mask: dict[str, int] = {}
@@ -157,11 +192,13 @@ class ReachingDefinitions(BitvectorAnalysis):
         return met_callsite_value & self.globals_mask
 
     def decode(self, value: int) -> list[tuple[str, int]]:
-        out = [fact for fact, i in self.fact_bit.items() if value >> i & 1]
-        return sorted(out, key=lambda f: (f[1], f[0]))
+        facts = self.facts
+        return [facts[i] for i in _set_bits(value)]
 
     def to_json(self, value: int):
-        return [[var, nid] for var, nid in self.decode(value)]
+        # One shared, read-only [var, node] list per fact.
+        views = self._fact_views
+        return [views[i] for i in _set_bits(value)]
 
     def format(self, value: int) -> str:
         facts = self.decode(value)
@@ -212,7 +249,8 @@ class MustDefined(BitvectorAnalysis):
         return (met_callsite_value & self.globals_mask) | self._params_mask(proc)
 
     def decode(self, value: int) -> list[str]:
-        return [v for v in self.vars if value >> self.var_bit[v] & 1]
+        names = self.vars
+        return [names[i] for i in _set_bits(value)]
 
     def to_json(self, value: int):
         return self.decode(value)
@@ -327,6 +365,11 @@ class IntervalAnalysis(Analysis):
     kind = "interval"
     is_distributive = False
 
+    def __init__(self, program: MiniIrProgram) -> None:
+        super().__init__(program)
+        # One shared, read-only [lo, hi] list per bound pair.
+        self._pair_views: dict[tuple[float, float], list] = {}
+
     def top(self) -> IntervalValue:
         return {}
 
@@ -427,10 +470,20 @@ class IntervalAnalysis(Analysis):
         return int(bound)
 
     def to_json(self, value: IntervalValue):
-        return {
-            var: [self._bound_json(lo), self._bound_json(hi)]
-            for var, (lo, hi) in sorted(value.items())
-        }
+        views = self._pair_views
+        out = {}
+        for var, pair in sorted(value.items()):
+            view = views.get(pair)
+            if view is None:
+                lo, hi = pair
+                view = views[pair] = [self._bound_json(lo),
+                                      self._bound_json(hi)]
+            out[var] = view
+        return out
+
+    @staticmethod
+    def _view_key(value: IntervalValue):
+        return frozenset(value.items())
 
     def format(self, value: IntervalValue) -> str:
         if not value:

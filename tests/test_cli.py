@@ -9,6 +9,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmfp import cli, clients, lifted
 from fpmfp.cli import main
@@ -30,6 +32,64 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_TRICKY_CHARS = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃",
+     "\U0001f600"])
+_TEXT = st.text(st.characters() | _TRICKY_CHARS, max_size=8)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | _TEXT)
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(_TEXT, children, max_size=4)
+            | st.dictionaries(st.integers(), children, max_size=3))
+
+
+_VALUES = st.recursive(_SCALARS, _containers, max_leaves=25)
+
+
+@st.composite
+def _sharing_payloads(draw):
+    """A random payload holding one list or dict object several times."""
+    shared = draw(_VALUES.filter(lambda v: isinstance(v, (list, dict))))
+    rest = draw(st.lists(_VALUES, max_size=3))
+    same_depth = [shared, *rest, shared]
+    two_depths = {"a": shared, "b": [shared, {"c": shared}], "d": rest}
+    return draw(st.sampled_from(
+        [same_depth, two_depths, {"x": same_depth, "y": two_depths}]))
+
+
+class TestJsonWriter:
+    """``cli._json_text`` writes exactly what ``json.dumps`` would."""
+
+    @staticmethod
+    def expected(payload) -> str:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json_text(payload) == self.expected(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sharing_payloads())
+    def test_shared_containers_match_json_dumps(self, payload):
+        assert cli._json_text(payload) == self.expected(payload)
+
+    def test_special_floats_and_empty_containers(self):
+        payload = {"f": [float("inf"), -float("inf"), float("nan"), -0.0],
+                   "e": [[], {}, ()], "t": (1, (2,)), "s": "\"\\\x01\u00e9"}
+        assert cli._json_text(payload) == self.expected(payload)
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"a": {1, 2}})
+        with pytest.raises(TypeError):
+            cli._json_text({(1, 2): 3})
 
 
 class TestUsageErrors:
