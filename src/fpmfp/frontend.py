@@ -76,6 +76,10 @@ CONST_EXPR_OPS = {"+", "-", "*"}
 # recurse once per level, so the bound keeps them well inside Python's
 # default recursion limit.
 MAX_NESTING = 200
+# Most operands one ``&&``/``||`` condition may have.  Conditions are
+# flattened, wired and compared by recursion once per operand; the bound
+# keeps that inside the recursion limit, also at the deepest nesting.
+MAX_OPERANDS = 200
 
 
 @dataclass(frozen=True)
@@ -523,6 +527,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.operands = 0  # operands of the condition being parsed
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -745,6 +750,7 @@ class _Parser:
         if tok.kind == "name" and tok.text == "@atomic_cond":
             self.next()
             atomic = True
+        self.operands = 0
         cond = self.parse_cond_or()
         if atomic:
             cond = _mark_atomic(cond)
@@ -766,6 +772,10 @@ class _Parser:
 
     def parse_cond_atom(self) -> Cond:
         var = self.expect("name")
+        self.operands += 1
+        if self.operands > MAX_OPERANDS:
+            raise self.error(
+                f"condition has more than {MAX_OPERANDS} operands", var)
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("<", "<=", ">", ">=", "==", "!="):
             op = self.next().text

@@ -373,7 +373,8 @@ def compute_lifted_summaries(
     kills held fixed: each loop is then monotone from the empty mask and
     ends within one round per global fact and member.  (Updating both
     together lets a gen fact produced while a callee's kill mask was
-    still empty circle the SCC forever.)
+    still empty circle the SCC forever.)  Procedures that no call site
+    names (the entry procedure, for one) get no summary: nothing reads it.
     """
     cg = call_graph or build_call_graph(program)
     gmask = analysis.globals_mask
@@ -397,6 +398,8 @@ def compute_lifted_summaries(
         return analysis.transfer(node, value)
 
     for scc in cg.sccs:  # bottom-up: callees before callers
+        if not any(cg.callers[name] for name in scc):
+            continue
         for name in scc:
             gsum[name] = 0
             ksum[name] = 0

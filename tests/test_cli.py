@@ -190,6 +190,24 @@ class TestInputErrors:
         assert "nested deeper than" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    @pytest.mark.parametrize("command", [
+        ("detect-mips",), ("compare", "--analysis", "rd"),
+    ], ids=lambda c: c[0])
+    def test_long_condition_is_an_error_not_a_traceback(
+            self, capsys, tmp_path, command, op):
+        long = tmp_path / "long.mir"
+        long.write_text("proc main() { read x; if ("
+                        + f" {op} ".join(["x > 1"] * 3000)
+                        + ") { print x; } }\n")
+        code, out, err = run(capsys, *command, "--program", str(long))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fpmfp: error: ")
+        assert err.count("\n") == 1
+        assert "operands" in err
+        assert "Traceback" not in err
+
     def test_special_file_destinations_are_written_through(
             self, capsys, tmp_path):
         # A FIFO (or device) target must not be replaced by a regular file.

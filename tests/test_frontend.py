@@ -5,6 +5,7 @@ import pytest
 
 from fpmfp.frontend import (
     MAX_NESTING,
+    MAX_OPERANDS,
     AstStmt,
     Cfg,
     LabelKind,
@@ -368,6 +369,20 @@ class TestErrors:
         assert len(program.procedures[0].cfg.nodes) == MAX_NESTING + 2
         with pytest.raises(ParseError, match="nested deeper than"):
             parse_program(nested(MAX_NESTING))
+
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    def test_condition_operands_are_bounded(self, op):
+        def chain(operands: int) -> str:
+            return ("proc main() { read x; if ("
+                    + f" {op} ".join(["x > 1"] * operands)
+                    + ") { print x; } }")
+
+        # One branch node per operand, plus the read, the print and the
+        # exit.
+        program = parse_program(chain(MAX_OPERANDS))
+        assert len(program.procedures[0].cfg.nodes) == MAX_OPERANDS + 3
+        with pytest.raises(ParseError, match="more than 200 operands"):
+            parse_program(chain(MAX_OPERANDS + 1))
 
     def test_variable_compare_requires_equality(self):
         with pytest.raises(ParseError):

@@ -75,6 +75,28 @@ class TestCallSummaries:
             report = compare_modes(program, name)
             assert report.strict_nodes == ()
 
+    @pytest.mark.parametrize("name", ["rd", "must-defined"])
+    def test_only_called_procedures_get_summaries(self, monkeypatch, name):
+        solved = []
+        real = engine._summary_exit
+
+        def counted(cfg, *args, **kwargs):
+            solved.append(cfg.proc_name)
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_summary_exit", counted)
+        single = parse_program("proc main() { read x; if (x > 0) { x = 1; }"
+                               " print x; }")
+        solve_mfp(single, make_analysis(name, single))
+        solve_fpmfp_interprocedural(single, make_analysis(name, single),
+                                    detect_mips(single))
+        assert solved == []
+        program = parse_program(MUTUAL)
+        summaries = compute_summaries(program, make_analysis(name, program),
+                                      build_call_graph(program))
+        assert set(solved) == {"p", "q", "r"}
+        assert set(summaries.gsum) == set(summaries.ksum) == {"p", "q", "r"}
+
     def test_summary_rounds_are_bounded(self, monkeypatch):
         program = parse_program(MUTUAL)
         an = make_analysis("rd", program)
