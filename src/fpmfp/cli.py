@@ -125,7 +125,8 @@ def _json_key(key) -> str:
 
 
 def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
+    """What ``json.dumps`` writes with ``indent=2`` and ``sort_keys=True``,
+    plus a newline.
 
     The same bytes, but a container the payload holds more than once is
     encoded once per depth and its text reused, so a report whose rows
