@@ -242,6 +242,7 @@ class Cfg:
             self._out[e.source].append(e)
             self._in[e.target].append(e)
         self._rpo: list[int] | None = None
+        self._rpo_pos: dict[int, int] | None = None
         self._back: frozenset[int] | None = None
 
     def out_edges(self, node_id: int) -> list[Edge]:
@@ -277,6 +278,12 @@ class Cfg:
                     stack.pop()
             self._rpo = list(reversed(order))
         return self._rpo
+
+    def rpo_position(self) -> dict[int, int]:
+        """Each node's index in ``rpo()``."""
+        if self._rpo_pos is None:
+            self._rpo_pos = {n: i for i, n in enumerate(self.rpo())}
+        return self._rpo_pos
 
     def back_edges(self) -> frozenset[int]:
         """Edges whose target is an ancestor in the DFS spanning tree."""

@@ -291,7 +291,7 @@ def _fixpoint(
     meet = flow.meet
     max_steps = flow.pair_limit * (2_000 * (len(cfg.nodes) + 1) + 10_000)
     rpo = cfg.rpo()
-    pos = {n: i for i, n in enumerate(rpo)}
+    pos = cfg.rpo_position()
     node_in: dict[int, LiftedValue] = {n: {} for n in cfg.nodes}
     node_in[cfg.start] = {EMPTY_KEY: boundary}
     edge_vals: dict[int, LiftedValue] = {}

@@ -13,7 +13,9 @@ have to evaluate the end branch the other way.  Detection runs in two steps:
 2.  FALSE edges seed start points which are hoisted forward across nodes
     whose incoming edges are all starts; unresolved edges downstream of a
     start become inner edges.  Start-to-origin walks along inner edges
-    materialize the segments.
+    materialize the segments.  Step 1 records what each query reached, so
+    step 2 reads one query's answers directly and sweeps only the nodes of
+    that query's region: its cost follows the region, not the CFG.
 
 Detected segments are cycle-free, so an edge determines its position in a
 segment — which is what lets the in-progress tracking in the lifted solver
@@ -92,6 +94,11 @@ def contains(a: OneDSet, k: int) -> bool:
     return k != a.k
 
 
+# The comparison that holds exactly when the keyed one fails.
+_NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=",
+            "!=": "=="}
+
+
 def outcome_set(cond: Cond, taken: bool) -> OneDSet | None:
     """Values of ``cond.var`` for which the condition evaluates to ``taken``.
 
@@ -102,21 +109,18 @@ def outcome_set(cond: Cond, taken: bool) -> OneDSet | None:
     if cond.op == "var":
         return CoPoint(0) if taken else Interval1D(0, 0)
     c = cond.rhs
-    table = {
-        ("<", True): Interval1D(-INF, c - 1),
-        ("<", False): Interval1D(c, INF),
-        ("<=", True): Interval1D(-INF, c),
-        ("<=", False): Interval1D(c + 1, INF),
-        (">", True): Interval1D(c + 1, INF),
-        (">", False): Interval1D(-INF, c),
-        (">=", True): Interval1D(c, INF),
-        (">=", False): Interval1D(-INF, c - 1),
-        ("==", True): Interval1D(c, c),
-        ("==", False): CoPoint(c),
-        ("!=", True): CoPoint(c),
-        ("!=", False): Interval1D(c, c),
-    }
-    return table[(cond.op, taken)]
+    op = cond.op if taken else _NEGATED[cond.op]
+    if op == "<":
+        return Interval1D(-INF, c - 1)
+    if op == "<=":
+        return Interval1D(-INF, c)
+    if op == ">":
+        return Interval1D(c + 1, INF)
+    if op == ">=":
+        return Interval1D(c, INF)
+    if op == "==":
+        return Interval1D(c, c)
+    return CoPoint(c)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +237,21 @@ class _Resolver:
 
 @dataclass
 class Step1Result:
-    """Backward propagation state: queries present and answers per edge."""
+    """Backward propagation state: what each query reached.
+
+    ``reached[query]`` maps every edge the query reached to that edge's
+    answer, or to None where it stayed unresolved and propagated on.
+    """
 
     queries: list[Query]
-    present: dict[int, set[Query]]  # edge id -> queries that reached it
-    answers: dict[tuple[int, Query], Answer]
+    reached: dict[Query, dict[int, Answer | None]]
 
-    def unresolved(self, edge_id: int, query: Query) -> bool:
-        return query in self.present.get(edge_id, ()) \
-            and (edge_id, query) not in self.answers
+    @property
+    def answers(self) -> dict[tuple[int, Query], Answer]:
+        """Every resolved (edge, query) pair and its answer."""
+        return {(eid, query): answer
+                for query, reach in self.reached.items()
+                for eid, answer in reach.items() if answer is not None}
 
 
 def detect_step1(program: MiniIrProgram, proc: Procedure,
@@ -249,25 +259,23 @@ def detect_step1(program: MiniIrProgram, proc: Procedure,
     cfg = proc.cfg
     resolver = _Resolver(program, proc, call_graph)
     queries = arm_queries(proc)
-    present: dict[int, set[Query]] = {}
-    answers: dict[tuple[int, Query], Answer] = {}
+    reached: dict[Query, dict[int, Answer | None]] = {}
     for query in queries:
+        reach: dict[int, Answer | None] = {}
         origin = cfg.edges[query.origin]
         stack = [e.id for e in reversed(cfg.in_edges(origin.source))]
         while stack:
             eid = stack.pop()
-            seen = present.setdefault(eid, set())
-            if query in seen:
+            if eid in reach:
                 continue
-            seen.add(query)
             edge = cfg.edges[eid]
             answer = resolver.resolve(edge, query)
-            if answer is not None:
-                answers[(eid, query)] = answer
-            else:
+            reach[eid] = answer
+            if answer is None:
                 stack.extend(
                     e.id for e in reversed(cfg.in_edges(edge.source)))
-    return Step1Result(queries, present, answers)
+        reached[query] = reach
+    return Step1Result(queries, reached)
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +284,29 @@ def detect_step1(program: MiniIrProgram, proc: Procedure,
 
 def detect_step2(proc: Procedure, query: Query,
                  step1: Step1Result) -> list[tuple[int, ...]]:
-    """Edge paths of all segments ending at the query's origin."""
+    """Edge paths of all segments ending at the query's origin.
+
+    Each sweep visits, in reverse postorder, only the nodes with an
+    unresolved out-edge for this query: at any other node a sweep of the
+    whole CFG changes nothing, so skipping it leaves every sweep's result,
+    and the number of sweeps, as they were.
+    """
     cfg = proc.cfg
-    start = {eid for (eid, q), a in step1.answers.items()
-             if q == query and a is Answer.FALSE}
+    reach = step1.reached[query]
+    start = {eid for eid, answer in reach.items() if answer is Answer.FALSE}
     if not start:
         return []
+    outs_at: dict[int, list[int]] = {}
+    for eid, answer in reach.items():
+        if answer is None:
+            outs_at.setdefault(cfg.edges[eid].source, []).append(eid)
+    pos = cfg.rpo_position()
+    region = [(outs_at[n], [e.id for e in cfg.in_edges(n)])
+              for n in sorted(outs_at, key=pos.__getitem__)]
     inner: set[int] = set()
     for _ in range(len(cfg.nodes) + 2):
         changed = False
-        for n in cfg.rpo():
-            outs = [e.id for e in cfg.out_edges(n)
-                    if step1.unresolved(e.id, query)]
-            if not outs:
-                continue
-            ins = [e.id for e in cfg.in_edges(n)]
+        for outs, ins in region:
             if ins and all(i in start for i in ins):
                 for o in outs:
                     if o not in start:
@@ -380,10 +396,12 @@ class MipsUniverse:
         self.program = program
         self.all = tuple(all_mips)
         self.by_id = {m.id: m for m in self.all}
-        self._by_proc: dict[str, tuple[Mips, ...]] = {}
-        for proc in program.procedures:
-            self._by_proc[proc.name] = tuple(
-                m for m in self.all if m.proc == proc.name)
+        grouped: dict[str, list[Mips]] = {}
+        for m in self.all:
+            grouped.setdefault(m.proc, []).append(m)
+        self._by_proc: dict[str, tuple[Mips, ...]] = {
+            proc.name: tuple(grouped.get(proc.name, ()))
+            for proc in program.procedures}
         starts: dict[int, set[int]] = {}
         continues: dict[int, set[int]] = {}
         ends: dict[int, set[int]] = {}

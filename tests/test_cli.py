@@ -1,10 +1,14 @@
 """Command-line tests: flags, exit codes, golden outputs, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import logging
 import os
+import re
 import stat
+import tempfile
 import threading
 from pathlib import Path
 
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpmfp import cli, clients, lifted
+from fpmfp import cli, clients, lifted, progen
 from fpmfp.cli import main
 
 from conftest import FIXTURES
@@ -61,6 +65,27 @@ def _sharing_payloads(draw):
     two_depths = {"a": shared, "b": [shared, {"c": shared}], "d": rest}
     return draw(st.sampled_from(
         [same_depth, two_depths, {"x": same_depth, "y": two_depths}]))
+
+
+@st.composite
+def _mutated_sources(draw):
+    """A generated program with one token dropped, one line duplicated or
+    two lines swapped."""
+    seed = draw(st.integers(min_value=0, max_value=500))
+    text = progen.generate_program(seed, acyclic=draw(st.booleans()))
+    mutation = draw(st.sampled_from(["drop-token", "duplicate", "swap"]))
+    if mutation == "drop-token":
+        tokens = list(re.finditer(r"\w+|\S", text))
+        tok = tokens[draw(st.integers(0, len(tokens) - 1))]
+        return text[:tok.start()] + text[tok.end():]
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if mutation == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
 
 
 class TestJsonWriter:
@@ -207,6 +232,21 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert "operands" in err
         assert "Traceback" not in err
+
+    @settings(max_examples=50, deadline=None)
+    @given(_mutated_sources())
+    def test_mutated_programs_exit_cleanly(self, source):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.mir"
+            path.write_text(source, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["detect-mips", "--program", str(path)])
+        assert code in (0, 1, 2, 64), err.getvalue()
+        if code != 0:
+            assert err.getvalue().startswith("fpmfp: ")
+            assert out.getvalue() == ""
 
     def test_special_file_destinations_are_written_through(
             self, capsys, tmp_path):

@@ -1,11 +1,15 @@
 """Tests for infeasible-segment detection and tracking operations."""
 
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
-from fpmfp.frontend import build_call_graph, parse_program
+from fpmfp import progen
+from fpmfp.frontend import Cfg, build_call_graph, parse_program
 from fpmfp.lifted import _Flow
 from fpmfp.mips import (
+    _materialize,
     Answer,
     CoPoint,
     EdgeNotInMips,
@@ -16,10 +20,13 @@ from fpmfp.mips import (
     contains,
     detect_mips,
     detect_step1,
+    detect_step2,
     disjoint,
     outcome_set,
     subset,
 )
+
+from conftest import FIXTURES
 
 
 def routes(universe):
@@ -116,9 +123,9 @@ def answers_for(program, proc_name, origin):
     proc = program.by_name[proc_name]
     step1 = detect_step1(program, proc, build_call_graph(program))
     (query,) = [q for q in step1.queries if q.origin == origin]
-    resolved = {eid: a for (eid, q), a in step1.answers.items() if q == query}
-    present = {eid for eid, qs in step1.present.items() if query in qs}
-    return query, resolved, present
+    reach = step1.reached[query]
+    resolved = {eid: a for eid, a in reach.items() if a is not None}
+    return query, resolved, set(reach)
 
 
 class TestStepOne:
@@ -172,8 +179,8 @@ class TestCallEffects:
         proc = program.by_name["main"]
         step1 = detect_step1(program, proc, build_call_graph(program))
         true_arm = [q for q in step1.queries if q.var == "g"][0]
-        resolved = {eid: a for (eid, q), a in step1.answers.items()
-                    if q == true_arm}
+        resolved = {eid: a for eid, a in step1.reached[true_arm].items()
+                    if a is not None}
         assert Answer.UNDEF in resolved.values()
         assert routes(detect(program)) == []
 
@@ -209,6 +216,110 @@ class TestCallEffects:
         for m in u.all:
             branch = cfg.nodes[cfg.edges[m.end].source].statement
             assert branch.cond.var == "x"
+
+
+# ---------------------------------------------------------------------------
+# Step 2 against the dense sweep it replaced
+# ---------------------------------------------------------------------------
+
+def dense_step2(proc, query, step1, answers):
+    """Step 2 as first written: the query's answers filtered out of all
+    answers, and every sweep over the whole CFG in reverse postorder."""
+    cfg = proc.cfg
+    start = {eid for (eid, q), a in answers.items()
+             if q == query and a is Answer.FALSE}
+    if not start:
+        return []
+
+    def unresolved(eid):
+        return eid in step1.reached[query] and (eid, query) not in answers
+
+    inner = set()
+    for _ in range(len(cfg.nodes) + 2):
+        changed = False
+        for n in cfg.rpo():
+            outs = [e.id for e in cfg.out_edges(n) if unresolved(e.id)]
+            if not outs:
+                continue
+            ins = [e.id for e in cfg.in_edges(n)]
+            if ins and all(i in start for i in ins):
+                for o in outs:
+                    if o not in start:
+                        start.add(o)
+                        changed = True
+                    inner.discard(o)
+                for i in ins:
+                    start.discard(i)
+                changed = True
+            elif any(i in start or i in inner for i in ins):
+                for o in outs:
+                    if o not in start and o not in inner:
+                        inner.add(o)
+                        changed = True
+        if not changed:
+            break
+    return _materialize(cfg, query, start, inner)
+
+
+REFERENCE_CORPORA = {
+    "fixtures": lambda: [path.read_text()
+                         for path in sorted(FIXTURES.glob("*.mir"))],
+    "acyclic": lambda: [progen.generate_program(s) for s in range(200)],
+    "cyclic": lambda: [progen.generate_program(s, acyclic=False)
+                       for s in range(200)],
+    "multi": lambda: [progen.generate_multi_program(s) for s in range(200)],
+}
+
+
+class TestStepTwoReference:
+    @pytest.mark.parametrize("corpus", sorted(REFERENCE_CORPORA))
+    def test_same_paths_as_dense_sweep(self, corpus):
+        queries = segments = 0
+        for text in REFERENCE_CORPORA[corpus]():
+            program = parse_program(text)
+            cg = build_call_graph(program)
+            for proc in program.procedures:
+                step1 = detect_step1(program, proc, cg)
+                answers = step1.answers
+                for query in step1.queries:
+                    paths = detect_step2(proc, query, step1)
+                    assert paths == dense_step2(proc, query, step1, answers)
+                    queries += 1
+                    segments += len(paths)
+        assert queries and segments
+
+    def test_for_proc_keeps_universe_order(self):
+        for seed in range(40):
+            program = parse_program(progen.generate_multi_program(seed))
+            u = detect_mips(program)
+            for proc in program.procedures:
+                assert u.for_proc(proc.name) == tuple(
+                    m for m in u.all if m.proc == proc.name)
+
+
+class TestStepTwoScaling:
+    def test_adjacency_reads_grow_linearly(self, monkeypatch):
+        # Detection reads each edge list a bounded number of times per
+        # query region, so doubling the program (modules and filler
+        # alike) at most doubles the reads, give or take a constant.
+        small = parse_program(progen.perf_program(100, 2000))
+        large = parse_program(progen.perf_program(200, 4000))
+        reads = [0]
+
+        def counted(method):
+            def read(cfg, node_id):
+                reads[0] += 1
+                return method(cfg, node_id)
+            return read
+
+        monkeypatch.setattr(Cfg, "out_edges", counted(Cfg.out_edges))
+        monkeypatch.setattr(Cfg, "in_edges", counted(Cfg.in_edges))
+        counts = []
+        for program in (small, large):
+            reads[0] = 0
+            assert len(detect_mips(program)) > 0
+            counts.append(reads[0])
+        assert counts[1] <= 2.5 * counts[0], counts
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +380,18 @@ class TestOneDSets:
         assert outcome_set(bare, False) == Interval1D(0, 0)
         two_var = Cond(op="==", var="x", rhs="y")
         assert outcome_set(two_var, True) is None
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "==", "!="])
+    def test_outcome_sets_match_evaluation(self, op):
+        from fpmfp.frontend import Cond
+        compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                   ">=": operator.ge, "==": operator.eq,
+                   "!=": operator.ne}[op]
+        for c in (-2, 0, 3):
+            for taken in (True, False):
+                sat = outcome_set(Cond(op=op, var="x", rhs=c), taken)
+                assert members(sat) == [k for k in range(-9, 10)
+                                        if compare(k, c) == taken]
 
 
 # ---------------------------------------------------------------------------
