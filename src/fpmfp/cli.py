@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import logging
 import os
@@ -30,7 +31,7 @@ from pathlib import Path
 from . import progen
 from .clients import PrecisionViolation, compare_modes
 from .frontend import MiniIrProgram, ParseError, emit_dot_program, parse_program
-from .lattice import make_analysis
+from .lattice import EncodedDict, EncodedList, Memo, make_analysis
 from .lifted import (
     ALL_OPTS,
     NonTermination,
@@ -82,38 +83,25 @@ def _setup_logging() -> None:
     LOG.setLevel(level)
 
 
-def _load_program(path: str) -> MiniIrProgram:
+def _read_source(path) -> str:
+    """The text of a UTF-8 source file; any failure is a ``_Failure``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _Failure(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Failure(f"cannot read {path}: not UTF-8 text "
+                       f"(byte {exc.start})") from exc
+
+
+def _load_program(path: str) -> MiniIrProgram:
+    text = _read_source(path)
     try:
         program = parse_program(text)
     except ParseError as exc:
         raise _Failure(f"{path}: {exc}") from exc
     LOG.info("parsed %s: %d procedure(s)", path, len(program.procedures))
     return program
-
-
-def _recurring(payload) -> set[int]:
-    """Ids of the containers that ``payload`` holds more than once."""
-    seen: set[int] = set()
-    again: set[int] = set()
-    stack = [payload]
-    while stack:
-        obj = stack.pop()
-        if isinstance(obj, dict):
-            children = obj.values()
-        elif isinstance(obj, (list, tuple)):
-            children = obj
-        else:
-            continue
-        if id(obj) in seen:
-            again.add(id(obj))
-            continue
-        seen.add(id(obj))
-        stack.extend(children)
-    return again
 
 
 def _json_key(key) -> str:
@@ -128,57 +116,68 @@ def _json_text(payload) -> str:
     """What ``json.dumps`` writes with ``indent=2`` and ``sort_keys=True``,
     plus a newline.
 
-    The same bytes, but a container the payload holds more than once is
-    encoded once per depth and its text reused, so a report whose rows
-    share value views costs time in its distinct content, not its length.
-    Both caches live for this call only.
+    The same bytes, appended as pieces to one flat list and joined once.
+    A value view from ``Analysis.json_views`` is not walked: its own text
+    is spliced in, re-indented once per depth it occurs at, so a report
+    whose rows share views costs time in its distinct content.
     """
-    recurring = _recurring(payload)
-    texts: dict[tuple[int, int], str] = {}
-    strings: dict[str, str] = {}
+    pieces: list[str] = []
+    append = pieces.append
+    spliced: dict[tuple[int, int], str] = {}
+    quoted = Memo(json.dumps)
 
-    def encode(obj, depth: int) -> str:
+    def encode(obj, depth: int) -> None:
         if isinstance(obj, str):
-            text = strings.get(obj)
+            append(quoted[obj])
+        elif obj is None:
+            append("null")
+        elif obj is True:
+            append("true")
+        elif obj is False:
+            append("false")
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
+        elif isinstance(obj, float):
+            append(json.dumps(obj))
+        elif isinstance(obj, (EncodedList, EncodedDict)):
+            text = spliced.get((id(obj), depth))
             if text is None:
-                text = strings[obj] = json.dumps(obj)
-            return text
-        if obj is None or obj is True or obj is False \
-                or isinstance(obj, float):
-            return json.dumps(obj)
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        shared = id(obj) in recurring
-        if shared:
-            text = texts.get((id(obj), depth))
-            if text is not None:
-                return text
-        inner = "\n" + "  " * (depth + 1)
-        if isinstance(obj, (list, tuple)):
+                flat = spliced.get((id(obj), 0))
+                if flat is None:
+                    flat = spliced[id(obj), 0] = obj.text()
+                text = spliced[id(obj), depth] = flat.replace(
+                    "\n", "\n" + "  " * depth)
+            append(text)
+        elif isinstance(obj, (list, tuple)):
             if not obj:
-                return "[]"
-            text = "".join((
-                "[", inner,
-                ("," + inner).join([encode(item, depth + 1) for item in obj]),
-                "\n", "  " * depth, "]"))
+                append("[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            sep = "[" + inner
+            for item in obj:
+                append(sep)
+                encode(item, depth + 1)
+                sep = "," + inner
+            append("\n" + "  " * depth + "]")
         elif isinstance(obj, dict):
             if not obj:
-                return "{}"
-            text = "".join((
-                "{", inner,
-                ("," + inner).join([
-                    (encode(key, 0) if isinstance(key, str)
-                     else _json_key(key)) + ": " + encode(value, depth + 1)
-                    for key, value in sorted(obj.items())]),
-                "\n", "  " * depth, "}"))
+                append("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            sep = "{" + inner
+            for key, value in sorted(obj.items()):
+                append(sep + (quoted[key] if isinstance(key, str)
+                              else _json_key(key)) + ": ")
+                encode(value, depth + 1)
+                sep = "," + inner
+            append("\n" + "  " * depth + "}")
         else:
             raise TypeError(f"Object of type {type(obj).__name__} "
                             f"is not JSON serializable")
-        if shared:
-            texts[id(obj), depth] = text
-        return text
 
-    return encode(payload, 0) + "\n"
+    encode(payload, 0)
+    append("\n")
+    return "".join(pieces)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -191,12 +190,20 @@ def _write_text(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     dest = Path(path)
-    if dest.exists() and not dest.is_file():
-        dest.write_text(text, encoding="utf-8")
-        return
-    tmp = dest.with_name(f"{dest.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, dest)
+    try:
+        if dest.exists() and not dest.is_file():
+            dest.write_text(text, encoding="utf-8")
+            return
+        tmp = dest.with_name(f"{dest.name}.tmp{os.getpid()}")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, dest)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
+    except OSError as exc:
+        raise _Failure(f"cannot write {path}: {exc.strerror or exc}") from exc
     LOG.info("wrote %s", dest)
 
 
@@ -431,8 +438,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         paths = sorted(root.glob("*.mir"))
         if not paths:
             raise _Failure(f"no .mir programs under {root}")
-        sources.extend((p.name, p.read_text(encoding="utf-8"))
-                       for p in paths)
+        sources.extend((p.name, _read_source(p)) for p in paths)
     if args.random:
         sources.extend(
             progen.check_programs(args.seed, args.random, acyclic=False))

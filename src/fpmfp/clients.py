@@ -59,6 +59,10 @@ def _require(solution, analysis_name: str, what: str) -> None:
             f"got {solution.analysis.name}")
 
 
+def _use_order(pair: DefUse) -> tuple:
+    return (pair.use_node, pair.var, pair.def_node)
+
+
 def def_use_pairs(program: MiniIrProgram, solution) -> tuple[DefUse, ...]:
     """Every (def site, use site, variable) triple the solution reports.
 
@@ -79,7 +83,7 @@ def def_use_pairs(program: MiniIrProgram, solution) -> tuple[DefUse, ...]:
                 for _, def_node in analysis.decode(
                         value & analysis.var_mask.get(var, 0)):
                     out.append(DefUse(def_node, nid, var))
-    return tuple(sorted(out, key=lambda p: (p.use_node, p.var, p.def_node)))
+    return tuple(sorted(out, key=_use_order))
 
 
 def uninit_alarms(program: MiniIrProgram, solution) -> tuple[Alarm, ...]:
@@ -112,27 +116,30 @@ def _percent_text(value: float | None) -> str:
 
 
 @dataclass(frozen=True)
-class DefUseReport:
-    """Def-use pairs of both modes with their removal percentage."""
+class _TwoModeReport:
+    """One client's findings in both modes with their removal percentage.
 
-    mfp: tuple[DefUse, ...]
-    fpmfp: tuple[DefUse, ...]
+    ``_noun`` names the findings in errors and ``_key`` in JSON; ``_order``
+    sorts them.
+    """
+
+    mfp: tuple
+    fpmfp: tuple
 
     def __post_init__(self) -> None:
         if not set(self.fpmfp) <= set(self.mfp):
             extra = sorted(set(self.fpmfp) - set(self.mfp))
             raise PrecisionViolation(
-                f"feasible-path mode invented def-use pairs: {extra}")
+                f"feasible-path mode invented {self._noun}: {extra}")
 
     @property
     def totals(self) -> dict[str, int]:
         return {"mfp": len(self.mfp), "fpmfp": len(self.fpmfp)}
 
     @property
-    def removed(self) -> tuple[DefUse, ...]:
-        gone = set(self.mfp) - set(self.fpmfp)
-        return tuple(sorted(gone, key=lambda p: (p.use_node, p.var,
-                                                 p.def_node)))
+    def removed(self) -> tuple:
+        return tuple(sorted(set(self.mfp) - set(self.fpmfp),
+                            key=self._order))
 
     @property
     def reduction(self) -> float | None:
@@ -141,7 +148,7 @@ class DefUseReport:
     def to_json(self) -> dict:
         reduction = self.reduction
         return {
-            "pairs": {
+            self._key: {
                 "mfp": [list(p) for p in self.mfp],
                 "fpmfp": [list(p) for p in self.fpmfp],
             },
@@ -151,69 +158,40 @@ class DefUseReport:
                 None if reduction is None else round(reduction, 2)),
         }
 
-    def to_table(self) -> str:
-        lines = [
-            f"def-use pairs  mfp={len(self.mfp)}  fpmfp={len(self.fpmfp)}"
-            f"  reduction={_percent_text(self.reduction)}",
-        ]
+    def _table(self, header: str, row) -> str:
+        lines = [f"{header}  mfp={len(self.mfp)}  fpmfp={len(self.fpmfp)}"
+                 f"  reduction={_percent_text(self.reduction)}"]
         fpmfp = set(self.fpmfp)
-        for pair in self.mfp:
-            kept = "kept " if pair in fpmfp else "gone "
-            lines.append(
-                f"  {kept} n{pair.def_node} -> n{pair.use_node}"
-                f"  {pair.var}")
+        for item in self.mfp:
+            kept = "kept " if item in fpmfp else "gone "
+            lines.append(f"  {kept} {row(item)}")
         return "\n".join(lines)
 
 
 @dataclass(frozen=True)
-class UninitReport:
+class DefUseReport(_TwoModeReport):
+    """Def-use pairs of both modes with their removal percentage."""
+
+    _noun, _key, _order = "def-use pairs", "pairs", staticmethod(_use_order)
+    mfp: tuple[DefUse, ...]
+    fpmfp: tuple[DefUse, ...]
+
+    def to_table(self) -> str:
+        return self._table("def-use pairs", lambda p: (
+            f"n{p.def_node} -> n{p.use_node}  {p.var}"))
+
+
+@dataclass(frozen=True)
+class UninitReport(_TwoModeReport):
     """Possibly-uninitialized-use alarms of both modes."""
 
+    _noun, _key, _order = "alarms", "alarms", None
     mfp: tuple[Alarm, ...]
     fpmfp: tuple[Alarm, ...]
 
-    def __post_init__(self) -> None:
-        if not set(self.fpmfp) <= set(self.mfp):
-            extra = sorted(set(self.fpmfp) - set(self.mfp))
-            raise PrecisionViolation(
-                f"feasible-path mode invented alarms: {extra}")
-
-    @property
-    def totals(self) -> dict[str, int]:
-        return {"mfp": len(self.mfp), "fpmfp": len(self.fpmfp)}
-
-    @property
-    def removed(self) -> tuple[Alarm, ...]:
-        return tuple(sorted(set(self.mfp) - set(self.fpmfp)))
-
-    @property
-    def reduction(self) -> float | None:
-        return _reduction(len(self.mfp), len(self.fpmfp))
-
-    def to_json(self) -> dict:
-        reduction = self.reduction
-        return {
-            "alarms": {
-                "mfp": [list(a) for a in self.mfp],
-                "fpmfp": [list(a) for a in self.fpmfp],
-            },
-            "totals": self.totals,
-            "removed": [list(a) for a in self.removed],
-            "reduction_percent": (
-                None if reduction is None else round(reduction, 2)),
-        }
-
     def to_table(self) -> str:
-        lines = [
-            f"uninitialized uses  mfp={len(self.mfp)}"
-            f"  fpmfp={len(self.fpmfp)}"
-            f"  reduction={_percent_text(self.reduction)}",
-        ]
-        fpmfp = set(self.fpmfp)
-        for alarm in self.mfp:
-            kept = "kept " if alarm in fpmfp else "gone "
-            lines.append(f"  {kept} n{alarm.use_node}  {alarm.var}")
-        return "\n".join(lines)
+        return self._table("uninitialized uses",
+                           lambda a: f"n{a.use_node}  {a.var}")
 
 
 def def_use_report(program: MiniIrProgram, flat: MfpSolution,

@@ -968,18 +968,6 @@ def _validate(program: MiniIrProgram) -> None:
         for nid in sorted(cfg.nodes):
             if nid not in seen:
                 raise UnreachableNode(nid)
-        # Structural invariants (guaranteed by construction; assert cheaply).
-        assert not cfg.in_edges(cfg.start), "start node has incoming edges"
-        assert not cfg.out_edges(cfg.exit), "exit node has outgoing edges"
-        for node in cfg.nodes.values():
-            outs = cfg.out_edges(node.id)
-            kinds = [e.label.kind for e in outs]
-            if node.statement.kind == StKind.BRANCH:
-                assert kinds == [LabelKind.TRUE, LabelKind.FALSE]
-            elif node.statement.kind == StKind.SWITCH:
-                assert kinds[-1] == LabelKind.DEFAULT
-                assert all(k == LabelKind.CASE for k in kinds[:-1])
-                assert len(kinds) >= 2
 
 
 def parse_program(source: str) -> MiniIrProgram:
@@ -1006,33 +994,6 @@ def build_call_graph(program: MiniIrProgram) -> CallGraph:
 # ---------------------------------------------------------------------------
 # DOT output
 # ---------------------------------------------------------------------------
-
-def emit_dot(cfg: Cfg, annotations: dict[int, str] | None = None) -> str:
-    """Graphviz text for one CFG; edge labels are ``e<id>[: <annotation>]``.
-
-    Branch labels are the default annotation; entries in ``annotations``
-    (keyed by edge id) are appended after them.
-    """
-    annotations = annotations or {}
-    lines = [f'digraph "{cfg.proc_name}" {{', "  node [shape=box];"]
-    for nid in cfg.node_ids():
-        st = cfg.nodes[nid].statement
-        text = st.to_text().replace('"', '\\"')
-        lines.append(f'  n{nid} [label="n{nid}: {text}"];')
-    for eid in cfg.edge_ids():
-        e = cfg.edges[eid]
-        parts = []
-        if e.label.kind != LabelKind.NONE:
-            parts.append(e.label.to_text())
-        if eid in annotations:
-            parts.append(annotations[eid])
-        label = f"e{eid}"
-        if parts:
-            label += ": " + ", ".join(parts)
-        lines.append(f'  n{e.source} -> n{e.target} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
 
 def emit_dot_program(program: MiniIrProgram,
                      annotations: dict[int, str] | None = None) -> str:

@@ -14,6 +14,8 @@ never-assigned variable in a branch condition behaves nondeterministically.
 from __future__ import annotations
 
 import abc
+import json
+from functools import cached_property, partial
 from typing import Callable
 
 from .frontend import (
@@ -29,6 +31,44 @@ from .frontend import (
 INF = float("inf")
 
 IntervalValue = dict[str, tuple[float, float]]
+
+
+class EncodedList(list):
+    """A read-only ``to_json`` view whose ``text()`` is its own
+    ``json.dumps(view, indent=2)``, built on request and not kept."""
+
+    __slots__ = ("text",)
+
+
+class EncodedDict(dict):
+    """The dict form of ``EncodedList``."""
+
+    __slots__ = ("text",)
+
+
+class Memo(dict):
+    """``memo[key]`` is ``make(key)``, made once per key."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        made = self[key] = self.make(key)
+        return made
+
+
+def _nested(element) -> str:
+    """An element's ``indent=2`` text as it appears one level down."""
+    return json.dumps(element, indent=2).replace("\n", "\n  ")
+
+
+def _joined(items: list[str], brackets: str) -> str:
+    """The ``indent=2`` text of a list (``"[]"``) or dict (``"{}"``) whose
+    depth-1 item texts are ``items``."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n  " + ",\n  ".join(items) + "\n" + brackets[1]
 
 
 class Analysis(abc.ABC):
@@ -76,20 +116,31 @@ class Analysis(abc.ABC):
     def json_views(self) -> Callable[[object], object]:
         """``to_json`` that returns one shared view per distinct value.
 
-        A report built from these views holds each distinct value once,
-        and the CLI's writer encodes a shared container once.  The views
-        are read-only and live as long as the returned function.
+        A view is an ``EncodedList`` or ``EncodedDict`` equal to
+        ``to_json(value)``, so a report built from views holds each
+        distinct value once and still serializes through ``json.dumps``;
+        the CLI's writer splices a view's ``text()`` instead of walking it.
+        The views are read-only and live as long as the returned function.
         """
         views: dict = {}
         key_of = self._view_key
+        text_of = self._text
 
         def view(value):
             key = key_of(value)
             out = views.get(key)
             if out is None:
-                out = views[key] = self.to_json(value)
+                plain = self.to_json(value)
+                out = views[key] = (EncodedDict if isinstance(plain, dict)
+                                    else EncodedList)(plain)
+                out.text = partial(text_of, value)
             return out
         return view
+
+    @abc.abstractmethod
+    def _text(self, value) -> str:
+        """``json.dumps(self.to_json(value), indent=2)``, joined from
+        cached element texts."""
 
     @staticmethod
     def _view_key(value):
@@ -149,6 +200,15 @@ class BitvectorAnalysis(Analysis):
 
     def kill_mask(self, node_id: int) -> int:
         return self.kill.get(node_id, 0)
+
+    @cached_property
+    def _bit_texts(self) -> list[str]:
+        """The nested text of each bit's ``to_json`` element."""
+        return [_nested(element) for element in self.to_json(self.full_mask)]
+
+    def _text(self, value: int) -> str:
+        texts = self._bit_texts
+        return _joined([texts[i] for i in _set_bits(value)], "[]")
 
 
 class ReachingDefinitions(BitvectorAnalysis):
@@ -368,7 +428,10 @@ class IntervalAnalysis(Analysis):
     def __init__(self, program: MiniIrProgram) -> None:
         super().__init__(program)
         # One shared, read-only [lo, hi] list per bound pair.
-        self._pair_views: dict[tuple[float, float], list] = {}
+        self._pair_views = Memo(lambda pair: [
+            self._bound_json(pair[0]), self._bound_json(pair[1])])
+        self._key_texts = Memo(json.dumps)
+        self._pair_texts = Memo(lambda pair: _nested(self._pair_views[pair]))
 
     def top(self) -> IntervalValue:
         return {}
@@ -471,15 +534,12 @@ class IntervalAnalysis(Analysis):
 
     def to_json(self, value: IntervalValue):
         views = self._pair_views
-        out = {}
-        for var, pair in sorted(value.items()):
-            view = views.get(pair)
-            if view is None:
-                lo, hi = pair
-                view = views[pair] = [self._bound_json(lo),
-                                      self._bound_json(hi)]
-            out[var] = view
-        return out
+        return {var: views[value[var]] for var in sorted(value)}
+
+    def _text(self, value: IntervalValue) -> str:
+        keys, pairs = self._key_texts, self._pair_texts
+        return _joined([keys[var] + ": " + pairs[value[var]]
+                        for var in sorted(value)], "{}")
 
     @staticmethod
     def _view_key(value: IntervalValue):
@@ -488,18 +548,9 @@ class IntervalAnalysis(Analysis):
     def format(self, value: IntervalValue) -> str:
         if not value:
             return "{}"
-
-        def text(bound: float) -> str:
-            if bound == INF:
-                return "+inf"
-            if bound == -INF:
-                return "-inf"
-            return str(int(bound))
-
-        return ", ".join(
-            f"{var}: [{text(lo)}, {text(hi)}]"
-            for var, (lo, hi) in sorted(value.items())
-        )
+        bound = self._bound_json
+        return ", ".join(f"{var}: [{bound(lo)}, {bound(hi)}]"
+                         for var, (lo, hi) in sorted(value.items()))
 
 
 # ---------------------------------------------------------------------------

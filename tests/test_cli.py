@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from fpmfp import cli, clients, lifted, progen
 from fpmfp.cli import main
+from fpmfp.lattice import INF, make_analysis
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -115,6 +116,40 @@ class TestJsonWriter:
             cli._json_text({"a": {1, 2}})
         with pytest.raises(TypeError):
             cli._json_text({(1, 2): 3})
+
+    @staticmethod
+    def views() -> list:
+        """Pre-encoded value views of every analysis on a program with a
+        global."""
+        program = fixture_program("fig7.mir")
+        out = []
+        for name, values in (
+                ("rd", [0, 0b101, -1]), ("must-defined", [0, 0b11, -1]),
+                ("interval", [{}, {"l": (-INF, 3), "a": (0, 0)}])):
+            analysis = make_analysis(name, program)
+            view = analysis.json_views()
+            out += [view(v & analysis.full_mask) if isinstance(v, int)
+                    else view(v) for v in values]
+        return out
+
+    def test_view_at_two_depths(self):
+        for view in self.views():
+            payload = {"a": view, "b": [{"c": view}, view], "d": [[[view]]]}
+            assert cli._json_text(payload) == self.expected(payload)
+
+    def test_view_inside_a_repeated_plain_container(self):
+        for view in self.views():
+            shared = {"x": [view, 1], "y": view, "z": True}
+            payload = [shared, {"w": shared}, shared, [view]]
+            assert cli._json_text(payload) == self.expected(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_views_mixed_into_plain_payloads(self, data):
+        leaves = _SCALARS | st.sampled_from(self.views())
+        payload = data.draw(st.recursive(leaves, _containers,
+                                         max_leaves=25))
+        assert cli._json_text(payload) == self.expected(payload)
 
 
 class TestUsageErrors:
@@ -247,6 +282,62 @@ class TestInputErrors:
         if code != 0:
             assert err.getvalue().startswith("fpmfp: ")
             assert out.getvalue() == ""
+
+    @staticmethod
+    def fails_cleanly(capsys, tmp_path, *argv: str) -> str:
+        """Run ``argv``: exit 1 with one ``fpmfp: error:`` line, nothing on
+        stdout and no temporary file left; returns the message."""
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fpmfp: error: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.tmp*"))
+        return err
+
+    def test_non_utf8_program(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.mir"
+        bad.write_bytes(b"proc main() { x = 1; } # caf\xe9\n")
+        err = self.fails_cleanly(capsys, tmp_path, "detect-mips",
+                                 "--program", str(bad))
+        assert err == (f"fpmfp: error: cannot read {bad}: not UTF-8 text "
+                       f"(byte 28)\n")
+
+    def test_non_utf8_fixture(self, capsys, tmp_path):
+        (tmp_path / "ok.mir").write_text("proc main() { x = 1; }\n")
+        (tmp_path / "bad.mir").write_bytes(b"\xff\xfe")
+        err = self.fails_cleanly(capsys, tmp_path, "oracle-check",
+                                 "--fixtures", str(tmp_path))
+        assert f"cannot read {tmp_path / 'bad.mir'}: not UTF-8 text" in err
+
+    def test_output_is_a_directory(self, capsys, tmp_path):
+        err = self.fails_cleanly(capsys, tmp_path, "detect-mips",
+                                 "--program", fix("fig2"),
+                                 "--output", str(tmp_path))
+        assert err == (f"fpmfp: error: cannot write {tmp_path}: "
+                       f"Is a directory\n")
+
+    def test_output_in_a_missing_directory(self, capsys, tmp_path):
+        dest = tmp_path / "no" / "report.json"
+        err = self.fails_cleanly(capsys, tmp_path, "detect-mips",
+                                 "--program", fix("fig2"),
+                                 "--output", str(dest))
+        assert err == (f"fpmfp: error: cannot write {dest}: "
+                       f"No such file or directory\n")
+
+    def test_failed_replace_removes_the_temporary_file(
+            self, capsys, monkeypatch, tmp_path):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        dest = tmp_path / "report.json"
+        err = self.fails_cleanly(capsys, tmp_path, "detect-mips",
+                                 "--program", fix("fig2"),
+                                 "--output", str(dest))
+        assert err == (f"fpmfp: error: cannot write {dest}: "
+                       f"Permission denied\n")
+        assert not dest.exists()
 
     def test_special_file_destinations_are_written_through(
             self, capsys, tmp_path):

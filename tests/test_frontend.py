@@ -16,7 +16,7 @@ from fpmfp.frontend import (
     UnreachableNode,
     UnresolvedCall,
     build_call_graph,
-    emit_dot,
+    emit_dot_program,
     parse_program,
 )
 
@@ -443,17 +443,16 @@ class TestRoundTrip:
 
 class TestDot:
     def test_dot_labels(self):
-        cfg = fixture_program("fig3.mir").procedures[0].cfg
-        dot = emit_dot(cfg)
+        dot = emit_dot_program(fixture_program("fig3.mir"))
         assert 'n1 [label="n1: if (z < 1)"];' in dot
         assert 'n1 -> n2 [label="e1: true"];' in dot
         assert 'n2 -> n4 [label="e3"];' in dot
 
     def test_dot_annotations_appended(self):
-        cfg = fixture_program("fig3.mir").procedures[0].cfg
-        dot = emit_dot(cfg, annotations={3: "z: [-inf, 0]"})
+        dot = emit_dot_program(fixture_program("fig3.mir"),
+                               annotations={3: "z: [-inf, 0]"})
         assert 'n2 -> n4 [label="e3: z: [-inf, 0]"];' in dot
 
     def test_dot_is_deterministic(self):
-        cfg = fixture_program("fig8.mir").procedures[0].cfg
-        assert emit_dot(cfg) == emit_dot(cfg)
+        program = fixture_program("fig8.mir")
+        assert emit_dot_program(program) == emit_dot_program(program)

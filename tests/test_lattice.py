@@ -1,13 +1,19 @@
 """Domain tests: fact tables, transfers, interval ops, lattice laws, widening."""
 from __future__ import annotations
 
+import json
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpmfp import cli
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import (
     INF,
+    EncodedDict,
+    EncodedList,
     IntervalAnalysis,
     MustDefined,
     ReachingDefinitions,
@@ -19,8 +25,12 @@ from fpmfp.lattice import (
     interval_meet,
     make_analysis,
 )
+from fpmfp.lifted import NonTermination, solve_fpmfp_interprocedural
+from fpmfp.mfp import solve_mfp
+from fpmfp.mips import detect_mips
+from fpmfp.progen import generate_multi_program
 
-from conftest import fixture_program
+from conftest import FIXTURES, fixture_program
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +429,88 @@ class TestSerialization:
     def test_unknown_analysis_rejected(self):
         with pytest.raises(ValueError):
             make_analysis("taint", fixture_program("fig2.mir"))
+
+
+_TEXT_SOURCES = ([f"fixture:{p.name}" for p in sorted(FIXTURES.glob("*.mir"))]
+                 + [f"multi:{seed}" for seed in range(24)])
+
+
+@lru_cache(maxsize=None)
+def _solved_values(source: str, analysis_name: str):
+    """The analysis and every In/Out/edge value both solvers give on a
+    fixture or a generated multi-procedure program."""
+    kind, name = source.split(":")
+    program = (fixture_program(name) if kind == "fixture"
+               else parse_program(generate_multi_program(int(name))))
+    analysis = make_analysis(analysis_name, program)
+    try:
+        flat = solve_mfp(program, analysis)
+        lifted = solve_fpmfp_interprocedural(program, analysis,
+                                             detect_mips(program))
+    except NonTermination:
+        return analysis, []
+    values = [*flat.node_in.values(), *flat.edge_values.values(),
+              *lifted.folded_in.values(), *lifted.folded_out.values(),
+              *lifted.folded_edges.values()]
+    values += [value for pairs in lifted.edge_values.values()
+               for value in pairs.values()]
+    return analysis, values
+
+
+def _assert_text_matches(analysis, value, depth: int) -> None:
+    """The value's pre-encoded text, spliced at ``depth``, is what
+    ``json.dumps`` writes for ``to_json(value)`` at that depth, both
+    directly and through the CLI writer."""
+    view = analysis.json_views()(value)
+    plain = analysis.to_json(value)
+    assert isinstance(view, (EncodedList, EncodedDict))
+    assert view == plain
+    indent = "\n" + "  " * depth
+    assert (view.text().replace("\n", indent)
+            == json.dumps(plain, indent=2, sort_keys=True).replace(
+                "\n", indent))
+    nested_view, nested_plain = view, plain
+    for level in range(depth):
+        nested_view = [nested_view] if level % 2 else {"v": nested_view}
+        nested_plain = [nested_plain] if level % 2 else {"v": nested_plain}
+    assert (cli._json_text(nested_view)
+            == json.dumps(nested_plain, indent=2, sort_keys=True) + "\n")
+
+
+class TestEncodedViews:
+    """``json_views`` texts agree with ``to_json`` under ``json.dumps``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=st.sampled_from(_TEXT_SOURCES),
+           analysis_name=st.sampled_from(
+               ["rd", "must-defined", "interval"]),
+           depth=st.integers(min_value=0, max_value=6))
+    def test_solved_values(self, source, analysis_name, depth):
+        analysis, values = _solved_values(source, analysis_name)
+        for value in values:
+            _assert_text_matches(analysis, value, depth)
+
+    @pytest.mark.parametrize("depth", [0, 3, 6])
+    @pytest.mark.parametrize("name", ["fig7.mir", "summary_block.mir"])
+    def test_bitvector_hand_cases(self, name, depth):
+        program = fixture_program(name)
+        for analysis in (ReachingDefinitions(program), MustDefined(program)):
+            assert analysis.globals_mask
+            for value in (0, analysis.full_mask, analysis.globals_mask,
+                          analysis.full_mask & ~analysis.globals_mask):
+                _assert_text_matches(analysis, value, depth)
+        assert ReachingDefinitions(program).json_views()(0).text() == "[]"
+
+    @pytest.mark.parametrize("depth", [0, 3, 6])
+    def test_interval_hand_cases(self, depth):
+        ia = IntervalAnalysis(fixture_program("fig7.mir"))
+        for value in ({}, {"l": (-INF, INF)}, {"a": (-INF, -3), "l": (-7, INF)},
+                      {"a": (-2, -2), "b": (-9, -1), "l": (0, 0)}):
+            _assert_text_matches(ia, value, depth)
+        assert ia.json_views()({}).text() == "{}"
+
+    def test_equal_values_share_one_view(self):
+        ia = IntervalAnalysis(fixture_program("fig2.mir"))
+        view = ia.json_views()
+        assert view({"x": (1, 2)}) is view({"x": (1, 2)})
+        assert view({"x": (1, 2)}) is not view({"x": (1, 3)})
