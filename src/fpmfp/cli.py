@@ -16,11 +16,15 @@ Exit codes: 0 success, 1 analysis/input error, 2 property violation
 identical invocations; wall-clock timing is suppressed by ``--no-timing``.
 The ``FPMFP_LOG`` environment variable (error, info, debug) controls log
 verbosity on stderr.
+
+Start-up: at module level this file imports only the standard library and
+the package root.  Every function that runs an fpmfp layer imports it at its
+own top, so each subcommand loads only the layers it runs (``--help`` loads
+none, ``detect-mips`` the frontend and detection).
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import json
 import logging
@@ -28,20 +32,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import progen
-from .clients import PrecisionViolation, compare_modes
-from .frontend import MiniIrProgram, ParseError, emit_dot_program, parse_program
-from .lattice import EncodedDict, EncodedList, Memo, make_analysis
-from .lifted import (
-    ALL_OPTS,
-    NonTermination,
-    PairBoundError,
-    solve_fpmfp_interprocedural,
-    sorted_keys,
-)
-from .mfp import solve_mfp
-from .mips import detect_mips
-from .oracle import Explosion, mips_free_meets, solution_semantics
+from . import EncodedDict, EncodedList, Memo, SolverError
 
 SCHEMA = 1
 LOG = logging.getLogger("fpmfp")
@@ -94,10 +85,11 @@ def _read_source(path) -> str:
                        f"(byte {exc.start})") from exc
 
 
-def _load_program(path: str) -> MiniIrProgram:
-    text = _read_source(path)
+def _load_program(path: str):
+    from .frontend import ParseError, parse_program
+
     try:
-        program = parse_program(text)
+        program = parse_program(_read_source(path))
     except ParseError as exc:
         raise _Failure(f"{path}: {exc}") from exc
     LOG.info("parsed %s: %d procedure(s)", path, len(program.procedures))
@@ -213,8 +205,7 @@ def _parse_opts(text: str) -> frozenset[int]:
     try:
         opts = frozenset(int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--opts takes a comma list from 1,2,3 or 'none' (got {text!r})")
+        opts = frozenset()
     if not opts or not opts <= {1, 2, 3}:
         raise argparse.ArgumentTypeError(
             f"--opts takes a comma list from 1,2,3 or 'none' (got {text!r})")
@@ -240,6 +231,9 @@ def _overlay_annotations(universe) -> dict[int, str]:
 
 
 def _cmd_detect_mips(args: argparse.Namespace) -> int:
+    from .frontend import emit_dot_program
+    from .mips import detect_mips
+
     program = _load_program(args.program)
     universe = detect_mips(program)
     LOG.info("detected %d segment(s)", len(universe.all))
@@ -258,7 +252,7 @@ def _cmd_detect_mips(args: argparse.Namespace) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _node_records(program: MiniIrProgram, view, ins: dict, outs: dict):
+def _node_records(program, view, ins: dict, outs: dict):
     records = []
     for proc in program.procedures:
         for nid in sorted(proc.cfg.nodes):
@@ -271,7 +265,9 @@ def _node_records(program: MiniIrProgram, view, ins: dict, outs: dict):
     return records
 
 
-def _edge_pair_records(program: MiniIrProgram, view, edge_values):
+def _edge_pair_records(program, view, edge_values):
+    from .lifted import sorted_keys
+
     records = []
     for proc in program.procedures:
         for eid in sorted(proc.cfg.edges):
@@ -288,6 +284,11 @@ def _edge_pair_records(program: MiniIrProgram, view, edge_values):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .lattice import make_analysis
+    from .lifted import solve_fpmfp_interprocedural
+    from .mfp import solve_mfp
+    from .mips import detect_mips
+
     program = _load_program(args.program)
     analysis = make_analysis(_ANALYSIS_FOR_FLAG[args.analysis], program)
     view = analysis.json_views()
@@ -327,6 +328,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .clients import PrecisionViolation, compare_modes
+    from .lattice import make_analysis
+
     program = _load_program(args.program)
     name = _ANALYSIS_FOR_FLAG[args.analysis]
     analysis = make_analysis(name, program)
@@ -359,6 +363,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
     """All property checks for one program; returns violation records."""
+    from .frontend import ParseError, parse_program
+    from .lattice import make_analysis
+    from .lifted import NonTermination, solve_fpmfp_interprocedural
+    from .mfp import solve_mfp
+    from .mips import detect_mips
+    from .oracle import Explosion, mips_free_meets, solution_semantics
+
     name, source, max_length, edge_cap = task
     violations: list[dict] = []
 
@@ -440,6 +451,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             raise _Failure(f"no .mir programs under {root}")
         sources.extend((p.name, _read_source(p)) for p in paths)
     if args.random:
+        from . import progen
+
         sources.extend(
             progen.check_programs(args.seed, args.random, acyclic=False))
     if not sources:
@@ -447,6 +460,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     tasks = [(name, text, args.max_length, args.max_loop)
              for name, text in sources]
     if args.jobs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as pool:
             per_program = list(pool.map(_check_program, tasks))
@@ -470,6 +485,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_dump_dot(args: argparse.Namespace) -> int:
+    from .frontend import emit_dot_program
+
     program = _load_program(args.program)
     _write_text(emit_dot_program(program), args.output)
     return 0
@@ -493,7 +510,7 @@ def _add_common(sub: argparse.ArgumentParser, *, analysis: bool = False,
         sub.add_argument("--mode", required=True, choices=["mfp", "fpmfp"],
                          help="classic or feasible-path solution")
     if opts:
-        sub.add_argument("--opts", type=_parse_opts, default=ALL_OPTS,
+        sub.add_argument("--opts", type=_parse_opts, default="1,2,3",
                          metavar="1,2,3|none",
                          help="pair normalizations to enable "
                               "(default: 1,2,3)")
@@ -565,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"fpmfp: {exc}\n")
         return 64
-    except (_Failure, NonTermination, PairBoundError) as exc:
+    except (_Failure, SolverError) as exc:
         sys.stderr.write(f"fpmfp: error: {exc}\n")
         return 1
 

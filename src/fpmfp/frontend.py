@@ -12,8 +12,10 @@ order (true arm before false arm; switch cases in source order, default last).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
 
 
 class ParseError(SyntaxError):
@@ -453,52 +455,45 @@ class MiniIrProgram:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<int>\d+)
-  | (?P<name>@?[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><=|>=|==|!=|&&|\|\||[<>=+\-*(){};:,])
-    """,
-    re.VERBOSE,
-)
+_TOKENS = r"\d+|@?[A-Za-z_][A-Za-z_0-9]*|<=|>=|==|!=|&&|\|\||[<>=+\-*(){};:,]"
+# One match per token: whitespace and comments before it, then the token,
+# the empty end token at the end of input, or, at a character no token
+# starts with, the rest of the input.  A lexer that stops at the first
+# illegal character therefore needs to look at one text only.
+_TOKEN_RE = re.compile(rf"(?:\s+|//[^\n]*)*({_TOKENS}|\Z|(?s:.+))")
+_LEGAL_RE = re.compile(_TOKENS)
+_NAME_START = frozenset(
+    "@_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 KEYWORDS = {
     "proc", "global", "extern", "if", "else", "while", "switch", "case",
     "default", "read", "print", "assert", "skip", "exit",
 }
+_COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "name" | "op" | "kw" | "eof"
-    text: str
-    line: int
-    col: int
+def _is_name(text: str) -> bool:
+    return text[:1] in _NAME_START and text not in KEYWORDS
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "name" and text in KEYWORDS:
-                kind = "kw"
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+def _is_int(text: str) -> bool:
+    return text[:1].isdecimal()
+
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    return (source.count("\n", 0, offset) + 1,
+            offset - source.rfind("\n", 0, offset))
+
+
+def _tokens(source: str) -> list[str]:
+    """Token texts in order; the end of input is ``""``, maybe twice."""
+    tokens = _TOKEN_RE.findall(source)
+    rest = tokens[-2] if len(tokens) > 1 else ""
+    if rest and _LEGAL_RE.fullmatch(rest) is None:
+        offset = len(source) - len(rest)
+        raise ParseError(f"unexpected character {rest[0]!r}",
+                         *_position(source, offset))
     return tokens
 
 
@@ -508,58 +503,75 @@ def tokenize(source: str) -> list[Token]:
 
 @dataclass
 class AstStmt:
+    """A compound statement: a branch or loop with its blocks, or a switch
+    with its arms.  A simple statement is parsed straight into the
+    ``Statement`` its CFG node carries, so a block is a sequence of both;
+    a block a statement does not have is the empty tuple."""
+
     kind: StKind
-    line: int
-    var: str | None = None
-    expr: Expr | None = None
+    var: str | None = None  # switch selector
     cond: Cond | None = None
-    callee: str | None = None
     is_loop: bool = False
-    body: list["AstStmt"] = field(default_factory=list)
-    orelse: list["AstStmt"] = field(default_factory=list)
-    cases: list[tuple[int, list["AstStmt"]]] = field(default_factory=list)
-    default: list["AstStmt"] = field(default_factory=list)
+    body: Block = ()
+    orelse: Block = ()
+    cases: Sequence[tuple[int, Block]] = ()
+    default: Block = ()
+
+
+Block = Sequence["AstStmt | Statement"]
 
 
 @dataclass
 class AstProc:
     name: str
     params: tuple[str, ...]
-    body: list[AstStmt]
-    line: int
+    body: Block
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    """Recursive descent over token texts; ``""`` is the end of input."""
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.tokens = _tokens(source)
         self.pos = 0
         self.depth = 0
         self.operands = 0  # operands of the condition being parsed
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token ``at`` (default: the next token), located
+        by scanning the source again up to it."""
+        index = self.pos if at is None else at
+        match = next(islice(_TOKEN_RE.finditer(self.source), index, None))
+        return ParseError(message, *_position(self.source, match.start(1)))
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise self.error(f"expected {want!r}, found {tok.text!r}")
-        return self.next()
+    def expect(self, text: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}")
+        self.pos += 1
+        return tok
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.next()
-        return None
+    def expect_name(self) -> str:
+        tok = self.tokens[self.pos]
+        if not _is_name(tok):
+            raise self.error(f"expected 'name', found {tok!r}")
+        self.pos += 1
+        return tok
+
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
     # -- program structure ------------------------------------------------
 
@@ -567,19 +579,13 @@ class _Parser:
         globals_: set[str] = set()
         externs: set[str] = set()
         procs: list[AstProc] = []
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind == "kw" and tok.text == "global":
+        while (tok := self.peek()) != "":
+            if tok in ("global", "extern"):
                 self.next()
-                name = self.expect("name")
-                self.expect("op", ";")
-                globals_.add(name.text)
-            elif tok.kind == "kw" and tok.text == "extern":
-                self.next()
-                name = self.expect("name")
-                self.expect("op", ";")
-                externs.add(name.text)
-            elif tok.kind == "kw" and tok.text == "proc":
+                (globals_ if tok == "global" else externs).add(
+                    self.expect_name())
+                self.expect(";")
+            elif tok == "proc":
                 procs.append(self.parse_proc())
             else:
                 raise self.error("expected 'proc', 'global', or 'extern'")
@@ -588,27 +594,27 @@ class _Parser:
         return procs, globals_, externs
 
     def parse_proc(self) -> AstProc:
-        head = self.expect("kw", "proc")
-        name = self.expect("name")
-        self.expect("op", "(")
+        self.expect("proc")
+        name = self.expect_name()
+        self.expect("(")
         params: list[str] = []
-        if self.peek().kind == "name":
-            params.append(self.next().text)
-            while self.accept("op", ","):
-                params.append(self.expect("name").text)
-        self.expect("op", ")")
-        body = self.parse_block()
-        return AstProc(name.text, tuple(params), body, head.line)
+        if _is_name(self.peek()):
+            params.append(self.next())
+            while self.accept(","):
+                params.append(self.expect_name())
+        self.expect(")")
+        return AstProc(name, tuple(params), self.parse_block())
 
-    def parse_block(self) -> list[AstStmt]:
-        brace = self.expect("op", "{")
+    def parse_block(self) -> Block:
+        brace = self.pos
+        self.expect("{")
         if self.depth == MAX_NESTING:
             raise self.error(f"blocks nested deeper than {MAX_NESTING}",
                              brace)
         self.depth += 1
-        stmts: list[AstStmt] = []
-        while not self.accept("op", "}"):
-            if self.peek().kind == "eof":
+        stmts: list[AstStmt | Statement] = []
+        while not self.accept("}"):
+            if self.peek() == "":
                 raise self.error("unterminated block")
             stmts.append(self.parse_stmt())
         self.depth -= 1
@@ -616,187 +622,161 @@ class _Parser:
 
     # -- statements -------------------------------------------------------
 
-    def parse_stmt(self) -> AstStmt:
+    def parse_stmt(self) -> AstStmt | Statement:
         tok = self.peek()
-        if tok.kind == "kw":
-            handler = {
-                "read": self._stmt_read,
-                "print": self._stmt_print,
-                "assert": self._stmt_assert,
-                "if": self._stmt_if,
-                "while": self._stmt_while,
-                "switch": self._stmt_switch,
-                "skip": self._stmt_skip,
-                "exit": self._stmt_exit,
-            }.get(tok.text)
+        if tok in KEYWORDS:
+            handler = getattr(self, f"_stmt_{tok}", None)
             if handler is None:
-                raise self.error(f"unexpected keyword {tok.text!r}")
+                raise self.error(f"unexpected keyword {tok!r}")
             return handler()
-        if tok.kind == "name":
-            name = self.next()
-            if self.accept("op", "("):
-                self.expect("op", ")")
-                self.expect("op", ";")
-                return AstStmt(StKind.CALL, name.line, callee=name.text)
-            self.expect("op", "=")
+        if _is_name(tok):
+            self.next()
+            if self.accept("("):
+                self.expect(")")
+                self.expect(";")
+                return Statement(StKind.CALL, callee=tok)
+            self.expect("=")
             expr = self.parse_expr()
-            self.expect("op", ";")
-            return AstStmt(StKind.ASSIGN, name.line, var=name.text, expr=expr)
-        raise self.error(f"unexpected token {tok.text!r}")
+            self.expect(";")
+            return Statement(StKind.ASSIGN, var=tok, expr=expr)
+        raise self.error(f"unexpected token {tok!r}")
 
-    def _stmt_read(self) -> AstStmt:
-        tok = self.next()
-        var = self.expect("name")
-        self.expect("op", ";")
-        return AstStmt(StKind.READ, tok.line, var=var.text)
+    def _stmt_read(self) -> Statement:
+        self.next()
+        var = self.expect_name()
+        self.expect(";")
+        return Statement(StKind.READ, var=var)
 
-    def _stmt_print(self) -> AstStmt:
-        tok = self.next()
+    def _stmt_print(self) -> Statement:
+        self.next()
         expr = self.parse_expr()
-        self.expect("op", ";")
-        return AstStmt(StKind.PRINT, tok.line, expr=expr)
+        self.expect(";")
+        return Statement(StKind.PRINT, expr=expr)
 
-    def _stmt_assert(self) -> AstStmt:
-        tok = self.next()
-        self.expect("op", "(")
+    def _stmt_assert(self) -> Statement:
+        self.next()
+        self.expect("(")
         cond = self.parse_cond()
-        self.expect("op", ")")
-        self.expect("op", ";")
-        return AstStmt(StKind.ASSERT, tok.line, cond=cond)
+        self.expect(")")
+        self.expect(";")
+        return Statement(StKind.ASSERT, cond=cond)
 
     def _stmt_if(self) -> AstStmt:
-        tok = self.next()
-        self.expect("op", "(")
+        self.next()
+        self.expect("(")
         cond = self.parse_cond()
-        self.expect("op", ")")
+        self.expect(")")
         body = self.parse_block()
-        orelse: list[AstStmt] = []
-        if self.accept("kw", "else"):
-            orelse = self.parse_block()
-        return AstStmt(StKind.BRANCH, tok.line, cond=cond, body=body, orelse=orelse)
+        orelse = self.parse_block() if self.accept("else") else ()
+        return AstStmt(StKind.BRANCH, cond=cond, body=body, orelse=orelse)
 
     def _stmt_while(self) -> AstStmt:
-        tok = self.next()
-        self.expect("op", "(")
+        head = self.pos
+        self.next()
+        self.expect("(")
         cond = self.parse_cond()
-        self.expect("op", ")")
+        self.expect(")")
         if not (cond.is_simple() or cond.atomic):
-            raise self.error("compound loop condition; use @atomic_cond", tok)
+            raise self.error("compound loop condition; use @atomic_cond",
+                             head)
         body = self.parse_block()
-        return AstStmt(StKind.BRANCH, tok.line, cond=cond, body=body,
-                       is_loop=True)
+        return AstStmt(StKind.BRANCH, cond=cond, body=body, is_loop=True)
 
     def _stmt_switch(self) -> AstStmt:
-        tok = self.next()
-        self.expect("op", "(")
-        var = self.expect("name")
-        self.expect("op", ")")
-        self.expect("op", "{")
-        cases: list[tuple[int, list[AstStmt]]] = []
-        default: list[AstStmt] | None = None
-        while not self.accept("op", "}"):
-            if self.accept("kw", "case"):
+        head = self.pos
+        self.next()
+        self.expect("(")
+        var = self.expect_name()
+        self.expect(")")
+        self.expect("{")
+        cases: list[tuple[int, Block]] = []
+        default: Block | None = None
+        while not self.accept("}"):
+            if self.accept("case"):
                 value = self.parse_int()
-                self.expect("op", ":")
+                self.expect(":")
                 body = self.parse_block()
                 if default is not None:
-                    raise self.error("case after default", tok)
+                    raise self.error("case after default", head)
                 if any(value == v for v, _ in cases):
-                    raise self.error(f"duplicate case {value}", tok)
+                    raise self.error(f"duplicate case {value}", head)
                 cases.append((value, body))
-            elif self.accept("kw", "default"):
-                self.expect("op", ":")
+            elif self.accept("default"):
+                self.expect(":")
                 default = self.parse_block()
             else:
                 raise self.error("expected 'case' or 'default'")
         if default is None:
-            raise self.error("switch without default arm", tok)
+            raise self.error("switch without default arm", head)
         if not cases:
-            raise self.error("switch needs at least one case", tok)
-        return AstStmt(StKind.SWITCH, tok.line, var=var.text, cases=cases,
-                       default=default)
+            raise self.error("switch needs at least one case", head)
+        return AstStmt(StKind.SWITCH, var=var, cases=cases, default=default)
 
-    def _stmt_skip(self) -> AstStmt:
-        tok = self.next()
-        self.expect("op", ";")
-        return AstStmt(StKind.SKIP, tok.line)
+    def _stmt_skip(self) -> Statement:
+        kind = StKind(self.next())  # "skip" or "exit"
+        self.expect(";")
+        return Statement(kind)
 
-    def _stmt_exit(self) -> AstStmt:
-        tok = self.next()
-        self.expect("op", ";")
-        return AstStmt(StKind.EXIT, tok.line)
+    _stmt_exit = _stmt_skip
 
     # -- expressions and conditions --------------------------------------
 
     def parse_int(self) -> int:
-        neg = self.accept("op", "-") is not None
-        tok = self.expect("int")
-        value = int(tok.text)
-        return -value if neg else value
+        neg = self.accept("-")
+        tok = self.peek()
+        if not _is_int(tok):
+            raise self.error(f"expected 'int', found {tok!r}")
+        self.pos += 1
+        return -int(tok) if neg else int(tok)
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "int" or (tok.kind == "op" and tok.text == "-"):
+        if tok == "-" or _is_int(tok):
             return Expr("const", value=self.parse_int())
-        if tok.kind == "name":
-            return Expr("var", name=self.next().text)
-        raise self.error(f"expected expression, found {tok.text!r}")
+        if _is_name(tok):
+            return Expr("var", name=self.next())
+        raise self.error(f"expected expression, found {tok!r}")
 
     def parse_expr(self) -> Expr:
         left = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in CONST_EXPR_OPS:
-            op = self.next().text
-            right = self.parse_atom()
-            return Expr("bin", op=op, left=left, right=right)
+        if self.peek() in CONST_EXPR_OPS:
+            return Expr("bin", op=self.next(), left=left,
+                        right=self.parse_atom())
         return left
 
     def parse_cond(self) -> Cond:
-        atomic = False
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == "@atomic_cond":
-            self.next()
-            atomic = True
+        atomic = self.accept("@atomic_cond")
         self.operands = 0
         cond = self.parse_cond_or()
-        if atomic:
-            cond = _mark_atomic(cond)
-        return cond
+        return replace(cond, atomic=True) if atomic else cond
 
     def parse_cond_or(self) -> Cond:
         left = self.parse_cond_and()
-        while self.accept("op", "||"):
-            right = self.parse_cond_and()
-            left = Cond("||", left=left, right=right)
+        while self.accept("||"):
+            left = Cond("||", left=left, right=self.parse_cond_and())
         return left
 
     def parse_cond_and(self) -> Cond:
         left = self.parse_cond_atom()
-        while self.accept("op", "&&"):
-            right = self.parse_cond_atom()
-            left = Cond("&&", left=left, right=right)
+        while self.accept("&&"):
+            left = Cond("&&", left=left, right=self.parse_cond_atom())
         return left
 
     def parse_cond_atom(self) -> Cond:
-        var = self.expect("name")
+        at = self.pos
+        var = self.expect_name()
         self.operands += 1
         if self.operands > MAX_OPERANDS:
             raise self.error(
-                f"condition has more than {MAX_OPERANDS} operands", var)
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("<", "<=", ">", ">=", "==", "!="):
-            op = self.next().text
-            rhs_tok = self.peek()
-            if rhs_tok.kind == "name":
+                f"condition has more than {MAX_OPERANDS} operands", at)
+        if self.peek() in _COMPARISONS:
+            op = self.next()
+            if _is_name(self.peek()):
                 if op not in ("==", "!="):
                     raise self.error("variable comparison requires == or !=")
-                return Cond(op, var=var.text, rhs=self.next().text)
-            return Cond(op, var=var.text, rhs=self.parse_int())
-        return Cond("var", var=var.text)
-
-
-def _mark_atomic(cond: Cond) -> Cond:
-    return replace(cond, atomic=True)
+                return Cond(op, var=var, rhs=self.next())
+            return Cond(op, var=var, rhs=self.parse_int())
+        return Cond("var", var=var)
 
 
 # ---------------------------------------------------------------------------
@@ -812,19 +792,16 @@ class _CfgBuilder:
         self.nodes: dict[int, Node] = {}
         # out-slot lists per node in canonical order: (label, target)
         self.slots: dict[int, list[tuple[EdgeLabel, int]]] = {}
-        self.node_of_stmt: dict[int, int] = {}  # id(AstStmt) -> first node id
+        self.node_of_stmt: dict[int, int] = {}  # id(statement) -> first node id
         self.cond_nodes: dict[int, list[tuple[int, Cond]]] = {}
 
-    def allocate(self, block: list[AstStmt]) -> None:
+    def allocate(self, block: Block) -> None:
         for stmt in block:
             if stmt.kind == StKind.BRANCH:
                 # One node per atomic conjunct/disjunct, in source order.
-                conds = _flatten_cond(stmt.cond)
-                ids: list[tuple[int, Cond]] = []
-                for c in conds:
-                    nid = self._new_node(Statement(
-                        StKind.BRANCH, cond=c, is_loop=stmt.is_loop))
-                    ids.append((nid, c))
+                ids = [(self._new_node(Statement(
+                    StKind.BRANCH, cond=c, is_loop=stmt.is_loop)), c)
+                    for c in _flatten_cond(stmt.cond)]
                 self.node_of_stmt[id(stmt)] = ids[0][0]
                 self.cond_nodes[id(stmt)] = ids
                 self.allocate(stmt.body)
@@ -836,9 +813,7 @@ class _CfgBuilder:
                     self.allocate(body)
                 self.allocate(stmt.default)
             else:
-                st = Statement(stmt.kind, var=stmt.var, expr=stmt.expr,
-                               cond=stmt.cond, callee=stmt.callee)
-                self.node_of_stmt[id(stmt)] = self._new_node(st)
+                self.node_of_stmt[id(stmt)] = self._new_node(stmt)
 
     def _new_node(self, statement: Statement) -> int:
         nid = self.next_node
@@ -849,14 +824,15 @@ class _CfgBuilder:
 
     # -- wiring -----------------------------------------------------------
 
-    def wire_block(self, block: list[AstStmt], cont: int, exit_node: int) -> int:
+    def wire_block(self, block: Block, cont: int, exit_node: int) -> int:
         """Wire a block; returns its entry node (or ``cont`` when empty)."""
         entry = cont
         for stmt in reversed(block):
             entry = self.wire_stmt(stmt, entry, exit_node)
         return entry
 
-    def wire_stmt(self, stmt: AstStmt, cont: int, exit_node: int) -> int:
+    def wire_stmt(self, stmt: AstStmt | Statement, cont: int,
+                  exit_node: int) -> int:
         nid = self.node_of_stmt[id(stmt)]
         kind = stmt.kind
         if kind == StKind.BRANCH:
@@ -955,16 +931,7 @@ def _validate(program: MiniIrProgram) -> None:
             if st.kind == StKind.CALL:
                 if st.callee not in defined and st.callee not in program.externs:
                     raise UnresolvedCall(st.callee)
-        # Reachability from start.
-        seen: set[int] = set()
-        stack = [cfg.start]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            for e in cfg.out_edges(n):
-                stack.append(e.target)
+        seen = set(cfg.rpo())  # the nodes reachable from the start
         for nid in sorted(cfg.nodes):
             if nid not in seen:
                 raise UnreachableNode(nid)
@@ -972,7 +939,7 @@ def _validate(program: MiniIrProgram) -> None:
 
 def parse_program(source: str) -> MiniIrProgram:
     """Parse MiniIR source into a validated program with CFGs."""
-    procs, globals_, externs = _Parser(tokenize(source)).parse_program()
+    procs, globals_, externs = _Parser(source).parse_program()
     names = [p.name for p in procs]
     if len(names) != len(set(names)):
         dup = next(n for n in names if names.count(n) > 1)

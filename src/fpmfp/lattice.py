@@ -18,6 +18,7 @@ import json
 from functools import cached_property, partial
 from typing import Callable
 
+from . import EncodedDict, EncodedList, Memo
 from .frontend import (
     Cond,
     Expr,
@@ -31,31 +32,6 @@ from .frontend import (
 INF = float("inf")
 
 IntervalValue = dict[str, tuple[float, float]]
-
-
-class EncodedList(list):
-    """A read-only ``to_json`` view whose ``text()`` is its own
-    ``json.dumps(view, indent=2)``, built on request and not kept."""
-
-    __slots__ = ("text",)
-
-
-class EncodedDict(dict):
-    """The dict form of ``EncodedList``."""
-
-    __slots__ = ("text",)
-
-
-class Memo(dict):
-    """``memo[key]`` is ``make(key)``, made once per key."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        made = self[key] = self.make(key)
-        return made
 
 
 def _nested(element) -> str:

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
+from . import SolverError
 from .frontend import (
     CallGraph,
     Cfg,
@@ -66,11 +67,11 @@ EMPTY_KEY: Key = frozenset()
 MAX_SOLVES = 10_000
 
 
-class NonTermination(RuntimeError):
+class NonTermination(SolverError):
     """The solver exceeded its step budget without stabilizing."""
 
 
-class PairBoundError(RuntimeError):
+class PairBoundError(SolverError):
     """An edge carried more pairs than the procedure's segments plus one."""
 
 

@@ -51,24 +51,25 @@ class OracleMeets:
     truncated: bool
 
 
-def _advance(segments, progress: tuple[int, ...], edge_id: int):
-    """Move every segment's matched length across an edge.
+def _advance(starts, progress: tuple, edge_id: int):
+    """Move the segments in progress across an edge.
 
-    Segment edges are pairwise distinct, so the only fallback position
-    after a failed extension is a fresh start.  Returns None when some
-    segment completes (the path just became infeasible).
+    ``starts`` maps an edge to the segments it starts; ``progress`` holds
+    one ``(segment, matched length)`` pair per segment in progress.  A
+    segment starting at the edge enters with nothing matched, and one
+    whose next edge is not this edge drops out: segment edges are
+    pairwise distinct, so a failed extension can only restart at the
+    start edge.  Returns None when some segment completes (the path just
+    became infeasible).
     """
     out = []
-    for seg, matched in zip(segments, progress):
-        if matched < len(seg.edges) and seg.edges[matched] == edge_id:
+    for seg, matched in (*progress, *((seg, 0) for seg in
+                                      starts.get(edge_id, ()))):
+        if seg.edges[matched] == edge_id:
             matched += 1
             if matched == len(seg.edges):
                 return None
-        elif seg.edges[0] == edge_id:
-            matched = 1
-        else:
-            matched = 0
-        out.append(matched)
+            out.append((seg, matched))
     return tuple(out)
 
 
@@ -96,7 +97,9 @@ def mips_free_meets(
     set of segments in progress, which is the decomposition the lifted
     solver keys its pairs by.
     """
-    segments = universe.for_proc(proc_name)
+    starts: dict[int, list] = {}
+    for seg in universe.for_proc(proc_name):
+        starts.setdefault(seg.start, []).append(seg)
     if max_len is None:
         max_len = 2 * len(cfg.edges)
     node_in: dict[int, object] = {}
@@ -106,8 +109,7 @@ def mips_free_meets(
     def accumulate(table, key, value):
         table[key] = meet(table[key], value) if key in table else value
 
-    start_progress = tuple(0 for _ in segments)
-    stack = [(cfg.start, boundary, start_progress, {}, 0)]
+    stack = [(cfg.start, boundary, (), {}, 0)]
     expansions = 0
     truncated = False
     while stack:
@@ -124,14 +126,13 @@ def mips_free_meets(
             if counts.get(edge.id, 0) >= edge_cap:
                 truncated = True
                 continue
-            advanced = _advance(segments, progress, edge.id)
+            advanced = _advance(starts, progress, edge.id)
             if advanced is None:
                 continue  # completing a segment: path infeasible
             out_value = refine(edge, node_transfer(node, value))
             accumulate(edge_values, edge.id, out_value)
             if collect_keys:
-                in_progress = frozenset(
-                    seg.id for seg, m in zip(segments, advanced) if m >= 1)
+                in_progress = frozenset(seg.id for seg, _ in advanced)
                 accumulate(keyed, (edge.id, in_progress), out_value)
             new_counts = dict(counts)
             new_counts[edge.id] = new_counts.get(edge.id, 0) + 1

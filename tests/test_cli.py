@@ -8,6 +8,8 @@ import logging
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -16,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpmfp import cli, clients, lifted, progen
+import fpmfp
+from fpmfp import cli, clients, lifted, mfp, mips, progen
 from fpmfp.cli import main
 from fpmfp.lattice import INF, make_analysis
 
-from conftest import FIXTURES, fixture_program
+from conftest import FIXTURES, fixture_program, fixture_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -542,9 +545,14 @@ class TestCompare:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (clients, cli):
-            for name in ("detect_mips", "solve_mfp",
-                         "solve_fpmfp_interprocedural"):
+        # The CLI's handlers import these names from their home modules
+        # when they run; ``clients`` binds its own copies at import.
+        for module, names in ((clients, ("detect_mips", "solve_mfp",
+                                         "solve_fpmfp_interprocedural")),
+                              (mips, ("detect_mips",)),
+                              (mfp, ("solve_mfp",)),
+                              (lifted, ("solve_fpmfp_interprocedural",))):
+            for name in names:
                 counted(module, name)
         code, _, _ = run(capsys, "compare", "--program", fix("sphinx_like"),
                          "--analysis", flag, "--no-timing")
@@ -611,6 +619,71 @@ class TestDumpDot:
         assert code == 0
         assert "subgraph cluster_0" in out
         assert "subgraph cluster_1" in out
+
+
+class TestStartup:
+    """Each subcommand loads only the layers it runs.
+
+    Every case runs ``cli.main`` in a fresh interpreter and lists the
+    ``fpmfp`` modules, and whether ``concurrent.futures``, are loaded
+    after it returns.
+    """
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from fpmfp import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(\n"
+        "    name.split('.', 1)[1] for name in sys.modules\n"
+        "    if name.startswith('fpmfp.')),\n"
+        "    'concurrent.futures' in sys.modules]))\n"
+    )
+    PACKAGE = Path(fpmfp.__file__).resolve().parent
+    FRONT = ["cli", "frontend", "mips"]
+    SOLVE = sorted(FRONT + ["lattice", "lifted", "mfp"])
+    # Everything but the clients: a new module must be placed here.
+    ORACLE = sorted({path.stem for path in PACKAGE.glob("*.py")}
+                    - {"__init__", "clients"})
+
+    def loaded(self, tmp_path, *argv: str) -> tuple[list[str], bool]:
+        env = dict(os.environ, PYTHONPATH=str(self.PACKAGE.parent))
+        child = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,
+            text=True, env=env, cwd=tmp_path, timeout=120)
+        code, modules, futures = json.loads(child.stdout.splitlines()[-1])
+        assert code in (0, None), child.stderr
+        return modules, futures
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("--help",), ["cli"]),
+        (("detect-mips",), FRONT),
+        (("dump-dot",), ["cli", "frontend"]),
+        (("analyze", "--analysis", "rd", "--mode", "mfp"), SOLVE),
+        (("analyze", "--analysis", "interval", "--mode", "fpmfp"), SOLVE),
+        (("compare", "--analysis", "uninit"), sorted(SOLVE + ["clients"])),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+    def test_program_commands(self, tmp_path, argv, expected):
+        if argv != ("--help",):
+            argv += ("--program", fix("fig2"), "--output", "report")
+        assert self.loaded(tmp_path, *argv) == (expected, False)
+
+    def test_oracle_check(self, tmp_path):
+        assert "progen" in self.ORACLE
+        (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
+        assert self.loaded(tmp_path, "oracle-check", "--fixtures", ".",
+                           "--random", "1", "--output", "report") == (
+            self.ORACLE, False)
+
+    def test_only_jobs_load_the_process_pool(self, tmp_path):
+        (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
+        modules, futures = self.loaded(
+            tmp_path, "oracle-check", "--fixtures", ".", "--jobs", "2",
+            "--output", "report")
+        assert futures
+        assert "progen" not in modules
 
 
 class TestLogging:

@@ -47,26 +47,30 @@ def oracle_for(program, analysis_name, proc_name=None, **kwargs):
 # ---------------------------------------------------------------------------
 
 class TestAdvance:
+    """Progress is one (segment, matched length) pair per segment in
+    progress; ``starts`` maps each start edge to its segments."""
+
     def segment(self, load_program, name="fig12"):
-        return detect_mips(load_program(name)).all[0]
+        seg = detect_mips(load_program(name)).all[0]
+        return seg, {seg.start: [seg]}
 
     def test_walks_to_completion(self, load_program):
-        seg = self.segment(load_program)  # edges (3, 6, 7, 8)
-        progress = (0,)
+        seg, starts = self.segment(load_program)  # edges (3, 6, 7, 8)
+        progress = ()
         for eid in seg.edges[:-1]:
-            progress = _advance((seg,), progress, eid)
-        assert progress == (3,)
-        assert _advance((seg,), progress, seg.edges[-1]) is None
+            progress = _advance(starts, progress, eid)
+        assert progress == ((seg, 3),)
+        assert _advance(starts, progress, seg.edges[-1]) is None
 
     def test_restart_at_start_edge(self, load_program):
-        seg = self.segment(load_program)
-        progress = _advance((seg,), (2,), seg.edges[0])
-        assert progress == (1,)
+        seg, starts = self.segment(load_program)
+        progress = _advance(starts, ((seg, 2),), seg.edges[0])
+        assert progress == ((seg, 1),)
 
     def test_mismatch_resets(self, load_program):
-        seg = self.segment(load_program)
-        assert _advance((seg,), (2,), 99) == (0,)
-        assert _advance((seg,), (0,), seg.edges[1]) == (0,)
+        seg, starts = self.segment(load_program)
+        assert _advance(starts, ((seg, 2),), 99) == ()
+        assert _advance(starts, (), seg.edges[1]) == ()
 
 
 # ---------------------------------------------------------------------------
