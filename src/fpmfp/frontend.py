@@ -469,7 +469,6 @@ KEYWORDS = {
     "proc", "global", "extern", "if", "else", "while", "switch", "case",
     "default", "read", "print", "assert", "skip", "exit",
 }
-_COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
 
 def _is_name(text: str) -> bool:
@@ -740,8 +739,9 @@ class _Parser:
     def parse_expr(self) -> Expr:
         left = self.parse_atom()
         if self.peek() in CONST_EXPR_OPS:
-            return Expr("bin", op=self.next(), left=left,
-                        right=self.parse_atom())
+            op = self.next()
+            right = self.parse_atom()
+            return Expr("bin", op=op, left=left, right=right)
         return left
 
     def parse_cond(self) -> Cond:
@@ -769,7 +769,7 @@ class _Parser:
         if self.operands > MAX_OPERANDS:
             raise self.error(
                 f"condition has more than {MAX_OPERANDS} operands", at)
-        if self.peek() in _COMPARISONS:
+        if self.peek() in ("<", "<=", ">", ">=", "==", "!="):
             op = self.next()
             if _is_name(self.peek()):
                 if op not in ("==", "!="):

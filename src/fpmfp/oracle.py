@@ -52,15 +52,12 @@ class OracleMeets:
 
 
 def _advance(starts, progress: tuple, edge_id: int):
-    """Move the segments in progress across an edge.
+    """Move the ``(segment, matched length)`` pairs in ``progress`` across
+    an edge; ``starts`` maps an edge to the segments it starts.
 
-    ``starts`` maps an edge to the segments it starts; ``progress`` holds
-    one ``(segment, matched length)`` pair per segment in progress.  A
-    segment starting at the edge enters with nothing matched, and one
-    whose next edge is not this edge drops out: segment edges are
-    pairwise distinct, so a failed extension can only restart at the
-    start edge.  Returns None when some segment completes (the path just
-    became infeasible).
+    Segment edges are pairwise distinct, so a segment that fails to extend
+    drops out and can only come back by restarting at its start edge.
+    Returns None when some segment completes (the path became infeasible).
     """
     out = []
     for seg, matched in (*progress, *((seg, 0) for seg in

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpmfp
-from fpmfp import cli, clients, lifted, mfp, mips, progen
+from fpmfp import cli, clients, lifted, mfp, mips, oracle, progen
 from fpmfp.cli import main
 from fpmfp.lattice import INF, make_analysis
 
@@ -236,6 +236,17 @@ class TestInputErrors:
         assert code == 1
         assert out == ""
         assert err == "fpmfp: error: solver gave up\n"
+
+    def test_oracle_explosion_is_not_a_solver_error(self, monkeypatch):
+        # oracle-check catches Explosion per procedure; anywhere else it
+        # is a fault and must not turn into an ordinary exit 1.
+        def fail(flow, edge, source, value):
+            raise oracle.Explosion("path tree too large")
+
+        monkeypatch.setattr(lifted._Flow, "edge_flow", fail)
+        with pytest.raises(oracle.Explosion):
+            main(["analyze", "--program", fix("fig2"), "--analysis", "rd",
+                  "--mode", "fpmfp"])
 
     @pytest.mark.parametrize("command", [
         ("detect-mips",), ("compare", "--analysis", "rd"),
