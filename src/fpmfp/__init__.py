@@ -14,7 +14,7 @@ views an analysis hands the report writer.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 __version__ = "0.1.0"
 

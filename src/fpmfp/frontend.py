@@ -799,9 +799,11 @@ class _CfgBuilder:
         for stmt in block:
             if stmt.kind == StKind.BRANCH:
                 # One node per atomic conjunct/disjunct, in source order.
-                ids = [(self._new_node(Statement(
-                    StKind.BRANCH, cond=c, is_loop=stmt.is_loop)), c)
-                    for c in _flatten_cond(stmt.cond)]
+                ids: list[tuple[int, Cond]] = []
+                for c in _flatten_cond(stmt.cond):
+                    nid = self._new_node(Statement(
+                        StKind.BRANCH, cond=c, is_loop=stmt.is_loop))
+                    ids.append((nid, c))
                 self.node_of_stmt[id(stmt)] = ids[0][0]
                 self.cond_nodes[id(stmt)] = ids
                 self.allocate(stmt.body)
