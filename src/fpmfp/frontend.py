@@ -1,12 +1,20 @@
 """MiniIR frontend: lexing, parsing, CFG construction, call graph, DOT output.
 
 A program is a sequence of ``global``/``extern`` declarations followed by
-procedures.  Each statement becomes one CFG node; every procedure gets a single
-synthetic exit node.  Node and edge ids are global, 1-based, and deterministic:
-nodes are numbered in source-statement order (procedures in file order, nested
-bodies inline, the exit node last per procedure), and edges are numbered by
-scanning nodes in id order and emitting each node's out-edges in a canonical
-order (true arm before false arm; switch cases in source order, default last).
+procedures.  Each statement becomes one CFG node (a compound ``&&``/``||``
+condition one node per operand); every procedure gets a single synthetic exit
+node.  Each CFG is built in one pass over the procedure body in source order,
+so node and edge ids are global, 1-based, and deterministic: nodes are
+numbered in source-statement order (procedures in file order, nested bodies
+inline, the exit node after the body), and edges are numbered by scanning
+nodes in id order and emitting each node's out-edges in a canonical order
+(true arm before false arm; switch cases in source order, default last).  A
+node's out-edges are made with the node; one whose target comes later stays
+*dangling* until that target is allocated.  The start node must have no
+incoming edges: when the body is empty or its first node is an edge target
+(a loop head), a ``skip`` start node is added after the exit node.  A call to
+a procedure neither defined nor declared extern raises ``UnresolvedCall``; a
+statement no path reaches, ``UnreachableNode``.
 """
 
 from __future__ import annotations
@@ -78,9 +86,9 @@ CONST_EXPR_OPS = {"+", "-", "*"}
 # recurse once per level, so the bound keeps them well inside Python's
 # default recursion limit.
 MAX_NESTING = 200
-# Most operands one ``&&``/``||`` condition may have.  Conditions are
-# flattened, wired and compared by recursion once per operand; the bound
-# keeps that inside the recursion limit, also at the deepest nesting.
+# Most operands one ``&&``/``||`` condition may have.  Conditions are wired
+# and compared by recursion once per operand; the bound keeps that inside
+# the recursion limit, also at the deepest nesting.
 MAX_OPERANDS = 200
 
 
@@ -208,6 +216,9 @@ class EdgeLabel:
 
 
 NO_LABEL = EdgeLabel(LabelKind.NONE)
+TRUE = EdgeLabel(LabelKind.TRUE)
+FALSE = EdgeLabel(LabelKind.FALSE)
+DEFAULT = EdgeLabel(LabelKind.DEFAULT)
 
 
 @dataclass(frozen=True)
@@ -240,7 +251,7 @@ class Cfg:
         self.exit = exit
         self._out: dict[int, list[Edge]] = {n: [] for n in nodes}
         self._in: dict[int, list[Edge]] = {n: [] for n in nodes}
-        for e in sorted(edges.values(), key=lambda e: e.id):
+        for e in edges.values():  # in id order
             self._out[e.source].append(e)
             self._in[e.target].append(e)
         self._rpo: list[int] | None = None
@@ -784,140 +795,102 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 class _CfgBuilder:
-    """Two passes: allocate node ids in source order, then wire edges."""
+    """One pass over a procedure body in source order.
 
-    def __init__(self, next_node: int, next_edge: int) -> None:
+    Each statement's node is allocated when the walk reaches it, together
+    with its out-slots ``[label, target]`` in canonical order.  A slot
+    whose target is not known yet is *dangling*: it is handed on and
+    pointed at the next node allocated, at the loop head for the end of a
+    loop body, or at the exit node for ``exit;``.
+    """
+
+    def __init__(self, next_node: int) -> None:
         self.next_node = next_node
-        self.next_edge = next_edge
         self.nodes: dict[int, Node] = {}
-        # out-slot lists per node in canonical order: (label, target)
-        self.slots: dict[int, list[tuple[EdgeLabel, int]]] = {}
-        self.node_of_stmt: dict[int, int] = {}  # id(statement) -> first node id
-        self.cond_nodes: dict[int, list[tuple[int, Cond]]] = {}
+        self.slots: dict[int, list[list]] = {}  # in node id order
+        self.exits: list[list] = []  # the slots of ``exit;`` statements
 
-    def allocate(self, block: Block) -> None:
-        for stmt in block:
-            if stmt.kind == StKind.BRANCH:
-                # One node per atomic conjunct/disjunct, in source order.
-                ids: list[tuple[int, Cond]] = []
-                for c in _flatten_cond(stmt.cond):
-                    nid = self._new_node(Statement(
-                        StKind.BRANCH, cond=c, is_loop=stmt.is_loop))
-                    ids.append((nid, c))
-                self.node_of_stmt[id(stmt)] = ids[0][0]
-                self.cond_nodes[id(stmt)] = ids
-                self.allocate(stmt.body)
-                self.allocate(stmt.orelse)
-            elif stmt.kind == StKind.SWITCH:
-                nid = self._new_node(Statement(StKind.SWITCH, var=stmt.var))
-                self.node_of_stmt[id(stmt)] = nid
-                for _, body in stmt.cases:
-                    self.allocate(body)
-                self.allocate(stmt.default)
-            else:
-                self.node_of_stmt[id(stmt)] = self._new_node(stmt)
-
-    def _new_node(self, statement: Statement) -> int:
+    def node(self, statement: Statement, dangling: list[list],
+             *labels: EdgeLabel) -> tuple[int, list[list]]:
+        """Allocate a node entered by ``dangling``; returns its id and one
+        new dangling slot per label."""
         nid = self.next_node
         self.next_node += 1
         self.nodes[nid] = Node(nid, statement)
-        self.slots[nid] = []
-        return nid
+        for slot in dangling:
+            slot[1] = nid
+        self.slots[nid] = out = [[label, None] for label in labels]
+        return nid, out
 
-    # -- wiring -----------------------------------------------------------
+    def block(self, block: Block, dangling: list[list]) -> list[list]:
+        for stmt in block:
+            dangling = self.stmt(stmt, dangling)
+        return dangling
 
-    def wire_block(self, block: Block, cont: int, exit_node: int) -> int:
-        """Wire a block; returns its entry node (or ``cont`` when empty)."""
-        entry = cont
-        for stmt in reversed(block):
-            entry = self.wire_stmt(stmt, entry, exit_node)
-        return entry
-
-    def wire_stmt(self, stmt: AstStmt | Statement, cont: int,
-                  exit_node: int) -> int:
-        nid = self.node_of_stmt[id(stmt)]
+    def stmt(self, stmt: AstStmt | Statement,
+             dangling: list[list]) -> list[list]:
         kind = stmt.kind
         if kind == StKind.BRANCH:
-            conds = self.cond_nodes[id(stmt)]
-            head = conds[0][0]
-            if stmt.is_loop:
-                body_entry = self.wire_block(stmt.body, head, exit_node)
-                self._wire_cond_chain(stmt.cond, conds, body_entry, cont)
-            else:
-                then_entry = self.wire_block(stmt.body, cont, exit_node)
-                else_entry = self.wire_block(stmt.orelse, cont, exit_node)
-                self._wire_cond_chain(stmt.cond, conds, then_entry, else_entry)
-            return head
+            head = self.next_node
+            true, false = self.cond(stmt.cond, stmt.is_loop, dangling)
+            if not stmt.is_loop:
+                return (self.block(stmt.body, true)
+                        + self.block(stmt.orelse, false))
+            for slot in self.block(stmt.body, true):
+                slot[1] = head
+            return false
         if kind == StKind.SWITCH:
-            for value, body in stmt.cases:
-                target = self.wire_block(body, cont, exit_node)
-                self.slots[nid].append((EdgeLabel(LabelKind.CASE, value), target))
-            target = self.wire_block(stmt.default, cont, exit_node)
-            self.slots[nid].append((EdgeLabel(LabelKind.DEFAULT), target))
-            return nid
+            _, out = self.node(
+                Statement(StKind.SWITCH, var=stmt.var), dangling,
+                *(EdgeLabel(LabelKind.CASE, value) for value, _ in stmt.cases),
+                DEFAULT)
+            arms = [body for _, body in stmt.cases] + [stmt.default]
+            return [slot for arm, entry in zip(arms, out)
+                    for slot in self.block(arm, [entry])]
+        _, out = self.node(stmt, dangling, NO_LABEL)
         if kind == StKind.EXIT:
-            self.slots[nid].append((NO_LABEL, exit_node))
-            return nid
-        self.slots[nid].append((NO_LABEL, cont))
-        return nid
+            self.exits += out
+            return []
+        return out
 
-    def _wire_cond_chain(self, cond: Cond, allocated: list[tuple[int, Cond]],
-                         true_target: int, false_target: int) -> None:
-        """Wire the nodes of a (possibly compound) condition.
-
-        ``allocated`` lists (node id, atomic cond) in source order; the chain
-        is wired by short-circuit structure: ``a && b`` falls through to b's
-        node on true, ``a || b`` on false.
-        """
-        id_by_cond: dict[int, int] = {}
-        for (nid, _), c in zip(allocated, _flatten_cond(cond)):
-            id_by_cond[id(c)] = nid
-
-        def wire(c: Cond, t_target: int, f_target: int) -> int:
-            if c.op in ("&&", "||") and not c.atomic:
-                right_entry = wire(c.right, t_target, f_target)
-                if c.op == "&&":
-                    return wire(c.left, right_entry, f_target)
-                return wire(c.left, t_target, right_entry)
-            nid = id_by_cond[id(c)]
-            self.slots[nid].append((EdgeLabel(LabelKind.TRUE), t_target))
-            self.slots[nid].append((EdgeLabel(LabelKind.FALSE), f_target))
-            return nid
-
-        wire(cond, true_target, false_target)
-
-
-def _flatten_cond(cond: Cond) -> list[Cond]:
-    """Atomic conditions of a compound condition, in source order."""
-    if cond.op in ("&&", "||") and not cond.atomic:
-        return _flatten_cond(cond.left) + _flatten_cond(cond.right)
-    return [cond]
+    def cond(self, cond: Cond, is_loop: bool,
+             dangling: list[list]) -> tuple[list[list], list[list]]:
+        """One node per operand of a compound condition, in source order,
+        wired by short-circuit: ``a && b`` enters b on a's TRUE arm,
+        ``a || b`` on its FALSE arm.  Returns the (true, false) slots."""
+        if cond.op in ("&&", "||") and not cond.atomic:
+            true, false = self.cond(cond.left, is_loop, dangling)
+            if cond.op == "&&":
+                right_true, right_false = self.cond(cond.right, is_loop, true)
+                return right_true, false + right_false
+            right_true, right_false = self.cond(cond.right, is_loop, false)
+            return true + right_true, right_false
+        _, (true, false) = self.node(
+            Statement(StKind.BRANCH, cond=cond, is_loop=is_loop), dangling,
+            TRUE, FALSE)
+        return [true], [false]
 
 
 def _build_cfg(proc: AstProc, next_node: int, next_edge: int) -> tuple[Cfg, int, int]:
-    builder = _CfgBuilder(next_node, next_edge)
-    builder.allocate(proc.body)
-    exit_id = builder._new_node(Statement(StKind.EXIT))
-    entry = builder.wire_block(proc.body, exit_id, exit_id)
-    if not proc.body:
-        entry = exit_id
+    builder = _CfgBuilder(next_node)
+    dangling = builder.block(proc.body, [])
+    exit_id, _ = builder.node(Statement(StKind.EXIT), dangling + builder.exits)
 
-    # The start node must have no incoming edges; synthesize one if the first
-    # statement is a loop head (or otherwise a wire target).
-    incoming_to_entry = any(
-        target == entry
-        for slots in builder.slots.values() for _, target in slots
-    )
-    if incoming_to_entry or entry == exit_id:
-        start_id = builder._new_node(Statement(StKind.SKIP))
-        builder.slots[start_id].append((NO_LABEL, entry))
+    # The start node must have no incoming edges; synthesize one if the body
+    # is empty or its first node is a wire target (a loop head).
+    entry = next_node
+    if entry == exit_id or any(target == entry
+                               for slots in builder.slots.values()
+                               for _, target in slots):
+        start_id, (slot,) = builder.node(Statement(StKind.SKIP), [], NO_LABEL)
+        slot[1] = entry
         entry = start_id
 
-    # Edge ids: scan nodes in id order, slots in canonical order.
+    # Edge ids: nodes in id order, each node's slots in canonical order.
     edges: dict[int, Edge] = {}
     eid = next_edge
-    for nid in sorted(builder.nodes):
-        for label, target in builder.slots[nid]:
+    for nid, slots in builder.slots.items():
+        for label, target in slots:
             edges[eid] = Edge(eid, nid, target, label)
             eid += 1
     cfg = Cfg(proc.name, builder.nodes, edges, entry, exit_id)

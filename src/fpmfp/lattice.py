@@ -28,6 +28,7 @@ from .frontend import (
     Procedure,
     StKind,
 )
+from .mips import Interval1D, outcome_set
 
 INF = float("inf")
 
@@ -344,36 +345,15 @@ def eval_expr(expr: Expr, value: IntervalValue) -> tuple[float, float] | None:
     return (-INF, INF)
 
 
-# (op, taken-branch) -> constraining interval factory over the constant.
-_COMPARE_CONSTRAINTS = {
-    ("<", True): lambda c: (-INF, c - 1),
-    ("<", False): lambda c: (c, INF),
-    ("<=", True): lambda c: (-INF, c),
-    ("<=", False): lambda c: (c + 1, INF),
-    (">", True): lambda c: (c + 1, INF),
-    (">", False): lambda c: (-INF, c),
-    (">=", True): lambda c: (c, INF),
-    (">=", False): lambda c: (-INF, c - 1),
-    ("==", True): lambda c: (c, c),
-    ("!=", False): lambda c: (c, c),
-}
-
-
 def constraint_for(cond: Cond, taken: bool) -> tuple[float, float] | None:
     """1-D constraint on ``cond.var`` implied by taking the given branch.
 
-    None when the branch outcome is not representable as one interval
-    (``!=`` taken, ``==`` not taken, a truthy bare variable) or the condition
-    is opaque.
+    The arm's ``outcome_set`` as a ``(lo, hi)`` pair; None when that set is
+    not one interval (``!=`` taken, ``==`` not taken, a truthy bare
+    variable) or the condition is opaque, compound or two-variable.
     """
-    if not cond.is_simple():
-        return None
-    if cond.op == "var":
-        return (0, 0) if not taken else None
-    if isinstance(cond.rhs, str):
-        return None
-    factory = _COMPARE_CONSTRAINTS.get((cond.op, taken))
-    return factory(cond.rhs) if factory else None
+    sat = outcome_set(cond, taken)
+    return (sat.lo, sat.hi) if isinstance(sat, Interval1D) else None
 
 
 def _intersect_var(value: IntervalValue, var: str,

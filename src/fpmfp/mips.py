@@ -171,8 +171,7 @@ def edge_assertion(cfg, edge, var: str) -> OneDSet | None:
     """What taking ``edge`` asserts about ``var``, if representable."""
     st = cfg.nodes[edge.source].statement
     if st.kind == StKind.BRANCH:
-        if st.cond.is_simple() and not isinstance(st.cond.rhs, str) \
-                and st.cond.var == var:
+        if st.cond.var == var:
             return outcome_set(st.cond, edge.label.kind == LabelKind.TRUE)
         return None
     if st.kind == StKind.SWITCH and st.var == var:
