@@ -86,11 +86,12 @@ def _read_source(path) -> str:
 
 
 def _load_program(path: str):
-    from .frontend import ParseError, parse_program
+    from .frontend import (
+        ParseError, UnreachableNode, UnresolvedCall, parse_program)
 
     try:
         program = parse_program(_read_source(path))
-    except ParseError as exc:
+    except (ParseError, UnresolvedCall, UnreachableNode) as exc:
         raise _Failure(f"{path}: {exc}") from exc
     LOG.info("parsed %s: %d procedure(s)", path, len(program.procedures))
     return program
@@ -363,7 +364,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
     """All property checks for one program; returns violation records."""
-    from .frontend import ParseError, parse_program
+    from .frontend import (
+        ParseError, UnreachableNode, UnresolvedCall, parse_program)
     from .lattice import make_analysis
     from .lifted import NonTermination, solve_fpmfp_interprocedural
     from .mfp import solve_mfp
@@ -381,7 +383,7 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
 
     try:
         program = parse_program(source)
-    except ParseError as exc:
+    except (ParseError, UnresolvedCall, UnreachableNode) as exc:
         return [{"program": name, "analysis": "-", "property": "parse",
                  "location": "-", "detail": str(exc)}]
     universe = detect_mips(program)
@@ -516,6 +518,23 @@ def _add_common(sub: argparse.ArgumentParser, *, analysis: bool = False,
                               "(default: 1,2,3)")
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="fpmfp",
@@ -551,16 +570,16 @@ def _build_parser() -> _Parser:
         help="bounded path-enumeration property suite")
     oracle.add_argument("--fixtures", metavar="DIR",
                         help="directory of .mir programs to check")
-    oracle.add_argument("--random", type=int, default=0, metavar="N",
+    oracle.add_argument("--random", type=_at_least(0), default=0, metavar="N",
                         help="also check N generated programs")
     oracle.add_argument("--seed", type=int, default=0,
                         help="seed for generated programs")
-    oracle.add_argument("--max-length", type=int, default=None,
+    oracle.add_argument("--max-length", type=_at_least(1), default=None,
                         metavar="L",
                         help="path length bound (default: 2x edge count)")
-    oracle.add_argument("--max-loop", type=int, default=2, metavar="K",
+    oracle.add_argument("--max-loop", type=_at_least(1), default=2, metavar="K",
                         help="per-path edge repetition cap (default: 2)")
-    oracle.add_argument("--jobs", type=int, default=1, metavar="N",
+    oracle.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
                         help="check programs in parallel")
     oracle.add_argument("--output", metavar="FILE",
                         help="write the report here (atomic); default "

@@ -297,6 +297,22 @@ class TestInputErrors:
             assert err.getvalue().startswith("fpmfp: ")
             assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("source, message", [
+        ("proc main() { foo(); }", "call to undefined procedure 'foo'"),
+        ("proc main() { exit; x = 1; }", "node n2 is unreachable"),
+    ], ids=["unresolved-call", "unreachable-statement"])
+    @pytest.mark.parametrize("command", [
+        ("detect-mips",), ("analyze", "--analysis", "rd", "--mode", "mfp"),
+        ("compare", "--analysis", "interval"), ("dump-dot",),
+    ], ids=lambda c: c[0])
+    def test_rejected_program_is_an_error_not_a_traceback(
+            self, capsys, tmp_path, command, source, message):
+        path = tmp_path / "bad.mir"
+        path.write_text(source + "\n")
+        err = self.fails_cleanly(capsys, tmp_path, *command,
+                                 "--program", str(path))
+        assert err == f"fpmfp: error: {path}: {message}\n"
+
     @staticmethod
     def fails_cleanly(capsys, tmp_path, *argv: str) -> str:
         """Run ``argv``: exit 1 with one ``fpmfp: error:`` line, nothing on
@@ -606,6 +622,32 @@ class TestOracleCheck:
         code, _, err = run(capsys, "oracle-check", "--fixtures",
                            "/no/such/dir")
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-length", "0"), ("--max-length", "-1"), ("--max-loop", "0"),
+        ("--max-loop", "-1"), ("--jobs", "0"), ("--jobs", "-2"),
+        ("--random", "-3"),
+    ])
+    def test_bounds_that_empty_the_suite_are_usage_errors(
+            self, capsys, flag, value):
+        code, out, err = run(capsys, "oracle-check", "--fixtures",
+                             str(FIXTURES), flag, value)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"fpmfp: argument {flag}: must be at least ")
+
+    def test_rejected_programs_report_parse_violations(self, capsys,
+                                                       tmp_path):
+        (tmp_path / "call.mir").write_text("proc main() { foo(); }\n")
+        (tmp_path / "dead.mir").write_text("proc main() { exit; x = 1; }\n")
+        code, out, _ = run(capsys, "oracle-check", "--fixtures",
+                           str(tmp_path))
+        assert code == 2
+        assert [(v["program"], v["property"], v["detail"])
+                for v in json.loads(out)["violations"]] == [
+            ("call.mir", "parse", "call to undefined procedure 'foo'"),
+            ("dead.mir", "parse", "node n2 is unreachable"),
+        ]
 
     def test_unparsable_fixture_reports_violation(self, capsys, tmp_path):
         (tmp_path / "ok.mir").write_text(
