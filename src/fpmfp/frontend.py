@@ -431,35 +431,15 @@ class MiniIrProgram:
         self.by_name = {p.name: p for p in self.procedures}
         self.entry = self.procedures[0].name
         self._node_proc: dict[int, str] = {}
-        self._edge_proc: dict[int, str] = {}
         for proc in self.procedures:
             for nid in proc.cfg.nodes:
                 self._node_proc[nid] = proc.name
-            for eid in proc.cfg.edges:
-                self._edge_proc[eid] = proc.name
 
     def proc_of_node(self, node_id: int) -> Procedure:
         return self.by_name[self._node_proc[node_id]]
 
-    def proc_of_edge(self, edge_id: int) -> Procedure:
-        return self.by_name[self._edge_proc[edge_id]]
-
     def node(self, node_id: int) -> Node:
         return self.proc_of_node(node_id).cfg.nodes[node_id]
-
-    def edge(self, edge_id: int) -> Edge:
-        return self.proc_of_edge(edge_id).cfg.edges[edge_id]
-
-    def locals_of(self, proc: Procedure) -> frozenset[str]:
-        """Variables referenced by the procedure that are not globals."""
-        names: set[str] = set(proc.params)
-        for node in proc.cfg.nodes.values():
-            st = node.statement
-            names |= st.defs() | st.uses()
-        return frozenset(names - set(self.globals))
-
-    def variables_of(self, proc: Procedure) -> frozenset[str]:
-        return self.locals_of(proc) | self.globals
 
 
 # ---------------------------------------------------------------------------

@@ -201,22 +201,13 @@ class TestFixtureShapes:
         assert helper_cfg.node_ids() == [5, 6, 7, 8, 9, 10, 11, 12]
         assert helper_cfg.edge_ids() == [4, 5, 6, 7, 8, 9, 10, 11, 12]
         assert program.globals == frozenset({"g"})
-        assert program.locals_of(program.by_name["helper"]) == frozenset({"h", "t"})
 
 
 class TestProgramIndex:
     def test_global_lookups(self):
         program = fixture_program("fig7.mir")
         assert program.proc_of_node(9).name == "q"
-        assert program.proc_of_edge(9).name == "q"
         assert program.node(6).statement.to_text() == "print a;"
-        assert program.edge(5).label.kind == LabelKind.TRUE
-
-    def test_variables_of(self):
-        program = fixture_program("fig7.mir")
-        p = program.by_name["p"]
-        assert program.locals_of(p) == frozenset({"a"})
-        assert program.variables_of(p) == frozenset({"a", "l"})
 
 
 class TestRpo:

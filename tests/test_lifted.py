@@ -55,7 +55,7 @@ def edge_flow(universe: MipsUniverse, analysis, edge_id: int, value,
               opts: frozenset[int] = ALL_OPTS, stats: PairStats | None = None):
     """One edge flow through the solver's engine, for one procedure."""
     program = universe.program
-    proc = program.proc_of_edge(edge_id)
+    proc = next(p for p in program.procedures if edge_id in p.cfg.edges)
     edge = proc.cfg.edges[edge_id]
     flow = _Flow(universe, proc.name, meet=analysis.meet, top=analysis.top(),
                  refine=analysis.refine, opts=opts, drop_top=False,

@@ -401,7 +401,8 @@ class TestOneDSets:
 def ext(universe, edge_id, tracked):
     """Tracked set of one pair after the solver's engine flows it over an
     edge, or None when a tracked segment completes there (blocked)."""
-    proc = universe.program.proc_of_edge(edge_id)
+    proc = next(p for p in universe.program.procedures
+                if edge_id in p.cfg.edges)
     edge = proc.cfg.edges[edge_id]
     flow = _Flow(universe, proc.name, meet=min, top=None, refine=None,
                  opts=frozenset(), drop_top=False)
