@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fpmfp"
@@ -16,3 +19,16 @@ def test_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) > 1
     assert found == []
+
+
+def test_benchmark_imports_resolve():
+    """The traced benchmark run imports these layers' functions by name;
+    an API it uses must not vanish without this failing."""
+    root = SRC.parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "perfbench"), str(SRC.parent)]))
+    child = subprocess.run([sys.executable, "-c", "import layers"],
+                           capture_output=True, text=True, env=env,
+                           cwd=root, timeout=120)
+    assert child.returncode == 0, child.stderr
