@@ -570,14 +570,16 @@ def _build_parser() -> _Parser:
         help="bounded path-enumeration property suite")
     oracle.add_argument("--fixtures", metavar="DIR",
                         help="directory of .mir programs to check")
-    oracle.add_argument("--random", type=_at_least(0), default=0, metavar="N",
+    oracle.add_argument("--random", type=_at_least(0), default=0,
+                        metavar="N",
                         help="also check N generated programs")
     oracle.add_argument("--seed", type=int, default=0,
                         help="seed for generated programs")
     oracle.add_argument("--max-length", type=_at_least(1), default=None,
                         metavar="L",
                         help="path length bound (default: 2x edge count)")
-    oracle.add_argument("--max-loop", type=_at_least(1), default=2, metavar="K",
+    oracle.add_argument("--max-loop", type=_at_least(1), default=2,
+                        metavar="K",
                         help="per-path edge repetition cap (default: 2)")
     oracle.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
                         help="check programs in parallel")

@@ -32,7 +32,8 @@ EDGE_CASES = {
                     "{ skip; } print x; }"),
     "exit-last": "proc main() { read x; if (x > 0) { exit; } }",
     "mixed-and-or": ("proc main() { read a; read b; if (a > 1 && b < 2 || "
-                     "a == b && b != 0 || a) { print a; } else { print b; } }"),
+                     "a == b && b != 0 || a) { print a; } else "
+                     "{ print b; } }"),
     "empty-arms": ("proc main() { read s; switch (s) { case 1: { } "
                    "case -2: { s = 1; } default: { } } if (s == 1) { } "
                    "else { } print s; }"),
