@@ -4,7 +4,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import logging
 import os
 import re
 import stat
@@ -740,16 +739,52 @@ class TestStartup:
 
 
 class TestLogging:
-    def test_info_level_logs_progress(self, capsys, monkeypatch, caplog):
-        monkeypatch.setenv("FPMFP_LOG", "info")
-        with caplog.at_level(logging.INFO, logger="fpmfp"):
-            code, _, _ = run(capsys, "detect-mips", "--program",
-                             fix("fig2"))
-        assert code == 0
-        assert any("segment" in rec.message for rec in caplog.records)
+    """``FPMFP_LOG`` lines on stderr, byte for byte, from a fresh
+    interpreter with the fixture and report in its working directory."""
 
-    def test_default_level_is_quiet(self, capsys, caplog):
-        with caplog.at_level(logging.INFO, logger="fpmfp"):
-            run(capsys, "detect-mips", "--program", fix("fig2"))
-        # Level resets to "error" when the variable is unset.
-        assert all(rec.levelno >= logging.ERROR for rec in caplog.records)
+    PROGRESS = {
+        "detect-mips": ("fpmfp: INFO: parsed fig2.mir: 1 procedure(s)\n"
+                        "fpmfp: INFO: detected 1 segment(s)\n"
+                        "fpmfp: INFO: wrote report\n"),
+        "compare": ("fpmfp: INFO: parsed fig2.mir: 1 procedure(s)\n"
+                    "fpmfp: INFO: wrote report\n"),
+        "oracle-check": ("fpmfp: INFO: checked 1 program(s): 0 "
+                         "violation(s)\n"
+                         "fpmfp: INFO: wrote report\n"),
+    }
+    ARGV = {
+        "detect-mips": ("--program", "fig2.mir"),
+        "compare": ("--program", "fig2.mir", "--analysis", "rd",
+                    "--no-timing"),
+        "oracle-check": ("--fixtures", "."),
+    }
+
+    @pytest.mark.parametrize("command", sorted(PROGRESS))
+    @pytest.mark.parametrize("level", ["error", "info", "debug"])
+    def test_stderr_lines(self, tmp_path, command, level):
+        (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
+        env = dict(os.environ, FPMFP_LOG=level,
+                   PYTHONPATH=str(Path(fpmfp.__file__).resolve().parent
+                                  .parent))
+        child = subprocess.run(
+            [sys.executable, "-m", "fpmfp.cli", command,
+             *self.ARGV[command], "--output", "report"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert child.returncode == 0
+        assert child.stdout == ""
+        assert child.stderr == ("" if level == "error"
+                                else self.PROGRESS[command])
+
+    def test_default_level_is_quiet(self, capsys, monkeypatch):
+        monkeypatch.delenv("FPMFP_LOG", raising=False)
+        code, _, err = run(capsys, "detect-mips", "--program", fix("fig2"))
+        assert (code, err) == (0, "")
+
+    def test_unknown_level_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FPMFP_LOG", "chatty")
+        code, out, err = run(capsys, "detect-mips", "--program",
+                             fix("fig2"))
+        assert (code, out) == (64, "")
+        assert err == ("fpmfp: FPMFP_LOG must be one of error, info, debug "
+                       "(got 'chatty')\n")
