@@ -210,6 +210,20 @@ class TestProgramIndex:
         assert program.node(6).statement.to_text() == "print a;"
 
 
+class TestRecords:
+    """CFG records are read-only values."""
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = fixture_program("fig2.mir").procedures[0].cfg
+        edge = cfg.edges[1]
+        statement = cfg.nodes[edge.source].statement
+        for record, field in ((edge, "target"), (edge, "label"),
+                              (statement, "var"), (statement, "kind")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert cfg.edges[1] == edge
+
+
 class TestRpo:
     def test_rpo_starts_at_start_node(self):
         cfg = fixture_program("fig2.mir").procedures[0].cfg

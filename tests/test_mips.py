@@ -554,3 +554,28 @@ class TestDeterminism:
             first = routes(detect_mips(program))
             for _ in range(3):
                 assert routes(detect_mips(program)) == first
+
+
+class TestRecords:
+    """Detection records are read-only values keyed by their content."""
+
+    def test_fields_cannot_be_assigned(self, load_program):
+        universe = detect(load_program("fig2"))
+        query = Query(3, "x", Interval1D(0, 0))
+        for record, field in ((query, "sat"), (query, "origin"),
+                              (universe.all[0], "edges"),
+                              (universe.all[0], "satisfies_p")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_equal_values_are_one_key(self):
+        keys = {Query(3, "x", Interval1D(0, 0)): 1,
+                Query(3, "x", Interval1D(0, 0)): 2,
+                Interval1D(-INF, 4): 3, Interval1D(-INF, 4): 4,
+                CoPoint(7): 5, CoPoint(7): 6}
+        assert list(keys.values()) == [2, 4, 6]
+
+    def test_sets_of_different_kinds_differ(self):
+        assert Interval1D(1, 1) != CoPoint(1)
+        assert Interval1D(0, 0) != CoPoint(0)
+        assert Query(3, "x", Interval1D(1, 1)) != Query(3, "x", CoPoint(1))
