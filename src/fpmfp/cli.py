@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -35,10 +34,10 @@ from pathlib import Path
 from . import EncodedDict, EncodedList, Memo, SolverError
 
 SCHEMA = 1
-LOG = logging.getLogger("fpmfp")
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
-               "debug": logging.DEBUG}
+_LOG_LEVELS = ("error", "info", "debug")
+# Whether ``_info`` lines are written: FPMFP_LOG is info or debug.
+_log_info = False
 # CLI analysis names; ``uninit`` is the alarm-facing alias of must-defined.
 _ANALYSIS_FOR_FLAG = {"rd": "rd", "uninit": "must-defined",
                       "interval": "interval"}
@@ -63,15 +62,18 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _setup_logging() -> None:
+    global _log_info
     raw = os.environ.get("FPMFP_LOG", "error")
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
+    if raw not in _LOG_LEVELS:
         raise _UsageError(
             f"FPMFP_LOG must be one of error, info, debug (got {raw!r})")
-    logging.basicConfig(
-        level=level, stream=sys.stderr,
-        format="fpmfp: %(levelname)s: %(message)s")
-    LOG.setLevel(level)
+    _log_info = raw != "error"
+
+
+def _info(fmt: str, *args) -> None:
+    """Write ``fpmfp: INFO: <fmt % args>`` to stderr if info is on."""
+    if _log_info:
+        sys.stderr.write(f"fpmfp: INFO: {fmt % args}\n")
 
 
 def _read_source(path) -> str:
@@ -93,7 +95,7 @@ def _load_program(path: str):
         program = parse_program(_read_source(path))
     except (ParseError, UnresolvedCall, UnreachableNode) as exc:
         raise _Failure(f"{path}: {exc}") from exc
-    LOG.info("parsed %s: %d procedure(s)", path, len(program.procedures))
+    _info("parsed %s: %d procedure(s)", path, len(program.procedures))
     return program
 
 
@@ -197,7 +199,7 @@ def _write_text(text: str, path: str | None) -> None:
             raise
     except OSError as exc:
         raise _Failure(f"cannot write {path}: {exc.strerror or exc}") from exc
-    LOG.info("wrote %s", dest)
+    _info("wrote %s", dest)
 
 
 def _parse_opts(text: str) -> frozenset[int]:
@@ -237,7 +239,7 @@ def _cmd_detect_mips(args: argparse.Namespace) -> int:
 
     program = _load_program(args.program)
     universe = detect_mips(program)
-    LOG.info("detected %d segment(s)", len(universe.all))
+    _info("detected %d segment(s)", len(universe.all))
     payload = {
         "schema": SCHEMA,
         "mips": [m.to_json() for m in universe.all],
@@ -470,8 +472,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     else:
         per_program = [_check_program(task) for task in tasks]
     violations = [record for group in per_program for record in group]
-    LOG.info("checked %d program(s): %d violation(s)",
-             len(tasks), len(violations))
+    _info("checked %d program(s): %d violation(s)",
+          len(tasks), len(violations))
     payload = {
         "schema": SCHEMA,
         "programs": len(tasks),

@@ -11,7 +11,6 @@ strictly more precise, along with wall times and pair statistics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .frontend import MiniIrProgram
@@ -115,22 +114,21 @@ def _percent_text(value: float | None) -> str:
     return "-" if value is None else f"{value:.1f}%"
 
 
-@dataclass(frozen=True)
 class _TwoModeReport:
     """One client's findings in both modes with their removal percentage.
 
     ``_noun`` names the findings in errors and ``_key`` in JSON; ``_order``
-    sorts them.
+    sorts them.  A report whose feasible-path findings are not a subset of
+    the plain ones is never built.
     """
 
-    mfp: tuple
-    fpmfp: tuple
-
-    def __post_init__(self) -> None:
-        if not set(self.fpmfp) <= set(self.mfp):
-            extra = sorted(set(self.fpmfp) - set(self.mfp))
+    def __init__(self, mfp: tuple, fpmfp: tuple) -> None:
+        if not set(fpmfp) <= set(mfp):
+            extra = sorted(set(fpmfp) - set(mfp))
             raise PrecisionViolation(
                 f"feasible-path mode invented {self._noun}: {extra}")
+        self.mfp = mfp
+        self.fpmfp = fpmfp
 
     @property
     def totals(self) -> dict[str, int]:
@@ -168,26 +166,20 @@ class _TwoModeReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class DefUseReport(_TwoModeReport):
     """Def-use pairs of both modes with their removal percentage."""
 
     _noun, _key, _order = "def-use pairs", "pairs", staticmethod(_use_order)
-    mfp: tuple[DefUse, ...]
-    fpmfp: tuple[DefUse, ...]
 
     def to_table(self) -> str:
         return self._table("def-use pairs", lambda p: (
             f"n{p.def_node} -> n{p.use_node}  {p.var}"))
 
 
-@dataclass(frozen=True)
 class UninitReport(_TwoModeReport):
     """Possibly-uninitialized-use alarms of both modes."""
 
     _noun, _key, _order = "alarms", "alarms", None
-    mfp: tuple[Alarm, ...]
-    fpmfp: tuple[Alarm, ...]
 
     def to_table(self) -> str:
         return self._table("uninitialized uses",
@@ -236,8 +228,7 @@ def _check_refines(analysis: Analysis, flat: dict[int, object],
     return rows
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Both modes on one program: values, strictness, times, pair stats.
 
     ``client`` is the def-use (rd) or alarm (must-defined) report of both

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
+from typing import NamedTuple
 
 
 class ParseError(SyntaxError):
@@ -55,8 +55,7 @@ class UnreachableNode(Exception):
 # Expressions and conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     """Arithmetic expression: a constant, a variable, or ``atom op atom``."""
 
     kind: str  # "const" | "var" | "bin"
@@ -92,8 +91,7 @@ MAX_NESTING = 200
 MAX_OPERANDS = 200
 
 
-@dataclass(frozen=True)
-class Cond:
+class Cond(NamedTuple):
     """Branch condition.
 
     ``op`` is a comparison ("<", "<=", ">", ">=", "==", "!="), "var" for a bare
@@ -148,8 +146,7 @@ class StKind(Enum):
     EXIT = "exit"
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     kind: StKind
     var: str | None = None  # assign/read target, switch selector
     expr: Expr | None = None  # assign rhs, print argument
@@ -204,8 +201,7 @@ class LabelKind(Enum):
     DEFAULT = "default"
 
 
-@dataclass(frozen=True)
-class EdgeLabel:
+class EdgeLabel(NamedTuple):
     kind: LabelKind
     value: int | None = None  # case constant
 
@@ -221,14 +217,12 @@ FALSE = EdgeLabel(LabelKind.FALSE)
 DEFAULT = EdgeLabel(LabelKind.DEFAULT)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     statement: Statement
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     source: int
     target: int
@@ -323,8 +317,7 @@ class Cfg:
         return self._back
 
 
-@dataclass
-class Procedure:
+class Procedure(NamedTuple):
     name: str
     params: tuple[str, ...]
     cfg: Cfg
@@ -421,13 +414,12 @@ class CallGraph:
         return {p: frozenset(v) for p, v in direct.items()}
 
 
-@dataclass
 class MiniIrProgram:
-    procedures: list[Procedure]
-    globals: frozenset[str]
-    externs: frozenset[str]
-
-    def __post_init__(self) -> None:
+    def __init__(self, procedures: list[Procedure], globals: frozenset[str],
+                 externs: frozenset[str]) -> None:
+        self.procedures = procedures
+        self.globals = globals
+        self.externs = externs
         self.by_name = {p.name: p for p in self.procedures}
         self.entry = self.procedures[0].name
         self._node_proc: dict[int, str] = {}
@@ -491,8 +483,7 @@ def _tokens(source: str) -> list[str]:
 # Parser (AST stage)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AstStmt:
+class AstStmt(NamedTuple):
     """A compound statement: a branch or loop with its blocks, or a switch
     with its arms.  A simple statement is parsed straight into the
     ``Statement`` its CFG node carries, so a block is a sequence of both;
@@ -511,8 +502,7 @@ class AstStmt:
 Block = Sequence["AstStmt | Statement"]
 
 
-@dataclass
-class AstProc:
+class AstProc(NamedTuple):
     name: str
     params: tuple[str, ...]
     body: Block
@@ -739,7 +729,7 @@ class _Parser:
         atomic = self.accept("@atomic_cond")
         self.operands = 0
         cond = self.parse_cond_or()
-        return replace(cond, atomic=True) if atomic else cond
+        return cond._replace(atomic=True) if atomic else cond
 
     def parse_cond_or(self) -> Cond:
         left = self.parse_cond_and()

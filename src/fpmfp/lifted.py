@@ -39,9 +39,8 @@ met folded call-site In values projected to globals (plus parameters).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import SolverError
 from .frontend import (
@@ -100,15 +99,15 @@ def fold(value: LiftedValue, analysis: Analysis):
     return _meet_all(value, analysis.meet, analysis.top())
 
 
-@dataclass
 class PairStats:
     """Pair-population bookkeeping across one solver run."""
 
-    max_pairs: int = 0
-    per_edge_max: dict[int, int] = field(default_factory=dict)
-    blocked: int = 0
-    end_merges: int = 0
-    value_shifts: int = 0
+    def __init__(self) -> None:
+        self.max_pairs = 0
+        self.per_edge_max: dict[int, int] = {}
+        self.blocked = 0
+        self.end_merges = 0
+        self.value_shifts = 0
 
 
 class _Flow:
@@ -338,8 +337,7 @@ def _fixpoint(
 # Gen/kill call summaries
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Summaries:
+class Summaries(NamedTuple):
     """Per-procedure call-transfer masks, projected to globals.
 
     A call to ``p`` transforms a set as ``(X & ~ksum[p]) | gsum[p]``.
@@ -430,7 +428,6 @@ def compute_lifted_summaries(
 # Solutions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FpmfpSolution:
     """Per-procedure lifted solution with its folded projection.
 
@@ -438,12 +435,17 @@ class FpmfpSolution:
     use.
     """
 
-    analysis: Analysis
-    cfg: Cfg
-    node_in: dict[int, LiftedValue]
-    edge_values: dict[int, LiftedValue]
-    folded_in: dict[int, object]
-    node_transfer: Callable
+    def __init__(self, analysis: Analysis, cfg: Cfg,
+                 node_in: dict[int, LiftedValue],
+                 edge_values: dict[int, LiftedValue],
+                 folded_in: dict[int, object],
+                 node_transfer: Callable) -> None:
+        self.analysis = analysis
+        self.cfg = cfg
+        self.node_in = node_in
+        self.edge_values = edge_values
+        self.folded_in = folded_in
+        self.node_transfer = node_transfer
 
     @cached_property
     def node_out(self) -> dict[int, LiftedValue]:
@@ -464,8 +466,7 @@ class FpmfpSolution:
                 for e, v in self.edge_values.items()}
 
 
-@dataclass
-class FpmfpProgramSolution:
+class FpmfpProgramSolution(NamedTuple):
     """Whole-program lifted solution."""
 
     analysis: Analysis

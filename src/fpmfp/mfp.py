@@ -12,8 +12,7 @@ need two pairs, and dropping a top pair changes no fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .frontend import CallGraph, MiniIrProgram
 from .lattice import Analysis, BitvectorAnalysis
@@ -33,8 +32,7 @@ def compute_summaries(program: MiniIrProgram, analysis: BitvectorAnalysis,
         call_graph=call_graph)
 
 
-@dataclass
-class MfpSolution:
+class MfpSolution(NamedTuple):
     """Plain node In and edge values: the folds of the one-pair values."""
 
     analysis: Analysis

@@ -24,8 +24,8 @@ work on plain sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .frontend import (
     CallGraph,
@@ -50,16 +50,14 @@ class EdgeNotInMips(ValueError):
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Interval1D:
+class Interval1D(NamedTuple):
     """Closed integer interval [lo, hi] with optionally infinite endpoints."""
 
     lo: float
     hi: float
 
 
-@dataclass(frozen=True)
-class CoPoint:
+class CoPoint(NamedTuple):
     """All integers except one."""
 
     k: int
@@ -127,8 +125,7 @@ def outcome_set(cond: Cond, taken: bool) -> OneDSet | None:
 # Queries and answers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """One conditional arm's question, propagated backwards.
 
     ``sat`` is the set of values of ``var`` that take the arm at ``origin``.
@@ -234,8 +231,7 @@ class _Resolver:
         return var in self.cg.may_modify[callee]
 
 
-@dataclass
-class Step1Result:
+class Step1Result(NamedTuple):
     """Backward propagation state: what each query reached.
 
     ``reached[query]`` maps every edge the query reached to that edge's
@@ -350,8 +346,7 @@ def _materialize(cfg, query: Query, start: set[int],
 # The universe of detected segments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mips:
+class Mips(NamedTuple):
     id: int
     proc: str
     edges: tuple[int, ...]

@@ -18,7 +18,7 @@ Both raise :class:`Explosion` instead of running unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .frontend import (
     Cfg,
@@ -40,8 +40,7 @@ class Explosion(RuntimeError):
 # Bounded path-tree meets with segment pruning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OracleMeets:
+class OracleMeets(NamedTuple):
     """Meets over explored feasible (segment-free) bounded paths."""
 
     node_in: dict[int, object]
@@ -160,8 +159,7 @@ def solution_semantics(solution, proc: Procedure):
 # Concrete execution over an input box
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Edge trail of one procedure activation."""
 
     proc: str
@@ -177,13 +175,14 @@ def contains_segment(trace_edges, segment_edges) -> bool:
                for i in range(len(trail) - span + 1))
 
 
-@dataclass
 class _Frame:
-    proc: Procedure
-    node: int
-    env: dict[str, int]
-    trace: list[int]
-    visits: dict[int, int] = field(default_factory=dict)
+    def __init__(self, proc: Procedure, node: int, env: dict[str, int],
+                 trace: list[int], visits: dict[int, int]) -> None:
+        self.proc = proc
+        self.node = node
+        self.env = env
+        self.trace = trace
+        self.visits = visits
 
 
 class _Machine:
@@ -196,7 +195,7 @@ class _Machine:
     @classmethod
     def initial(cls, program: MiniIrProgram):
         entry = program.by_name[program.entry]
-        frame = _Frame(entry, entry.cfg.start, {}, [])
+        frame = _Frame(entry, entry.cfg.start, {}, [], {})
         return cls(program, [frame], {})
 
     def fork(self) -> "_Machine":
@@ -376,7 +375,7 @@ def _advance_machine(machine: _Machine, loop_cap: int):
             else:
                 callee = program.by_name[st.callee]
                 machine.frames.append(
-                    _Frame(callee, callee.cfg.start, {}, []))
+                    _Frame(callee, callee.cfg.start, {}, [], {}))
         else:  # pragma: no cover - parser admits no other kinds
             raise AssertionError(st.kind)
     return machine.finish()
