@@ -463,11 +463,14 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         raise _UsageError("oracle-check needs --fixtures and/or --random N")
     tasks = [(name, text, args.max_length, args.max_loop)
              for name, text in sources]
-    if args.jobs > 1:
+    # A process pool starts all its workers at once: start no more than
+    # there are programs to check and CPUs to check them on.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.jobs) as pool:
+                max_workers=workers) as pool:
             per_program = list(pool.map(_check_program, tasks))
     else:
         per_program = [_check_program(task) for task in tasks]

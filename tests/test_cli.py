@@ -612,6 +612,44 @@ class TestOracleCheck:
                              str(FIXTURES), "--jobs", "4")
         assert serial == parallel
 
+    @pytest.mark.parametrize("programs, jobs, cpus, started", [
+        (1, 5000, 8, []), (3, 5000, 8, [3]), (3, 2, 8, [2]),
+        (3, 5000, 2, [2]), (3, 5000, None, []),
+    ])
+    def test_jobs_start_no_more_workers_than_programs_or_cpus(
+            self, capsys, monkeypatch, tmp_path, programs, jobs, cpus,
+            started):
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool:
+            """Records ``max_workers`` and checks in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        for name in ("fig2", "fig3", "loop")[:programs]:
+            (tmp_path / f"{name}.mir").write_text(fixture_text(name))
+        code, serial, _ = run(capsys, "oracle-check", "--fixtures",
+                              str(tmp_path))
+        assert (code, pools) == (0, [])
+        code, out, _ = run(capsys, "oracle-check", "--fixtures",
+                           str(tmp_path), "--jobs", str(jobs))
+        assert (code, out, pools) == (0, serial, started)
+
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, "oracle-check")
         assert code == 64
@@ -677,21 +715,23 @@ class TestStartup:
     """Each subcommand loads only the layers it runs.
 
     Every case runs ``cli.main`` in a fresh interpreter and lists the
-    ``fpmfp`` modules, and whether ``concurrent.futures``, are loaded
-    after it returns.
+    ``fpmfp`` modules, and which of the slow-to-import standard modules
+    in ``HEAVY``, are loaded after it returns.
     """
 
+    HEAVY = ["concurrent.futures", "dataclasses", "inspect", "logging"]
     SCRIPT = (
         "import json, sys\n"
         "from fpmfp import cli\n"
         "try:\n"
-        "    code = cli.main(sys.argv[1:])\n"
+        "    code = cli.main(sys.argv[2:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "print(json.dumps([code, sorted(\n"
         "    name.split('.', 1)[1] for name in sys.modules\n"
         "    if name.startswith('fpmfp.')),\n"
-        "    'concurrent.futures' in sys.modules]))\n"
+        "    [name for name in json.loads(sys.argv[1])\n"
+        "     if name in sys.modules]]))\n"
     )
     PACKAGE = Path(fpmfp.__file__).resolve().parent
     FRONT = ["cli", "frontend", "mips"]
@@ -700,14 +740,16 @@ class TestStartup:
     ORACLE = sorted({path.stem for path in PACKAGE.glob("*.py")}
                     - {"__init__", "clients"})
 
-    def loaded(self, tmp_path, *argv: str) -> tuple[list[str], bool]:
+    def loaded(self, tmp_path, *argv: str) -> tuple[list[str], list[str]]:
+        """The fpmfp modules and the ``HEAVY`` modules loaded."""
         env = dict(os.environ, PYTHONPATH=str(self.PACKAGE.parent))
         child = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,
-            text=True, env=env, cwd=tmp_path, timeout=120)
-        code, modules, futures = json.loads(child.stdout.splitlines()[-1])
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.HEAVY),
+             *argv], capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        code, modules, heavy = json.loads(child.stdout.splitlines()[-1])
         assert code in (0, None), child.stderr
-        return modules, futures
+        return modules, heavy
 
     @pytest.mark.parametrize("argv, expected", [
         (("--help",), ["cli"]),
@@ -720,21 +762,24 @@ class TestStartup:
     def test_program_commands(self, tmp_path, argv, expected):
         if argv != ("--help",):
             argv += ("--program", fix("fig2"), "--output", "report")
-        assert self.loaded(tmp_path, *argv) == (expected, False)
+        assert self.loaded(tmp_path, *argv) == (expected, [])
 
     def test_oracle_check(self, tmp_path):
         assert "progen" in self.ORACLE
         (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
         assert self.loaded(tmp_path, "oracle-check", "--fixtures", ".",
                            "--random", "1", "--output", "report") == (
-            self.ORACLE, False)
+            self.ORACLE, [])
 
     def test_only_jobs_load_the_process_pool(self, tmp_path):
-        (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
-        modules, futures = self.loaded(
+        """The pool, and the logging it imports, load only when two
+        programs can be checked on two CPUs."""
+        for name in ("fig2", "fig3"):
+            (tmp_path / f"{name}.mir").write_text(fixture_text(name))
+        modules, heavy = self.loaded(
             tmp_path, "oracle-check", "--fixtures", ".", "--jobs", "2",
             "--output", "report")
-        assert futures
+        assert ("concurrent.futures" in heavy) == ((os.cpu_count() or 1) > 1)
         assert "progen" not in modules
 
 

@@ -21,6 +21,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+# Standard modules that take milliseconds to import (``dataclasses`` pulls
+# in ``inspect``, ``dis`` and ``ast``; ``logging`` pulls in ``traceback``
+# and ``tokenize``), which every CLI run would pay before doing any work.
+SLOW_IMPORTS = {"dataclasses", "logging"}
+
+
+def test_no_slow_stdlib_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in SLOW_IMPORTS]
+    assert len(list(SRC.glob("*.py"))) > 1
+    assert found == []
+
+
 def test_benchmark_imports_resolve():
     """The traced benchmark run imports these layers' functions by name;
     an API it uses must not vanish without this failing."""
