@@ -683,7 +683,10 @@ class _Parser:
                 cases.append((value, body))
             elif self.accept("default"):
                 self.expect(":")
-                default = self.parse_block()
+                body = self.parse_block()
+                if default is not None:
+                    raise self.error("duplicate default", head)
+                default = body
             else:
                 raise self.error("expected 'case' or 'default'")
         if default is None:

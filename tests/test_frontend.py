@@ -345,6 +345,23 @@ class TestErrors:
                 "proc main() { switch (x) { default: { skip; } } }"
             )
 
+    def test_duplicate_default(self):
+        # A second default arm used to replace the first, whose statements
+        # then had no node.  The error is located at the switch keyword.
+        with pytest.raises(ParseError,
+                           match=r"^duplicate default \(line 1, col 23\)$"):
+            parse_program(
+                "proc main() { read s; switch (s) { case 1: { print s; } "
+                "default: { x = 1; } default: { y = 2; } } print x; }"
+            )
+
+    def test_duplicate_default_after_bad_arm_keeps_arm_error(self):
+        with pytest.raises(ParseError, match="expected expression"):
+            parse_program(
+                "proc main() { switch (s) { case 1: { skip; } "
+                "default: { skip; } default: { x = ; } } }"
+            )
+
     def test_unresolved_call(self):
         with pytest.raises(UnresolvedCall):
             parse_program("proc main() { ghost(); }")
