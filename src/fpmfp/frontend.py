@@ -20,7 +20,7 @@ statement no path reaches, ``UnreachableNode``.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from itertools import islice
 from typing import NamedTuple
@@ -354,38 +354,50 @@ class CallGraph:
         self.may_modify = self._modify_sets(program)
 
     def _tarjan(self, names: list[str]) -> list[tuple[str, ...]]:
-        """SCCs in bottom-up (callees-first) order."""
+        """SCCs in bottom-up (callees-first) order.
+
+        The depth-first search keeps its own stack of (procedure, iterator
+        over its sorted callees), so a call chain of any length fits.
+        """
         index: dict[str, int] = {}
         low: dict[str, int] = {}
         on: set[str] = set()
         stack: list[str] = []
+        work: list[tuple[str, Iterator[str]]] = []
         out: list[tuple[str, ...]] = []
-        counter = [0]
 
-        def strong(v: str) -> None:
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
+        def visit(v: str) -> None:
+            index[v] = low[v] = len(index)
             stack.append(v)
             on.add(v)
-            for w in sorted(self.callees[v]):
-                if w not in index:
-                    strong(w)
-                    low[v] = min(low[v], low[w])
-                elif w in on:
-                    low[v] = min(low[v], index[w])
-            if low[v] == index[v]:
-                scc: list[str] = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                out.append(tuple(sorted(scc)))
+            work.append((v, iter(sorted(self.callees[v]))))
 
         for name in names:
-            if name not in index:
-                strong(name)
+            if name in index:
+                continue
+            visit(name)
+            while work:
+                v, callees = work[-1]
+                for w in callees:
+                    if w not in index:
+                        visit(w)
+                        break
+                    if w in on:
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[v])
+                    if low[v] == index[v]:
+                        scc: list[str] = []
+                        while True:
+                            w = stack.pop()
+                            on.discard(w)
+                            scc.append(w)
+                            if w == v:
+                                break
+                        out.append(tuple(sorted(scc)))
         return out
 
     def _modify_sets(self, program: "MiniIrProgram") -> dict[str, frozenset[str]]:

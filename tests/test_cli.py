@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import fpmfp
 from fpmfp import cli, clients, lifted, mfp, mips, oracle, progen
 from fpmfp.cli import main
+from fpmfp.frontend import MAX_NESTING, MAX_OPERANDS
 from fpmfp.lattice import INF, make_analysis
 
 from conftest import FIXTURES, fixture_program, fixture_text
@@ -709,6 +710,53 @@ class TestDumpDot:
         assert code == 0
         assert "subgraph cluster_0" in out
         assert "subgraph cluster_1" in out
+
+
+class TestDeepInputs:
+    """Inputs at the front end's bounds, and a call chain longer than the
+    recursion limit, run in a fresh interpreter, whose stack starts as
+    shallow as a user's, and exit 0."""
+
+    @staticmethod
+    def nested(op: str, head: str) -> str:
+        """A ``MAX_OPERANDS``-operand condition in an ``if`` inside the
+        procedure body and ``MAX_NESTING - 2`` nested ``head`` blocks, so
+        the ``if``'s own block is ``MAX_NESTING`` levels deep."""
+        cond = f" {op} ".join(f"x > {i}" for i in range(MAX_OPERANDS))
+        levels = MAX_NESTING - 2
+        return ("proc main() { read x; " + f"{head} (x > 0) {{ " * levels
+                + f"if ({cond}) {{ print x; }} " + "} " * levels + "}")
+
+    @staticmethod
+    def chain(length: int) -> str:
+        return "\n".join(
+            f"proc p{i}() {{ x = {i}; p{i + 1}(); }}" for i in range(length - 1)
+        ) + f"\nproc p{length - 1}() {{ x = 0; }}\n"
+
+    def run_child(self, tmp_path, source: str, *argv: str) -> None:
+        (tmp_path / "deep.mir").write_text(source)
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(fpmfp.__file__).resolve().parent.parent))
+        child = subprocess.run(
+            [sys.executable, "-m", "fpmfp.cli", *argv, "--program",
+             "deep.mir", "--output", "report"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=300)
+        assert child.returncode == 0, child.stderr[-2000:]
+
+    @pytest.mark.parametrize("op, head", [("&&", "if"), ("||", "while")])
+    @pytest.mark.parametrize("argv", [
+        ("dump-dot",), ("compare", "--analysis", "interval"),
+    ], ids=" ".join)
+    def test_deepest_condition(self, tmp_path, op, head, argv):
+        self.run_child(tmp_path, self.nested(op, head), *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("detect-mips",), ("compare", "--analysis", "rd"),
+        ("compare", "--analysis", "interval"),
+    ], ids=" ".join)
+    def test_long_call_chain(self, tmp_path, argv):
+        self.run_child(tmp_path, self.chain(1200), *argv)
 
 
 class TestStartup:
