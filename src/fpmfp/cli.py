@@ -298,8 +298,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.mode == "mfp":
         solution = solve_mfp(program, analysis)
         outs = {
-            nid: solution.node_transfer(program.node(nid), value)
-            for nid, value in solution.node_in.items()
+            nid: solution.node_transfer(node, solution.node_in[nid])
+            for proc in program.procedures
+            for nid, node in proc.cfg.nodes.items()
         }
         payload = {
             "schema": SCHEMA,

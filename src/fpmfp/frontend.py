@@ -3,24 +3,24 @@
 A program is a sequence of ``global``/``extern`` declarations followed by
 procedures.  Each statement becomes one CFG node (a compound ``&&``/``||``
 condition one node per operand); every procedure gets a single synthetic exit
-node.  Each CFG is built in one pass over the procedure body in source order,
-so node and edge ids are global, 1-based, and deterministic: nodes are
-numbered in source-statement order (procedures in file order, nested bodies
-inline, the exit node after the body), and edges are numbered by scanning
-nodes in id order and emitting each node's out-edges in a canonical order
-(true arm before false arm; switch cases in source order, default last).  A
-node's out-edges are made with the node; one whose target comes later stays
-*dangling* until that target is allocated.  The start node must have no
-incoming edges: when the body is empty or its first node is an edge target
-(a loop head), a ``skip`` start node is added after the exit node.  A call to
-a procedure neither defined nor declared extern raises ``UnresolvedCall``; a
-statement no path reaches, ``UnreachableNode``.
+node.  Each CFG is built while its procedure is parsed, with no syntax tree
+in between, so node and edge ids are global, 1-based, and deterministic:
+nodes are numbered in source-statement order (procedures in file order,
+nested bodies inline, the exit node after the body), and edges are numbered
+by scanning nodes in id order and emitting each node's out-edges in a
+canonical order (true arm before false arm; switch cases in source order,
+default last).  A node's out-edges are made with the node; one whose target
+comes later stays *dangling* until that target is allocated.  The start
+node must have no incoming edges: when the body is empty or its first node
+is an edge target (a loop head), a ``skip`` start node is added after the
+exit node.  A call to a procedure neither defined nor declared extern raises
+``UnresolvedCall``; a statement no path reaches, ``UnreachableNode``.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from enum import Enum
 from itertools import islice
 from typing import NamedTuple
@@ -81,13 +81,13 @@ class Expr(NamedTuple):
 
 
 CONST_EXPR_OPS = {"+", "-", "*"}
-# Deepest block nesting the parser accepts.  Parsing and CFG construction
-# recurse once per level, so the bound keeps them well inside Python's
-# default recursion limit.
+# Deepest block nesting the parser accepts.  The descent, which builds the
+# CFG as it parses, recurses once per level, so the bound keeps it well
+# inside Python's default recursion limit.
 MAX_NESTING = 200
 # Most operands one ``&&``/``||`` condition may have.  Conditions are wired
 # and compared by recursion once per operand; the bound keeps that inside
-# the recursion limit, also at the deepest nesting.
+# the recursion limit, also on top of the deepest nesting.
 MAX_OPERANDS = 200
 
 
@@ -321,7 +321,6 @@ class Procedure(NamedTuple):
     name: str
     params: tuple[str, ...]
     cfg: Cfg
-    body: list  # AST block, kept for pretty-printing
 
 
 class CallGraph:
@@ -347,10 +346,6 @@ class CallGraph:
                 self.callers[c].add(proc.name)
         self.extern_callees = {p: frozenset(v) for p, v in extern_called.items()}
         self.sccs = self._tarjan([p.name for p in program.procedures])
-        self.recursive: frozenset[str] = frozenset(
-            name for scc in self.sccs for name in scc
-            if len(scc) > 1 or name in self.callees[name]
-        )
         self.may_modify = self._modify_sets(program)
 
     def _tarjan(self, names: list[str]) -> list[tuple[str, ...]]:
@@ -434,16 +429,6 @@ class MiniIrProgram:
         self.externs = externs
         self.by_name = {p.name: p for p in self.procedures}
         self.entry = self.procedures[0].name
-        self._node_proc: dict[int, str] = {}
-        for proc in self.procedures:
-            for nid in proc.cfg.nodes:
-                self._node_proc[nid] = proc.name
-
-    def proc_of_node(self, node_id: int) -> Procedure:
-        return self.by_name[self._node_proc[node_id]]
-
-    def node(self, node_id: int) -> Node:
-        return self.proc_of_node(node_id).cfg.nodes[node_id]
 
 
 # ---------------------------------------------------------------------------
@@ -492,36 +477,20 @@ def _tokens(source: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (AST stage)
+# Parser and CFG construction
 # ---------------------------------------------------------------------------
 
-class AstStmt(NamedTuple):
-    """A compound statement: a branch or loop with its blocks, or a switch
-    with its arms.  A simple statement is parsed straight into the
-    ``Statement`` its CFG node carries, so a block is a sequence of both;
-    a block a statement does not have is the empty tuple."""
-
-    kind: StKind
-    var: str | None = None  # switch selector
-    cond: Cond | None = None
-    is_loop: bool = False
-    body: Block = ()
-    orelse: Block = ()
-    cases: Sequence[tuple[int, Block]] = ()
-    default: Block = ()
-
-
-Block = Sequence["AstStmt | Statement"]
-
-
-class AstProc(NamedTuple):
-    name: str
-    params: tuple[str, ...]
-    body: Block
-
-
 class _Parser:
-    """Recursive descent over token texts; ``""`` is the end of input."""
+    """Recursive descent over token texts that builds each procedure's CFG
+    as it goes; ``""`` is the end of input.
+
+    Each statement's node is allocated when the descent reaches it, together
+    with its out-slots ``[label, target]`` in canonical order.  A slot whose
+    target is not known yet is *dangling*: block and statement parsers take
+    the dangling slots that enter them and return those that leave, and
+    each is pointed at the next node allocated, at the loop head for the end
+    of a loop body, or at the exit node for ``exit;``.
+    """
 
     def __init__(self, source: str) -> None:
         self.source = source
@@ -529,6 +498,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.operands = 0  # operands of the condition being parsed
+        self.next_node = 1
+        self.next_edge = 1
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -565,12 +536,24 @@ class _Parser:
             return True
         return False
 
+    def node(self, statement: Statement, dangling: list[list],
+             *labels: EdgeLabel) -> list[list]:
+        """Allocate a node entered by ``dangling``; returns its out-slots,
+        one new dangling slot per label."""
+        nid = self.next_node
+        self.next_node += 1
+        self.nodes[nid] = Node(nid, statement)
+        for slot in dangling:
+            slot[1] = nid
+        self.slots[nid] = out = [[label, None] for label in labels]
+        return out
+
     # -- program structure ------------------------------------------------
 
-    def parse_program(self) -> tuple[list[AstProc], set[str], set[str]]:
+    def parse_program(self) -> tuple[list[Procedure], set[str], set[str]]:
         globals_: set[str] = set()
         externs: set[str] = set()
-        procs: list[AstProc] = []
+        procs: list[Procedure] = []
         while (tok := self.peek()) != "":
             if tok in ("global", "extern"):
                 self.next()
@@ -585,7 +568,7 @@ class _Parser:
             raise self.error("program has no procedures")
         return procs, globals_, externs
 
-    def parse_proc(self) -> AstProc:
+    def parse_proc(self) -> Procedure:
         self.expect("proc")
         name = self.expect_name()
         self.expect("(")
@@ -595,122 +578,174 @@ class _Parser:
             while self.accept(","):
                 params.append(self.expect_name())
         self.expect(")")
-        return AstProc(name, tuple(params), self.parse_block())
+        self.nodes: dict[int, Node] = {}
+        self.slots: dict[int, list[list]] = {}  # in node id order
+        self.exits: list[list] = []  # the slots of ``exit;`` statements
+        entry = self.next_node
+        dangling = self.parse_block([])
+        exit_id = self.next_node
+        self.node(Statement(StKind.EXIT), dangling + self.exits)
 
-    def parse_block(self) -> Block:
+        # The start node must have no incoming edges; synthesize one if the
+        # body is empty or its first node is a slot target (a loop head).
+        if entry == exit_id or any(target == entry
+                                   for slots in self.slots.values()
+                                   for _, target in slots):
+            (slot,) = self.node(Statement(StKind.SKIP), [], NO_LABEL)
+            slot[1], entry = entry, exit_id + 1
+
+        # Edge ids: nodes in id order, each node's slots in canonical order.
+        edges: dict[int, Edge] = {}
+        for nid, slots in self.slots.items():
+            for label, target in slots:
+                edges[self.next_edge] = Edge(self.next_edge, nid, target, label)
+                self.next_edge += 1
+        cfg = Cfg(name, self.nodes, edges, entry, exit_id)
+        return Procedure(name, tuple(params), cfg)
+
+    def parse_block(self, dangling: list[list]) -> list[list]:
         brace = self.pos
         self.expect("{")
         if self.depth == MAX_NESTING:
             raise self.error(f"blocks nested deeper than {MAX_NESTING}",
                              brace)
         self.depth += 1
-        stmts: list[AstStmt | Statement] = []
         while not self.accept("}"):
             if self.peek() == "":
                 raise self.error("unterminated block")
-            stmts.append(self.parse_stmt())
+            dangling = self.parse_stmt(dangling)
         self.depth -= 1
-        return stmts
+        return dangling
 
     # -- statements -------------------------------------------------------
 
-    def parse_stmt(self) -> AstStmt | Statement:
+    def parse_stmt(self, dangling: list[list]) -> list[list]:
         tok = self.peek()
         if tok in KEYWORDS:
             handler = getattr(self, f"_stmt_{tok}", None)
             if handler is None:
                 raise self.error(f"unexpected keyword {tok!r}")
-            return handler()
+            return handler(dangling)
         if _is_name(tok):
             self.next()
             if self.accept("("):
                 self.expect(")")
                 self.expect(";")
-                return Statement(StKind.CALL, callee=tok)
-            self.expect("=")
-            expr = self.parse_expr()
-            self.expect(";")
-            return Statement(StKind.ASSIGN, var=tok, expr=expr)
+                statement = Statement(StKind.CALL, callee=tok)
+            else:
+                self.expect("=")
+                expr = self.parse_expr()
+                self.expect(";")
+                statement = Statement(StKind.ASSIGN, var=tok, expr=expr)
+            return self.node(statement, dangling, NO_LABEL)
         raise self.error(f"unexpected token {tok!r}")
 
-    def _stmt_read(self) -> Statement:
+    def _stmt_read(self, dangling: list[list]) -> list[list]:
         self.next()
         var = self.expect_name()
         self.expect(";")
-        return Statement(StKind.READ, var=var)
+        return self.node(Statement(StKind.READ, var=var), dangling, NO_LABEL)
 
-    def _stmt_print(self) -> Statement:
+    def _stmt_print(self, dangling: list[list]) -> list[list]:
         self.next()
         expr = self.parse_expr()
         self.expect(";")
-        return Statement(StKind.PRINT, expr=expr)
+        return self.node(Statement(StKind.PRINT, expr=expr), dangling,
+                         NO_LABEL)
 
-    def _stmt_assert(self) -> Statement:
+    def _stmt_assert(self, dangling: list[list]) -> list[list]:
         self.next()
         self.expect("(")
         cond = self.parse_cond()
         self.expect(")")
         self.expect(";")
-        return Statement(StKind.ASSERT, cond=cond)
+        return self.node(Statement(StKind.ASSERT, cond=cond), dangling,
+                         NO_LABEL)
 
-    def _stmt_if(self) -> AstStmt:
+    def _stmt_if(self, dangling: list[list]) -> list[list]:
         self.next()
         self.expect("(")
         cond = self.parse_cond()
         self.expect(")")
-        body = self.parse_block()
-        orelse = self.parse_block() if self.accept("else") else ()
-        return AstStmt(StKind.BRANCH, cond=cond, body=body, orelse=orelse)
+        true, false = self.branch(cond, dangling)
+        out = self.parse_block(true)
+        if self.accept("else"):
+            return out + self.parse_block(false)
+        return out + false
 
-    def _stmt_while(self) -> AstStmt:
-        head = self.pos
+    def branch(self, cond: Cond,
+               dangling: list[list]) -> tuple[list[list], list[list]]:
+        """One node per operand of a compound condition, in source order,
+        wired by short-circuit: ``a && b`` enters b on a's TRUE arm,
+        ``a || b`` on its FALSE arm.  Returns the (true, false) slots."""
+        if cond.op in ("&&", "||") and not cond.atomic:
+            true, false = self.branch(cond.left, dangling)
+            if cond.op == "&&":
+                right_true, right_false = self.branch(cond.right, true)
+                return right_true, false + right_false
+            right_true, right_false = self.branch(cond.right, false)
+            return true + right_true, right_false
+        true, false = self.node(Statement(StKind.BRANCH, cond=cond),
+                                dangling, TRUE, FALSE)
+        return [true], [false]
+
+    def _stmt_while(self, dangling: list[list]) -> list[list]:
+        at = self.pos
         self.next()
         self.expect("(")
         cond = self.parse_cond()
         self.expect(")")
         if not (cond.is_simple() or cond.atomic):
-            raise self.error("compound loop condition; use @atomic_cond",
-                             head)
-        body = self.parse_block()
-        return AstStmt(StKind.BRANCH, cond=cond, body=body, is_loop=True)
+            raise self.error("compound loop condition; use @atomic_cond", at)
+        head = self.next_node
+        true, false = self.node(
+            Statement(StKind.BRANCH, cond=cond, is_loop=True), dangling,
+            TRUE, FALSE)
+        for slot in self.parse_block([true]):
+            slot[1] = head
+        return [false]
 
-    def _stmt_switch(self) -> AstStmt:
-        head = self.pos
+    def _stmt_switch(self, dangling: list[list]) -> list[list]:
+        """The switch node's slots grow by one per arm as the arms are
+        parsed, so cases stay in source order and the default comes last."""
+        at = self.pos
         self.next()
         self.expect("(")
         var = self.expect_name()
         self.expect(")")
         self.expect("{")
-        cases: list[tuple[int, Block]] = []
-        default: Block | None = None
+        arms = self.node(Statement(StKind.SWITCH, var=var), dangling)
+        out: list[list] = []
         while not self.accept("}"):
             if self.accept("case"):
-                value = self.parse_int()
-                self.expect(":")
-                body = self.parse_block()
-                if default is not None:
-                    raise self.error("case after default", head)
-                if any(value == v for v, _ in cases):
-                    raise self.error(f"duplicate case {value}", head)
-                cases.append((value, body))
+                label = EdgeLabel(LabelKind.CASE, self.parse_int())
             elif self.accept("default"):
-                self.expect(":")
-                body = self.parse_block()
-                if default is not None:
-                    raise self.error("duplicate default", head)
-                default = body
+                label = DEFAULT
             else:
                 raise self.error("expected 'case' or 'default'")
-        if default is None:
-            raise self.error("switch without default arm", head)
-        if not cases:
-            raise self.error("switch needs at least one case", head)
-        return AstStmt(StKind.SWITCH, var=var, cases=cases, default=default)
+            self.expect(":")
+            arm = [label, None]
+            out += self.parse_block([arm])
+            if arms and arms[-1][0] == DEFAULT:
+                raise self.error("duplicate default" if label == DEFAULT
+                                 else "case after default", at)
+            if any(label == seen for seen, _ in arms):
+                raise self.error(f"duplicate case {label.value}", at)
+            arms.append(arm)
+        if not arms or arms[-1][0] != DEFAULT:
+            raise self.error("switch without default arm", at)
+        if len(arms) == 1:
+            raise self.error("switch needs at least one case", at)
+        return out
 
-    def _stmt_skip(self) -> Statement:
+    def _stmt_skip(self, dangling: list[list]) -> list[list]:
         kind = StKind(self.next())  # "skip" or "exit"
         self.expect(";")
-        return Statement(kind)
+        out = self.node(Statement(kind), dangling, NO_LABEL)
+        if kind == StKind.EXIT:
+            self.exits += out
+            return []
+        return out
 
     _stmt_exit = _stmt_skip
 
@@ -775,113 +810,6 @@ class _Parser:
         return Cond("var", var=var)
 
 
-# ---------------------------------------------------------------------------
-# CFG construction
-# ---------------------------------------------------------------------------
-
-class _CfgBuilder:
-    """One pass over a procedure body in source order.
-
-    Each statement's node is allocated when the walk reaches it, together
-    with its out-slots ``[label, target]`` in canonical order.  A slot
-    whose target is not known yet is *dangling*: it is handed on and
-    pointed at the next node allocated, at the loop head for the end of a
-    loop body, or at the exit node for ``exit;``.
-    """
-
-    def __init__(self, next_node: int) -> None:
-        self.next_node = next_node
-        self.nodes: dict[int, Node] = {}
-        self.slots: dict[int, list[list]] = {}  # in node id order
-        self.exits: list[list] = []  # the slots of ``exit;`` statements
-
-    def node(self, statement: Statement, dangling: list[list],
-             *labels: EdgeLabel) -> tuple[int, list[list]]:
-        """Allocate a node entered by ``dangling``; returns its id and one
-        new dangling slot per label."""
-        nid = self.next_node
-        self.next_node += 1
-        self.nodes[nid] = Node(nid, statement)
-        for slot in dangling:
-            slot[1] = nid
-        self.slots[nid] = out = [[label, None] for label in labels]
-        return nid, out
-
-    def block(self, block: Block, dangling: list[list]) -> list[list]:
-        for stmt in block:
-            dangling = self.stmt(stmt, dangling)
-        return dangling
-
-    def stmt(self, stmt: AstStmt | Statement,
-             dangling: list[list]) -> list[list]:
-        kind = stmt.kind
-        if kind == StKind.BRANCH:
-            head = self.next_node
-            true, false = self.cond(stmt.cond, stmt.is_loop, dangling)
-            if not stmt.is_loop:
-                return (self.block(stmt.body, true)
-                        + self.block(stmt.orelse, false))
-            for slot in self.block(stmt.body, true):
-                slot[1] = head
-            return false
-        if kind == StKind.SWITCH:
-            _, out = self.node(
-                Statement(StKind.SWITCH, var=stmt.var), dangling,
-                *(EdgeLabel(LabelKind.CASE, value) for value, _ in stmt.cases),
-                DEFAULT)
-            arms = [body for _, body in stmt.cases] + [stmt.default]
-            return [slot for arm, entry in zip(arms, out)
-                    for slot in self.block(arm, [entry])]
-        _, out = self.node(stmt, dangling, NO_LABEL)
-        if kind == StKind.EXIT:
-            self.exits += out
-            return []
-        return out
-
-    def cond(self, cond: Cond, is_loop: bool,
-             dangling: list[list]) -> tuple[list[list], list[list]]:
-        """One node per operand of a compound condition, in source order,
-        wired by short-circuit: ``a && b`` enters b on a's TRUE arm,
-        ``a || b`` on its FALSE arm.  Returns the (true, false) slots."""
-        if cond.op in ("&&", "||") and not cond.atomic:
-            true, false = self.cond(cond.left, is_loop, dangling)
-            if cond.op == "&&":
-                right_true, right_false = self.cond(cond.right, is_loop, true)
-                return right_true, false + right_false
-            right_true, right_false = self.cond(cond.right, is_loop, false)
-            return true + right_true, right_false
-        _, (true, false) = self.node(
-            Statement(StKind.BRANCH, cond=cond, is_loop=is_loop), dangling,
-            TRUE, FALSE)
-        return [true], [false]
-
-
-def _build_cfg(proc: AstProc, next_node: int, next_edge: int) -> tuple[Cfg, int, int]:
-    builder = _CfgBuilder(next_node)
-    dangling = builder.block(proc.body, [])
-    exit_id, _ = builder.node(Statement(StKind.EXIT), dangling + builder.exits)
-
-    # The start node must have no incoming edges; synthesize one if the body
-    # is empty or its first node is a wire target (a loop head).
-    entry = next_node
-    if entry == exit_id or any(target == entry
-                               for slots in builder.slots.values()
-                               for _, target in slots):
-        start_id, (slot,) = builder.node(Statement(StKind.SKIP), [], NO_LABEL)
-        slot[1] = entry
-        entry = start_id
-
-    # Edge ids: nodes in id order, each node's slots in canonical order.
-    edges: dict[int, Edge] = {}
-    eid = next_edge
-    for nid, slots in builder.slots.items():
-        for label, target in slots:
-            edges[eid] = Edge(eid, nid, target, label)
-            eid += 1
-    cfg = Cfg(proc.name, builder.nodes, edges, entry, exit_id)
-    return cfg, builder.next_node, eid
-
-
 def _validate(program: MiniIrProgram) -> None:
     defined = {p.name for p in program.procedures}
     for proc in program.procedures:
@@ -899,16 +827,11 @@ def _validate(program: MiniIrProgram) -> None:
 
 def parse_program(source: str) -> MiniIrProgram:
     """Parse MiniIR source into a validated program with CFGs."""
-    procs, globals_, externs = _Parser(source).parse_program()
-    names = [p.name for p in procs]
+    procedures, globals_, externs = _Parser(source).parse_program()
+    names = [p.name for p in procedures]
     if len(names) != len(set(names)):
         dup = next(n for n in names if names.count(n) > 1)
         raise ParseError(f"duplicate procedure '{dup}'", 1, 1)
-    procedures: list[Procedure] = []
-    next_node, next_edge = 1, 1
-    for ast in procs:
-        cfg, next_node, next_edge = _build_cfg(ast, next_node, next_edge)
-        procedures.append(Procedure(ast.name, ast.params, cfg, ast.body))
     program = MiniIrProgram(procedures, frozenset(globals_), frozenset(externs))
     _validate(program)
     return program

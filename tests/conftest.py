@@ -1,4 +1,5 @@
-"""Shared test helpers: fixture loading and parsed-program caching."""
+"""Shared test helpers: fixture loading, parsed-program caching and node
+lookup by id."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fpmfp.frontend import MiniIrProgram, parse_program
+from fpmfp.frontend import MiniIrProgram, Node, parse_program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,6 +22,12 @@ def fixture_text(name: str) -> str:
 @lru_cache(maxsize=None)
 def fixture_program(name: str) -> MiniIrProgram:
     return parse_program(fixture_text(name))
+
+
+def node_of(program: MiniIrProgram, nid: int) -> Node:
+    """The node with id ``nid``, in whichever procedure has it."""
+    return next(proc.cfg.nodes[nid] for proc in program.procedures
+                if nid in proc.cfg.nodes)
 
 
 @pytest.fixture

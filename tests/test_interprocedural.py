@@ -20,6 +20,9 @@ from fpmfp.mips import detect_mips
 from fpmfp.oracle import mips_free_meets, solution_semantics
 from fpmfp.progen import generate_multi_program
 
+from conftest import node_of
+
+
 def chain_program(depth: int) -> str:
     """``main`` calls p0 and each p_i calls p_(i+1), ``depth`` deep.
 
@@ -154,7 +157,7 @@ class TestWorklistDriver:
     def test_solutions_keep_the_transfer_they_were_solved_with(self):
         program = parse_program(SELF_ASCENT)
         an = make_analysis("interval", program)
-        call = program.node(2)
+        call = node_of(program, 2)
         for sol in (solve_mfp(program, an), solve_fpmfp_interprocedural(
                 program, an, detect_mips(program))):
             assert sol.node_transfer(call, {"g": (0, 0)}) == {

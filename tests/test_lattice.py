@@ -30,7 +30,7 @@ from fpmfp.mfp import solve_mfp
 from fpmfp.mips import detect_mips
 from fpmfp.progen import generate_multi_program
 
-from conftest import FIXTURES, fixture_program
+from conftest import FIXTURES, fixture_program, node_of
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ class TestReachingDefinitions:
     def test_transfer_kills_same_variable(self):
         program = fixture_program("fig2.mir")
         rd = ReachingDefinitions(program)
-        n3 = program.node(3)
+        n3 = node_of(program, 3)
         before = rd.gen[1]  # {(a, 1)}
         after = rd.transfer(n3, before)
         assert rd.decode(after) == [("a", 3)]
@@ -84,7 +84,7 @@ class TestReachingDefinitions:
         rd = ReachingDefinitions(program)
         value = rd.gen[1] | rd.gen[3]
         for nid in (2, 4, 5, 6, 7):
-            assert rd.transfer(program.node(nid), value) == value
+            assert rd.transfer(node_of(program, nid), value) == value
 
     def test_lattice_orientation(self):
         rd = ReachingDefinitions(fixture_program("fig2.mir"))
@@ -134,7 +134,7 @@ class TestMustDefined:
     def test_assign_defines(self):
         program = fixture_program("fig2.mir")
         md = MustDefined(program)
-        after = md.transfer(program.node(1), 0)
+        after = md.transfer(node_of(program, 1), 0)
         assert md.decode(after) == ["a"]
 
     def test_callee_boundary_projects_globals(self):
@@ -157,30 +157,30 @@ class TestIntervalEval:
     def test_transfer_assign_const(self):
         program = fixture_program("fig2.mir")
         ia = IntervalAnalysis(program)
-        out = ia.transfer(program.node(1), {"x": (-INF, INF)})
+        out = ia.transfer(node_of(program, 1), {"x": (-INF, INF)})
         assert out == {"x": (-INF, INF), "a": (0, 0)}
 
     def test_transfer_var_plus_const(self):
         program = fixture_program("fig2.mir")
         ia = IntervalAnalysis(program)
-        out = ia.transfer(program.node(3), {"a": (0, 0)})
+        out = ia.transfer(node_of(program, 3), {"a": (0, 0)})
         assert out["a"] == (5, 5)
 
     def test_transfer_with_empty_operand_clears_target(self):
         program = fixture_program("fig2.mir")
         ia = IntervalAnalysis(program)
-        out = ia.transfer(program.node(3), {"x": (1, 2)})  # a absent
+        out = ia.transfer(node_of(program, 3), {"x": (1, 2)})  # a absent
         assert "a" not in out
 
     def test_read_gives_unknown(self):
         program = fixture_program("fig12.mir")
         ia = IntervalAnalysis(program)
-        out = ia.transfer(program.node(4), {"a": (0, 0)})
+        out = ia.transfer(node_of(program, 4), {"a": (0, 0)})
         assert out["a"] == (-INF, INF)
 
     def test_eval_subtraction(self):
         program = parse_program("proc m() { d = a - b; print d; }")
-        node = program.node(1)
+        node = node_of(program, 1)
         ia = IntervalAnalysis(program)
         out = ia.transfer(node, {"a": (0, 10), "b": (2, 3)})
         assert out["d"] == (-3, 8)
@@ -188,13 +188,13 @@ class TestIntervalEval:
     def test_eval_point_multiplication(self):
         program = parse_program("proc m() { d = a * b; print d; }")
         ia = IntervalAnalysis(program)
-        out = ia.transfer(program.node(1), {"a": (3, 3), "b": (4, 4)})
+        out = ia.transfer(node_of(program, 1), {"a": (3, 3), "b": (4, 4)})
         assert out["d"] == (12, 12)
 
     def test_eval_wide_multiplication(self):
         program = parse_program("proc m() { d = a * b; print d; }")
         ia = IntervalAnalysis(program)
-        out = ia.transfer(program.node(1), {"a": (1, 3), "b": (4, 4)})
+        out = ia.transfer(node_of(program, 1), {"a": (1, 3), "b": (4, 4)})
         assert out["d"] == (-INF, INF)
 
 
@@ -348,8 +348,8 @@ class TestMonotonicity:
         ia = IntervalAnalysis(program)
         lower = interval_meet(a, b)  # lower <= a
         for nid in (1, 3, 4):
-            fa = ia.transfer(program.node(nid), a)
-            flow = ia.transfer(program.node(nid), lower)
+            fa = ia.transfer(node_of(program, nid), a)
+            flow = ia.transfer(node_of(program, nid), lower)
             assert interval_leq(flow, fa)
 
     @given(interval_values(), interval_values())
