@@ -300,8 +300,8 @@ class TestErrors:
             )
 
     def test_duplicate_default(self):
-        # A second default arm used to replace the first, whose statements
-        # then had no node.  The error is located at the switch keyword.
+        # Accepted, a second default arm would replace the first, whose
+        # statements would get no node.  Located at the switch keyword.
         with pytest.raises(ParseError,
                            match=r"^duplicate default \(line 1, col 23\)$"):
             parse_program(
@@ -310,6 +310,7 @@ class TestErrors:
             )
 
     def test_duplicate_default_after_bad_arm_keeps_arm_error(self):
+        # The duplicate is found after the arm's body is parsed.
         with pytest.raises(ParseError, match="expected expression"):
             parse_program(
                 "proc main() { switch (s) { case 1: { skip; } "
