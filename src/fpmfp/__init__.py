@@ -28,8 +28,8 @@ class SolverError(RuntimeError):
 
 
 class EncodedList(list):
-    """A read-only ``to_json`` view whose ``text()`` is its own
-    ``json.dumps(view, indent=2)``, built on request and not kept."""
+    """A read-only ``to_json`` view whose ``text`` attribute is its own
+    ``json.dumps(view, indent=2)``, built with the content."""
 
     __slots__ = ("text",)
 

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import EncodedDict, EncodedList, Memo, SolverError
 
@@ -107,72 +109,114 @@ def _json_key(key) -> str:
                     f"not {type(key).__name__}")
 
 
+def _json_scalar(obj) -> str:
+    """A scalar as ``json.dumps`` writes it, tested in ``json``'s order."""
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
 def _json_text(payload) -> str:
     """What ``json.dumps`` writes with ``indent=2`` and ``sort_keys=True``,
     plus a newline.
 
     The same bytes, appended as pieces to one flat list and joined once.
-    A value view from ``Analysis.json_views`` is not walked: its own text
+    A value view from ``Analysis.json_views`` is not walked: its ``text``
     is spliced in, re-indented once per depth it occurs at, so a report
-    whose rows share views costs time in its distinct content.
+    whose rows share views costs time in its distinct content.  Objects
+    are dispatched on their exact type (``str``, ``int``, a view type,
+    ``dict``, ``list``); anything else (bools, None, floats, tuples,
+    subclasses) takes ``isinstance`` tests.  A dict item's separator,
+    quoted key and ``": "`` are joined once per (key, depth, first item).
     """
     pieces: list[str] = []
     append = pieces.append
     spliced: dict[tuple[int, int], str] = {}
     quoted = Memo(json.dumps)
+    levels = Memo(_Level)
 
     def encode(obj, depth: int) -> None:
-        if isinstance(obj, str):
+        cls = type(obj)
+        if cls is str:
             append(quoted[obj])
-        elif obj is None:
-            append("null")
-        elif obj is True:
-            append("true")
-        elif obj is False:
-            append("false")
-        elif isinstance(obj, int):
+            return
+        if cls is int:
             append(int.__repr__(obj))
-        elif isinstance(obj, float):
-            append(json.dumps(obj))
-        elif isinstance(obj, (EncodedList, EncodedDict)):
+            return
+        if cls is EncodedDict or cls is EncodedList:
             text = spliced.get((id(obj), depth))
             if text is None:
-                flat = spliced.get((id(obj), 0))
-                if flat is None:
-                    flat = spliced[id(obj), 0] = obj.text()
-                text = spliced[id(obj), depth] = flat.replace(
+                text = spliced[id(obj), depth] = obj.text.replace(
                     "\n", "\n" + "  " * depth)
             append(text)
-        elif isinstance(obj, (list, tuple)):
-            if not obj:
-                append("[]")
+            return
+        if cls is not dict and cls is not list:
+            if isinstance(obj, (list, tuple)):
+                cls = list
+            elif isinstance(obj, dict):
+                cls = dict
+            else:
+                append(_json_scalar(obj))
                 return
-            inner = "\n" + "  " * (depth + 1)
-            sep = "[" + inner
+        if not obj:
+            append("{}" if cls is dict else "[]")
+            return
+        level = levels[depth]
+        if cls is dict:
+            heads = level.first
+            for key, value in sorted(obj.items()):
+                append(heads.get(key) or level.head(key, heads))
+                encode(value, depth + 1)
+                heads = level.rest
+            append(level.close_dict)
+        else:
+            sep = level.open_list
             for item in obj:
                 append(sep)
                 encode(item, depth + 1)
-                sep = "," + inner
-            append("\n" + "  " * depth + "]")
-        elif isinstance(obj, dict):
-            if not obj:
-                append("{}")
-                return
-            inner = "\n" + "  " * (depth + 1)
-            sep = "{" + inner
-            for key, value in sorted(obj.items()):
-                append(sep + (quoted[key] if isinstance(key, str)
-                              else _json_key(key)) + ": ")
-                encode(value, depth + 1)
-                sep = "," + inner
-            append("\n" + "  " * depth + "}")
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} "
-                            f"is not JSON serializable")
+                sep = level.comma
+            append(level.close_list)
 
     encode(payload, 0)
     append("\n")
     return "".join(pieces)
+
+
+class _Level:
+    """The separators of a list or dict at one depth of ``_json_text``,
+    and its dict-item heads: ``first`` for the first item, ``rest`` for
+    the others."""
+
+    def __init__(self, depth: int) -> None:
+        inner = "\n" + "  " * (depth + 1)
+        self.open_list = "[" + inner
+        self.open_dict = "{" + inner
+        self.comma = "," + inner
+        self.close_list = "\n" + "  " * depth + "]"
+        self.close_dict = "\n" + "  " * depth + "}"
+        self.first: dict[str, str] = {}
+        self.rest: dict[str, str] = {}
+
+    def head(self, key, heads: dict[str, str]) -> str:
+        """The text before ``key``'s value, ``heads`` being ``first`` or
+        ``rest``; kept there for a ``str`` key only, because ``1``, ``1.0``
+        and ``True`` are one dict key but are written differently."""
+        sep = self.open_dict if heads is self.first else self.comma
+        if not isinstance(key, str):
+            return sep + _json_key(key) + ": "
+        text = heads[key] = sep + json.dumps(key) + ": "
+        return text
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -614,5 +658,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The ``fpmfp`` command (``python -m fpmfp.cli`` and the console
+    script): exit with ``main()``'s code.
+
+    Before it exits, and also when ``main()`` raises (``--help`` exits
+    through ``SystemExit``), it moves every object to the collector's
+    permanent generation, so that interpreter shutdown does not traverse
+    the run's objects once more.  ``sys.exit`` still runs atexit
+    handlers and flushes the streams.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

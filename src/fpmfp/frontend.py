@@ -554,6 +554,7 @@ class _Parser:
         globals_: set[str] = set()
         externs: set[str] = set()
         procs: list[Procedure] = []
+        names: set[str] = set()
         while (tok := self.peek()) != "":
             if tok in ("global", "extern"):
                 self.next()
@@ -561,6 +562,11 @@ class _Parser:
                     self.expect_name())
                 self.expect(";")
             elif tok == "proc":
+                name = self.tokens[self.pos + 1]
+                if name in names:
+                    raise self.error(f"duplicate procedure '{name}'",
+                                     self.pos + 1)
+                names.add(name)
                 procs.append(self.parse_proc())
             else:
                 raise self.error("expected 'proc', 'global', or 'extern'")
@@ -828,10 +834,6 @@ def _validate(program: MiniIrProgram) -> None:
 def parse_program(source: str) -> MiniIrProgram:
     """Parse MiniIR source into a validated program with CFGs."""
     procedures, globals_, externs = _Parser(source).parse_program()
-    names = [p.name for p in procedures]
-    if len(names) != len(set(names)):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise ParseError(f"duplicate procedure '{dup}'", 1, 1)
     program = MiniIrProgram(procedures, frozenset(globals_), frozenset(externs))
     _validate(program)
     return program

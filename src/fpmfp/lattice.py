@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 import json
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 from . import EncodedDict, EncodedList, Memo
@@ -36,8 +36,12 @@ IntervalValue = dict[str, tuple[float, float]]
 
 
 def _nested(element) -> str:
-    """An element's ``indent=2`` text as it appears one level down."""
-    return json.dumps(element, indent=2).replace("\n", "\n  ")
+    """The ``indent=2`` text of a scalar or a flat list of scalars, as it
+    appears one level down."""
+    if isinstance(element, list):
+        return _joined([json.dumps(x) for x in element], "[]").replace(
+            "\n", "\n  ")
+    return json.dumps(element)
 
 
 def _joined(items: list[str], brackets: str) -> str:
@@ -87,41 +91,40 @@ class Analysis(abc.ABC):
         """Boundary for a called procedure given met call-site values."""
 
     @abc.abstractmethod
-    def to_json(self, value):
-        ...
+    def to_json(self, value) -> EncodedList | EncodedDict:
+        """The value's JSON view: its plain JSON content (a list or dict)
+        with ``text``, that content's ``json.dumps(..., indent=2)`` text.
 
-    def json_views(self) -> Callable[[object], object]:
+        Content and text are built in one sorted pass over the value, the
+        text joined from cached per-element texts."""
+
+    def json_views(self) -> Callable[[object], EncodedList | EncodedDict]:
         """``to_json`` that returns one shared view per distinct value.
 
-        A view is an ``EncodedList`` or ``EncodedDict`` equal to
-        ``to_json(value)``, so a report built from views holds each
-        distinct value once and still serializes through ``json.dumps``;
-        the CLI's writer splices a view's ``text()`` instead of walking it.
-        The views are read-only and live as long as the returned function.
+        Views are looked up by ``_view_key``, so a report built from them
+        holds each distinct value once and ``to_json`` runs once per
+        distinct key; the CLI's writer splices a view's ``text`` instead
+        of walking it, and the content still serializes through
+        ``json.dumps``.  The views are read-only and live as long as the
+        returned function.
         """
         views: dict = {}
         key_of = self._view_key
-        text_of = self._text
+        make = self.to_json
 
         def view(value):
             key = key_of(value)
             out = views.get(key)
             if out is None:
-                plain = self.to_json(value)
-                out = views[key] = (EncodedDict if isinstance(plain, dict)
-                                    else EncodedList)(plain)
-                out.text = partial(text_of, value)
+                out = views[key] = make(value)
             return out
         return view
 
-    @abc.abstractmethod
-    def _text(self, value) -> str:
-        """``json.dumps(self.to_json(value), indent=2)``, joined from
-        cached element texts."""
-
     @staticmethod
     def _view_key(value):
-        """A hashable key equal for equal values."""
+        """A hashable key; equal keys imply equal ``to_json`` content.
+        Equal values may get different keys (and so two views with the
+        same text)."""
         return value
 
     @abc.abstractmethod
@@ -133,12 +136,16 @@ class Analysis(abc.ABC):
 # Bit-vector analyses
 # ---------------------------------------------------------------------------
 
-def _set_bits(value: int):
-    """Indices of the set bits of ``value``, lowest first."""
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
+def _set_bits(value: int) -> list[int]:
+    """Indices of the set bits of ``value`` (not negative), lowest first."""
+    digits = bin(value)[:1:-1]  # lowest bit first, without the "0b"
+    find = digits.find
+    out = []
+    i = find("1")
+    while i >= 0:
+        out.append(i)
+        i = find("1", i + 1)
+    return out
 
 
 class BitvectorAnalysis(Analysis):
@@ -178,14 +185,22 @@ class BitvectorAnalysis(Analysis):
     def kill_mask(self, node_id: int) -> int:
         return self.kill.get(node_id, 0)
 
-    @cached_property
-    def _bit_texts(self) -> list[str]:
-        """The nested text of each bit's ``to_json`` element."""
-        return [_nested(element) for element in self.to_json(self.full_mask)]
+    @abc.abstractmethod
+    def _elements(self) -> list:
+        """The JSON element of each bit, in bit order."""
 
-    def _text(self, value: int) -> str:
-        texts = self._bit_texts
-        return _joined([texts[i] for i in _set_bits(value)], "[]")
+    @cached_property
+    def _element_views(self) -> tuple[list, list[str]]:
+        """Each bit's JSON element, and its text one level down."""
+        elements = self._elements()
+        return elements, [_nested(element) for element in elements]
+
+    def to_json(self, value: int) -> EncodedList:
+        elements, texts = self._element_views
+        bits = _set_bits(value)
+        out = EncodedList([elements[i] for i in bits])
+        out.text = _joined([texts[i] for i in bits], "[]")
+        return out
 
 
 class ReachingDefinitions(BitvectorAnalysis):
@@ -208,7 +223,6 @@ class ReachingDefinitions(BitvectorAnalysis):
                 if st.kind in (StKind.ASSIGN, StKind.READ):
                     self.facts.append((st.var, nid))
         self.facts.sort(key=lambda f: (f[1], f[0]))
-        self._fact_views = [[var, nid] for var, nid in self.facts]
         self.fact_bit = {fact: i for i, fact in enumerate(self.facts)}
         self.full_mask = (1 << len(self.facts)) - 1
         var_mask: dict[str, int] = {}
@@ -232,10 +246,8 @@ class ReachingDefinitions(BitvectorAnalysis):
         facts = self.facts
         return [facts[i] for i in _set_bits(value)]
 
-    def to_json(self, value: int):
-        # One shared, read-only [var, node] list per fact.
-        views = self._fact_views
-        return [views[i] for i in _set_bits(value)]
+    def _elements(self) -> list:
+        return [[var, nid] for var, nid in self.facts]
 
     def format(self, value: int) -> str:
         facts = self.decode(value)
@@ -289,8 +301,8 @@ class MustDefined(BitvectorAnalysis):
         names = self.vars
         return [names[i] for i in _set_bits(value)]
 
-    def to_json(self, value: int):
-        return self.decode(value)
+    def _elements(self) -> list:
+        return self.vars
 
     def format(self, value: int) -> str:
         names = self.decode(value)
@@ -302,15 +314,33 @@ class MustDefined(BitvectorAnalysis):
 # ---------------------------------------------------------------------------
 
 def interval_meet(a: IntervalValue, b: IntervalValue) -> IntervalValue:
-    """Pointwise convex hull; an absent variable is the empty interval."""
-    out = dict(a)
-    for var, (lo, hi) in b.items():
-        if var in out:
-            alo, ahi = out[var]
-            out[var] = (min(alo, lo), max(ahi, hi))
-        else:
-            out[var] = (lo, hi)
-    return out
+    """Pointwise convex hull; an absent variable is the empty interval.
+
+    Returns ``a`` itself when ``b`` adds nothing to it, and otherwise a
+    copy of ``a`` made at the first variable that changes.  Sharing ``a``
+    (and ``b``'s pairs) is safe because no code mutates an interval value
+    in place: every function that derives a value copies first.
+    """
+    if a is b:
+        return a
+    out = None
+    for var, pair in b.items():
+        mine = a.get(var)
+        if mine is pair:
+            continue
+        if mine is not None:
+            lo, hi = pair
+            alo, ahi = mine
+            if lo < alo:
+                pair = (lo, hi if hi > ahi else ahi)
+            elif hi > ahi:
+                pair = (alo, hi)
+            else:
+                continue
+        if out is None:
+            out = dict(a)
+        out[var] = pair
+    return a if out is None else out
 
 
 def interval_leq(a: IntervalValue, b: IntervalValue) -> bool:
@@ -383,11 +413,11 @@ class IntervalAnalysis(Analysis):
 
     def __init__(self, program: MiniIrProgram) -> None:
         super().__init__(program)
-        # One shared, read-only [lo, hi] list per bound pair.
-        self._pair_views = Memo(lambda pair: [
-            self._bound_json(pair[0]), self._bound_json(pair[1])])
-        self._key_texts = Memo(json.dumps)
-        self._pair_texts = Memo(lambda pair: _nested(self._pair_views[pair]))
+        # Per (lo, hi) pair: its read-only [lo, hi] list and that list's
+        # text one level down; per (var, (lo, hi)) item: the same list and
+        # the item's '"var": [...]' line.
+        self._pair_views = Memo(self._pair_view)
+        self._item_views = Memo(self._item_view)
 
     def top(self) -> IntervalValue:
         return {}
@@ -488,18 +518,31 @@ class IntervalAnalysis(Analysis):
             return "-inf"
         return int(bound)
 
-    def to_json(self, value: IntervalValue):
-        views = self._pair_views
-        return {var: views[value[var]] for var in sorted(value)}
+    def _pair_view(self, pair) -> tuple[list, str]:
+        element = [self._bound_json(pair[0]), self._bound_json(pair[1])]
+        return element, _nested(element)
 
-    def _text(self, value: IntervalValue) -> str:
-        keys, pairs = self._key_texts, self._pair_texts
-        return _joined([keys[var] + ": " + pairs[value[var]]
-                        for var in sorted(value)], "{}")
+    def _item_view(self, item) -> tuple[list, str]:
+        var, pair = item
+        element, text = self._pair_views[pair]
+        return element, json.dumps(var) + ": " + text
+
+    def to_json(self, value: IntervalValue) -> EncodedDict:
+        items = self._item_views
+        out = EncodedDict()
+        lines = []
+        for item in sorted(value.items()):
+            pair, line = items[item]
+            out[item[0]] = pair
+            lines.append(line)
+        out.text = _joined(lines, "{}")
+        return out
 
     @staticmethod
     def _view_key(value: IntervalValue):
-        return frozenset(value.items())
+        # Insertion order is part of the key: an equal value built in
+        # another order gets a second view with the same text.
+        return tuple(value.items())
 
     def format(self, value: IntervalValue) -> str:
         if not value:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -153,6 +154,93 @@ class TestJsonWriter:
         payload = data.draw(st.recursive(leaves, _containers,
                                          max_leaves=25))
         assert cli._json_text(payload) == self.expected(payload)
+
+
+class TestReportPayloads:
+    """Every JSON report's bytes equal ``json.dumps`` of its payload."""
+
+    @pytest.fixture(scope="class")
+    def program(self, tmp_path_factory) -> str:
+        path = tmp_path_factory.mktemp("perf") / "perf.mir"
+        path.write_text(progen.perf_program(50, 200), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--mode", "mfp"), ("analyze", "--mode", "fpmfp"),
+        ("compare", "--no-timing"),
+    ], ids=" ".join)
+    @pytest.mark.parametrize("flag", ["rd", "uninit", "interval"])
+    def test_full_report(self, capsys, monkeypatch, program, argv, flag):
+        written = []
+        write = cli._json_text
+
+        def spy(payload):
+            text = write(payload)
+            written.append((payload, text))
+            return text
+
+        monkeypatch.setattr(cli, "_json_text", spy)
+        code, out, _ = run(capsys, *argv, "--analysis", flag,
+                           "--program", program)
+        assert code == 0
+        [(payload, text)] = written
+        assert out == text
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestEntryPoint:
+    """``python -m fpmfp.cli`` exits through ``cli.run``: with the code,
+    stdout and stderr bytes of an in-process ``main()``."""
+
+    @pytest.mark.parametrize("expected, argv", [
+        (0, ("detect-mips", "--program", "fig2.mir")),
+        (0, ("--help",)),
+        (1, ("detect-mips", "--program", "missing.mir")),
+        (2, ("oracle-check", "--fixtures", ".")),
+        (64, ("frobnicate",)),
+    ], ids=["ok", "help", "failure", "violation", "usage"])
+    def test_exit_path(self, capsys, monkeypatch, tmp_path, expected, argv):
+        (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
+        (tmp_path / "broken.mir").write_text("proc oops(")
+        # One help width for both, whatever terminal runs the tests.
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(fpmfp.__file__).resolve().parent.parent))
+        child = subprocess.run([sys.executable, "-m", "fpmfp.cli", *argv],
+                               capture_output=True, env=env, cwd=tmp_path,
+                               timeout=120)
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (child.returncode, child.stdout, child.stderr) == (
+            expected, captured.out.encode(), captured.err.encode())
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = run(capsys, "analyze", "--program", fix("fig2"),
+                         "--analysis", "interval", "--mode", "fpmfp")
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("exit_code", [0, 3])
+    def test_run_freezes_then_exits(self, monkeypatch, exit_code):
+        def fake_main():
+            if exit_code == 0:
+                raise SystemExit(0)  # how --help leaves main()
+            return exit_code
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        gc.unfreeze()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == exit_code
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestUsageErrors:

@@ -329,6 +329,14 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_program("proc main() { skip; } proc main() { skip; }")
 
+    def test_duplicate_procedure_points_at_second_name(self):
+        # Reported before the second body is parsed, so its syntax error
+        # does not hide the duplicate.
+        source = "proc main() { skip; }\n\nproc  main() { x = ; }\n"
+        with pytest.raises(ParseError, match=r"^duplicate procedure 'main' "
+                                             r"\(line 3, col 7\)$"):
+            parse_program(source)
+
     def test_compound_while_condition_rejected(self):
         with pytest.raises(ParseError):
             parse_program(

@@ -279,7 +279,33 @@ class TestIntervalRefine:
 # Lattice laws (property-based)
 # ---------------------------------------------------------------------------
 
+def _hull(a: dict, b: dict) -> dict:
+    """Reference meet: per variable, the hull of the intervals present."""
+    out = {}
+    for var in a.keys() | b.keys():
+        pairs = [p for p in (a.get(var), b.get(var)) if p is not None]
+        out[var] = (min(lo for lo, _ in pairs), max(hi for _, hi in pairs))
+    return out
+
+
 class TestIntervalLaws:
+    @given(interval_values(), interval_values())
+    def test_meet_is_pointwise_hull(self, a, b):
+        before = (dict(a), dict(b))
+        assert interval_meet(a, b) == _hull(a, b)
+        assert (a, b) == before
+
+    @given(interval_values(), interval_values())
+    def test_meet_with_aliased_or_contained_operands(self, a, b):
+        # The same object, a copy sharing every pair, and a value that
+        # already contains the other operand each come back unchanged.
+        assert interval_meet(a, a) is a
+        assert interval_meet(a, dict(a)) is a
+        outer = interval_meet(a, b)
+        assert interval_meet(outer, b) is outer
+        assert interval_meet(outer, a) is outer
+        assert interval_meet(b, outer) == _hull(b, outer) == outer
+
     @given(interval_values(), interval_values())
     def test_meet_commutative(self, a, b):
         assert interval_meet(a, b) == interval_meet(b, a)
@@ -466,7 +492,7 @@ def _assert_text_matches(analysis, value, depth: int) -> None:
     assert isinstance(view, (EncodedList, EncodedDict))
     assert view == plain
     indent = "\n" + "  " * depth
-    assert (view.text().replace("\n", indent)
+    assert (view.text.replace("\n", indent)
             == json.dumps(plain, indent=2, sort_keys=True).replace(
                 "\n", indent))
     nested_view, nested_plain = view, plain
@@ -499,7 +525,7 @@ class TestEncodedViews:
             for value in (0, analysis.full_mask, analysis.globals_mask,
                           analysis.full_mask & ~analysis.globals_mask):
                 _assert_text_matches(analysis, value, depth)
-        assert ReachingDefinitions(program).json_views()(0).text() == "[]"
+        assert ReachingDefinitions(program).json_views()(0).text == "[]"
 
     @pytest.mark.parametrize("depth", [0, 3, 6])
     def test_interval_hand_cases(self, depth):
@@ -507,7 +533,24 @@ class TestEncodedViews:
         for value in ({}, {"l": (-INF, INF)}, {"a": (-INF, -3), "l": (-7, INF)},
                       {"a": (-2, -2), "b": (-9, -1), "l": (0, 0)}):
             _assert_text_matches(ia, value, depth)
-        assert ia.json_views()({}).text() == "{}"
+        assert ia.json_views()({}).text == "{}"
+
+    def test_insertion_order_does_not_change_the_bytes(self):
+        """Equal values built in two insertion orders may get two views,
+        but at every depth of one report both are written alike."""
+        ia = IntervalAnalysis(fixture_program("fig7.mir"))
+        first = {"l": (-INF, 3), "a": (0, 0), "b": (-2, INF)}
+        second = dict(reversed(first.items()))
+        view = ia.json_views()
+        one, other = view(first), view(second)
+        assert one.text == other.text
+        payload = plain = None
+        for _ in range(7):
+            payload = {"a": one, "b": other, "c": [one, other], "d": payload}
+            plain = {"a": dict(one), "b": dict(one), "c": [dict(one)] * 2,
+                     "d": plain}
+            assert (cli._json_text(payload)
+                    == json.dumps(plain, indent=2, sort_keys=True) + "\n")
 
     def test_equal_values_share_one_view(self):
         ia = IntervalAnalysis(fixture_program("fig2.mir"))

@@ -27,21 +27,46 @@ def test_no_assert_statements():
 SLOW_IMPORTS = {"dataclasses", "logging"}
 
 
+def _imports(tree: ast.AST):
+    """(line, top-level module name) of each absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name.split(".")[0]
+
+
 def test_no_slow_stdlib_imports():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name.split(".")[0] in SLOW_IMPORTS]
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in _imports(tree) if name in SLOW_IMPORTS]
     assert len(list(SRC.glob("*.py"))) > 1
     assert found == []
+
+
+def test_only_the_entry_function_uses_the_collector():
+    """``cli.run`` freezes the collector on its way out.  ``cli.main``,
+    which tests and library callers run in process, and every other
+    function must leave it alone: only ``cli`` imports ``gc``, and
+    ``run`` is the only function there that names it."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        importers += [path.name for _, name in _imports(tree) if name == "gc"]
+    assert importers == ["cli.py"]
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    users = {function.name for function in ast.walk(tree)
+             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and (any(isinstance(node, ast.Name) and node.id == "gc"
+                      for node in ast.walk(function))
+                  or any(name == "gc" for _, name in _imports(function)))}
+    assert users == {"run"}
 
 
 def test_benchmark_imports_resolve():
