@@ -787,6 +787,139 @@ class TestOracleCheck:
         assert data["violations"][0]["property"] == "parse"
 
 
+class TestOracleCheckFaults:
+    """One planted fault per property of ``oracle-check``, each pinned to
+    the exact records the report names.  Work the checks share between
+    analyses or procedures must not drop one of them."""
+
+    PROGRAMS = ("fig2", "fig7", "loop")
+
+    @pytest.fixture
+    def programs(self, tmp_path):
+        for name in self.PROGRAMS:
+            (tmp_path / f"{name}.mir").write_text(fixture_text(name))
+        return str(tmp_path)
+
+    @staticmethod
+    def records(capsys, programs):
+        code, out, err = run(capsys, "oracle-check", "--fixtures", programs)
+        violations = json.loads(out)["violations"]
+        assert code == (2 if violations else 0)
+        assert err == ""
+        return [(v["program"], v["analysis"], v["property"], v["location"],
+                 v["detail"]) for v in violations]
+
+    @staticmethod
+    def exit_edges(cfg):
+        return {edge.id for edge in cfg.in_edges(cfg.exit)}
+
+    def test_without_a_fault_nothing_is_reported(self, capsys, programs):
+        assert self.records(capsys, programs) == []
+
+    def test_termination(self, capsys, monkeypatch, programs):
+        # A budget of one solve per procedure: fig7's interval solve needs
+        # a third solve once q's exit reaches p.
+        monkeypatch.setattr(lifted, "MAX_SOLVES", 1)
+        assert self.records(capsys, programs) == [
+            ("fig7.mir", "interval", "termination", "-",
+             "interprocedural solving exceeded 2 procedure solves"),
+        ]
+
+    def test_mfp_refined_by_fold(self, capsys, monkeypatch, programs):
+        # MFP's value at the last node and on the last edge of each
+        # program rises to top under reaching definitions.
+        real = mfp.solve_mfp
+
+        def solve(program, analysis, **kwargs):
+            solution = real(program, analysis, **kwargs)
+            if analysis.name == "rd":
+                top = analysis.top()
+                solution.node_in[max(solution.node_in)] = top
+                solution.edge_values[max(solution.edge_values)] = top
+            return solution
+
+        monkeypatch.setattr(mfp, "solve_mfp", solve)
+        assert self.records(capsys, programs) == [
+            ("fig2.mir", "rd", "mfp-refined-by-fold", "n7",
+             "{} !<= a@n1, a@n3"),
+            ("fig2.mir", "rd", "mfp-refined-by-fold", "e8", "{} !<= a@n3"),
+            ("fig7.mir", "rd", "mfp-refined-by-fold", "n10", "{} !<= l@n9"),
+            ("fig7.mir", "rd", "mfp-refined-by-fold", "e9", "{} !<= l@n9"),
+            ("loop.mir", "rd", "mfp-refined-by-fold", "n5", "{} !<= x@n3"),
+            ("loop.mir", "rd", "mfp-refined-by-fold", "e5", "{} !<= x@n3"),
+        ]
+
+    def test_optimization_neutrality(self, capsys, monkeypatch, programs):
+        # Without normalizations, must-defined's fold at the entry's exit
+        # node drops to no variable defined, on fig7 only.
+        real = lifted.solve_fpmfp_interprocedural
+
+        def solve(program, analysis, universe, opts=lifted.ALL_OPTS,
+                  **kwargs):
+            solution = real(program, analysis, universe, opts, **kwargs)
+            if (not opts and analysis.name == "must-defined"
+                    and "q" in program.by_name):
+                entry = program.by_name[program.entry].cfg
+                solution.procs[program.entry].folded_in[entry.exit] = 0
+            return solution
+
+        monkeypatch.setattr(lifted, "solve_fpmfp_interprocedural", solve)
+        assert self.records(capsys, programs) == [
+            ("fig7.mir", "must-defined", "optimization-neutrality", "-",
+             "folds differ between --opts 1,2,3 and --opts none"),
+        ]
+
+    def fault_on_exit_edges(self, monkeypatch, analysis_name, change):
+        """The path oracle's refine applies ``change`` on every edge into
+        an exit node, for one analysis."""
+        real = oracle.solution_semantics
+
+        def semantics(solution, proc):
+            node_transfer, refine = real(solution, proc)
+            if solution.analysis.name != analysis_name:
+                return node_transfer, refine
+            into_exit = self.exit_edges(proc.cfg)
+
+            def faulty(edge, value):
+                value = refine(edge, value)
+                return change(value) if edge.id in into_exit else value
+            return node_transfer, faulty
+
+        monkeypatch.setattr(oracle, "solution_semantics", semantics)
+
+    def test_fold_bounded_by_path_meets(self, capsys, monkeypatch,
+                                        programs):
+        # Interval is not distributive, so widening every variable on the
+        # way to an exit trips the bound and nothing else (loop's walk is
+        # cut off before it reaches the exit).
+        self.fault_on_exit_edges(
+            monkeypatch, "interval",
+            lambda value: {var: (-INF, INF) for var in value})
+        assert self.records(capsys, programs) == [
+            ("fig2.mir", "interval", "fold-bounded-by-path-meets", "n7",
+             "a: [0, 5], x: [-inf, +inf] !<= a: [-inf, +inf], "
+             "x: [-inf, +inf]"),
+            ("fig7.mir", "interval", "fold-bounded-by-path-meets", "n7",
+             "a: [0, 0], l: [0, 0] !<= a: [-inf, +inf], l: [-inf, +inf]"),
+            ("fig7.mir", "interval", "fold-bounded-by-path-meets", "n10",
+             "l: [0, 0] !<= l: [-inf, +inf]"),
+        ]
+
+    def test_distributive_equality(self, capsys, monkeypatch, programs):
+        # Dropping every reaching definition on the way to an exit keeps
+        # the fold below the meets but breaks equality on the acyclic
+        # programs; loop's walk is truncated, so it is not compared.
+        self.fault_on_exit_edges(monkeypatch, "rd", lambda value: 0)
+        assert self.records(capsys, programs) == [
+            ("fig2.mir", "rd", "distributive-equality", "n7",
+             "a@n1, a@n3 != {}"),
+            ("fig7.mir", "rd", "distributive-equality", "n7",
+             "a@n2, l@n9 != {}"),
+            ("fig7.mir", "rd", "distributive-equality", "n10",
+             "l@n9 != {}"),
+        ]
+
+
 class TestDumpDot:
     def test_fig3_matches_golden(self, capsys):
         code, out, _ = run(capsys, "dump-dot", "--program", fix("fig3"))
