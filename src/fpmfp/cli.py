@@ -331,6 +331,7 @@ def _edge_pair_records(program, view, edge_values):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .frontend import build_call_graph
     from .lattice import make_analysis
     from .lifted import solve_fpmfp_interprocedural
     from .mfp import solve_mfp
@@ -354,9 +355,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 program, view, solution.node_in, outs),
         }
     else:
-        universe = detect_mips(program)
+        call_graph = build_call_graph(program)
+        universe = detect_mips(program, call_graph)
         solution = solve_fpmfp_interprocedural(
-            program, analysis, universe, args.opts)
+            program, analysis, universe, args.opts, call_graph=call_graph)
         payload = {
             "schema": SCHEMA,
             "analysis": analysis.name,
@@ -410,14 +412,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
-    """All property checks for one program; returns violation records."""
+    """All property checks for one program; returns violation records.
+
+    What does not depend on the analysis is done once per program: the
+    call graph, segment detection, and each procedure's path tree.
+    """
     from .frontend import (
-        ParseError, UnreachableNode, UnresolvedCall, parse_program)
+        ParseError, UnreachableNode, UnresolvedCall, build_call_graph,
+        parse_program)
     from .lattice import make_analysis
     from .lifted import NonTermination, solve_fpmfp_interprocedural
     from .mfp import solve_mfp
     from .mips import detect_mips
-    from .oracle import Explosion, mips_free_meets, solution_semantics
+    from .oracle import Explosion, path_tree, solution_semantics
 
     name, source, max_length, edge_cap = task
     violations: list[dict] = []
@@ -433,14 +440,27 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
     except (ParseError, UnresolvedCall, UnreachableNode) as exc:
         return [{"program": name, "analysis": "-", "property": "parse",
                  "location": "-", "detail": str(exc)}]
-    universe = detect_mips(program)
+    call_graph = build_call_graph(program)
+    universe = detect_mips(program, call_graph)
+    # A procedure whose tree explodes is not walked for any analysis.
+    trees = {}
+    for proc in program.procedures:
+        try:
+            trees[proc.name] = path_tree(
+                proc.cfg, universe, proc.name,
+                max_len=max_length or 2 * len(proc.cfg.edges),
+                edge_cap=edge_cap)
+        except Explosion:
+            pass
     for analysis_name in _SUITE_ANALYSES:
         analysis = make_analysis(analysis_name, program)
         try:
-            flat = solve_mfp(program, analysis)
-            lifted = solve_fpmfp_interprocedural(program, analysis, universe)
+            flat = solve_mfp(program, analysis, call_graph=call_graph)
+            lifted = solve_fpmfp_interprocedural(
+                program, analysis, universe, call_graph=call_graph)
             plain = solve_fpmfp_interprocedural(
-                program, analysis, universe, frozenset())
+                program, analysis, universe, frozenset(),
+                call_graph=call_graph)
         except NonTermination as exc:
             bad(analysis_name, "termination", "-", str(exc))
             continue
@@ -456,23 +476,19 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
                 bad(analysis_name, "mfp-refined-by-fold", f"e{eid}",
                     f"{analysis.format(value)} !<= "
                     f"{analysis.format(folded_edges[eid])}")
-        if (lifted.folded_in != plain.folded_in
+        if (folded_in != plain.folded_in
                 or lifted.folded_out != plain.folded_out
-                or lifted.folded_edges != plain.folded_edges):
+                or folded_edges != plain.folded_edges):
             bad(analysis_name, "optimization-neutrality", "-",
                 "folds differ between --opts 1,2,3 and --opts none")
         for proc in program.procedures:
-            node_transfer, refine = solution_semantics(lifted, proc)
-            bound = max_length or 2 * len(proc.cfg.edges)
-            try:
-                oracle = mips_free_meets(
-                    proc.cfg, universe, proc.name,
-                    boundary=lifted.boundaries[proc.name],
-                    top=analysis.top(), meet=analysis.meet,
-                    node_transfer=node_transfer, refine=refine,
-                    max_len=bound, edge_cap=edge_cap)
-            except Explosion:
+            tree = trees.get(proc.name)
+            if tree is None:
                 continue
+            node_transfer, refine = solution_semantics(lifted, proc)
+            oracle = tree.meets(
+                boundary=lifted.boundaries[proc.name], meet=analysis.meet,
+                node_transfer=node_transfer, refine=refine)
             for nid, meets in oracle.node_in.items():
                 if not analysis.leq(folded_in[nid], meets):
                     bad(analysis_name, "fold-bounded-by-path-meets",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .frontend import MiniIrProgram
+from .frontend import CallGraph, MiniIrProgram, build_call_graph
 from .lattice import Analysis, make_analysis
 from .lifted import (
     ALL_OPTS,
@@ -299,25 +299,30 @@ class ComparisonReport(NamedTuple):
 
 def compare_modes(program: MiniIrProgram, analysis,
                   opts: frozenset[int] = ALL_OPTS, *,
-                  universe: MipsUniverse | None = None) -> ComparisonReport:
+                  universe: MipsUniverse | None = None,
+                  call_graph: CallGraph | None = None) -> ComparisonReport:
     """Solve one program both ways and tabulate the differences.
 
     ``analysis`` is an instance or a registry name.  The feasible-path
     values must refine the plain ones everywhere; a failure raises
-    ``PrecisionViolation`` and indicates a solver bug.
+    ``PrecisionViolation`` and indicates a solver bug.  One call graph,
+    ``call_graph`` or one built here, serves detection and both solves.
     """
     if isinstance(analysis, str):
         analysis = make_analysis(analysis, program)
+    if call_graph is None:
+        call_graph = build_call_graph(program)
     if universe is None:
-        universe = detect_mips(program)
+        universe = detect_mips(program, call_graph)
 
     start = time.perf_counter()
-    flat = solve_mfp(program, analysis)
+    flat = solve_mfp(program, analysis, call_graph=call_graph)
     flat_time = time.perf_counter() - start
 
     # Both windows include folding the edge values, which MFP does eagerly.
     start = time.perf_counter()
-    lifted = solve_fpmfp_interprocedural(program, analysis, universe, opts)
+    lifted = solve_fpmfp_interprocedural(program, analysis, universe, opts,
+                                         call_graph=call_graph)
     lifted_edges = lifted.folded_edges
     lifted_time = time.perf_counter() - start
 

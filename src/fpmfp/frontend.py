@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from enum import Enum
 from itertools import islice
 from typing import NamedTuple
 
@@ -134,7 +133,11 @@ class Cond(NamedTuple):
 # Statements and CFG
 # ---------------------------------------------------------------------------
 
-class StKind(Enum):
+class StKind:
+    """Statement kinds.  Plain string constants, not an ``Enum``: reading
+    a class attribute and comparing two strings stay cheap on the
+    solvers' per-node paths."""
+
     ASSIGN = "assign"
     READ = "read"
     PRINT = "print"
@@ -147,7 +150,7 @@ class StKind(Enum):
 
 
 class Statement(NamedTuple):
-    kind: StKind
+    kind: str  # a StKind constant
     var: str | None = None  # assign/read target, switch selector
     expr: Expr | None = None  # assign rhs, print argument
     cond: Cond | None = None  # assert/branch condition
@@ -193,7 +196,9 @@ class Statement(NamedTuple):
         return "exit;"
 
 
-class LabelKind(Enum):
+class LabelKind:
+    """Edge label kinds, plain string constants like :class:`StKind`."""
+
     NONE = "none"
     TRUE = "true"
     FALSE = "false"
@@ -202,13 +207,13 @@ class LabelKind(Enum):
 
 
 class EdgeLabel(NamedTuple):
-    kind: LabelKind
+    kind: str  # a LabelKind constant
     value: int | None = None  # case constant
 
     def to_text(self) -> str:
         if self.kind == LabelKind.CASE:
             return f"case {self.value}"
-        return self.kind.value
+        return self.kind
 
 
 NO_LABEL = EdgeLabel(LabelKind.NONE)
@@ -745,7 +750,7 @@ class _Parser:
         return out
 
     def _stmt_skip(self, dangling: list[list]) -> list[list]:
-        kind = StKind(self.next())  # "skip" or "exit"
+        kind = StKind.EXIT if self.next() == StKind.EXIT else StKind.SKIP
         self.expect(";")
         out = self.node(Statement(kind), dangling, NO_LABEL)
         if kind == StKind.EXIT:

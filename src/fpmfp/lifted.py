@@ -367,13 +367,16 @@ def compute_lifted_summaries(
 
     Both the accumulated-kill and the gen fixpoints run lifted, so a gen
     or kill that only happens inside an infeasible segment of the callee
-    never reaches the exit fold.  Within an SCC the kill masks are
-    iterated to their fixpoint first and the gen masks second, with the
-    kills held fixed: each loop is then monotone from the empty mask and
-    ends within one round per global fact and member.  (Updating both
-    together lets a gen fact produced while a callee's kill mask was
-    still empty circle the SCC forever.)  Procedures that no call site
-    names (the entry procedure, for one) get no summary: nothing reads it.
+    never reaches the exit fold.  A procedure that does not call itself
+    and shares its SCC with no other reads only its callees' masks, which
+    are final by then: one kill and one gen fixpoint give its masks.  In
+    a recursive SCC the kill masks are iterated to their fixpoint first
+    and the gen masks second, with the kills held fixed: each loop is
+    then monotone from the empty mask and ends within one round per
+    global fact and member.  (Updating both together lets a gen fact
+    produced while a callee's kill mask was still empty circle the SCC
+    forever.)  Procedures that no call site names (the entry procedure,
+    for one) get no summary: nothing reads it.
     """
     cg = call_graph or build_call_graph(program)
     gmask = analysis.globals_mask
@@ -402,6 +405,8 @@ def compute_lifted_summaries(
         for name in scc:
             gsum[name] = 0
             ksum[name] = 0
+        # Only a recursive SCC reads masks that its own round changes.
+        recursive = len(scc) > 1 or scc[0] in cg.callees[scc[0]]
         rounds = len(scc) * gmask.bit_count() + 1
         for masks, transfer, meet, top in (
                 (ksum, kill_xfer, lambda a, b: a & b, analysis.full_mask),
@@ -415,7 +420,7 @@ def compute_lifted_summaries(
                     if new != masks[name]:
                         masks[name] = new
                         stable = False
-                if stable:
+                if stable or not recursive:
                     break
             else:
                 raise NonTermination(

@@ -24,7 +24,6 @@ work on plain sets.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .frontend import (
@@ -136,7 +135,9 @@ class Query(NamedTuple):
     sat: OneDSet
 
 
-class Answer(Enum):
+class Answer:
+    """How an edge answers a query; plain string constants."""
+
     TRUE = "true"
     FALSE = "false"
     UNDEF = "undef"
@@ -202,7 +203,7 @@ class _Resolver:
         self.cfg = proc.cfg
         self.cg = call_graph
 
-    def resolve(self, edge, query: Query) -> Answer | None:
+    def resolve(self, edge, query: Query) -> str | None:
         """Edge-local answer for a query, None when it propagates on."""
         assertion = edge_assertion(self.cfg, edge, query.var)
         if assertion is not None:
@@ -239,10 +240,10 @@ class Step1Result(NamedTuple):
     """
 
     queries: list[Query]
-    reached: dict[Query, dict[int, Answer | None]]
+    reached: dict[Query, dict[int, str | None]]
 
     @property
-    def answers(self) -> dict[tuple[int, Query], Answer]:
+    def answers(self) -> dict[tuple[int, Query], str]:
         """Every resolved (edge, query) pair and its answer."""
         return {(eid, query): answer
                 for query, reach in self.reached.items()
@@ -254,9 +255,9 @@ def detect_step1(program: MiniIrProgram, proc: Procedure,
     cfg = proc.cfg
     resolver = _Resolver(program, proc, call_graph)
     queries = arm_queries(proc)
-    reached: dict[Query, dict[int, Answer | None]] = {}
+    reached: dict[Query, dict[int, str | None]] = {}
     for query in queries:
-        reach: dict[int, Answer | None] = {}
+        reach: dict[int, str | None] = {}
         origin = cfg.edges[query.origin]
         stack = [e.id for e in reversed(cfg.in_edges(origin.source))]
         while stack:
@@ -288,7 +289,7 @@ def detect_step2(proc: Procedure, query: Query,
     """
     cfg = proc.cfg
     reach = step1.reached[query]
-    start = {eid for eid, answer in reach.items() if answer is Answer.FALSE}
+    start = {eid for eid, answer in reach.items() if answer == Answer.FALSE}
     if not start:
         return []
     outs_at: dict[int, list[int]] = {}

@@ -6,7 +6,11 @@ Two oracles live here:
   prunes every branch the moment a detected infeasible segment completes,
   and meets the propagated values at each node and edge.  On acyclic
   programs the walk is exhaustive, so for distributive analyses its meets
-  equal the ideal feasible-path solution.
+  equal the ideal feasible-path solution.  The walk comes in two parts:
+  :func:`path_tree` enumerates the tree, which depends on the CFG and the
+  segments but on no lattice value, and :meth:`PathTree.meets` evaluates
+  one analysis over it.  ``oracle-check`` enumerates each procedure's tree
+  once and evaluates it for every analysis.
 
 * :func:`execute_all` runs programs concretely over a small input box,
   forking on every source of nondeterminism, and returns per-activation
@@ -69,6 +73,119 @@ def _advance(starts, progress: tuple, edge_id: int):
     return tuple(out)
 
 
+class PathTree(NamedTuple):
+    """The bounded segment-free path tree of one procedure, in walk order.
+
+    Expansion ``i`` reaches ``nodes[i]`` and leaves it along the edges of
+    ``taken[i]``, in the order the walk takes them; its children are the
+    expansions those edges lead to.  ``keys`` holds, per taken edge in
+    walk order, the edge id and the ids of the segments in progress after
+    it, or is None when they were not collected.
+    """
+
+    nodes: list[int]
+    taken: list[tuple]
+    keys: list[tuple[int, frozenset[int]]] | None
+    truncated: bool
+
+    def meets(self, *, boundary, meet, node_transfer,
+              refine) -> OracleMeets:
+        """Propagate ``boundary`` down the tree and meet the values at
+        each node entry and after each edge, in the walk's order.
+
+        ``node_transfer(node_id, value)`` runs once per expansion that
+        takes an edge, ``refine(edge, value)`` once per taken edge.
+        """
+        node_in: dict[int, object] = {}
+        edge_values: dict[int, object] = {}
+        outs = None if self.keys is None else []
+        # Children are pushed in the order their edges were taken and
+        # popped last first, which replays the walk's expansion order.
+        stack = [boundary]
+        for node, edges in zip(self.nodes, self.taken):
+            value = stack.pop()
+            node_in[node] = (meet(node_in[node], value) if node in node_in
+                             else value)
+            if not edges:
+                continue
+            transferred = node_transfer(node, value)
+            for edge in edges:
+                out = refine(edge, transferred)
+                eid = edge.id
+                edge_values[eid] = (meet(edge_values[eid], out)
+                                    if eid in edge_values else out)
+                if outs is not None:
+                    outs.append(out)
+                stack.append(out)
+        keyed: dict[tuple[int, frozenset[int]], object] = {}
+        if outs is not None:
+            for key, out in zip(self.keys, outs):
+                keyed[key] = meet(keyed[key], out) if key in keyed else out
+        return OracleMeets(node_in, edge_values, keyed, len(self.nodes),
+                           self.truncated)
+
+
+def path_tree(
+    cfg: Cfg,
+    universe: MipsUniverse,
+    proc_name: str,
+    *,
+    max_len: int | None = None,
+    edge_cap: int = 2,
+    limit: int = 1_000_000,
+    collect_keys: bool = False,
+) -> PathTree:
+    """Enumerate the bounded path tree of one procedure.
+
+    A path ends at ``max_len`` edges (default: twice the edge count), an
+    edge is taken at most ``edge_cap`` times per path, and a branch is
+    pruned the moment a detected infeasible segment completes on it.
+    Pruning depends on the CFG and the segments only, so one tree serves
+    every analysis.  Raises :class:`Explosion` past ``limit`` expansions.
+    """
+    starts: dict[int, list] = {}
+    for seg in universe.for_proc(proc_name):
+        starts.setdefault(seg.start, []).append(seg)
+    if max_len is None:
+        max_len = 2 * len(cfg.edges)
+    nodes: list[int] = []
+    taken: list[tuple] = []
+    # One tuple per distinct set of taken edges: a tree near the limit
+    # holds a million expansions but few distinct sets.
+    shared: dict[tuple, tuple] = {}
+    keys = [] if collect_keys else None
+    stack = [(cfg.start, (), {}, 0)]
+    truncated = False
+    while stack:
+        node, progress, counts, length = stack.pop()
+        if len(nodes) == limit:
+            raise Explosion(
+                f"path tree of {proc_name} exceeded {limit} expansions")
+        nodes.append(node)
+        if length >= max_len:
+            truncated = True
+            taken.append(())
+            continue
+        edges = []
+        for edge in reversed(cfg.out_edges(node)):
+            eid = edge.id
+            if counts.get(eid, 0) >= edge_cap:
+                truncated = True
+                continue
+            advanced = _advance(starts, progress, eid)
+            if advanced is None:
+                continue  # completing a segment: path infeasible
+            edges.append(edge)
+            if keys is not None:
+                keys.append((eid, frozenset(seg.id for seg, _ in advanced)))
+            new_counts = dict(counts)
+            new_counts[eid] = new_counts.get(eid, 0) + 1
+            stack.append((edge.target, advanced, new_counts, length + 1))
+        edges = tuple(edges)
+        taken.append(shared.setdefault(edges, edges))
+    return PathTree(nodes, taken, keys, truncated)
+
+
 def mips_free_meets(
     cfg: Cfg,
     universe: MipsUniverse,
@@ -91,50 +208,14 @@ def mips_free_meets(
     its summaries); values are met at each node entry and after each edge.
     With ``collect_keys`` the edge meets are additionally grouped by the
     set of segments in progress, which is the decomposition the lifted
-    solver keys its pairs by.
+    solver keys its pairs by.  This is :func:`path_tree` followed by
+    :meth:`PathTree.meets`; ``top`` is not needed by either.
     """
-    starts: dict[int, list] = {}
-    for seg in universe.for_proc(proc_name):
-        starts.setdefault(seg.start, []).append(seg)
-    if max_len is None:
-        max_len = 2 * len(cfg.edges)
-    node_in: dict[int, object] = {}
-    edge_values: dict[int, object] = {}
-    keyed: dict[tuple[int, frozenset[int]], object] = {}
-
-    def accumulate(table, key, value):
-        table[key] = meet(table[key], value) if key in table else value
-
-    stack = [(cfg.start, boundary, (), {}, 0)]
-    expansions = 0
-    truncated = False
-    while stack:
-        node, value, progress, counts, length = stack.pop()
-        expansions += 1
-        if expansions > limit:
-            raise Explosion(
-                f"path tree of {proc_name} exceeded {limit} expansions")
-        accumulate(node_in, node, value)
-        if length >= max_len:
-            truncated = True
-            continue
-        for edge in reversed(cfg.out_edges(node)):
-            if counts.get(edge.id, 0) >= edge_cap:
-                truncated = True
-                continue
-            advanced = _advance(starts, progress, edge.id)
-            if advanced is None:
-                continue  # completing a segment: path infeasible
-            out_value = refine(edge, node_transfer(node, value))
-            accumulate(edge_values, edge.id, out_value)
-            if collect_keys:
-                in_progress = frozenset(seg.id for seg, _ in advanced)
-                accumulate(keyed, (edge.id, in_progress), out_value)
-            new_counts = dict(counts)
-            new_counts[edge.id] = new_counts.get(edge.id, 0) + 1
-            stack.append(
-                (edge.target, out_value, advanced, new_counts, length + 1))
-    return OracleMeets(node_in, edge_values, keyed, expansions, truncated)
+    tree = path_tree(cfg, universe, proc_name, max_len=max_len,
+                     edge_cap=edge_cap, limit=limit,
+                     collect_keys=collect_keys)
+    return tree.meets(boundary=boundary, meet=meet,
+                      node_transfer=node_transfer, refine=refine)
 
 
 def solution_semantics(solution, proc: Procedure):

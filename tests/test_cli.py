@@ -787,6 +787,79 @@ class TestOracleCheck:
         assert data["violations"][0]["property"] == "parse"
 
 
+class TestSharedWork:
+    """Work that does not depend on the analysis is done once per
+    program."""
+
+    @pytest.fixture
+    def call_graphs(self, monkeypatch):
+        from fpmfp.frontend import CallGraph
+
+        built = []
+        real = CallGraph.__init__
+
+        def counted(self, program):
+            built.append(program)
+            real(self, program)
+
+        monkeypatch.setattr(CallGraph, "__init__", counted)
+        return built
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Records the procedure of each tree built and the start node of
+        each tree evaluated; a tree of a procedure in ``explode`` raises
+        ``Explosion`` instead."""
+        record = {"built": [], "evaluated": [], "explode": ()}
+        real_tree = oracle.path_tree
+        real_meets = oracle.PathTree.meets
+
+        def tree(cfg, universe, proc_name, **kwargs):
+            record["built"].append(proc_name)
+            if proc_name in record["explode"]:
+                raise oracle.Explosion(f"path tree of {proc_name} exploded")
+            return real_tree(cfg, universe, proc_name, **kwargs)
+
+        def meets(self, **kwargs):
+            record["evaluated"].append(self.nodes[0])
+            return real_meets(self, **kwargs)
+
+        monkeypatch.setattr(oracle, "path_tree", tree)
+        monkeypatch.setattr(oracle.PathTree, "meets", meets)
+        return record
+
+    @staticmethod
+    def check_fig7():
+        assert cli._check_program(
+            ("fig7", fixture_text("fig7"), None, 2)) == []
+        return {proc.name: proc.cfg.start
+                for proc in fixture_program("fig7").procedures}
+
+    def test_oracle_check_builds_one_call_graph_and_one_tree_per_procedure(
+            self, call_graphs, walks):
+        starts = self.check_fig7()
+        assert len(call_graphs) == 1
+        assert walks["built"] == ["p", "q"]
+        assert walks["evaluated"] == 3 * [starts["p"], starts["q"]]
+
+    def test_an_exploding_tree_is_skipped_for_every_analysis(self, walks):
+        walks["explode"] = ("q",)
+        starts = self.check_fig7()
+        assert walks["built"] == ["p", "q"]
+        assert walks["evaluated"] == 3 * [starts["p"]]
+
+    @pytest.mark.parametrize("command", [
+        ("compare", "--analysis", "rd"),
+        ("compare", "--analysis", "interval"),
+        ("analyze", "--analysis", "rd", "--mode", "fpmfp"),
+        ("analyze", "--analysis", "interval", "--mode", "mfp"),
+    ], ids="-".join)
+    def test_one_call_graph_per_command(self, capsys, call_graphs, command):
+        code, _, _ = run(capsys, *command, "--program", fix("fig7"))
+        assert code == 0
+        assert len(call_graphs) == 1
+
+
 class TestOracleCheckFaults:
     """One planted fault per property of ``oracle-check``, each pinned to
     the exact records the report names.  Work the checks share between

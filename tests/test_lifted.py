@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import pytest
 
-from fpmfp.frontend import build_call_graph, parse_program
+from fpmfp import lifted, progen
+from fpmfp.frontend import StKind, build_call_graph, parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.lifted import (
     ALL_OPTS,
     EMPTY_KEY,
     NonTermination,
     PairStats,
+    Summaries,
     _Flow,
+    _summary_exit,
     compute_lifted_summaries,
     fold,
     solve_fpmfp_interprocedural,
@@ -493,3 +496,97 @@ class TestTermination:
         universe = detect_mips(program)
         sol = solve_fpmfp_interprocedural(program, an, universe)
         assert sol.folded_in[2]["x"] == (0, INF)
+
+
+def iterated_summaries(program, analysis, universe, opts) -> Summaries:
+    """Reference masks: every SCC, recursive or not, solved round after
+    round until a round changes nothing, kill masks first."""
+    cg = build_call_graph(program)
+    gmask = analysis.globals_mask
+    gsum: dict[str, int] = {}
+    ksum: dict[str, int] = {}
+
+    def kill_xfer(node, value):
+        st = node.statement
+        if st.kind == StKind.CALL:
+            if st.callee in program.externs:
+                return value
+            return value | ksum[st.callee]
+        return value | analysis.kill_mask(node.id)
+
+    def gen_xfer(node, value):
+        st = node.statement
+        if st.kind == StKind.CALL:
+            if st.callee in program.externs:
+                return value
+            return (value & ~ksum[st.callee]) | gsum[st.callee]
+        return analysis.transfer(node, value)
+
+    for scc in cg.sccs:
+        if not any(cg.callers[name] for name in scc):
+            continue
+        for name in scc:
+            gsum[name] = ksum[name] = 0
+        for masks, transfer, meet, top in (
+                (ksum, kill_xfer, lambda a, b: a & b, analysis.full_mask),
+                (gsum, gen_xfer, analysis.meet, analysis.top())):
+            stable = False
+            while not stable:
+                stable = True
+                for name in scc:
+                    new = _summary_exit(
+                        program.by_name[name].cfg, universe, opts,
+                        transfer=transfer, meet=meet, top=top) & gmask
+                    if new != masks[name]:
+                        masks[name] = new
+                        stable = False
+    return Summaries(gsum, ksum)
+
+
+class TestSummarySchedule:
+    def test_one_pass_equals_iterating(self):
+        recursive = 0
+        for seed in range(297):
+            program = parse_program(progen.generate_multi_program(seed))
+            cg = build_call_graph(program)
+            recursive += sum(
+                1 for scc in cg.sccs
+                if any(cg.callers[name] for name in scc)
+                and (len(scc) > 1 or scc[0] in cg.callees[scc[0]]))
+            detected = detect_mips(program)
+            for name in ("rd", "must-defined"):
+                analysis = make_analysis(name, program)
+                for universe, opts in ((detected, ALL_OPTS),
+                                       (MipsUniverse(program, []),
+                                        frozenset())):
+                    got = compute_lifted_summaries(
+                        program, analysis, universe, opts)
+                    want = iterated_summaries(
+                        program, analysis, universe, opts)
+                    assert got == want, (seed, name, len(universe))
+                    # Same masks, also in the same order.
+                    assert [list(m) for m in got] == [list(m) for m in want]
+        assert recursive > 100
+
+    def test_a_call_chain_takes_one_kill_and_one_gen_fixpoint_each(
+            self, monkeypatch):
+        depth = 12
+        source = "".join(
+            ["global g;\nproc main() { g = 1; p0(); print g; }\n"]
+            + [f"proc p{i}() {{ read s; if (s == 1) {{ g = g + 1; }} "
+               f"p{i + 1}(); }}\n" for i in range(depth - 1)]
+            + [f"proc p{depth - 1}() {{ g = 0; }}\n"])
+        program = parse_program(source)
+        calls = []
+        real = lifted._summary_exit
+
+        def counted(cfg, *args, **kwargs):
+            calls.append(cfg.proc_name)
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(lifted, "_summary_exit", counted)
+        analysis = make_analysis("rd", program)
+        summaries = compute_summaries(program, analysis,
+                                      build_call_graph(program))
+        assert sorted(calls) == sorted(2 * [f"p{i}" for i in range(depth)])
+        assert summaries.ksum[f"p{depth - 1}"] != 0

@@ -2,19 +2,24 @@
 
 import pytest
 
+from fpmfp import progen
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.mfp import solve_mfp
 from fpmfp.mips import detect_mips
 from fpmfp.oracle import (
     Explosion,
+    OracleMeets,
     Trace,
     _advance,
     contains_segment,
     execute_all,
     mips_free_meets,
+    path_tree,
     solution_semantics,
 )
+
+from conftest import fixture_text
 
 ALL_FIXTURES = [
     "fig2", "fig3", "fig4", "fig7", "fig8", "fig10", "fig11", "fig12",
@@ -161,6 +166,125 @@ class TestMeets:
 # Concrete executor
 # ---------------------------------------------------------------------------
 
+def reference_walk(cfg, universe, proc_name, *, boundary, meet,
+                   node_transfer, refine, max_len, edge_cap, limit):
+    """The one-pass walk the split walk replaced: enumeration and meets
+    interleaved, ``node_transfer`` once per taken edge, keys collected."""
+    starts = {}
+    for seg in universe.for_proc(proc_name):
+        starts.setdefault(seg.start, []).append(seg)
+    node_in, edge_values, keyed = {}, {}, {}
+
+    def accumulate(table, key, value):
+        table[key] = meet(table[key], value) if key in table else value
+
+    stack = [(cfg.start, boundary, (), {}, 0)]
+    expansions = 0
+    truncated = False
+    while stack:
+        node, value, progress, counts, length = stack.pop()
+        expansions += 1
+        if expansions > limit:
+            raise Explosion(
+                f"path tree of {proc_name} exceeded {limit} expansions")
+        accumulate(node_in, node, value)
+        if length >= max_len:
+            truncated = True
+            continue
+        for edge in reversed(cfg.out_edges(node)):
+            if counts.get(edge.id, 0) >= edge_cap:
+                truncated = True
+                continue
+            advanced = _advance(starts, progress, edge.id)
+            if advanced is None:
+                continue
+            out_value = refine(edge, node_transfer(node, value))
+            accumulate(edge_values, edge.id, out_value)
+            in_progress = frozenset(seg.id for seg, _ in advanced)
+            accumulate(keyed, (edge.id, in_progress), out_value)
+            new_counts = dict(counts)
+            new_counts[edge.id] = new_counts.get(edge.id, 0) + 1
+            stack.append(
+                (edge.target, out_value, advanced, new_counts, length + 1))
+    return OracleMeets(node_in, edge_values, keyed, expansions, truncated)
+
+
+def _walk_sources():
+    yield from ((name, fixture_text(name)) for name in ALL_FIXTURES)
+    for seed in range(100):
+        yield (f"loops-{seed}",
+               progen.generate_program(seed, acyclic=False))
+        yield f"multi-{seed}", progen.generate_multi_program(seed)
+
+
+class TestSplitWalk:
+    """``mips_free_meets`` (the tree, then the meets over it) equals the
+    one-pass walk, also in the order values are met in."""
+
+    @staticmethod
+    def outcome(walk, **kwargs):
+        try:
+            meets = walk(**kwargs)
+        except Explosion as exc:
+            return "explosion", str(exc)
+        # Dict order records the order of first meets.
+        return meets, [list(table) for table in meets[:3]]
+
+    @pytest.mark.parametrize("name, source", list(_walk_sources()),
+                             ids=[name for name, _ in _walk_sources()])
+    def test_equal_to_the_one_pass_walk(self, name, source):
+        program = parse_program(source)
+        universe = detect_mips(program)
+        # A limit under most trees' size, so Explosion is compared too.
+        limit = 40
+        for analysis_name in ("rd", "must-defined", "interval"):
+            analysis = make_analysis(analysis_name, program)
+            solution = solve_mfp(program, analysis)
+            for proc in program.procedures:
+                node_transfer, refine = solution_semantics(solution, proc)
+                common = dict(
+                    cfg=proc.cfg, universe=universe, proc_name=proc.name,
+                    boundary=solution.boundaries[proc.name],
+                    meet=analysis.meet, node_transfer=node_transfer,
+                    refine=refine, max_len=2 * len(proc.cfg.edges),
+                    edge_cap=2)
+                for bound in (limit, 1_000_000):
+                    expected = self.outcome(reference_walk, limit=bound,
+                                            **common)
+                    assert self.outcome(
+                        mips_free_meets, top=analysis.top(),
+                        collect_keys=True, limit=bound,
+                        **common) == expected, (name, proc.name)
+                    if expected[0] == "explosion":
+                        continue
+                    unkeyed = mips_free_meets(top=analysis.top(),
+                                              limit=bound, **common)
+                    assert unkeyed == expected[0]._replace(keyed={})
+
+    def test_explosion_at_the_same_limit(self, load_program):
+        proc = load_program("fig12").procedures[0]
+        universe = detect_mips(load_program("fig12"))
+        size = len(path_tree(proc.cfg, universe, proc.name).nodes)
+        assert len(path_tree(proc.cfg, universe, proc.name,
+                             limit=size).nodes) == size
+        with pytest.raises(Explosion, match=f"exceeded {size - 1} "):
+            path_tree(proc.cfg, universe, proc.name, limit=size - 1)
+
+    def test_one_tree_serves_every_analysis(self, load_program):
+        program = load_program("fig8")
+        universe = detect_mips(program)
+        proc = program.procedures[0]
+        tree = path_tree(proc.cfg, universe, proc.name, collect_keys=True)
+        for analysis_name in ("rd", "must-defined", "interval"):
+            meets, _, analysis = oracle_for(program, analysis_name,
+                                            collect_keys=True)
+            solution = solve_mfp(program, analysis)
+            node_transfer, refine = solution_semantics(solution, proc)
+            assert tree.meets(
+                boundary=solution.boundaries[proc.name], meet=analysis.meet,
+                node_transfer=node_transfer, refine=refine) == meets
+
+
 class TestExecutor:
     def test_run_counts(self, load_program):
         expected = {"fig2": 7, "fig3": 25, "fig7": 1, "fig12": 49,
@@ -235,8 +359,8 @@ class TestExecutor:
         for run in runs:
             (trace,) = run
             arms = [cfg.edges[e] for e in trace.edges
-                    if cfg.edges[e].label.kind.value in ("true", "false")]
-            kinds = {a.label.kind.value for a in arms}
+                    if cfg.edges[e].label.kind in ("true", "false")]
+            kinds = {a.label.kind for a in arms}
             assert len(kinds) == 1  # both branches took the same side
 
     def test_run_limit_explosion(self, load_program):

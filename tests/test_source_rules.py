@@ -23,8 +23,11 @@ def test_no_assert_statements():
 
 # Standard modules that take milliseconds to import (``dataclasses`` pulls
 # in ``inspect``, ``dis`` and ``ast``; ``logging`` pulls in ``traceback``
-# and ``tokenize``), which every CLI run would pay before doing any work.
-SLOW_IMPORTS = {"dataclasses", "logging"}
+# and ``tokenize``), which every CLI run would pay before doing any work,
+# and ``enum``, whose members resolve through a Python-level descriptor:
+# ``kind == StKind.CALL`` on an ``Enum`` costs several times a comparison
+# of plain constants, on every transfer, refine and path-tree step.
+SLOW_IMPORTS = {"dataclasses", "enum", "logging"}
 
 
 def _imports(tree: ast.AST):
