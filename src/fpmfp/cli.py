@@ -427,10 +427,12 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
     from .oracle import Explosion, path_tree, solution_semantics
 
     name, source, max_length, edge_cap = task
-    violations: list[dict] = []
+    # Records per analysis, so the report stays analysis-major although
+    # each path tree serves every analysis.
+    found: dict[str, list[dict]] = {}
 
     def bad(analysis_name: str, prop: str, where: str, detail: str) -> None:
-        violations.append({
+        found[analysis_name].append({
             "program": name, "analysis": analysis_name,
             "property": prop, "location": where, "detail": detail,
         })
@@ -442,17 +444,9 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
                  "location": "-", "detail": str(exc)}]
     call_graph = build_call_graph(program)
     universe = detect_mips(program, call_graph)
-    # A procedure whose tree explodes is not walked for any analysis.
-    trees = {}
-    for proc in program.procedures:
-        try:
-            trees[proc.name] = path_tree(
-                proc.cfg, universe, proc.name,
-                max_len=max_length or 2 * len(proc.cfg.edges),
-                edge_cap=edge_cap)
-        except Explosion:
-            pass
+    solved = []
     for analysis_name in _SUITE_ANALYSES:
+        found[analysis_name] = []
         analysis = make_analysis(analysis_name, program)
         try:
             flat = solve_mfp(program, analysis, call_graph=call_graph)
@@ -481,10 +475,18 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
                 or folded_edges != plain.folded_edges):
             bad(analysis_name, "optimization-neutrality", "-",
                 "folds differ between --opts 1,2,3 and --opts none")
-        for proc in program.procedures:
-            tree = trees.get(proc.name)
-            if tree is None:
-                continue
+        solved.append((analysis_name, analysis, lifted, folded_in))
+    # One tree at a time: each is evaluated for every analysis that
+    # solved and dropped before the next is built.
+    for proc in program.procedures if solved else ():
+        try:
+            tree = path_tree(
+                proc.cfg, universe, proc.name,
+                max_len=max_length or 2 * len(proc.cfg.edges),
+                edge_cap=edge_cap)
+        except Explosion:
+            continue
+        for analysis_name, analysis, lifted, folded_in in solved:
             node_transfer, refine = solution_semantics(lifted, proc)
             oracle = tree.meets(
                 boundary=lifted.boundaries[proc.name], meet=analysis.meet,
@@ -502,7 +504,8 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
                             f"n{nid}",
                             f"{analysis.format(folded_in[nid])} != "
                             f"{analysis.format(meets)}")
-    return violations
+        del tree
+    return [record for records in found.values() for record in records]
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .frontend import CallGraph, MiniIrProgram, build_call_graph
+from .frontend import MiniIrProgram, build_call_graph
 from .lattice import Analysis, make_analysis
 from .lifted import (
     ALL_OPTS,
@@ -299,19 +299,17 @@ class ComparisonReport(NamedTuple):
 
 def compare_modes(program: MiniIrProgram, analysis,
                   opts: frozenset[int] = ALL_OPTS, *,
-                  universe: MipsUniverse | None = None,
-                  call_graph: CallGraph | None = None) -> ComparisonReport:
+                  universe: MipsUniverse | None = None) -> ComparisonReport:
     """Solve one program both ways and tabulate the differences.
 
     ``analysis`` is an instance or a registry name.  The feasible-path
     values must refine the plain ones everywhere; a failure raises
-    ``PrecisionViolation`` and indicates a solver bug.  One call graph,
-    ``call_graph`` or one built here, serves detection and both solves.
+    ``PrecisionViolation`` and indicates a solver bug.  One call graph
+    serves detection and both solves.
     """
     if isinstance(analysis, str):
         analysis = make_analysis(analysis, program)
-    if call_graph is None:
-        call_graph = build_call_graph(program)
+    call_graph = build_call_graph(program)
     if universe is None:
         universe = detect_mips(program, call_graph)
 

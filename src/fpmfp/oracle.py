@@ -76,15 +76,14 @@ def _advance(starts, progress: tuple, edge_id: int):
 class PathTree(NamedTuple):
     """The bounded segment-free path tree of one procedure, in walk order.
 
-    Expansion ``i`` reaches ``nodes[i]`` and leaves it along the edges of
-    ``taken[i]``, in the order the walk takes them; its children are the
-    expansions those edges lead to.  ``keys`` holds, per taken edge in
-    walk order, the edge id and the ids of the segments in progress after
-    it, or is None when they were not collected.
+    Expansion ``i`` is ``steps[i] == (node, edges)``: it reaches ``node``
+    and leaves it along ``edges``, in the order the walk takes them; its
+    children are the expansions those edges lead to.  ``keys`` holds, per
+    taken edge in walk order, the edge id and the ids of the segments in
+    progress after it, or is None when they were not collected.
     """
 
-    nodes: list[int]
-    taken: list[tuple]
+    steps: list[tuple[int, tuple]]
     keys: list[tuple[int, frozenset[int]]] | None
     truncated: bool
 
@@ -102,7 +101,7 @@ class PathTree(NamedTuple):
         # Children are pushed in the order their edges were taken and
         # popped last first, which replays the walk's expansion order.
         stack = [boundary]
-        for node, edges in zip(self.nodes, self.taken):
+        for node, edges in self.steps:
             value = stack.pop()
             node_in[node] = (meet(node_in[node], value) if node in node_in
                              else value)
@@ -121,7 +120,7 @@ class PathTree(NamedTuple):
         if outs is not None:
             for key, out in zip(self.keys, outs):
                 keyed[key] = meet(keyed[key], out) if key in keyed else out
-        return OracleMeets(node_in, edge_values, keyed, len(self.nodes),
+        return OracleMeets(node_in, edge_values, keyed, len(self.steps),
                            self.truncated)
 
 
@@ -148,23 +147,21 @@ def path_tree(
         starts.setdefault(seg.start, []).append(seg)
     if max_len is None:
         max_len = 2 * len(cfg.edges)
-    nodes: list[int] = []
-    taken: list[tuple] = []
-    # One tuple per distinct set of taken edges: a tree near the limit
-    # holds a million expansions but few distinct sets.
+    steps: list[tuple[int, tuple]] = []
+    # One tuple per distinct step: a tree near the limit holds a million
+    # expansions but few distinct steps.
     shared: dict[tuple, tuple] = {}
     keys = [] if collect_keys else None
     stack = [(cfg.start, (), {}, 0)]
     truncated = False
     while stack:
         node, progress, counts, length = stack.pop()
-        if len(nodes) == limit:
+        if len(steps) == limit:
             raise Explosion(
                 f"path tree of {proc_name} exceeded {limit} expansions")
-        nodes.append(node)
         if length >= max_len:
             truncated = True
-            taken.append(())
+            steps.append(shared.setdefault((node, ()), (node, ())))
             continue
         edges = []
         for edge in reversed(cfg.out_edges(node)):
@@ -181,9 +178,9 @@ def path_tree(
             new_counts = dict(counts)
             new_counts[eid] = new_counts.get(eid, 0) + 1
             stack.append((edge.target, advanced, new_counts, length + 1))
-        edges = tuple(edges)
-        taken.append(shared.setdefault(edges, edges))
-    return PathTree(nodes, taken, keys, truncated)
+        step = (node, tuple(edges))
+        steps.append(shared.setdefault(step, step))
+    return PathTree(steps, keys, truncated)
 
 
 def mips_free_meets(

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ import fpmfp
 from fpmfp import cli, clients, lifted, mfp, mips, oracle, progen
 from fpmfp.cli import main
 from fpmfp.frontend import MAX_NESTING, MAX_OPERANDS
-from fpmfp.lattice import INF, make_analysis
+from fpmfp.lattice import (
+    INF, BitvectorAnalysis, IntervalAnalysis, make_analysis)
 
 from conftest import FIXTURES, fixture_program, fixture_text
 
@@ -807,46 +809,87 @@ class TestSharedWork:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """Records the procedure of each tree built and the start node of
-        each tree evaluated; a tree of a procedure in ``explode`` raises
-        ``Explosion`` instead."""
-        record = {"built": [], "evaluated": [], "explode": ()}
+        """Records the procedure of each tree built and of each tree
+        evaluated, and the trees alive when a tree is built; a tree of a
+        procedure in ``explode`` raises ``Explosion`` instead."""
+        record = {"built": [], "evaluated": [], "alive": [], "explode": ()}
         real_tree = oracle.path_tree
         real_meets = oracle.PathTree.meets
+        alive = weakref.WeakSet()
+
+        class Tree(oracle.PathTree):
+            pass
+
+        class Token:
+            pass
 
         def tree(cfg, universe, proc_name, **kwargs):
             record["built"].append(proc_name)
+            record["alive"].append(len(alive))
             if proc_name in record["explode"]:
                 raise oracle.Explosion(f"path tree of {proc_name} exploded")
-            return real_tree(cfg, universe, proc_name, **kwargs)
+            built = Tree(*real_tree(cfg, universe, proc_name, **kwargs))
+            built.proc = proc_name
+            # A tuple takes no weak reference; the token it holds does.
+            built.token = Token()
+            alive.add(built.token)
+            return built
 
         def meets(self, **kwargs):
-            record["evaluated"].append(self.nodes[0])
+            record["evaluated"].append(self.proc)
             return real_meets(self, **kwargs)
 
         monkeypatch.setattr(oracle, "path_tree", tree)
-        monkeypatch.setattr(oracle.PathTree, "meets", meets)
+        monkeypatch.setattr(Tree, "meets", meets)
         return record
 
     @staticmethod
     def check_fig7():
-        assert cli._check_program(
-            ("fig7", fixture_text("fig7"), None, 2)) == []
-        return {proc.name: proc.cfg.start
-                for proc in fixture_program("fig7").procedures}
+        return cli._check_program(("fig7", fixture_text("fig7"), None, 2))
 
     def test_oracle_check_builds_one_call_graph_and_one_tree_per_procedure(
             self, call_graphs, walks):
-        starts = self.check_fig7()
+        assert self.check_fig7() == []
         assert len(call_graphs) == 1
         assert walks["built"] == ["p", "q"]
-        assert walks["evaluated"] == 3 * [starts["p"], starts["q"]]
+        assert walks["evaluated"] == 3 * ["p"] + 3 * ["q"]
+        # Each tree is dropped before the next one is built.
+        assert walks["alive"] == [0, 0]
 
-    def test_an_exploding_tree_is_skipped_for_every_analysis(self, walks):
+    def test_an_exploding_tree_is_skipped_for_every_analysis(
+            self, monkeypatch, walks):
+        # With every leq false, each analysis gets a
+        # fold-bounded-by-path-meets record at every node its walks reach.
+        for cls in (BitvectorAnalysis, IntervalAnalysis):
+            monkeypatch.setattr(cls, "leq", lambda self, a, b: False)
+
+        def reached():
+            out = {}
+            for v in self.check_fig7():
+                if v["property"] == "fold-bounded-by-path-meets":
+                    out.setdefault(v["analysis"], set()).add(v["location"])
+            return out
+
+        everywhere = reached()
         walks["explode"] = ("q",)
-        starts = self.check_fig7()
-        assert walks["built"] == ["p", "q"]
-        assert walks["evaluated"] == 3 * [starts["p"]]
+        without_q = reached()
+        assert walks["built"] == 2 * ["p", "q"]
+        assert walks["evaluated"] == 3 * ["p"] + 3 * ["q"] + 3 * ["p"]
+        in_q = {f"n{nid}" for nid in fixture_program("fig7").by_name["q"]
+                .cfg.nodes}
+        assert set(everywhere) == set(cli._SUITE_ANALYSES)
+        for analysis_name, locations in everywhere.items():
+            assert locations & in_q
+            assert without_q[analysis_name] == locations - in_q
+
+    def test_no_tree_when_no_analysis_solves(self, monkeypatch, walks):
+        def diverge(*args, **kwargs):
+            raise lifted.NonTermination("step budget exceeded")
+
+        monkeypatch.setattr(lifted, "solve_fpmfp_interprocedural", diverge)
+        assert [(v["analysis"], v["property"]) for v in self.check_fig7()] \
+            == [(name, "termination") for name in cli._SUITE_ANALYSES]
+        assert walks["built"] == []
 
     @pytest.mark.parametrize("command", [
         ("compare", "--analysis", "rd"),

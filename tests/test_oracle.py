@@ -264,9 +264,9 @@ class TestSplitWalk:
     def test_explosion_at_the_same_limit(self, load_program):
         proc = load_program("fig12").procedures[0]
         universe = detect_mips(load_program("fig12"))
-        size = len(path_tree(proc.cfg, universe, proc.name).nodes)
+        size = len(path_tree(proc.cfg, universe, proc.name).steps)
         assert len(path_tree(proc.cfg, universe, proc.name,
-                             limit=size).nodes) == size
+                             limit=size).steps) == size
         with pytest.raises(Explosion, match=f"exceeded {size - 1} "):
             path_tree(proc.cfg, universe, proc.name, limit=size - 1)
 
