@@ -234,6 +234,26 @@ class Edge(NamedTuple):
     label: EdgeLabel = NO_LABEL
 
 
+# The (starts, continues, ends) segment sets of an edge that no infeasible
+# segment touches.
+NO_CROSSING: tuple[frozenset[int], ...] = (frozenset(),) * 3
+
+
+class CfgPlan(NamedTuple):
+    """What the fixpoint engine reads of one CFG, built once per CFG.
+
+    ``heap`` holds ``(RPO position, node id)`` for every node in reverse
+    postorder, which is also a valid initial worklist heap.  ``outs``
+    maps each node id to the node and its out-edges, each as ``(edge,
+    edge id, target, target RPO position, NO_CROSSING)``; a segment
+    universe puts its own crossing sets in the last slot of the edges its
+    segments touch (``MipsUniverse.solve_plan``).
+    """
+
+    heap: tuple[tuple[int, int], ...]
+    outs: dict[int, tuple[Node, tuple[tuple, ...]]]
+
+
 class Cfg:
     """Control-flow graph of one procedure.
 
@@ -256,6 +276,7 @@ class Cfg:
         self._rpo: list[int] | None = None
         self._rpo_pos: dict[int, int] | None = None
         self._back: frozenset[int] | None = None
+        self._plan: CfgPlan | None = None
 
     def out_edges(self, node_id: int) -> list[Edge]:
         return self._out[node_id]
@@ -320,6 +341,17 @@ class Cfg:
                     stack.pop()
             self._back = frozenset(back)
         return self._back
+
+    def plan(self) -> CfgPlan:
+        """The fixpoint engine's view of this CFG (built on first use)."""
+        if self._plan is None:
+            pos = self.rpo_position()
+            self._plan = CfgPlan(
+                tuple((i, n) for i, n in enumerate(self.rpo())),
+                {n: (node, tuple((e, e.id, e.target, pos[e.target],
+                                  NO_CROSSING) for e in self._out[n]))
+                 for n, node in self.nodes.items()})
+        return self._plan
 
 
 class Procedure(NamedTuple):

@@ -420,6 +420,8 @@ class IntervalAnalysis(Analysis):
         # the item's '"var": [...]' line.
         self._pair_views = Memo(self._pair_view)
         self._item_views = Memo(self._item_view)
+        # Sorted, so havocked values list the globals in one order.
+        self._globals = sorted(program.globals)
 
     def top(self) -> IntervalValue:
         return {}
@@ -495,8 +497,9 @@ class IntervalAnalysis(Analysis):
         return out
 
     def apply_call(self, value: IntervalValue, callee_exit: IntervalValue,
-                   modified_globals: frozenset[str]) -> IntervalValue:
-        """Substitute the callee's exit intervals for modified globals."""
+                   modified_globals: list[str]) -> IntervalValue:
+        """Substitute the callee's exit intervals for modified globals,
+        in the order the list gives them."""
         out = dict(value)
         for g in modified_globals:
             iv = callee_exit.get(g)
@@ -508,7 +511,7 @@ class IntervalAnalysis(Analysis):
 
     def havoc_globals(self, value: IntervalValue) -> IntervalValue:
         out = dict(value)
-        for g in self.program.globals:
+        for g in self._globals:
             out[g] = (-INF, INF)
         return out
 
@@ -543,8 +546,10 @@ class IntervalAnalysis(Analysis):
     @staticmethod
     def _view_key(value: IntervalValue):
         # Insertion order is part of the key: an equal value built in
-        # another order gets a second view with the same text.
-        return tuple(value.items())
+        # another order gets a second view with the same text.  Two flat
+        # tuples compare as the tuple of items does, without a 2-tuple
+        # per variable.
+        return (tuple(value), tuple(value.values()))
 
     def format(self, value: IntervalValue) -> str:
         if not value:

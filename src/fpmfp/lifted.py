@@ -96,7 +96,22 @@ def _meet_all(value: LiftedValue, meet: Callable, top):
 
 def fold(value: LiftedValue, analysis: Analysis):
     """Meet of all stored pair values; top when no pair is stored."""
+    if len(value) == 1:
+        (only,) = value.values()
+        return only
     return _meet_all(value, analysis.meet, analysis.top())
+
+
+def _fold_each(values: dict[int, LiftedValue],
+               analysis: Analysis) -> dict[int, object]:
+    """``fold`` of every value, keyed as ``values``."""
+    out: dict[int, object] = {}
+    for i, pairs in values.items():
+        if len(pairs) == 1:
+            (out[i],) = pairs.values()
+        else:
+            out[i] = _meet_all(pairs, analysis.meet, analysis.top())
+    return out
 
 
 class PairStats:
@@ -137,8 +152,15 @@ class _Flow:
 
     def edge_flow(self, edge: Edge, source: Node,
                   value: LiftedValue) -> LiftedValue:
-        eid = edge.id
-        starts, continues, ends = self.universe.crossing(eid)
+        """The pairs of ``value``, the Out of ``source``, across ``edge``."""
+        return self.cross(edge, edge.id, self.universe.crossing(edge.id),
+                          source, value)
+
+    def cross(self, edge: Edge, eid: int,
+              crossing: tuple[frozenset[int], ...], source: Node,
+              value: LiftedValue) -> LiftedValue:
+        """:meth:`edge_flow` given the edge's id and crossing triple."""
+        starts, continues, ends = crossing
         refine = self.refine
         moved: LiftedValue = {}
         for key in sorted_keys(value):
@@ -182,15 +204,15 @@ class _Flow:
     def _merge_same_ends(self, pairs: LiftedValue) -> LiftedValue:
         """Merge pairs whose keys end on exactly the same set of edges.
 
-        Restricted to keys all of whose members carry the detected
-        start-condition property; members then block together at those
-        shared end edges, so one met value is exact.
+        Every detected segment carries the start-condition property, so
+        the members of such keys block together at those shared end
+        edges, and one met value is exact.
         """
         by_id = self.universe.by_id
         groups: dict[frozenset[int], list[Key]] = {}
         out: LiftedValue = {}
         for key in sorted_keys(pairs):
-            if key and all(by_id[i].satisfies_p for i in key):
+            if key:
                 ends = frozenset(by_id[i].end for i in key)
                 groups.setdefault(ends, []).append(key)
             else:
@@ -287,15 +309,29 @@ def _fixpoint(
     Returns (node In, edge values, steps).  ``transfer(node, value)`` must
     be monotone; values only descend.  The step budget grows with the CFG
     and with the number of pairs an edge may carry.
+
+    The CFG's out-edges, RPO positions and crossing triples come from the
+    universe's solve plan, built once per procedure.  When a node's In is
+    one pair, it crosses each out-edge here, with the same tracking,
+    blocking, refinement, top dropping and pair statistics as
+    :meth:`_Flow.cross` (normalizations 1 and 2 are identities on one
+    pair).  A widened back edge, or an In of any other size, goes through
+    :meth:`_Flow.cross`.
     """
     meet = flow.meet
+    refine = flow.refine
+    top = flow.top
+    drop_top = flow.drop_top
+    back = flow.back
+    cross = flow.cross
+    stats = flow.stats
+    per_edge_max = None if stats is None else stats.per_edge_max
+    plan = flow.universe.solve_plan(cfg)
     max_steps = flow.pair_limit * (2_000 * (len(cfg.nodes) + 1) + 10_000)
-    rpo = cfg.rpo()
-    pos = cfg.rpo_position()
     node_in: dict[int, LiftedValue] = {n: {} for n in cfg.nodes}
     node_in[cfg.start] = {EMPTY_KEY: boundary}
     edge_vals: dict[int, LiftedValue] = {}
-    heap: list[tuple[int, int]] = [(pos[n], n) for n in rpo]
+    heap = list(cfg.plan().heap)
     queued = set(cfg.nodes)
     steps = 0
     while heap:
@@ -307,29 +343,61 @@ def _fixpoint(
                 f"no fixpoint within {max_steps} steps in proc "
                 f"'{cfg.proc_name}'"
             )
-        node = cfg.nodes[n]
-        out: LiftedValue = {}
-        for key, v in node_in[n].items():
-            out[key] = transfer(node, v)
-        for e in cfg.out_edges(n):
-            moved = flow.edge_flow(e, node, out)
-            edge_vals[e.id] = moved
-            old = node_in[e.target]
-            # Copy the target's In only once some pair of it changes.
-            new = None
-            for key, v in moved.items():
-                if key in old:
-                    v = meet(old[key], v)
-                    if v == old[key]:
+        node, outs = plan[n]
+        pairs = node_in[n]
+        single = len(pairs) == 1
+        if single:
+            ((key, v),) = pairs.items()
+            v = transfer(node, v)
+        else:
+            out = {key: transfer(node, v) for key, v in pairs.items()}
+        for edge, eid, target, tpos, crossing in outs:
+            if single and eid not in back:
+                starts, continues, ends = crossing
+                tracked = starts | (key & continues) if continues else starts
+                if ends and tracked & ends:
+                    if stats is not None:
+                        stats.blocked += 1
+                    edge_vals[eid] = {}
+                    continue
+                w = v if refine is None else refine(edge, node, v)
+                if drop_top and w == top:
+                    edge_vals[eid] = {}
+                    continue
+                edge_vals[eid] = {tracked: w}
+                if per_edge_max is not None and eid not in per_edge_max:
+                    per_edge_max[eid] = 1
+                    if not stats.max_pairs:
+                        stats.max_pairs = 1
+                old = node_in[target]
+                if tracked in old:
+                    prev = old[tracked]
+                    w = meet(prev, w)
+                    if w == prev:
                         continue
+                new = dict(old)
+                new[tracked] = w
+            else:
+                moved = cross(edge, eid, crossing, node,
+                              {key: v} if single else out)
+                edge_vals[eid] = moved
+                old = node_in[target]
+                # Copy the target's In only once some pair of it changes.
+                new = None
+                for k, w in moved.items():
+                    if k in old:
+                        w = meet(old[k], w)
+                        if w == old[k]:
+                            continue
+                    if new is None:
+                        new = dict(old)
+                    new[k] = w
                 if new is None:
-                    new = dict(old)
-                new[key] = v
-            if new is not None:
-                node_in[e.target] = new
-                if e.target not in queued:
-                    queued.add(e.target)
-                    heapq.heappush(heap, (pos[e.target], e.target))
+                    continue
+            node_in[target] = new
+            if target not in queued:
+                queued.add(target)
+                heapq.heappush(heap, (tpos, target))
     return node_in, edge_vals, steps
 
 
@@ -463,12 +531,27 @@ class FpmfpSolution:
 
     @cached_property
     def folded_out(self) -> dict[int, object]:
-        return {n: fold(v, self.analysis) for n, v in self.node_out.items()}
+        # The fold of each node's transferred pairs, met as ``fold`` meets
+        # them, without building ``node_out``.
+        nodes = self.cfg.nodes
+        transfer = self.node_transfer
+        analysis = self.analysis
+        meet = analysis.meet
+        out: dict[int, object] = {}
+        for n, pairs in self.node_in.items():
+            if len(pairs) == 1:
+                (v,) = pairs.values()
+                out[n] = transfer(nodes[n], v)
+                continue
+            met = analysis.top()
+            for key in sorted_keys(pairs):
+                met = meet(met, transfer(nodes[n], pairs[key]))
+            out[n] = met
+        return out
 
     @cached_property
     def folded_edges(self) -> dict[int, object]:
-        return {e: fold(v, self.analysis)
-                for e, v in self.edge_values.items()}
+        return _fold_each(self.edge_values, self.analysis)
 
 
 class FpmfpProgramSolution(NamedTuple):
@@ -543,16 +626,24 @@ def solve_fpmfp_interprocedural(
     index = {proc.name: i for i, proc in enumerate(procs)}
     reachable = _reachable_procs(program, cg)
     # Call sites in reachable procedures: per callee, in node-id order for
-    # deterministic meets, and per caller.
+    # deterministic meets, and per caller.  Call nodes of every procedure.
     sites: dict[str, list[int]] = {p.name: [] for p in procs}
     calls: dict[str, list[tuple[int, str]]] = {p.name: [] for p in procs}
+    call_nodes: dict[str, list[Node]] = {p.name: [] for p in procs}
     for proc in procs:
         for nid in proc.cfg.node_ids():
-            st = proc.cfg.nodes[nid].statement
-            if (st.kind == StKind.CALL and st.callee in sites
-                    and proc.name in reachable):
+            node = proc.cfg.nodes[nid]
+            st = node.statement
+            if st.kind != StKind.CALL:
+                continue
+            call_nodes[proc.name].append(node)
+            if st.callee in sites and proc.name in reachable:
                 sites[st.callee].append(nid)
                 calls[proc.name].append((nid, st.callee))
+    # Modified globals in sorted order, so the interval values a call
+    # yields list their variables in the same order in every process.
+    modified = ({name: sorted(names) for name, names in cg.may_modify.items()}
+                if summaries is None else {})
 
     exit_values: dict[str, object] = {}
     boundaries: dict[str, object] = {}
@@ -571,7 +662,23 @@ def solve_fpmfp_interprocedural(
             return ((value & ~summaries.ksum[st.callee])
                     | summaries.gsum[st.callee])
         return analysis.apply_call(
-            value, exit_values.get(st.callee, top), cg.may_modify[st.callee])
+            value, exit_values.get(st.callee, top), modified[st.callee])
+
+    # ``transfer_preserves_top`` for ``node_transfer``, split in two: the
+    # other nodes' part is fixed for the run, while a call's transfer may
+    # read its callee's current exit, so calls are checked at every solve.
+    plain_keeps_top: dict[str, bool] = {}
+
+    def keeps_top(cfg: Cfg) -> bool:
+        name = cfg.proc_name
+        plain = plain_keeps_top.get(name)
+        if plain is None:
+            plain = plain_keeps_top[name] = all(
+                analysis.transfer(node, top) == top
+                for node in cfg.nodes.values()
+                if node.statement.kind != StKind.CALL)
+        return plain and all(node_transfer(node, top) == top
+                             for node in call_nodes[name])
 
     def widen_at(key: int, value):
         widening.observe(key, value)
@@ -610,15 +717,14 @@ def solve_fpmfp_interprocedural(
                 universe, name,
                 meet=analysis.meet, top=top, refine=analysis.refine,
                 opts=opts,
-                drop_top=(3 in opts and transfer_preserves_top(
-                    cfg, node_transfer, top)),
+                drop_top=3 in opts and keeps_top(cfg),
                 widening=widening,
                 back=cfg.back_edges() if widening.enabled else frozenset(),
                 stats=stats,
             )
             p_in, p_edges, p_steps = _fixpoint(
                 cfg, boundary=bi, transfer=node_transfer, flow=flow)
-            p_folded = {n: fold(v, analysis) for n, v in p_in.items()}
+            p_folded = _fold_each(p_in, analysis)
             steps += p_steps
             for nid, callee in calls[name]:
                 if p_folded[nid] != folded_in.get(nid, top):

@@ -27,7 +27,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .frontend import (
+    NO_CROSSING,
     CallGraph,
+    Cfg,
     Cond,
     Expr,
     LabelKind,
@@ -411,9 +413,8 @@ class MipsUniverse:
                 frozenset(ends.get(e, ())))
             for e in starts.keys() | continues.keys()
         }
-        empty: frozenset[int] = frozenset()
-        self._untouched = (empty, empty, empty)
         self._cso_cache: dict[tuple[int, int], frozenset[int]] = {}
+        self._plans: dict[Cfg, dict] = {}
 
     def __len__(self) -> int:
         return len(self.all)
@@ -430,7 +431,23 @@ class MipsUniverse:
         edge, which for cycle-free segments is membership past the start.
         The pair is blocked when that set meets ``ends``.
         """
-        return self._crossing.get(edge_id, self._untouched)
+        return self._crossing.get(edge_id, NO_CROSSING)
+
+    def solve_plan(self, cfg: Cfg) -> dict[int, tuple]:
+        """``cfg.plan().outs`` with each out-edge's last slot holding its
+        :meth:`crossing` triple.  Built once per procedure that has
+        segments; every fixpoint over the procedure reads it."""
+        plan = cfg.plan().outs
+        if not self.for_proc(cfg.proc_name):
+            return plan
+        table = self._plans.get(cfg)
+        if table is None:
+            crossing = self._crossing
+            table = self._plans[cfg] = {
+                n: (node, tuple((*out[:4], crossing.get(out[1], NO_CROSSING))
+                                for out in outs))
+                for n, (node, outs) in plan.items()}
+        return table
 
     def cso(self, edge_id: int, mips: Mips) -> frozenset[int]:
         """Segments whose remaining path is an initial run of this one's.

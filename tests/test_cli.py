@@ -20,13 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpmfp
-from fpmfp import cli, clients, lifted, mfp, mips, oracle, progen
+from fpmfp import cli, clients, frontend, lifted, mfp, mips, oracle, progen
 from fpmfp.cli import main
 from fpmfp.frontend import MAX_NESTING, MAX_OPERANDS
 from fpmfp.lattice import (
     INF, BitvectorAnalysis, IntervalAnalysis, make_analysis)
 
-from conftest import FIXTURES, fixture_program, fixture_text
+from conftest import (
+    FIXTURES,
+    fixture_program,
+    fixture_text,
+    perfbench_workloads,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -317,10 +322,10 @@ class TestInputErrors:
     ], ids=lambda c: "-".join(c[::2]))
     def test_solver_errors_exit_one(self, capsys, monkeypatch, command,
                                     error):
-        def fail(flow, edge, source, value):
+        def fail(cfg, **kwargs):
             raise error("solver gave up")
 
-        monkeypatch.setattr(lifted._Flow, "edge_flow", fail)
+        monkeypatch.setattr(lifted, "_fixpoint", fail)
         code, out, err = run(capsys, *command, "--program", fix("fig2"),
                              "--analysis", "rd")
         assert code == 1
@@ -330,10 +335,10 @@ class TestInputErrors:
     def test_oracle_explosion_is_not_a_solver_error(self, monkeypatch):
         # oracle-check catches Explosion per procedure; anywhere else it
         # is a fault and must not turn into an ordinary exit 1.
-        def fail(flow, edge, source, value):
+        def fail(cfg, **kwargs):
             raise oracle.Explosion("path tree too large")
 
-        monkeypatch.setattr(lifted._Flow, "edge_flow", fail)
+        monkeypatch.setattr(lifted, "_fixpoint", fail)
         with pytest.raises(oracle.Explosion):
             main(["analyze", "--program", fix("fig2"), "--analysis", "rd",
                   "--mode", "fpmfp"])
@@ -890,6 +895,25 @@ class TestSharedWork:
         assert [(v["analysis"], v["property"]) for v in self.check_fig7()] \
             == [(name, "termination") for name in cli._SUITE_ANALYSES]
         assert walks["built"] == []
+
+    def test_oracle_check_builds_one_cfg_plan_per_procedure(
+            self, monkeypatch):
+        # Every round, summary fixpoint and solve of the nine solves reads
+        # the plan its procedure's CFG built on first use.
+        built = []
+        real = frontend.CfgPlan
+
+        def counted(heap, outs):
+            built.append(sorted(outs))
+            return real(heap, outs)
+
+        monkeypatch.setattr(frontend, "CfgPlan", counted)
+        source = perfbench_workloads().call_chain(1, 40).source
+        assert cli._check_program(("chain", source, None, 2)) == []
+        program = frontend.parse_program(source)
+        assert len(program.procedures) == 41
+        assert sorted(built) == sorted(sorted(proc.cfg.nodes)
+                                       for proc in program.procedures)
 
     @pytest.mark.parametrize("command", [
         ("compare", "--analysis", "rd"),

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpmfp
 from fpmfp import cli
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import (
@@ -342,6 +347,50 @@ class TestIntervalLaws:
     def test_leq_transitive(self, a, b, c):
         if interval_leq(a, b) and interval_leq(b, c):
             assert interval_leq(a, c)
+
+
+class TestIntervalItemOrder:
+    def test_items_keep_one_order_under_every_hash_seed(self):
+        # Calls and extern calls write globals into interval values; they
+        # take the names in sorted order, not in a frozenset's order, so
+        # processes with different string hash seeds list every value's
+        # items alike.  Under hash seed 2 these three programs once listed
+        # some values' globals in another order than under seed 0.
+        script = (
+            "import json\n"
+            "from fpmfp.frontend import parse_program\n"
+            "from fpmfp.lattice import make_analysis\n"
+            "from fpmfp.lifted import solve_fpmfp_interprocedural\n"
+            "from fpmfp.mfp import solve_mfp\n"
+            "from fpmfp.mips import detect_mips\n"
+            "from fpmfp.progen import generate_multi_program\n"
+            "out = []\n"
+            "for seed in (78, 79, 90):\n"
+            "    program = parse_program(generate_multi_program(seed))\n"
+            "    analysis = make_analysis('interval', program)\n"
+            "    flat = solve_mfp(program, analysis)\n"
+            "    lifted = solve_fpmfp_interprocedural(\n"
+            "        program, analysis, detect_mips(program))\n"
+            "    for values in (flat.node_in, flat.edge_values,\n"
+            "                   lifted.folded_in):\n"
+            "        out.append([[i, list(value.items())]\n"
+            "                    for i, value in values.items()])\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(fpmfp.__file__).resolve().parent.parent)
+        runs = []
+        for seed in ("0", "2"):
+            child = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+            assert child.returncode == 0, child.stderr
+            runs.append([value for values in json.loads(child.stdout)
+                         for value in values])
+        first, second = runs
+        assert len(first) == len(second)
+        differ = [(a, b) for a, b in zip(first, second) if a != b]
+        assert differ[:1] == []
 
 
 class TestBitvectorLaws:

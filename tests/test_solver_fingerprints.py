@@ -18,9 +18,7 @@ Run this file as a script to rewrite the golden.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from fpmfp.frontend import parse_program
@@ -30,20 +28,10 @@ from fpmfp.mfp import solve_mfp
 from fpmfp.mips import detect_mips
 from fpmfp.progen import generate_multi_program, generate_program
 
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "fixtures"
+from conftest import FIXTURES, perfbench_workloads
+
 GOLDEN = Path(__file__).resolve().parent / "golden" / "solver_fingerprints.json"
 ANALYSES = ("rd", "must-defined", "interval")
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    # ``dataclass`` looks its class's module up in ``sys.modules``.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def corpus() -> list[tuple[str, str, bool]]:
@@ -56,7 +44,7 @@ def corpus() -> list[tuple[str, str, bool]]:
                   for seed in range(20)]
     cases += [(f"multi-{seed}", generate_multi_program(seed), False)
               for seed in range(20)]
-    workloads = _workloads()
+    workloads = perfbench_workloads()
     cases += [("local-large", workloads.local_large(1, 50, 200).source, False),
               ("call-chain", workloads.call_chain(1, 40).source, False)]
     return cases
