@@ -326,12 +326,12 @@ def _fixpoint(
     cross = flow.cross
     stats = flow.stats
     per_edge_max = None if stats is None else stats.per_edge_max
-    plan = flow.universe.solve_plan(cfg)
+    heap, plan = flow.universe.solve_plan(cfg)
+    heap = list(heap)
     max_steps = flow.pair_limit * (2_000 * (len(cfg.nodes) + 1) + 10_000)
     node_in: dict[int, LiftedValue] = {n: {} for n in cfg.nodes}
     node_in[cfg.start] = {EMPTY_KEY: boundary}
     edge_vals: dict[int, LiftedValue] = {}
-    heap = list(cfg.plan().heap)
     queued = set(cfg.nodes)
     steps = 0
     while heap:
@@ -622,21 +622,23 @@ def solve_fpmfp_interprocedural(
     widening = WideningState(widen and analysis.kind == "interval")
     stats = PairStats()
     top = analysis.top()
+    # The default refine is the identity; the engine then skips the call.
+    refine = (None if type(analysis).refine is Analysis.refine
+              else analysis.refine)
     procs = program.procedures
     index = {proc.name: i for i, proc in enumerate(procs)}
     reachable = _reachable_procs(program, cg)
     # Call sites in reachable procedures: per callee, in node-id order for
-    # deterministic meets, and per caller.  Call nodes of every procedure.
+    # deterministic meets, and per caller.  Procedures with a call node.
     sites: dict[str, list[int]] = {p.name: [] for p in procs}
     calls: dict[str, list[tuple[int, str]]] = {p.name: [] for p in procs}
-    call_nodes: dict[str, list[Node]] = {p.name: [] for p in procs}
+    calling: set[str] = set()
     for proc in procs:
         for nid in proc.cfg.node_ids():
-            node = proc.cfg.nodes[nid]
-            st = node.statement
+            st = proc.cfg.nodes[nid].statement
             if st.kind != StKind.CALL:
                 continue
-            call_nodes[proc.name].append(node)
+            calling.add(proc.name)
             if st.callee in sites and proc.name in reachable:
                 sites[st.callee].append(nid)
                 calls[proc.name].append((nid, st.callee))
@@ -663,22 +665,6 @@ def solve_fpmfp_interprocedural(
                     | summaries.gsum[st.callee])
         return analysis.apply_call(
             value, exit_values.get(st.callee, top), modified[st.callee])
-
-    # ``transfer_preserves_top`` for ``node_transfer``, split in two: the
-    # other nodes' part is fixed for the run, while a call's transfer may
-    # read its callee's current exit, so calls are checked at every solve.
-    plain_keeps_top: dict[str, bool] = {}
-
-    def keeps_top(cfg: Cfg) -> bool:
-        name = cfg.proc_name
-        plain = plain_keeps_top.get(name)
-        if plain is None:
-            plain = plain_keeps_top[name] = all(
-                analysis.transfer(node, top) == top
-                for node in cfg.nodes.values()
-                if node.statement.kind != StKind.CALL)
-        return plain and all(node_transfer(node, top) == top
-                             for node in call_nodes[name])
 
     def widen_at(key: int, value):
         widening.observe(key, value)
@@ -715,15 +701,19 @@ def solve_fpmfp_interprocedural(
             bi = boundary_for(proc)
             flow = _Flow(
                 universe, name,
-                meet=analysis.meet, top=top, refine=analysis.refine,
+                meet=analysis.meet, top=top, refine=refine,
                 opts=opts,
-                drop_top=3 in opts and keeps_top(cfg),
+                drop_top=(3 in opts and transfer_preserves_top(
+                    cfg, node_transfer, top)),
                 widening=widening,
                 back=cfg.back_edges() if widening.enabled else frozenset(),
                 stats=stats,
             )
             p_in, p_edges, p_steps = _fixpoint(
-                cfg, boundary=bi, transfer=node_transfer, flow=flow)
+                cfg, boundary=bi, flow=flow,
+                # Without calls, node_transfer is the analysis's transfer.
+                transfer=node_transfer if name in calling
+                else analysis.transfer)
             p_folded = _fold_each(p_in, analysis)
             steps += p_steps
             for nid, callee in calls[name]:

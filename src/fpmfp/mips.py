@@ -30,6 +30,7 @@ from .frontend import (
     NO_CROSSING,
     CallGraph,
     Cfg,
+    CfgPlan,
     Cond,
     Expr,
     LabelKind,
@@ -414,7 +415,7 @@ class MipsUniverse:
             for e in starts.keys() | continues.keys()
         }
         self._cso_cache: dict[tuple[int, int], frozenset[int]] = {}
-        self._plans: dict[Cfg, dict] = {}
+        self._plans: dict[Cfg, CfgPlan] = {}
 
     def __len__(self) -> int:
         return len(self.all)
@@ -433,21 +434,22 @@ class MipsUniverse:
         """
         return self._crossing.get(edge_id, NO_CROSSING)
 
-    def solve_plan(self, cfg: Cfg) -> dict[int, tuple]:
-        """``cfg.plan().outs`` with each out-edge's last slot holding its
+    def solve_plan(self, cfg: Cfg) -> CfgPlan:
+        """``cfg.plan()`` with each out-edge's last slot holding its
         :meth:`crossing` triple.  Built once per procedure that has
         segments; every fixpoint over the procedure reads it."""
-        plan = cfg.plan().outs
-        if not self.for_proc(cfg.proc_name):
-            return plan
-        table = self._plans.get(cfg)
-        if table is None:
-            crossing = self._crossing
-            table = self._plans[cfg] = {
-                n: (node, tuple((*out[:4], crossing.get(out[1], NO_CROSSING))
-                                for out in outs))
-                for n, (node, outs) in plan.items()}
-        return table
+        plan = self._plans.get(cfg)
+        if plan is None:
+            plan = cfg.plan()
+            if self._by_proc.get(cfg.proc_name):
+                crossing = self._crossing
+                plan = CfgPlan(plan.heap, {
+                    n: (node, tuple((*out[:4],
+                                     crossing.get(out[1], NO_CROSSING))
+                                    for out in outs))
+                    for n, (node, outs) in plan.outs.items()})
+            self._plans[cfg] = plan
+        return plan
 
     def cso(self, edge_id: int, mips: Mips) -> frozenset[int]:
         """Segments whose remaining path is an initial run of this one's.
