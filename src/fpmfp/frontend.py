@@ -347,9 +347,9 @@ class Cfg:
         if self._plan is None:
             pos = self.rpo_position()
             self._plan = CfgPlan(
-                tuple((i, n) for i, n in enumerate(self.rpo())),
-                {n: (node, tuple((e, e.id, e.target, pos[e.target],
-                                  NO_CROSSING) for e in self._out[n]))
+                tuple(enumerate(self.rpo())),
+                {n: (node, tuple([(e, e.id, e.target, pos[e.target],
+                                   NO_CROSSING) for e in self._out[n]]))
                  for n, node in self.nodes.items()})
         return self._plan
 

@@ -441,13 +441,18 @@ class MipsUniverse:
         plan = self._plans.get(cfg)
         if plan is None:
             plan = cfg.plan()
-            if self._by_proc.get(cfg.proc_name):
+            segments = self._by_proc.get(cfg.proc_name)
+            if segments:
                 crossing = self._crossing
-                plan = CfgPlan(plan.heap, {
-                    n: (node, tuple((*out[:4],
-                                     crossing.get(out[1], NO_CROSSING))
-                                    for out in outs))
-                    for n, (node, outs) in plan.outs.items()})
+                outs = dict(plan.outs)
+                # Only a segment's edges cross anything.
+                for n in {cfg.edges[e].source for m in segments
+                          for e in m.edges}:
+                    node, edges = outs[n]
+                    outs[n] = (node, tuple([
+                        (*out[:4], crossing.get(out[1], NO_CROSSING))
+                        for out in edges]))
+                plan = CfgPlan(plan.heap, outs)
             self._plans[cfg] = plan
         return plan
 
