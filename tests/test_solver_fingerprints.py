@@ -51,16 +51,41 @@ def corpus() -> list[tuple[str, str, bool]]:
 
 
 def canon(x):
-    """``x`` as JSON content with dict items and set members sorted."""
+    """``x`` as JSON content with dict items, sorted by their keys' JSON
+    text, and set members sorted."""
+    kind = type(x)
+    if kind is int or kind is float or kind is str:
+        return x
+    if kind is tuple and len(x) == 2 and type(x[0]) in _NUMBERS \
+            and type(x[1]) in _NUMBERS:
+        return list(x)  # an interval, say: the same as the loop below
     if isinstance(x, dict):
-        items = [(canon(k), canon(v)) for k, v in x.items()]
-        return sorted(([k, v] for k, v in items), key=lambda kv: json.dumps(
-            kv[0]))
+        items = [[canon(k), canon(v)] for k, v in x.items()]
+        items.sort(key=_key_text)
+        return items
     if isinstance(x, (set, frozenset)):
-        return sorted(canon(i) for i in x)
+        return sorted(x)
     if isinstance(x, (list, tuple)):
         return [canon(i) for i in x]
     return x
+
+
+_NUMBERS = (int, float)
+
+
+def _key_text(item) -> str:
+    """``json.dumps`` of a canonical dict key, faster for the common
+    kinds: an int, a plain name, or a sorted list of ints (a pair's
+    segment set)."""
+    key = item[0]
+    kind = type(key)
+    if kind is int:
+        return str(key)
+    if kind is str and key.isascii() and key.isidentifier():
+        return '"' + key + '"'
+    if kind is list and all(type(i) is int for i in key):
+        return "[" + ", ".join(map(str, key)) + "]"
+    return json.dumps(key)
 
 
 def _digest(dump: dict) -> str:
