@@ -422,6 +422,8 @@ class IntervalAnalysis(Analysis):
         self._item_views = Memo(self._item_view)
         # Sorted, so havocked values list the globals in one order.
         self._globals = sorted(program.globals)
+        # Per edge id: what ``refine`` does there (``_refine_rule``).
+        self._refine_rules: dict[int, tuple] = {}
 
     def top(self) -> IntervalValue:
         return {}
@@ -448,42 +450,55 @@ class IntervalAnalysis(Analysis):
         return value
 
     def refine(self, edge, source_node: Node, value: IntervalValue) -> IntervalValue:
+        # What an edge refines depends on the edge alone: work it out once.
+        rule = self._refine_rules.get(edge.id)
+        if rule is None:
+            rule = self._refine_rules[edge.id] = self._refine_rule(
+                edge, source_node)
+        if not rule:
+            return value
+        if len(rule) == 3:
+            return _intersect_var(value, *rule)
+        # var == var' holds on this arm: both get the intersection of the
+        # two current intervals.
+        var, other = rule
+        a = value.get(var)
+        b = value.get(other)
+        out = dict(value)
+        if a is None or b is None:
+            out.pop(var, None)
+            out.pop(other, None)
+            return out
+        lo, hi = max(a[0], b[0]), min(a[1], b[1])
+        if lo > hi:
+            out.pop(var, None)
+            out.pop(other, None)
+        else:
+            out[var] = (lo, hi)
+            out[other] = (lo, hi)
+        return out
+
+    @staticmethod
+    def _refine_rule(edge, source_node: Node) -> tuple:
+        """``refine``'s work on one edge: ``()`` for none, ``(var, lo,
+        hi)`` to intersect ``var`` with [lo, hi], or ``(var, other)`` when
+        the arm makes two variables equal."""
         st = source_node.statement
         label = edge.label
         if st.kind == StKind.SWITCH:
             if label.kind == LabelKind.CASE:
-                return _intersect_var(value, st.var, label.value, label.value)
-            return value
+                return (st.var, label.value, label.value)
+            return ()
         if st.kind != StKind.BRANCH or label.kind not in (
                 LabelKind.TRUE, LabelKind.FALSE):
-            return value
+            return ()
         cond = st.cond
         taken = label.kind == LabelKind.TRUE
         if cond.is_simple() and isinstance(cond.rhs, str):
-            # var == var' taken (or var != var' not taken): both get the
-            # intersection of the two current intervals.
             equal = (cond.op == "==" and taken) or (cond.op == "!=" and not taken)
-            if not equal:
-                return value
-            a = value.get(cond.var)
-            b = value.get(cond.rhs)
-            out = dict(value)
-            if a is None or b is None:
-                out.pop(cond.var, None)
-                out.pop(cond.rhs, None)
-                return out
-            lo, hi = max(a[0], b[0]), min(a[1], b[1])
-            if lo > hi:
-                out.pop(cond.var, None)
-                out.pop(cond.rhs, None)
-            else:
-                out[cond.var] = (lo, hi)
-                out[cond.rhs] = (lo, hi)
-            return out
+            return (cond.var, cond.rhs) if equal else ()
         constraint = constraint_for(cond, taken)
-        if constraint is None:
-            return value
-        return _intersect_var(value, cond.var, *constraint)
+        return () if constraint is None else (cond.var, *constraint)
 
     def entry_boundary(self, proc: Procedure) -> IntervalValue:
         return {p: (-INF, INF) for p in proc.params}
