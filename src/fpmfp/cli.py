@@ -342,33 +342,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     view = analysis.json_views()
     if args.mode == "mfp":
         solution = solve_mfp(program, analysis)
-        outs = {
-            nid: solution.node_transfer(node, solution.node_in[nid])
-            for proc in program.procedures
-            for nid, node in proc.cfg.nodes.items()
-        }
-        payload = {
-            "schema": SCHEMA,
-            "analysis": analysis.name,
-            "mode": "mfp",
-            "solution": _node_records(
-                program, view, solution.node_in, outs),
-        }
     else:
         call_graph = build_call_graph(program)
         universe = detect_mips(program, call_graph)
         solution = solve_fpmfp_interprocedural(
             program, analysis, universe, args.opts, call_graph=call_graph)
-        payload = {
-            "schema": SCHEMA,
-            "analysis": analysis.name,
-            "mode": "fpmfp",
-            "opts": sorted(args.opts),
-            "solution": _node_records(
-                program, view, solution.folded_in, solution.folded_out),
-            "edge_pairs": _edge_pair_records(
-                program, view, solution.edge_values),
-        }
+    payload = {
+        "schema": SCHEMA,
+        "analysis": analysis.name,
+        "mode": args.mode,
+        "solution": _node_records(
+            program, view, solution.folded_in, solution.folded_out),
+    }
+    if args.mode == "fpmfp":
+        payload["opts"] = sorted(args.opts)
+        payload["edge_pairs"] = _edge_pair_records(
+            program, view, solution.edge_values)
     _write_text(_json_text(payload), args.output)
     return 0
 
@@ -460,12 +449,12 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
             continue
         folded_in = lifted.folded_in
         folded_edges = lifted.folded_edges
-        for nid, value in flat.node_in.items():
+        for nid, value in flat.folded_in.items():
             if not analysis.leq(value, folded_in[nid]):
                 bad(analysis_name, "mfp-refined-by-fold", f"n{nid}",
                     f"{analysis.format(value)} !<= "
                     f"{analysis.format(folded_in[nid])}")
-        for eid, value in flat.edge_values.items():
+        for eid, value in flat.folded_edges.items():
             if not analysis.leq(value, folded_edges[eid]):
                 bad(analysis_name, "mfp-refined-by-fold", f"e{eid}",
                     f"{analysis.format(value)} !<= "
@@ -485,6 +474,8 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
                 max_len=max_length or 2 * len(proc.cfg.edges),
                 edge_cap=edge_cap)
         except Explosion:
+            _info("%s: procedure %s has too many paths; its path-tree "
+                  "checks are skipped", name, proc.name)
             continue
         for analysis_name, analysis, lifted, folded_in in solved:
             node_transfer, refine = solution_semantics(lifted, proc)

@@ -6,7 +6,9 @@ read off the complement of the must-defined solution.  Both come in a
 single-solution form (a plain list for one mode) and a two-mode report
 with totals and the removal percentage.  ``compare_modes`` runs both
 solvers on one program and tabulates where the feasible-path mode is
-strictly more precise, along with wall times and pair statistics.
+strictly more precise, along with wall times and pair statistics.  Both
+modes' solutions are ``FpmfpProgramSolution``s (MFP is the solve over no
+segments), so every reader takes the folded views of either alike.
 """
 from __future__ import annotations
 
@@ -14,14 +16,14 @@ import time
 from typing import NamedTuple
 
 from .frontend import MiniIrProgram, build_call_graph
-from .lattice import Analysis, make_analysis
+from .lattice import Analysis
 from .lifted import (
     ALL_OPTS,
     FpmfpProgramSolution,
     PairStats,
     solve_fpmfp_interprocedural,
 )
-from .mfp import MfpSolution, solve_mfp
+from .mfp import solve_mfp
 from .mips import MipsUniverse, detect_mips
 
 
@@ -44,13 +46,6 @@ class Alarm(NamedTuple):
     var: str
 
 
-def _node_values(solution) -> dict[int, object]:
-    """Per-node values of either mode: folded for the lifted solution."""
-    if isinstance(solution, FpmfpProgramSolution):
-        return solution.folded_in
-    return solution.node_in
-
-
 def _require(solution, analysis_name: str, what: str) -> None:
     if solution.analysis.name != analysis_name:
         raise ValueError(
@@ -62,14 +57,15 @@ def _use_order(pair: DefUse) -> tuple:
     return (pair.use_node, pair.var, pair.def_node)
 
 
-def def_use_pairs(program: MiniIrProgram, solution) -> tuple[DefUse, ...]:
+def def_use_pairs(program: MiniIrProgram,
+                  solution: FpmfpProgramSolution) -> tuple[DefUse, ...]:
     """Every (def site, use site, variable) triple the solution reports.
 
     Works on either mode's reaching-definitions solution; ordering is by
     use site, then variable, then def site.
     """
     _require(solution, "rd", "def-use pairs")
-    values = _node_values(solution)
+    values = solution.folded_in
     analysis = solution.analysis
     out: list[DefUse] = []
     for proc in program.procedures:
@@ -85,10 +81,11 @@ def def_use_pairs(program: MiniIrProgram, solution) -> tuple[DefUse, ...]:
     return tuple(sorted(out, key=_use_order))
 
 
-def uninit_alarms(program: MiniIrProgram, solution) -> tuple[Alarm, ...]:
+def uninit_alarms(program: MiniIrProgram,
+                  solution: FpmfpProgramSolution) -> tuple[Alarm, ...]:
     """Uses not covered by the must-defined solution, in site order."""
     _require(solution, "must-defined", "uninitialized-use alarms")
-    values = _node_values(solution)
+    values = solution.folded_in
     analysis = solution.analysis
     out: list[Alarm] = []
     for proc in program.procedures:
@@ -186,7 +183,7 @@ class UninitReport(_TwoModeReport):
                            lambda a: f"n{a.use_node}  {a.var}")
 
 
-def def_use_report(program: MiniIrProgram, flat: MfpSolution,
+def def_use_report(program: MiniIrProgram, flat: FpmfpProgramSolution,
                    lifted: FpmfpProgramSolution) -> DefUseReport:
     return DefUseReport(
         mfp=def_use_pairs(program, flat),
@@ -194,7 +191,7 @@ def def_use_report(program: MiniIrProgram, flat: MfpSolution,
     )
 
 
-def uninit_report(program: MiniIrProgram, flat: MfpSolution,
+def uninit_report(program: MiniIrProgram, flat: FpmfpProgramSolution,
                   lifted: FpmfpProgramSolution) -> UninitReport:
     return UninitReport(
         mfp=uninit_alarms(program, flat),
@@ -297,27 +294,25 @@ class ComparisonReport(NamedTuple):
         return "\n".join(lines)
 
 
-def compare_modes(program: MiniIrProgram, analysis,
+def compare_modes(program: MiniIrProgram, analysis: Analysis,
                   opts: frozenset[int] = ALL_OPTS, *,
                   universe: MipsUniverse | None = None) -> ComparisonReport:
     """Solve one program both ways and tabulate the differences.
 
-    ``analysis`` is an instance or a registry name.  The feasible-path
-    values must refine the plain ones everywhere; a failure raises
-    ``PrecisionViolation`` and indicates a solver bug.  One call graph
-    serves detection and both solves.
+    The feasible-path values must refine the plain ones everywhere; a
+    failure raises ``PrecisionViolation`` and indicates a solver bug.  One
+    call graph serves detection and both solves.
     """
-    if isinstance(analysis, str):
-        analysis = make_analysis(analysis, program)
     call_graph = build_call_graph(program)
     if universe is None:
         universe = detect_mips(program, call_graph)
 
+    # Both windows include folding the edge values.
     start = time.perf_counter()
     flat = solve_mfp(program, analysis, call_graph=call_graph)
+    flat_edges = flat.folded_edges
     flat_time = time.perf_counter() - start
 
-    # Both windows include folding the edge values, which MFP does eagerly.
     start = time.perf_counter()
     lifted = solve_fpmfp_interprocedural(program, analysis, universe, opts,
                                          call_graph=call_graph)
@@ -325,9 +320,8 @@ def compare_modes(program: MiniIrProgram, analysis,
     lifted_time = time.perf_counter() - start
 
     node_rows = _check_refines(
-        analysis, flat.node_in, lifted.folded_in, "node")
-    edge_rows = _check_refines(
-        analysis, flat.edge_values, lifted_edges, "edge")
+        analysis, flat.folded_in, lifted.folded_in, "node")
+    edge_rows = _check_refines(analysis, flat_edges, lifted_edges, "edge")
     client = _CLIENT_REPORTS.get(analysis.name)
     return ComparisonReport(
         analysis=analysis,

@@ -244,15 +244,6 @@ class Trace(NamedTuple):
     edges: tuple[int, ...]
 
 
-def contains_segment(trace_edges, segment_edges) -> bool:
-    """Contiguous containment of a segment in an activation trace."""
-    seg = tuple(segment_edges)
-    trail = tuple(trace_edges)
-    span = len(seg)
-    return any(trail[i:i + span] == seg
-               for i in range(len(trail) - span + 1))
-
-
 class _Frame:
     def __init__(self, proc: Procedure, node: int, env: dict[str, int],
                  trace: list[int], visits: dict[int, int]) -> None:

@@ -24,15 +24,10 @@ from fpmfp.lattice import INF, make_analysis
 from fpmfp.lifted import ALL_OPTS, solve_fpmfp_interprocedural
 from fpmfp.mfp import solve_mfp
 from fpmfp.mips import detect_mips
-from fpmfp.oracle import (
-    contains_segment,
-    execute_all,
-    mips_free_meets,
-    solution_semantics,
-)
-from fpmfp.progen import check_programs, perf_program
+from fpmfp.oracle import execute_all, mips_free_meets, solution_semantics
+from fpmfp.progen import check_programs
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, contains_segment, fixture_text, perf_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.mir"))
@@ -66,7 +61,7 @@ class TestCriterion1Figures:
     def test_fig2(self):
         start = time.perf_counter()
         _, _, flat, lifted = pipeline("fig2", "interval")
-        assert flat.node_in[6]["a"] == (0, 5)
+        assert flat.folded_in[6]["a"] == (0, 5)
         assert lifted.folded_in[6]["a"] == (5, 5)
         assert time.perf_counter() - start < 1.0
 
@@ -82,10 +77,10 @@ class TestCriterion1Figures:
         _, _, flat, lifted = pipeline("fig4", "interval")
         assert lifted.folded_edges[5]["l"] == (2, 2)
         assert lifted.folded_edges[8]["l"] == (2, 2)
-        assert flat.edge_values[5]["l"] == (0, 2)
-        assert flat.edge_values[8]["l"] == (0, 2)
-        assert lifted.folded_edges[4] == flat.edge_values[4]
-        assert lifted.folded_edges[7] == flat.edge_values[7]
+        assert flat.folded_edges[5]["l"] == (0, 2)
+        assert flat.folded_edges[8]["l"] == (0, 2)
+        assert lifted.folded_edges[4] == flat.folded_edges[4]
+        assert lifted.folded_edges[7] == flat.folded_edges[7]
         assert time.perf_counter() - start < 1.0
 
     def test_fig7(self):
@@ -142,7 +137,7 @@ class TestCriterion2SoundnessChain:
                 lifted = solve_fpmfp_interprocedural(
                     program, analysis, universe)
                 folded = lifted.folded_in
-                for nid, value in flat.node_in.items():
+                for nid, value in flat.folded_in.items():
                     if not analysis.leq(value, folded[nid]):
                         violations.append(
                             (name, analysis_name, nid, "mfp-vs-fold"))
@@ -259,8 +254,9 @@ class TestCriterion5PairBound:
             "value = {frozenset(k): {'a': (i, i)} for i, k in\n"
             "         enumerate([(), (1,), (2,), (1, 2)])}\n"
             "try:\n"
-            "    flow.edge_flow(cfg.edges[5], cfg.nodes[cfg.edges[5].source],\n"
-            "                   value)\n"
+            "    edge = cfg.edges[5]\n"
+            "    flow.cross(edge, 5, universe.crossing(5),\n"
+            "               cfg.nodes[edge.source], value)\n"
             "except PairBoundError as exc:\n"
             "    print(f'debug={__debug__} raised: {exc}')\n"
         )

@@ -30,6 +30,7 @@ from conftest import (
     FIXTURES,
     fixture_program,
     fixture_text,
+    perf_program,
     perfbench_workloads,
 )
 
@@ -169,7 +170,7 @@ class TestReportPayloads:
     @pytest.fixture(scope="class")
     def program(self, tmp_path_factory) -> str:
         path = tmp_path_factory.mktemp("perf") / "perf.mir"
-        path.write_text(progen.perf_program(50, 200), encoding="utf-8")
+        path.write_text(perf_program(50, 200), encoding="utf-8")
         return str(path)
 
     @pytest.mark.parametrize("argv", [
@@ -887,6 +888,22 @@ class TestSharedWork:
             assert locations & in_q
             assert without_q[analysis_name] == locations - in_q
 
+    def test_a_skipped_tree_is_logged(self, capsys, monkeypatch, tmp_path,
+                                      walks):
+        (tmp_path / "fig7.mir").write_text(fixture_text("fig7"))
+        walks["explode"] = ("q",)
+        reports = {}
+        for level in ("error", "info"):
+            monkeypatch.setenv("FPMFP_LOG", level)
+            code, reports[level], err = run(
+                capsys, "oracle-check", "--fixtures", str(tmp_path))
+            assert code == 0
+        assert reports["info"] == reports["error"]
+        assert err == (
+            "fpmfp: INFO: fig7.mir: procedure q has too many paths; its "
+            "path-tree checks are skipped\n"
+            "fpmfp: INFO: checked 1 program(s): 0 violation(s)\n")
+
     def test_no_tree_when_no_analysis_solves(self, monkeypatch, walks):
         def diverge(*args, **kwargs):
             raise lifted.NonTermination("step budget exceeded")
@@ -974,8 +991,13 @@ class TestOracleCheckFaults:
             solution = real(program, analysis, **kwargs)
             if analysis.name == "rd":
                 top = analysis.top()
-                solution.node_in[max(solution.node_in)] = top
-                solution.edge_values[max(solution.edge_values)] = top
+                # The merged views are rebuilt on every read: corrupt the
+                # per-procedure map that holds the largest id.
+                procs = solution.procs.values()
+                for view in ("folded_in", "folded_edges"):
+                    last = max(i for p in procs for i in getattr(p, view))
+                    owner = next(p for p in procs if last in getattr(p, view))
+                    getattr(owner, view)[last] = top
             return solution
 
         monkeypatch.setattr(mfp, "solve_mfp", solve)

@@ -19,7 +19,7 @@ from fpmfp.frontend import parse_program
 from fpmfp.lattice import make_analysis
 from fpmfp.lifted import solve_fpmfp_interprocedural
 from fpmfp.mfp import solve_mfp
-from fpmfp.mips import detect_mips
+from fpmfp.mips import MipsUniverse, detect_mips
 
 from conftest import fixture_program
 
@@ -137,15 +137,20 @@ class TestReportInvariants:
         assert set(alarms.fpmfp) <= set(alarms.mfp)
 
 
+def compare(name: str, analysis_name: str):
+    program = fixture_program(name)
+    return compare_modes(program, make_analysis(analysis_name, program))
+
+
 class TestCompareModes:
     def test_diamond_strict_at_the_join_use(self):
-        report = compare_modes(fixture_program("fig2"), "interval")
+        report = compare("fig2", "interval")
         assert 6 in report.strict_nodes
         assert report.node_rows[6].mfp == {"a": (0, 5), "x": (5, 5)}
         assert report.node_rows[6].fpmfp == {"a": (5, 5), "x": (5, 5)}
 
     def test_double_switch_strict_edges(self):
-        report = compare_modes(fixture_program("fig4"), "interval")
+        report = compare("fig4", "interval")
         # The assert arms are strictly sharper; their fall-through edges
         # (6, 9) inherit the improvement, every other edge is unchanged.
         assert report.strict_edges == (5, 6, 8, 9)
@@ -155,31 +160,37 @@ class TestCompareModes:
         assert not report.edge_rows[7].strict
 
     def test_segment_free_program_identical(self):
-        report = compare_modes(fixture_program("call_a"), "interval")
+        report = compare("call_a", "interval")
         assert report.segment_count == 0
         assert report.strict_nodes == ()
         assert report.strict_edges == ()
 
-    def test_accepts_name_or_instance(self):
+    def test_given_universe_is_solved_over(self):
         program = fixture_program("fig2")
-        by_name = compare_modes(program, "rd")
-        by_instance = compare_modes(program, make_analysis("rd", program))
-        assert by_name.node_rows == by_instance.node_rows
+        analysis = make_analysis("rd", program)
+        detected = compare_modes(program, analysis)
+        given = compare_modes(program, analysis,
+                              universe=detect_mips(program))
+        assert given.node_rows == detected.node_rows
+        empty = compare_modes(program, analysis,
+                              universe=MipsUniverse(program, []))
+        assert empty.segment_count == 0
+        assert empty.strict_nodes == empty.strict_edges == ()
 
     def test_times_and_stats_are_populated(self):
-        report = compare_modes(fixture_program("fig8"), "interval")
+        report = compare("fig8", "interval")
         assert report.times["mfp"] >= 0.0
         assert report.times["fpmfp"] >= 0.0
         assert report.stats.max_pairs >= 2
         assert report.stats.blocked > 0
 
     def test_json_is_timing_free_on_request(self):
-        report = compare_modes(fixture_program("fig2"), "interval")
+        report = compare("fig2", "interval")
         assert "times" in report.to_json()
         assert "times" not in report.to_json(timing=False)
 
     def test_table_marks_strict_rows(self):
-        report = compare_modes(fixture_program("fig2"), "interval")
+        report = compare("fig2", "interval")
         assert "n6 *" in report.to_table()
 
     def test_refinement_check_rejects_bad_values(self):

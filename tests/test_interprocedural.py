@@ -75,7 +75,7 @@ class TestCallSummaries:
     def test_mutual_recursion_compares_for_every_analysis(self):
         program = parse_program(MUTUAL)
         for name in ("rd", "must-defined", "interval"):
-            report = compare_modes(program, name)
+            report = compare_modes(program, make_analysis(name, program))
             assert report.strict_nodes == ()
 
     @pytest.mark.parametrize("name", ["rd", "must-defined"])
@@ -151,8 +151,8 @@ class TestWorklistDriver:
                                              detect_mips(program))
         assert flat.exit_values["p"] == {"g": (1, INF),
                                          "s": (-INF, INF)}
-        assert flat.node_in[3] == {"g": (1, INF)}
-        assert lifted.folded_in == flat.node_in
+        assert flat.folded_in[3] == {"g": (1, INF)}
+        assert lifted.folded_in == flat.folded_in
 
     def test_solutions_keep_the_transfer_they_were_solved_with(self):
         program = parse_program(SELF_ASCENT)
@@ -205,9 +205,9 @@ def path_meets(seed: int, analysis_name: str):
 def mfp_not_refined(seed: int, analysis_name: str) -> list[str]:
     _, _, analysis, flat, lifted = solved(seed, analysis_name)
     folded_in, folded_edges = lifted.folded_in, lifted.folded_edges
-    return ([f"n{n}" for n, v in flat.node_in.items()
+    return ([f"n{n}" for n, v in flat.folded_in.items()
              if not analysis.leq(v, folded_in[n])]
-            + [f"e{e}" for e, v in flat.edge_values.items()
+            + [f"e{e}" for e, v in flat.folded_edges.items()
                if not analysis.leq(v, folded_edges[e])])
 
 

@@ -371,7 +371,7 @@ class TestIntervalItemOrder:
             "    flat = solve_mfp(program, analysis)\n"
             "    lifted = solve_fpmfp_interprocedural(\n"
             "        program, analysis, detect_mips(program))\n"
-            "    for values in (flat.node_in, flat.edge_values,\n"
+            "    for values in (flat.folded_in, flat.folded_edges,\n"
             "                   lifted.folded_in):\n"
             "        out.append([[i, list(value.items())]\n"
             "                    for i, value in values.items()])\n"
@@ -524,7 +524,7 @@ def _solved_values(source: str, analysis_name: str):
                                              detect_mips(program))
     except NonTermination:
         return analysis, []
-    values = [*flat.node_in.values(), *flat.edge_values.values(),
+    values = [*flat.folded_in.values(), *flat.folded_edges.values(),
               *lifted.folded_in.values(), *lifted.folded_out.values(),
               *lifted.folded_edges.values()]
     values += [value for pairs in lifted.edge_values.values()

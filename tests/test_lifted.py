@@ -63,7 +63,8 @@ def edge_flow(universe: MipsUniverse, analysis, edge_id: int, value,
     flow = _Flow(universe, proc.name, meet=analysis.meet, top=analysis.top(),
                  refine=analysis.refine, opts=opts, drop_top=False,
                  stats=stats)
-    return flow.edge_flow(edge, proc.cfg.nodes[edge.source], value)
+    return flow.cross(edge, edge_id, universe.crossing(edge_id),
+                      proc.cfg.nodes[edge.source], value)
 
 
 def keyed(sol, edge_id: int) -> dict[tuple[int, ...], object]:
@@ -264,7 +265,7 @@ class TestIntervalSolutions:
         an, universe, sol = solved("fig2", "interval")
         mfp = solve_mfp(fixture_program("fig2"),
                         make_analysis("interval", fixture_program("fig2")))
-        assert mfp.node_in[6] == {"a": (0, 5), "x": (5, 5)}
+        assert mfp.folded_in[6] == {"a": (0, 5), "x": (5, 5)}
         assert sol.folded_in[6] == {"a": (5, 5), "x": (5, 5)}
         assert keyed(sol, 3) == {(1,): {"a": (0, 0), "x": (-INF, -1)}}
         assert keyed(sol, 5) == {
@@ -308,7 +309,7 @@ class TestIntervalSolutions:
         assert keyed(sol, 8) == {(): {"a": (2, INF), "b": (3, 3)}}
         mfp = solve_mfp(fixture_program("fig12"),
                         make_analysis("interval", fixture_program("fig12")))
-        assert sol.folded_in[6] == mfp.node_in[6]
+        assert sol.folded_in[6] == mfp.folded_in[6]
 
     def test_loop_widening_matches_the_flat_solver(self):
         an, universe, sol = solved("loop", "interval")
@@ -344,7 +345,7 @@ class TestInterprocedural:
         an = make_analysis("rd", program)
         mfp = solve_mfp(program, an)
         _, _, sol = solved("summary_block", "rd")
-        assert an.decode(mfp.node_in[3]) == [("g", 1), ("g", 11)]
+        assert an.decode(mfp.folded_in[3]) == [("g", 1), ("g", 11)]
         assert an.decode(sol.folded_in[3]) == [("g", 1)]
 
 
@@ -354,7 +355,7 @@ class TestRealCodeShapes:
         an = make_analysis("must-defined", program)
         mfp = solve_mfp(program, an)
         _, _, sol = solved("nlkain_like", "must-defined")
-        assert an.decode(mfp.node_in[6]) == ["c"]
+        assert an.decode(mfp.folded_in[6]) == ["c"]
         assert an.decode(sol.folded_in[6]) == ["c", "x"]
 
     def test_one_of_two_alarms_goes_away(self):
@@ -362,9 +363,9 @@ class TestRealCodeShapes:
         an = make_analysis("must-defined", program)
         mfp = solve_mfp(program, an)
         _, _, sol = solved("stripcc_like", "must-defined")
-        assert an.decode(mfp.node_in[5]) == ["c"]
+        assert an.decode(mfp.folded_in[5]) == ["c"]
         assert an.decode(sol.folded_in[5]) == ["c", "y"]
-        assert an.decode(mfp.node_in[6]) == ["c"]
+        assert an.decode(mfp.folded_in[6]) == ["c"]
         assert an.decode(sol.folded_in[6]) == ["c"]
 
     def test_def_use_pair_disappears(self):
@@ -372,7 +373,7 @@ class TestRealCodeShapes:
         an = make_analysis("rd", program)
         mfp = solve_mfp(program, an)
         _, _, sol = solved("sphinx_like", "rd")
-        assert an.decode(mfp.node_in[6]) == [("x", 1), ("c", 2), ("x", 4)]
+        assert an.decode(mfp.folded_in[6]) == [("x", 1), ("c", 2), ("x", 4)]
         assert an.decode(sol.folded_in[6]) == [("x", 1), ("c", 2)]
 
 
@@ -385,9 +386,9 @@ class TestSolutionInvariants:
         mfp = solve_mfp(program, an)
         universe = detect_mips(program)
         sol = solve_fpmfp_interprocedural(program, an, universe)
-        for nid, flat in mfp.node_in.items():
+        for nid, flat in mfp.folded_in.items():
             assert an.leq(flat, sol.folded_in[nid]), f"node {nid}"
-        for eid, flat in mfp.edge_values.items():
+        for eid, flat in mfp.folded_edges.items():
             assert an.leq(flat, sol.folded_edges[eid]), f"edge {eid}"
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -437,8 +438,8 @@ class TestSolutionInvariants:
         mfp = solve_mfp(program, an)
         sol = solve_fpmfp_interprocedural(
             program, an, MipsUniverse(program, []))
-        assert sol.folded_in == mfp.node_in
-        assert sol.folded_edges == mfp.edge_values
+        assert sol.folded_in == mfp.folded_in
+        assert sol.folded_edges == mfp.folded_edges
         for value in sol.node_in.values():
             assert set(value) <= {EMPTY_KEY}
 

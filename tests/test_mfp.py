@@ -21,69 +21,69 @@ def solved(name: str, analysis_name: str):
 class TestIntervalFixtures:
     def test_two_diamonds_join_loses_correlation(self):
         an, sol = solved("fig2.mir", "interval")
-        assert sol.node_in[6] == {"a": (0, 5), "x": (5, 5)}
-        assert sol.edge_values[3] == {"a": (0, 0), "x": (-INF, -1)}
-        assert sol.edge_values[5]["a"] == (0, 5)
-        assert sol.edge_values[8]["a"] == (0, 5)
+        assert sol.folded_in[6] == {"a": (0, 5), "x": (5, 5)}
+        assert sol.folded_edges[3] == {"a": (0, 0), "x": (-INF, -1)}
+        assert sol.folded_edges[5]["a"] == (0, 5)
+        assert sol.folded_edges[8]["a"] == (0, 5)
 
     def test_branch_refinement_both_arms(self):
         an, sol = solved("fig3.mir", "interval")
-        assert sol.edge_values[3] == {"a": (0, 0), "z": (-INF, 0)}
-        assert sol.edge_values[4] == {"z": (1, INF)}
+        assert sol.folded_edges[3] == {"a": (0, 0), "z": (-INF, 0)}
+        assert sol.folded_edges[4] == {"z": (1, INF)}
 
     def test_double_switch(self):
         an, sol = solved("fig4.mir", "interval")
-        assert sol.edge_values[4]["l"] == (0, 0)
-        assert sol.edge_values[5]["l"] == (0, 2)
-        assert sol.edge_values[7]["l"] == (0, 2)
-        assert sol.edge_values[8]["l"] == (0, 2)
-        assert sol.edge_values[5]["c"] == (1, 1)
+        assert sol.folded_edges[4]["l"] == (0, 0)
+        assert sol.folded_edges[5]["l"] == (0, 2)
+        assert sol.folded_edges[7]["l"] == (0, 2)
+        assert sol.folded_edges[8]["l"] == (0, 2)
+        assert sol.folded_edges[5]["c"] == (1, 1)
 
     def test_call_substitutes_callee_exit(self):
         an, sol = solved("fig7.mir", "interval")
-        assert sol.edge_values[3]["l"] == (2, 2)
-        assert sol.edge_values[4]["l"] == (0, 0)  # q sets l = 0
-        assert sol.edge_values[8]["l"] == (2, 2)  # q entered with l = 2
-        assert sol.edge_values[9]["l"] == (0, 0)
+        assert sol.folded_edges[3]["l"] == (2, 2)
+        assert sol.folded_edges[4]["l"] == (0, 0)  # q sets l = 0
+        assert sol.folded_edges[8]["l"] == (2, 2)  # q entered with l = 2
+        assert sol.folded_edges[9]["l"] == (0, 0)
 
     def test_loop_widens_then_refines_exit(self):
         an, sol = solved("loop.mir", "interval")
-        assert sol.node_in[2] == {"x": (0, INF)}
-        assert sol.node_in[4] == {"x": (10, INF)}
+        assert sol.folded_in[2] == {"x": (0, INF)}
+        assert sol.folded_in[4] == {"x": (10, INF)}
 
     def test_unassigned_condition_variable_is_nondeterministic(self):
         an, sol = solved("fig12.mir", "interval")
         # t never appears: both arms stay reachable with full information.
-        assert sol.edge_values[3] == {"a": (0, 0)}
-        assert sol.node_in[3] == {"a": (0, 0)}
-        assert sol.node_in[5] == {"a": (-INF, INF), "b": (3, 3)}
+        assert sol.folded_edges[3] == {"a": (0, 0)}
+        assert sol.folded_in[3] == {"a": (0, 0)}
+        assert sol.folded_in[5] == {"a": (-INF, INF), "b": (3, 3)}
 
     def test_straight_line(self):
         an, sol = solved("straight.mir", "interval")
-        assert sol.node_in[3] == {"x": (1, 1), "y": (3, 3)}
+        assert sol.folded_in[3] == {"x": (1, 1), "y": (3, 3)}
 
 
 class TestBitvectorFixtures:
     def test_rd_both_defs_reach_second_branch(self):
         an, sol = solved("fig2.mir", "rd")
-        assert an.decode(sol.node_in[6]) == [("a", 1), ("a", 3)]
-        assert an.decode(sol.edge_values[3]) == [("a", 1)]
-        assert an.decode(sol.edge_values[4]) == [("a", 3)]
+        assert an.decode(sol.folded_in[6]) == [("a", 1), ("a", 3)]
+        assert an.decode(sol.folded_edges[3]) == [("a", 1)]
+        assert an.decode(sol.folded_edges[4]) == [("a", 3)]
 
     def test_must_defined_after_join(self):
         an, sol = solved("fig2.mir", "must-defined")
-        assert an.decode(sol.node_in[4]) == ["a", "x"]
-        assert an.decode(sol.node_in[2]) == ["a", "x"]
+        assert an.decode(sol.folded_in[4]) == ["a", "x"]
+        assert an.decode(sol.folded_in[2]) == ["a", "x"]
 
     def test_must_defined_partial_assignment(self):
         an, sol = solved("fig3.mir", "must-defined")
         # a is only assigned on the true arm.
-        assert an.decode(sol.node_in[4]) == ["z"]
-        assert an.decode(sol.edge_values[3]) == ["a", "z"]
+        assert an.decode(sol.folded_in[4]) == ["z"]
+        assert an.decode(sol.folded_edges[3]) == ["a", "z"]
 
     def test_rd_read_is_definition(self):
         an, sol = solved("fig12.mir", "rd")
-        assert an.decode(sol.node_in[6]) == [("a", 1), ("b", 3), ("a", 4)]
+        assert an.decode(sol.folded_in[6]) == [("a", 1), ("b", 3), ("a", 4)]
 
 
 class TestSummaries:
@@ -94,7 +94,7 @@ class TestSummaries:
         summaries = compute_summaries(program, an, build_call_graph(program))
         assert an.decode(summaries.gsum["helper"]) == [("g", 11)]
         assert summaries.ksum["helper"] == 0
-        assert an.decode(sol.node_in[3]) == [("g", 1), ("g", 11)]
+        assert an.decode(sol.folded_in[3]) == [("g", 1), ("g", 11)]
 
     def test_must_defined_summary_requires_all_paths(self):
         program = fixture_program("summary_block.mir")
@@ -102,7 +102,7 @@ class TestSummaries:
         sol = solve_mfp(program, an)
         summaries = compute_summaries(program, an, build_call_graph(program))
         assert summaries.gsum["helper"] == 0  # g = 5 is conditional
-        assert an.decode(sol.node_in[3]) == ["g"]
+        assert an.decode(sol.folded_in[3]) == ["g"]
 
     def test_kill_requires_all_paths(self):
         program = parse_program(
@@ -115,7 +115,7 @@ class TestSummaries:
         summaries = compute_summaries(program, an, build_call_graph(program))
         # clobber assigns g on every path: the caller's def is killed.
         assert an.decode(summaries.ksum["clobber"]) == [("g", 1), ("g", 5)]
-        assert an.decode(sol.node_in[3]) == [("g", 5)]
+        assert an.decode(sol.folded_in[3]) == [("g", 5)]
 
     def test_recursive_summary_converges(self):
         program = parse_program(
@@ -136,7 +136,7 @@ class TestSummaries:
         )
         an = make_analysis("rd", program)
         sol = solve_mfp(program, an)
-        assert an.decode(sol.node_in[3]) == [("g", 1)]
+        assert an.decode(sol.folded_in[3]) == [("g", 1)]
 
     def test_extern_call_havocs_global_intervals(self):
         program = parse_program(
@@ -145,7 +145,7 @@ class TestSummaries:
         )
         an = make_analysis("interval", program)
         sol = solve_mfp(program, an)
-        assert sol.node_in[3]["g"] == (-INF, INF)
+        assert sol.folded_in[3]["g"] == (-INF, INF)
 
 
 class TestCallTwins:
@@ -155,13 +155,15 @@ class TestCallTwins:
     def test_exact_agreement(self, analysis_name):
         aa, sa = solved("call_a.mir", analysis_name)
         ab, sb = solved("call_b.mir", analysis_name)
-        assert sa.node_in[5] == sb.node_in[5]  # print g in both
+        assert sa.folded_in[5] == sb.folded_in[5]  # print g in both
 
     def test_rd_agreement_modulo_def_site(self):
         ra, sa = solved("call_a.mir", "rd")
         rb, sb = solved("call_b.mir", "rd")
-        at_a = {(v, "body" if n == 7 else n) for v, n in ra.decode(sa.node_in[5])}
-        at_b = {(v, "body" if n == 4 else n) for v, n in rb.decode(sb.node_in[5])}
+        at_a = {(v, "body" if n == 7 else n)
+                for v, n in ra.decode(sa.folded_in[5])}
+        at_b = {(v, "body" if n == 4 else n)
+                for v, n in rb.decode(sb.folded_in[5])}
         assert at_a == at_b == {("g", 1), ("c", 2), ("g", "body")}
 
 
@@ -202,34 +204,35 @@ class TestFixpointInvariants:
         program = fixture_program(name)
         analysis = make_analysis(analysis_name, program)
         sol = solve_mfp(program, analysis)
+        node_in, edge_values = sol.folded_in, sol.folded_edges
         (widening,) = states
         for proc in program.procedures:
             cfg = proc.cfg
             for nid in cfg.node_ids():
                 ins = cfg.in_edges(nid)
                 if not ins:
-                    assert sol.node_in[nid] == sol.boundaries[proc.name]
+                    assert node_in[nid] == sol.boundaries[proc.name]
                     continue
                 met = analysis.top()
                 for e in ins:
-                    met = analysis.meet(met, sol.edge_values[e.id])
-                assert sol.node_in[nid] == met
+                    met = analysis.meet(met, edge_values[e.id])
+                assert node_in[nid] == met
             back = cfg.back_edges()
             for eid in cfg.edge_ids():
                 e = cfg.edges[eid]
                 node = cfg.nodes[e.source]
                 expect = analysis.refine(
-                    e, node, sol.node_transfer(node, sol.node_in[e.source]))
+                    e, node, sol.node_transfer(node, node_in[e.source]))
                 if eid in back:
                     expect = widening.apply(eid, expect)
-                assert sol.edge_values[eid] == expect
+                assert edge_values[eid] == expect
 
     @pytest.mark.parametrize("name", NAMES)
     def test_interval_values_never_empty(self, name):
         program = fixture_program(name)
         analysis = make_analysis("interval", program)
         sol = solve_mfp(program, analysis)
-        for value in list(sol.node_in.values()) + list(sol.edge_values.values()):
+        for value in [*sol.folded_in.values(), *sol.folded_edges.values()]:
             for lo, hi in value.values():
                 assert lo <= hi
 
@@ -249,14 +252,14 @@ class TestNonTermination:
         )
         analysis = make_analysis("interval", program)
         sol = solve_mfp(program, analysis)
-        assert sol.node_in[2]["x"] == (0, INF)
+        assert sol.folded_in[2]["x"] == (0, INF)
 
     def test_bounded_loop_without_widening_is_exact(self):
         program = fixture_program("loop.mir")
         analysis = make_analysis("interval", program)
         sol = solve_mfp(program, analysis, widen=False)
-        assert sol.node_in[2] == {"x": (0, 10)}
-        assert sol.node_in[4] == {"x": (10, 10)}
+        assert sol.folded_in[2] == {"x": (0, 10)}
+        assert sol.folded_in[4] == {"x": (10, 10)}
 
 
 class TestSteps:

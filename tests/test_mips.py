@@ -26,7 +26,7 @@ from fpmfp.mips import (
     subset,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, perf_program
 
 
 def routes(universe):
@@ -302,8 +302,8 @@ class TestStepTwoScaling:
         # Detection reads each edge list a bounded number of times per
         # query region, so doubling the program (modules and filler
         # alike) at most doubles the reads, give or take a constant.
-        small = parse_program(progen.perf_program(100, 2000))
-        large = parse_program(progen.perf_program(200, 4000))
+        small = parse_program(perf_program(100, 2000))
+        large = parse_program(perf_program(200, 4000))
         reads = [0]
 
         def counted(method):
@@ -406,7 +406,8 @@ def ext(universe, edge_id, tracked):
     edge = proc.cfg.edges[edge_id]
     flow = _Flow(universe, proc.name, meet=min, top=None, refine=None,
                  opts=frozenset(), drop_top=False)
-    moved = flow.edge_flow(edge, proc.cfg.nodes[edge.source], {tracked: 0})
+    moved = flow.cross(edge, edge_id, universe.crossing(edge_id),
+                       proc.cfg.nodes[edge.source], {tracked: 0})
     if not moved:
         return None
     (key,) = moved

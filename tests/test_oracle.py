@@ -12,14 +12,13 @@ from fpmfp.oracle import (
     OracleMeets,
     Trace,
     _advance,
-    contains_segment,
     execute_all,
     mips_free_meets,
     path_tree,
     solution_semantics,
 )
 
-from conftest import fixture_text
+from conftest import contains_segment, fixture_text
 
 ALL_FIXTURES = [
     "fig2", "fig3", "fig4", "fig7", "fig8", "fig10", "fig11", "fig12",
@@ -128,7 +127,7 @@ class TestMeets:
         assert meets.truncated
         assert meets.node_in[2] == {"x": (0, 2)}  # two bounded iterations
         for nid, oracle_val in meets.node_in.items():
-            assert analysis.leq(solution.node_in[nid], oracle_val)
+            assert analysis.leq(solution.folded_in[nid], oracle_val)
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     @pytest.mark.parametrize("analysis_name",
@@ -140,10 +139,10 @@ class TestMeets:
             meets, solution, analysis = oracle_for(
                 program, analysis_name, proc.name)
             for nid, oracle_val in meets.node_in.items():
-                assert analysis.leq(solution.node_in[nid], oracle_val), \
+                assert analysis.leq(solution.folded_in[nid], oracle_val), \
                     f"node n{nid} of {proc.name}"
             for eid, oracle_val in meets.edge_values.items():
-                assert analysis.leq(solution.edge_values[eid], oracle_val), \
+                assert analysis.leq(solution.folded_edges[eid], oracle_val), \
                     f"edge e{eid} of {proc.name}"
 
     @pytest.mark.parametrize("name", ["straight", "call_a", "call_b"])
@@ -155,7 +154,7 @@ class TestMeets:
             meets, solution, _ = oracle_for(program, analysis_name,
                                             proc.name)
             for nid, oracle_val in meets.node_in.items():
-                assert solution.node_in[nid] == oracle_val
+                assert solution.folded_in[nid] == oracle_val
 
     def test_explosion_guard(self, load_program):
         with pytest.raises(Explosion):

@@ -4,7 +4,8 @@ Each entry is sha256 over a canonical JSON dump of one solve: every
 procedure's node In and edge pairs, the folded In, Out and edge views,
 boundaries, exit values, steps and the pair statistics (``max_pairs``,
 ``per_edge_max``, ``blocked``, ``end_merges``, ``value_shifts``); a
-``solve_mfp`` entry dumps its plain views instead.  Dict items and set
+``solve_mfp`` entry dumps its folded In and edge views instead, under
+the names ``node_in`` and ``edge_values``.  Dict items and set
 members are sorted, so no hash depends on insertion order or on the
 string hash seed.  The solves are ``solve_mfp`` and
 ``solve_fpmfp_interprocedural`` with normalizations none and 1,2,3 (on
@@ -94,7 +95,7 @@ def _digest(dump: dict) -> str:
 
 
 def _mfp_dump(sol) -> dict:
-    return {"node_in": sol.node_in, "edge_values": sol.edge_values,
+    return {"node_in": sol.folded_in, "edge_values": sol.folded_edges,
             "boundaries": sol.boundaries, "exit_values": sol.exit_values,
             "steps": sol.steps}
 
