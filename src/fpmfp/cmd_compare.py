@@ -1,0 +1,40 @@
+"""``fpmfp compare``: run both modes and report where the feasible-path
+solution is strictly more precise, with the client summaries.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+
+from . import _ANALYSIS_FOR_FLAG, SCHEMA
+from .cmd_io import _json_text, _load_program, _write_text
+
+
+def handle(args: argparse.Namespace) -> int:
+    from .clients import PrecisionViolation, compare_modes
+    from .lattice import make_analysis
+
+    program = _load_program(args.program)
+    name = _ANALYSIS_FOR_FLAG[args.analysis]
+    analysis = make_analysis(name, program)
+    try:
+        report = compare_modes(program, analysis, args.opts)
+    except PrecisionViolation as exc:
+        sys.stderr.write(f"fpmfp: precision violation: {exc}\n")
+        return 2
+    if args.format == "table":
+        text = report.to_table()
+        if report.client is not None:
+            text += "\n" + report.client.to_table()
+        if not text.endswith("\n"):
+            text += "\n"
+    else:
+        payload = {"schema": SCHEMA,
+                   **report.to_json(timing=not args.no_timing)}
+        if args.analysis == "rd":
+            payload["def_use"] = report.client.to_json()
+        elif args.analysis == "uninit":
+            payload["alarms"] = report.client.to_json()
+        text = _json_text(payload)
+    _write_text(text, args.output)
+    return 0

@@ -1,0 +1,15 @@
+"""``fpmfp dump-dot``: emit a program's control-flow graph in DOT form.
+"""
+from __future__ import annotations
+
+import argparse
+
+from .cmd_io import _load_program, _write_text
+
+
+def handle(args: argparse.Namespace) -> int:
+    from .frontend import emit_dot_program
+
+    program = _load_program(args.program)
+    _write_text(emit_dot_program(program), args.output)
+    return 0

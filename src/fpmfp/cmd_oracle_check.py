@@ -1,0 +1,157 @@
+"""``fpmfp oracle-check``: the bounded path-enumeration property suite
+over a fixture directory and/or generated random programs.
+
+Workers of ``--jobs`` find ``_check_program`` by this module's name.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+from pathlib import Path
+
+from . import SCHEMA, _Failure, _info, _UsageError
+from .cmd_io import _json_text, _read_source, _write_text
+
+_SUITE_ANALYSES = ("rd", "must-defined", "interval")
+
+
+def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
+    """All property checks for one program; returns violation records.
+
+    What does not depend on the analysis is done once per program: the
+    call graph, segment detection, and each procedure's path tree.
+    """
+    from .frontend import (
+        ParseError, UnreachableNode, UnresolvedCall, build_call_graph,
+        parse_program)
+    from .lattice import make_analysis
+    from .lifted import NonTermination, solve_fpmfp_interprocedural
+    from .mfp import solve_mfp
+    from .mips import detect_mips
+    from .oracle import Explosion, path_tree, solution_semantics
+
+    name, source, max_length, edge_cap = task
+    # Records per analysis, so the report stays analysis-major although
+    # each path tree serves every analysis.
+    found: dict[str, list[dict]] = {}
+
+    def bad(analysis_name: str, prop: str, where: str, detail: str) -> None:
+        found[analysis_name].append({
+            "program": name, "analysis": analysis_name,
+            "property": prop, "location": where, "detail": detail,
+        })
+
+    try:
+        program = parse_program(source)
+    except (ParseError, UnresolvedCall, UnreachableNode) as exc:
+        return [{"program": name, "analysis": "-", "property": "parse",
+                 "location": "-", "detail": str(exc)}]
+    call_graph = build_call_graph(program)
+    universe = detect_mips(program, call_graph)
+    solved = []
+    for analysis_name in _SUITE_ANALYSES:
+        found[analysis_name] = []
+        analysis = make_analysis(analysis_name, program)
+        try:
+            flat = solve_mfp(program, analysis, call_graph=call_graph)
+            lifted = solve_fpmfp_interprocedural(
+                program, analysis, universe, call_graph=call_graph)
+            plain = solve_fpmfp_interprocedural(
+                program, analysis, universe, frozenset(),
+                call_graph=call_graph)
+        except NonTermination as exc:
+            bad(analysis_name, "termination", "-", str(exc))
+            continue
+        folded_in = lifted.folded_in
+        folded_edges = lifted.folded_edges
+        for nid, value in flat.folded_in.items():
+            if not analysis.leq(value, folded_in[nid]):
+                bad(analysis_name, "mfp-refined-by-fold", f"n{nid}",
+                    f"{analysis.format(value)} !<= "
+                    f"{analysis.format(folded_in[nid])}")
+        for eid, value in flat.folded_edges.items():
+            if not analysis.leq(value, folded_edges[eid]):
+                bad(analysis_name, "mfp-refined-by-fold", f"e{eid}",
+                    f"{analysis.format(value)} !<= "
+                    f"{analysis.format(folded_edges[eid])}")
+        if (folded_in != plain.folded_in
+                or lifted.folded_out != plain.folded_out
+                or folded_edges != plain.folded_edges):
+            bad(analysis_name, "optimization-neutrality", "-",
+                "folds differ between --opts 1,2,3 and --opts none")
+        solved.append((analysis_name, analysis, lifted, folded_in))
+    # One tree at a time: each is evaluated for every analysis that
+    # solved and dropped before the next is built.
+    for proc in program.procedures if solved else ():
+        try:
+            tree = path_tree(
+                proc.cfg, universe, proc.name,
+                max_len=max_length or 2 * len(proc.cfg.edges),
+                edge_cap=edge_cap)
+        except Explosion:
+            _info("%s: procedure %s has too many paths; its path-tree "
+                  "checks are skipped", name, proc.name)
+            continue
+        for analysis_name, analysis, lifted, folded_in in solved:
+            node_transfer, refine = solution_semantics(lifted, proc)
+            oracle = tree.meets(
+                boundary=lifted.boundaries[proc.name], meet=analysis.meet,
+                node_transfer=node_transfer, refine=refine)
+            for nid, meets in oracle.node_in.items():
+                if not analysis.leq(folded_in[nid], meets):
+                    bad(analysis_name, "fold-bounded-by-path-meets",
+                        f"n{nid}",
+                        f"{analysis.format(folded_in[nid])} !<= "
+                        f"{analysis.format(meets)}")
+            if analysis.is_distributive and not oracle.truncated:
+                for nid, meets in oracle.node_in.items():
+                    if folded_in[nid] != meets:
+                        bad(analysis_name, "distributive-equality",
+                            f"n{nid}",
+                            f"{analysis.format(folded_in[nid])} != "
+                            f"{analysis.format(meets)}")
+        del tree
+    return [record for records in found.values() for record in records]
+
+
+def handle(args: argparse.Namespace) -> int:
+    sources: list[tuple[str, str]] = []
+    if args.fixtures is not None:
+        root = Path(args.fixtures)
+        if not root.is_dir():
+            raise _Failure(f"not a directory: {root}")
+        paths = sorted(root.glob("*.mir"))
+        if not paths:
+            raise _Failure(f"no .mir programs under {root}")
+        sources.extend((p.name, _read_source(p)) for p in paths)
+    if args.random:
+        from . import progen
+
+        sources.extend(
+            progen.check_programs(args.seed, args.random, acyclic=False))
+    if not sources:
+        raise _UsageError("oracle-check needs --fixtures and/or --random N")
+    tasks = [(name, text, args.max_length, args.max_loop)
+             for name, text in sources]
+    # A process pool starts all its workers at once: start no more than
+    # there are programs to check and CPUs to check them on.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers) as pool:
+            per_program = list(pool.map(_check_program, tasks))
+    else:
+        per_program = [_check_program(task) for task in tasks]
+    violations = [record for group in per_program for record in group]
+    _info("checked %d program(s): %d violation(s)",
+          len(tasks), len(violations))
+    payload = {
+        "schema": SCHEMA,
+        "programs": len(tasks),
+        "analyses": list(_SUITE_ANALYSES),
+        "violations": violations,
+    }
+    _write_text(_json_text(payload), args.output)
+    return 2 if violations else 0

@@ -19,12 +19,13 @@ import pytest
 
 import fpmfp
 from fpmfp.clients import def_use_report, uninit_report
+from fpmfp.concrete import execute_all
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.lifted import ALL_OPTS, solve_fpmfp_interprocedural
 from fpmfp.mfp import solve_mfp
 from fpmfp.mips import detect_mips
-from fpmfp.oracle import execute_all, mips_free_meets, solution_semantics
+from fpmfp.oracle import mips_free_meets, solution_semantics
 from fpmfp.progen import check_programs
 
 from conftest import FIXTURES, contains_segment, fixture_text, perf_program

@@ -20,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpmfp
-from fpmfp import cli, clients, frontend, lifted, mfp, mips, oracle, progen
+from fpmfp import (
+    cli, clients, cmd_analyze, cmd_compare, cmd_io, cmd_oracle_check,
+    frontend, lifted, mfp, mips, oracle, progen)
 from fpmfp.cli import main
 from fpmfp.frontend import MAX_NESTING, MAX_OPERANDS
 from fpmfp.lattice import (
@@ -102,7 +104,7 @@ def _mutated_sources(draw):
 
 
 class TestJsonWriter:
-    """``cli._json_text`` writes exactly what ``json.dumps`` would."""
+    """``cmd_io._json_text`` writes exactly what ``json.dumps`` would."""
 
     @staticmethod
     def expected(payload) -> str:
@@ -111,23 +113,23 @@ class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(_VALUES)
     def test_matches_json_dumps(self, payload):
-        assert cli._json_text(payload) == self.expected(payload)
+        assert cmd_io._json_text(payload) == self.expected(payload)
 
     @settings(max_examples=100, deadline=None)
     @given(_sharing_payloads())
     def test_shared_containers_match_json_dumps(self, payload):
-        assert cli._json_text(payload) == self.expected(payload)
+        assert cmd_io._json_text(payload) == self.expected(payload)
 
     def test_special_floats_and_empty_containers(self):
         payload = {"f": [float("inf"), -float("inf"), float("nan"), -0.0],
                    "e": [[], {}, ()], "t": (1, (2,)), "s": "\"\\\x01\u00e9"}
-        assert cli._json_text(payload) == self.expected(payload)
+        assert cmd_io._json_text(payload) == self.expected(payload)
 
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError):
-            cli._json_text({"a": {1, 2}})
+            cmd_io._json_text({"a": {1, 2}})
         with pytest.raises(TypeError):
-            cli._json_text({(1, 2): 3})
+            cmd_io._json_text({(1, 2): 3})
 
     @staticmethod
     def views() -> list:
@@ -147,13 +149,13 @@ class TestJsonWriter:
     def test_view_at_two_depths(self):
         for view in self.views():
             payload = {"a": view, "b": [{"c": view}, view], "d": [[[view]]]}
-            assert cli._json_text(payload) == self.expected(payload)
+            assert cmd_io._json_text(payload) == self.expected(payload)
 
     def test_view_inside_a_repeated_plain_container(self):
         for view in self.views():
             shared = {"x": [view, 1], "y": view, "z": True}
             payload = [shared, {"w": shared}, shared, [view]]
-            assert cli._json_text(payload) == self.expected(payload)
+            assert cmd_io._json_text(payload) == self.expected(payload)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -161,7 +163,7 @@ class TestJsonWriter:
         leaves = _SCALARS | st.sampled_from(self.views())
         payload = data.draw(st.recursive(leaves, _containers,
                                          max_leaves=25))
-        assert cli._json_text(payload) == self.expected(payload)
+        assert cmd_io._json_text(payload) == self.expected(payload)
 
 
 class TestReportPayloads:
@@ -180,14 +182,15 @@ class TestReportPayloads:
     @pytest.mark.parametrize("flag", ["rd", "uninit", "interval"])
     def test_full_report(self, capsys, monkeypatch, program, argv, flag):
         written = []
-        write = cli._json_text
+        write = cmd_io._json_text
 
         def spy(payload):
             text = write(payload)
             written.append((payload, text))
             return text
 
-        monkeypatch.setattr(cli, "_json_text", spy)
+        for command in (cmd_analyze, cmd_compare):
+            monkeypatch.setattr(command, "_json_text", spy)
         code, out, _ = run(capsys, *argv, "--analysis", flag,
                            "--program", program)
         assert code == 0
@@ -456,7 +459,7 @@ class TestInputErrors:
         def refuse(src, dst):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr(cli.os, "replace", refuse)
+        monkeypatch.setattr(cmd_io.os, "replace", refuse)
         dest = tmp_path / "report.json"
         err = self.fails_cleanly(capsys, tmp_path, "detect-mips",
                                  "--program", fix("fig2"),
@@ -709,6 +712,24 @@ class TestOracleCheck:
                              str(FIXTURES), "--jobs", "4")
         assert serial == parallel
 
+    def test_jobs_under_the_entry_write_the_same_bytes(self, tmp_path):
+        """Under ``python -m fpmfp.cli`` the entry is ``__main__``; each
+        worker finds the suite by the name of the module that defines it.
+        """
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(fpmfp.__file__).resolve().parent.parent))
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            child = subprocess.run(
+                [sys.executable, "-m", "fpmfp.cli", "oracle-check",
+                 "--fixtures", str(FIXTURES), "--jobs", jobs,
+                 "--output", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert (child.returncode, child.stderr) == (0, "")
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("programs, jobs, cpus, started", [
         (1, 5000, 8, []), (3, 5000, 8, [3]), (3, 2, 8, [2]),
         (3, 5000, 2, [2]), (3, 5000, None, []),
@@ -737,7 +758,7 @@ class TestOracleCheck:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cmd_oracle_check.os, "cpu_count", lambda: cpus)
         for name in ("fig2", "fig3", "loop")[:programs]:
             (tmp_path / f"{name}.mir").write_text(fixture_text(name))
         code, serial, _ = run(capsys, "oracle-check", "--fixtures",
@@ -851,7 +872,8 @@ class TestSharedWork:
 
     @staticmethod
     def check_fig7():
-        return cli._check_program(("fig7", fixture_text("fig7"), None, 2))
+        return cmd_oracle_check._check_program(
+            ("fig7", fixture_text("fig7"), None, 2))
 
     def test_oracle_check_builds_one_call_graph_and_one_tree_per_procedure(
             self, call_graphs, walks):
@@ -883,7 +905,7 @@ class TestSharedWork:
         assert walks["evaluated"] == 3 * ["p"] + 3 * ["q"] + 3 * ["p"]
         in_q = {f"n{nid}" for nid in fixture_program("fig7").by_name["q"]
                 .cfg.nodes}
-        assert set(everywhere) == set(cli._SUITE_ANALYSES)
+        assert set(everywhere) == set(cmd_oracle_check._SUITE_ANALYSES)
         for analysis_name, locations in everywhere.items():
             assert locations & in_q
             assert without_q[analysis_name] == locations - in_q
@@ -910,7 +932,8 @@ class TestSharedWork:
 
         monkeypatch.setattr(lifted, "solve_fpmfp_interprocedural", diverge)
         assert [(v["analysis"], v["property"]) for v in self.check_fig7()] \
-            == [(name, "termination") for name in cli._SUITE_ANALYSES]
+            == [(name, "termination")
+                for name in cmd_oracle_check._SUITE_ANALYSES]
         assert walks["built"] == []
 
     def test_oracle_check_builds_one_cfg_plan_per_procedure(
@@ -926,7 +949,8 @@ class TestSharedWork:
 
         monkeypatch.setattr(frontend, "CfgPlan", counted)
         source = perfbench_workloads().call_chain(1, 40).source
-        assert cli._check_program(("chain", source, None, 2)) == []
+        assert cmd_oracle_check._check_program(
+            ("chain", source, None, 2)) == []
         program = frontend.parse_program(source)
         assert len(program.procedures) == 41
         assert sorted(built) == sorted(sorted(proc.cfg.nodes)
@@ -1143,75 +1167,124 @@ class TestDeepInputs:
 
 
 class TestStartup:
-    """Each subcommand loads only the layers it runs.
+    """Each subcommand loads only the modules it runs.
 
     Every case runs ``cli.main`` in a fresh interpreter and lists the
     ``fpmfp`` modules, and which of the slow-to-import standard modules
-    in ``HEAVY``, are loaded after it returns.
+    in ``HEAVY``, are loaded after it returns.  The script imports
+    ``json`` only after it has looked.
     """
 
-    HEAVY = ["concurrent.futures", "dataclasses", "inspect", "logging"]
+    HEAVY = ["concurrent.futures", "dataclasses", "inspect", "json",
+             "logging"]
     SCRIPT = (
-        "import json, sys\n"
+        "import sys\n"
         "from fpmfp import cli\n"
         "try:\n"
         "    code = cli.main(sys.argv[2:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(json.dumps([code, sorted(\n"
+        "found = [code, sorted(\n"
         "    name.split('.', 1)[1] for name in sys.modules\n"
         "    if name.startswith('fpmfp.')),\n"
-        "    [name for name in json.loads(sys.argv[1])\n"
-        "     if name in sys.modules]]))\n"
+        "    [name for name in sys.argv[1].split(',')\n"
+        "     if name in sys.modules]]\n"
+        "import json\n"
+        "print(json.dumps(found))\n"
     )
     PACKAGE = Path(fpmfp.__file__).resolve().parent
-    FRONT = ["cli", "frontend", "mips"]
+    FRONT = ["frontend", "mips"]
     SOLVE = sorted(FRONT + ["lattice", "lifted", "mfp"])
-    # Everything but the clients: a new module must be placed here.
+    # Everything but the clients, the concrete executor and the other
+    # subcommands: a new module must be placed here.
     ORACLE = sorted({path.stem for path in PACKAGE.glob("*.py")}
-                    - {"__init__", "clients"})
+                    - {"__init__", "clients", "concrete", "cmd_analyze",
+                       "cmd_compare", "cmd_detect_mips", "cmd_dump_dot"})
 
-    def loaded(self, tmp_path, *argv: str) -> tuple[list[str], list[str]]:
-        """The fpmfp modules and the ``HEAVY`` modules loaded."""
+    def loaded(self, tmp_path, *argv: str):
+        """The exit code, the fpmfp modules and the ``HEAVY`` modules
+        loaded."""
         env = dict(os.environ, PYTHONPATH=str(self.PACKAGE.parent))
         child = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(self.HEAVY),
+            [sys.executable, "-c", self.SCRIPT, ",".join(self.HEAVY),
              *argv], capture_output=True, text=True, env=env, cwd=tmp_path,
             timeout=120)
         code, modules, heavy = json.loads(child.stdout.splitlines()[-1])
-        assert code in (0, None), child.stderr
-        return modules, heavy
+        return code, modules, heavy
+
+    @pytest.mark.parametrize("argv, code", [(("--help",), 0), ((), 64)],
+                             ids=["help", "usage"])
+    def test_the_entry_alone(self, tmp_path, argv, code):
+        """``--help`` and a usage error compile ``cli.py`` and the
+        package root, and import no ``json``."""
+        assert self.loaded(tmp_path, *argv) == (code, ["cli"], [])
 
     @pytest.mark.parametrize("argv, expected", [
-        (("--help",), ["cli"]),
-        (("detect-mips",), FRONT),
-        (("dump-dot",), ["cli", "frontend"]),
-        (("analyze", "--analysis", "rd", "--mode", "mfp"), SOLVE),
-        (("analyze", "--analysis", "interval", "--mode", "fpmfp"), SOLVE),
-        (("compare", "--analysis", "uninit"), sorted(SOLVE + ["clients"])),
+        (("detect-mips",), ["cmd_detect_mips"] + FRONT),
+        (("dump-dot",), ["cmd_dump_dot", "frontend"]),
+        (("analyze", "--analysis", "rd", "--mode", "mfp"),
+         ["cmd_analyze"] + SOLVE),
+        (("analyze", "--analysis", "interval", "--mode", "fpmfp"),
+         ["cmd_analyze"] + SOLVE),
+        (("compare", "--analysis", "uninit"),
+         ["clients", "cmd_compare"] + SOLVE),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_program_commands(self, tmp_path, argv, expected):
-        if argv != ("--help",):
-            argv += ("--program", fix("fig2"), "--output", "report")
-        assert self.loaded(tmp_path, *argv) == (expected, [])
+        argv += ("--program", fix("fig2"), "--output", "report")
+        assert self.loaded(tmp_path, *argv) == (
+            0, sorted(["cli", "cmd_io"] + expected), ["json"])
 
     def test_oracle_check(self, tmp_path):
-        assert "progen" in self.ORACLE
+        assert {"progen", "cmd_io", "cmd_oracle_check"} <= set(self.ORACLE)
         (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
         assert self.loaded(tmp_path, "oracle-check", "--fixtures", ".",
                            "--random", "1", "--output", "report") == (
-            self.ORACLE, [])
+            0, self.ORACLE, ["json"])
 
     def test_only_jobs_load_the_process_pool(self, tmp_path):
         """The pool, and the logging it imports, load only when two
         programs can be checked on two CPUs."""
         for name in ("fig2", "fig3"):
             (tmp_path / f"{name}.mir").write_text(fixture_text(name))
-        modules, heavy = self.loaded(
+        code, modules, heavy = self.loaded(
             tmp_path, "oracle-check", "--fixtures", ".", "--jobs", "2",
             "--output", "report")
+        assert code == 0
         assert ("concurrent.futures" in heavy) == ((os.cpu_count() or 1) > 1)
         assert "progen" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("detect-mips", "--program", "fig2.mir", "--dot", "dot",
+         "--output", "report"),
+        ("dump-dot", "--program", "fig2.mir", "--output", "report"),
+        ("analyze", "--program", "fig2.mir", "--analysis", "interval",
+         "--mode", "fpmfp", "--output", "report"),
+        ("compare", "--program", "fig2.mir", "--analysis", "rd",
+         "--output", "report"),
+        ("oracle-check", "--fixtures", ".", "--output", "report"),
+    ], ids=lambda argv: argv[0].lstrip("-"))
+    def test_the_entry_is_compiled_once(self, tmp_path, argv):
+        """Under ``python -m fpmfp.cli`` the entry runs as ``__main__``;
+        a module that imported ``fpmfp.cli`` would compile it again.
+        ``-X importtime`` names every module the run imports."""
+        (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
+        env = dict(os.environ, PYTHONPATH=str(self.PACKAGE.parent))
+        child = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "fpmfp.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert child.returncode == 0, child.stderr
+        imported = [line.rsplit("|", 1)[1].strip()
+                    for line in child.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "fpmfp" in imported
+        assert "fpmfp.cli" not in imported
+        commands = [name for name in imported
+                    if name.startswith("fpmfp.cmd_")
+                    and name != "fpmfp.cmd_io"]
+        assert commands == ([] if argv == ("--help",) else
+                            [f"fpmfp.cmd_{argv[0].replace('-', '_')}"])
 
 
 class TestLogging:

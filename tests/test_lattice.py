@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpmfp
-from fpmfp import cli
+from fpmfp import cmd_io
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import (
     INF,
@@ -548,7 +548,7 @@ def _assert_text_matches(analysis, value, depth: int) -> None:
     for level in range(depth):
         nested_view = [nested_view] if level % 2 else {"v": nested_view}
         nested_plain = [nested_plain] if level % 2 else {"v": nested_plain}
-    assert (cli._json_text(nested_view)
+    assert (cmd_io._json_text(nested_view)
             == json.dumps(nested_plain, indent=2, sort_keys=True) + "\n")
 
 
@@ -598,7 +598,7 @@ class TestEncodedViews:
             payload = {"a": one, "b": other, "c": [one, other], "d": payload}
             plain = {"a": dict(one), "b": dict(one), "c": [dict(one)] * 2,
                      "d": plain}
-            assert (cli._json_text(payload)
+            assert (cmd_io._json_text(payload)
                     == json.dumps(plain, indent=2, sort_keys=True) + "\n")
 
     def test_equal_values_share_one_view(self):

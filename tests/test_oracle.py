@@ -6,13 +6,12 @@ from fpmfp import progen
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.mfp import solve_mfp
+from fpmfp.concrete import Trace, execute_all
 from fpmfp.mips import detect_mips
 from fpmfp.oracle import (
     Explosion,
     OracleMeets,
-    Trace,
     _advance,
-    execute_all,
     mips_free_meets,
     path_tree,
     solution_semantics,
