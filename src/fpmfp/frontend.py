@@ -258,7 +258,10 @@ class Cfg:
     """Control-flow graph of one procedure.
 
     Exactly one start node with no incoming edges, exactly one exit node with
-    no outgoing edges, and every node reachable from the start.
+    no outgoing edges, and every node reachable from the start.  One
+    depth-first walk from the start, over each node's out-edges in id
+    order, gives the reverse postorder and the back edges when the CFG is
+    built.
     """
 
     def __init__(self, proc_name: str, nodes: dict[int, Node],
@@ -273,10 +276,33 @@ class Cfg:
         for e in edges.values():  # in id order
             self._out[e.source].append(e)
             self._in[e.target].append(e)
-        self._rpo: list[int] | None = None
-        self._rpo_pos: dict[int, int] | None = None
-        self._back: frozenset[int] | None = None
+        self._rpo, self._back = self._walk()
+        self._rpo_pos = {n: i for i, n in enumerate(self._rpo)}
         self._plan: CfgPlan | None = None
+
+    def _walk(self) -> tuple[list[int], frozenset[int]]:
+        """Reverse postorder and back edges: a back edge enters a node
+        that is still on the walk's stack."""
+        on_stack = {self.start: True}  # False once the node is done
+        post: list[int] = []
+        back: set[int] = set()
+        stack = [(self.start, iter(self._out[self.start]))]
+        while stack:
+            node, outs = stack[-1]
+            for e in outs:
+                state = on_stack.get(e.target)
+                if state is None:
+                    on_stack[e.target] = True
+                    stack.append((e.target, iter(self._out[e.target])))
+                    break
+                if state:
+                    back.add(e.id)
+            else:
+                on_stack[node] = False
+                post.append(node)
+                stack.pop()
+        post.reverse()
+        return post, frozenset(back)
 
     def out_edges(self, node_id: int) -> list[Edge]:
         return self._out[node_id]
@@ -291,63 +317,23 @@ class Cfg:
         return sorted(self.edges)
 
     def rpo(self) -> list[int]:
-        """Reverse postorder from the start node (deterministic)."""
-        if self._rpo is None:
-            seen: set[int] = set()
-            order: list[int] = []
-            stack: list[tuple[int, int]] = [(self.start, 0)]
-            seen.add(self.start)
-            while stack:
-                node, idx = stack[-1]
-                outs = self._out[node]
-                if idx < len(outs):
-                    stack[-1] = (node, idx + 1)
-                    nxt = outs[idx].target
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append((nxt, 0))
-                else:
-                    order.append(node)
-                    stack.pop()
-            self._rpo = list(reversed(order))
+        """Reverse postorder of the nodes reachable from the start."""
         return self._rpo
 
     def rpo_position(self) -> dict[int, int]:
         """Each node's index in ``rpo()``."""
-        if self._rpo_pos is None:
-            self._rpo_pos = {n: i for i, n in enumerate(self.rpo())}
         return self._rpo_pos
 
     def back_edges(self) -> frozenset[int]:
         """Edges whose target is an ancestor in the DFS spanning tree."""
-        if self._back is None:
-            color: dict[int, int] = {self.start: 1}  # 1 = on stack, 2 = done
-            back: set[int] = set()
-            stack: list[tuple[int, int]] = [(self.start, 0)]
-            while stack:
-                node, idx = stack[-1]
-                outs = self._out[node]
-                if idx < len(outs):
-                    stack[-1] = (node, idx + 1)
-                    e = outs[idx]
-                    c = color.get(e.target, 0)
-                    if c == 0:
-                        color[e.target] = 1
-                        stack.append((e.target, 0))
-                    elif c == 1:
-                        back.add(e.id)
-                else:
-                    color[node] = 2
-                    stack.pop()
-            self._back = frozenset(back)
         return self._back
 
     def plan(self) -> CfgPlan:
         """The fixpoint engine's view of this CFG (built on first use)."""
         if self._plan is None:
-            pos = self.rpo_position()
+            pos = self._rpo_pos
             self._plan = CfgPlan(
-                tuple(enumerate(self.rpo())),
+                tuple(enumerate(self._rpo)),
                 {n: (node, tuple([(e, e.id, e.target, pos[e.target],
                                    NO_CROSSING) for e in self._out[n]]))
                  for n, node in self.nodes.items()})
@@ -361,35 +347,37 @@ class Procedure(NamedTuple):
 
 
 class CallGraph:
-    """Call relations, SCC condensation in bottom-up order, and modify sets."""
+    """Call relations, SCC condensation in bottom-up order, and modify sets.
+
+    ``calls[p]`` lists the call nodes of procedure ``p`` as ``(node id,
+    callee)`` in id order, externs included; ``callees`` and ``callers``
+    name only defined procedures.  ``reachable`` holds the procedures the
+    entry reaches through calls, the entry included.
+    """
 
     def __init__(self, program: "MiniIrProgram") -> None:
+        self.calls: dict[str, tuple[tuple[int, str], ...]] = {}
         self.callees: dict[str, frozenset[str]] = {}
         self.callers: dict[str, set[str]] = {p.name: set() for p in program.procedures}
-        extern_called: dict[str, set[str]] = {}
         for proc in program.procedures:
-            direct: set[str] = set()
-            externs: set[str] = set()
-            for node in proc.cfg.nodes.values():
-                st = node.statement
-                if st.kind == StKind.CALL:
-                    if st.callee in program.externs:
-                        externs.add(st.callee)
-                    else:
-                        direct.add(st.callee)
-            self.callees[proc.name] = frozenset(direct)
-            extern_called[proc.name] = externs
+            calls = self.calls[proc.name] = tuple([
+                (node.id, node.statement.callee)
+                for node in proc.cfg.nodes.values()  # in id order
+                if node.statement.kind == StKind.CALL])
+            direct = frozenset(callee for _, callee in calls
+                               if callee not in program.externs)
+            self.callees[proc.name] = direct
             for c in direct:
                 self.callers[c].add(proc.name)
-        self.extern_callees = {p: frozenset(v) for p, v in extern_called.items()}
         self.sccs = self._tarjan([p.name for p in program.procedures])
         self.may_modify = self._modify_sets(program)
 
     def _tarjan(self, names: list[str]) -> list[tuple[str, ...]]:
-        """SCCs in bottom-up (callees-first) order.
+        """SCCs in bottom-up (callees-first) order; also sets ``reachable``.
 
         The depth-first search keeps its own stack of (procedure, iterator
-        over its sorted callees), so a call chain of any length fits.
+        over its sorted callees), so a call chain of any length fits.  Its
+        first root is the entry, ``names[0]``.
         """
         index: dict[str, int] = {}
         low: dict[str, int] = {}
@@ -430,32 +418,33 @@ class CallGraph:
                             if w == v:
                                 break
                         out.append(tuple(sorted(scc)))
+            if name == names[0]:
+                self.reachable = frozenset(index)
         return out
 
     def _modify_sets(self, program: "MiniIrProgram") -> dict[str, frozenset[str]]:
         """Globals each procedure may (transitively) assign.
 
         Locals never escape a procedure, so only globals matter to callers.
-        Extern callees conservatively modify every global.
+        Extern callees conservatively modify every global.  One pass over
+        the SCCs, callees first: every callee outside an SCC is done by
+        then, and the members of an SCC reach each other, so they share
+        one set.
         """
-        gvars = set(program.globals)
-        direct: dict[str, set[str]] = {}
-        for proc in program.procedures:
+        out: dict[str, frozenset[str]] = {}
+        for scc in self.sccs:
             mods: set[str] = set()
-            for node in proc.cfg.nodes.values():
-                mods |= node.statement.defs()
-            if self.extern_callees[proc.name]:
-                mods |= gvars
-            direct[proc.name] = mods & gvars
-        changed = True
-        while changed:
-            changed = False
-            for proc in program.procedures:
-                for callee in self.callees[proc.name]:
-                    if not direct[callee] <= direct[proc.name]:
-                        direct[proc.name] |= direct[callee]
-                        changed = True
-        return {p: frozenset(v) for p, v in direct.items()}
+            for name in scc:
+                for node in program.by_name[name].cfg.nodes.values():
+                    mods |= node.statement.defs()
+                if any(c in program.externs for _, c in self.calls[name]):
+                    mods |= program.globals
+                for callee in self.callees[name]:
+                    mods |= out.get(callee, frozenset())
+            shared = frozenset(mods & program.globals)
+            for name in scc:
+                out[name] = shared
+        return out
 
 
 class MiniIrProgram:

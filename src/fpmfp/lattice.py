@@ -20,7 +20,6 @@ from typing import Callable
 
 from . import EncodedDict, EncodedList, Memo
 from .frontend import (
-    Cond,
     Expr,
     LabelKind,
     MiniIrProgram,
@@ -28,9 +27,7 @@ from .frontend import (
     Procedure,
     StKind,
 )
-from .mips import Interval1D, outcome_set
-
-INF = float("inf")
+from .mips import INF, Interval1D, arm_set
 
 IntervalValue = dict[str, tuple[float, float]]
 
@@ -377,17 +374,6 @@ def eval_expr(expr: Expr, value: IntervalValue) -> tuple[float, float] | None:
     return (-INF, INF)
 
 
-def constraint_for(cond: Cond, taken: bool) -> tuple[float, float] | None:
-    """1-D constraint on ``cond.var`` implied by taking the given branch.
-
-    The arm's ``outcome_set`` as a ``(lo, hi)`` pair; None when that set is
-    not one interval (``!=`` taken, ``==`` not taken, a truthy bare
-    variable) or the condition is opaque, compound or two-variable.
-    """
-    sat = outcome_set(cond, taken)
-    return (sat.lo, sat.hi) if isinstance(sat, Interval1D) else None
-
-
 def _intersect_var(value: IntervalValue, var: str,
                    lo: float, hi: float) -> IntervalValue:
     out = dict(value)
@@ -482,23 +468,21 @@ class IntervalAnalysis(Analysis):
     def _refine_rule(edge, source_node: Node) -> tuple:
         """``refine``'s work on one edge: ``()`` for none, ``(var, lo,
         hi)`` to intersect ``var`` with [lo, hi], or ``(var, other)`` when
-        the arm makes two variables equal."""
+        the arm makes two variables equal.  An arm whose ``arm_set`` is one
+        interval intersects with it; other one-variable sets are not
+        intervals and refine nothing."""
         st = source_node.statement
-        label = edge.label
-        if st.kind == StKind.SWITCH:
-            if label.kind == LabelKind.CASE:
-                return (st.var, label.value, label.value)
-            return ()
-        if st.kind != StKind.BRANCH or label.kind not in (
-                LabelKind.TRUE, LabelKind.FALSE):
-            return ()
+        arm = arm_set(st, edge.label)
+        if arm is not None:
+            var, sat = arm
+            return (var, sat.lo, sat.hi) if isinstance(sat, Interval1D) else ()
         cond = st.cond
-        taken = label.kind == LabelKind.TRUE
-        if cond.is_simple() and isinstance(cond.rhs, str):
+        if st.kind == StKind.BRANCH and cond.is_simple() \
+                and isinstance(cond.rhs, str):
+            taken = edge.label.kind == LabelKind.TRUE
             equal = (cond.op == "==" and taken) or (cond.op == "!=" and not taken)
             return (cond.var, cond.rhs) if equal else ()
-        constraint = constraint_for(cond, taken)
-        return () if constraint is None else (cond.var, *constraint)
+        return ()
 
     def entry_boundary(self, proc: Procedure) -> IntervalValue:
         return {p: (-INF, INF) for p in proc.params}

@@ -597,17 +597,6 @@ class FpmfpProgramSolution(NamedTuple):
 # Interprocedural driver
 # ---------------------------------------------------------------------------
 
-def _reachable_procs(program: MiniIrProgram, cg: CallGraph) -> frozenset[str]:
-    seen = {program.entry}
-    stack = [program.entry]
-    while stack:
-        for callee in sorted(cg.callees[stack.pop()]):
-            if callee not in seen:
-                seen.add(callee)
-                stack.append(callee)
-    return frozenset(seen)
-
-
 def solve_fpmfp_interprocedural(
         program: MiniIrProgram, analysis: Analysis,
         universe: MipsUniverse, opts: frozenset[int] = ALL_OPTS, *,
@@ -623,7 +612,8 @@ def solve_fpmfp_interprocedural(
     apply lifted summaries or the live folded callee exits pointwise.
     Interval boundaries and exits are widened on synthetic per-procedure
     keys, so values that descend through calls, with no CFG back edge
-    between them, stabilize.
+    between them, stabilize.  The call sites, and the procedures the
+    entry reaches, are the call graph's ``calls`` and ``reachable``.
     """
     cg = call_graph or build_call_graph(program)
     summaries = (
@@ -639,21 +629,16 @@ def solve_fpmfp_interprocedural(
               else analysis.refine)
     procs = program.procedures
     index = {proc.name: i for i, proc in enumerate(procs)}
-    reachable = _reachable_procs(program, cg)
-    # Call sites in reachable procedures: per callee, in node-id order for
-    # deterministic meets, and per caller.  Procedures with a call node.
+    # Calls of defined procedures in the procedures the entry reaches: per
+    # callee, in node-id order for deterministic meets, and per caller.
     sites: dict[str, list[int]] = {p.name: [] for p in procs}
     calls: dict[str, list[tuple[int, str]]] = {p.name: [] for p in procs}
-    calling: set[str] = set()
     for proc in procs:
-        for nid in proc.cfg.node_ids():
-            st = proc.cfg.nodes[nid].statement
-            if st.kind != StKind.CALL:
-                continue
-            calling.add(proc.name)
-            if st.callee in sites and proc.name in reachable:
-                sites[st.callee].append(nid)
-                calls[proc.name].append((nid, st.callee))
+        if proc.name in cg.reachable:
+            for nid, callee in cg.calls[proc.name]:
+                if callee in sites:
+                    sites[callee].append(nid)
+                    calls[proc.name].append((nid, callee))
     # Modified globals in sorted order, so the interval values a call
     # yields list their variables in the same order in every process.
     modified = ({name: sorted(names) for name, names in cg.may_modify.items()}
@@ -724,7 +709,7 @@ def solve_fpmfp_interprocedural(
             p_in, p_edges, p_steps = _fixpoint(
                 cfg, boundary=bi, flow=flow,
                 # Without calls, node_transfer is the analysis's transfer.
-                transfer=node_transfer if name in calling
+                transfer=node_transfer if cg.calls[name]
                 else analysis.transfer)
             p_folded = _fold_each(p_in, analysis)
             steps += p_steps

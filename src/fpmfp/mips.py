@@ -9,7 +9,8 @@ have to evaluate the end branch the other way.  Detection runs in two steps:
     TRUE/FALSE when its branch assertion or its source statement decides the
     outcome (both sides reasoned over one-dimensional integer sets), UNDEF
     when the source statement destroys the variable's value, and otherwise
-    stays unresolved and keeps propagating.
+    stays unresolved and keeps propagating.  What an arm asserts is its
+    ``arm_set``, which the interval analysis's refinement reads too.
 2.  FALSE edges seed start points which are hoisted forward across nodes
     whose incoming edges are all starts; unresolved edges downstream of a
     start become inner edges.  Start-to-origin walks along inner edges
@@ -32,17 +33,15 @@ from .frontend import (
     Cfg,
     CfgPlan,
     Cond,
+    EdgeLabel,
     Expr,
     LabelKind,
     MiniIrProgram,
     Procedure,
+    Statement,
     StKind,
     build_call_graph,
 )
-
-
-class EdgeNotInMips(ValueError):
-    """The edge does not lie on the segment."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,43 +145,41 @@ class Answer:
     UNDEF = "undef"
 
 
+def arm_set(statement: Statement,
+            label: EdgeLabel) -> tuple[str, OneDSet] | None:
+    """The variable a branch or case arm tests, and the values that take
+    the arm; None for any other edge, a default arm, and a branch whose
+    condition has no ``outcome_set``."""
+    if statement.kind == StKind.BRANCH:
+        sat = outcome_set(statement.cond, label.kind == LabelKind.TRUE)
+        return None if sat is None else (statement.cond.var, sat)
+    if label.kind == LabelKind.CASE:
+        return statement.var, Interval1D(label.value, label.value)
+    return None
+
+
 def arm_queries(proc: Procedure) -> list[Query]:
     """Queries raised by the procedure's conditional arms, in edge order."""
-    queries: list[Query] = []
     cfg = proc.cfg
-    for nid in cfg.node_ids():
-        st = cfg.nodes[nid].statement
-        if st.kind == StKind.BRANCH:
-            for e in cfg.out_edges(nid):
-                taken = e.label.kind == LabelKind.TRUE
-                sat = outcome_set(st.cond, taken)
-                if sat is not None:
-                    queries.append(Query(e.id, st.cond.var, sat))
-        elif st.kind == StKind.SWITCH:
-            for e in cfg.out_edges(nid):
-                if e.label.kind == LabelKind.CASE:
-                    queries.append(Query(
-                        e.id, st.var,
-                        Interval1D(e.label.value, e.label.value)))
-                # No query for the default arm.
+    queries: list[Query] = []
+    for e in cfg.edges.values():  # in id order
+        arm = arm_set(cfg.nodes[e.source].statement, e.label)
+        if arm is not None:
+            queries.append(Query(e.id, *arm))
     return queries
 
 
-def edge_assertion(cfg, edge, var: str) -> OneDSet | None:
-    """What taking ``edge`` asserts about ``var``, if representable."""
+def edge_assertion(cfg, edge) -> tuple[str, OneDSet] | None:
+    """What taking ``edge`` asserts about a variable, if representable:
+    its ``arm_set``, or, on the default arm of a switch with one case,
+    every value but that case."""
     st = cfg.nodes[edge.source].statement
-    if st.kind == StKind.BRANCH:
-        if st.cond.var == var:
-            return outcome_set(st.cond, edge.label.kind == LabelKind.TRUE)
+    if st.kind == StKind.SWITCH and edge.label.kind == LabelKind.DEFAULT:
+        arms = cfg.out_edges(edge.source)
+        if len(arms) == 2:
+            return st.var, CoPoint(arms[0].label.value)
         return None
-    if st.kind == StKind.SWITCH and st.var == var:
-        if edge.label.kind == LabelKind.CASE:
-            return Interval1D(edge.label.value, edge.label.value)
-        cases = [e.label.value for e in cfg.out_edges(edge.source)
-                 if e.label.kind == LabelKind.CASE]
-        if len(cases) == 1:
-            return CoPoint(cases[0])
-    return None
+    return arm_set(st, edge.label)
 
 
 def const_value(expr: Expr) -> int | None:
@@ -205,14 +202,17 @@ class _Resolver:
         self.proc = proc
         self.cfg = proc.cfg
         self.cg = call_graph
+        # Worked out once per edge, not once per (edge, query) visit.
+        self.assertions = {eid: edge_assertion(self.cfg, edge)
+                           for eid, edge in self.cfg.edges.items()}
 
     def resolve(self, edge, query: Query) -> str | None:
         """Edge-local answer for a query, None when it propagates on."""
-        assertion = edge_assertion(self.cfg, edge, query.var)
-        if assertion is not None:
-            if subset(assertion, query.sat):
+        assertion = self.assertions[edge.id]
+        if assertion is not None and assertion[0] == query.var:
+            if subset(assertion[1], query.sat):
                 return Answer.TRUE
-            if disjoint(assertion, query.sat):
+            if disjoint(assertion[1], query.sat):
                 return Answer.FALSE
         st = self.cfg.nodes[edge.source].statement
         if st.kind in (StKind.ASSIGN, StKind.READ) and st.var == query.var:
@@ -368,13 +368,6 @@ class Mips(NamedTuple):
     def inner(self) -> tuple[int, ...]:
         return self.edges[1:-1]
 
-    def position(self, edge_id: int) -> int:
-        try:
-            return self.edges.index(edge_id)
-        except ValueError:
-            raise EdgeNotInMips(f"e{edge_id} not in segment {self.id}") \
-                from None
-
     def to_json(self):
         return {
             "id": self.id,
@@ -469,23 +462,18 @@ class MipsUniverse:
         cached = self._cso_cache.get((edge_id, mips.id))
         if cached is not None:
             return cached
-        pos = mips.position(edge_id)
-        suffix = mips.edges[pos:]
+        suffix = mips.edges[mips.edges.index(edge_id):]
         out = set()
-        for other in self.for_proc(mips.proc):
-            try:
-                opos = other.position(edge_id)
-            except EdgeNotInMips:
-                continue
-            osuffix = other.edges[opos:]
+        # The segments on this edge are those starting or continuing here.
+        starts, continues, _ = self.crossing(edge_id)
+        for oid in starts | continues:
+            other = self.by_id[oid].edges
+            osuffix = other[other.index(edge_id):]
             if suffix[:len(osuffix)] == osuffix:
-                out.add(other.id)
+                out.add(oid)
         result = frozenset(out)
         self._cso_cache[(edge_id, mips.id)] = result
         return result
-
-    def to_json(self):
-        return [m.to_json() for m in self.all]
 
 
 def detect_mips(program: MiniIrProgram,

@@ -39,6 +39,23 @@ def perfbench_workloads():
     return module
 
 
+@lru_cache(maxsize=None)
+def corpus_programs() -> tuple[tuple[str, MiniIrProgram], ...]:
+    """(name, program) for the fixtures, ``generate_program`` seeds 0-99
+    acyclic and with loops, and ``generate_multi_program`` seeds 0-99."""
+    from fpmfp.progen import generate_multi_program, generate_program
+
+    cases = [(p.stem, fixture_program(p.name))
+             for p in sorted(FIXTURES.glob("*.mir"))]
+    for acyclic in (True, False):
+        cases += [(f"gen-{seed}-{'acyclic' if acyclic else 'loops'}",
+                   parse_program(generate_program(seed, acyclic=acyclic)))
+                  for seed in range(100)]
+    cases += [(f"multi-{seed}", parse_program(generate_multi_program(seed)))
+              for seed in range(100)]
+    return tuple(cases)
+
+
 def node_of(program: MiniIrProgram, nid: int) -> Node:
     """The node with id ``nid``, in whichever procedure has it."""
     return next(proc.cfg.nodes[nid] for proc in program.procedures

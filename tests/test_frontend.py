@@ -19,7 +19,8 @@ from fpmfp.frontend import (
 )
 from fpmfp.progen import generate_multi_program, generate_program
 
-from conftest import FIXTURES, fixture_program, fixture_text, node_of
+from conftest import (
+    FIXTURES, corpus_programs, fixture_program, fixture_text, node_of)
 
 
 def edge_table(cfg: Cfg) -> list[tuple[int, int, int, str]]:
@@ -192,6 +193,66 @@ class TestRpo:
         for e in cfg.edges.values():
             if e.id not in cfg.back_edges():
                 assert pos[e.source] < pos[e.target]
+
+
+def reference_rpo(cfg: Cfg) -> list[int]:
+    """Reverse postorder from a depth-first walk of its own."""
+    seen = {cfg.start}
+    order: list[int] = []
+    stack = [(cfg.start, 0)]
+    while stack:
+        node, idx = stack[-1]
+        outs = cfg.out_edges(node)
+        if idx < len(outs):
+            stack[-1] = (node, idx + 1)
+            nxt = outs[idx].target
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, 0))
+        else:
+            order.append(node)
+            stack.pop()
+    return order[::-1]
+
+
+def reference_back_edges(cfg: Cfg) -> frozenset[int]:
+    """Edges into a node on the stack of a second depth-first walk."""
+    color = {cfg.start: 1}  # 1 = on stack, 2 = done
+    back: set[int] = set()
+    stack = [(cfg.start, 0)]
+    while stack:
+        node, idx = stack[-1]
+        outs = cfg.out_edges(node)
+        if idx < len(outs):
+            stack[-1] = (node, idx + 1)
+            e = outs[idx]
+            c = color.get(e.target, 0)
+            if c == 0:
+                color[e.target] = 1
+                stack.append((e.target, 0))
+            elif c == 1:
+                back.add(e.id)
+        else:
+            color[node] = 2
+            stack.pop()
+    return frozenset(back)
+
+
+class TestCfgWalk:
+    """The one walk a CFG makes equals two separate walks."""
+
+    def test_rpo_and_back_edges_match_two_walks(self):
+        loops = 0
+        for name, program in corpus_programs():
+            for proc in program.procedures:
+                cfg = proc.cfg
+                assert cfg.rpo() == reference_rpo(cfg), (name, proc.name)
+                assert cfg.back_edges() == reference_back_edges(cfg), \
+                    (name, proc.name)
+                assert cfg.rpo_position() == {
+                    n: i for i, n in enumerate(cfg.rpo())}
+                loops += bool(cfg.back_edges())
+        assert loops > 200
 
 
 class TestSyntheticNodes:
@@ -406,6 +467,67 @@ class TestCallGraph:
         program = fixture_program("summary_block.mir")
         cg = build_call_graph(program)
         assert cg.may_modify["helper"] == frozenset({"g"})
+
+
+def reference_may_modify(program) -> dict[str, frozenset[str]]:
+    """Modify sets by round-robin closure: direct globals (every global
+    under an extern call), then callees' sets until nothing changes."""
+    direct: dict[str, set[str]] = {}
+    for proc in program.procedures:
+        mods: set[str] = set()
+        for node in proc.cfg.nodes.values():
+            st = node.statement
+            mods |= st.defs()
+            if st.kind == StKind.CALL and st.callee in program.externs:
+                mods |= program.globals
+        direct[proc.name] = mods & program.globals
+    cg = build_call_graph(program)
+    changed = True
+    while changed:
+        changed = False
+        for proc in program.procedures:
+            for callee in cg.callees[proc.name]:
+                if not direct[callee] <= direct[proc.name]:
+                    direct[proc.name] |= direct[callee]
+                    changed = True
+    return {name: frozenset(mods) for name, mods in direct.items()}
+
+
+def reference_reachable(program) -> set[str]:
+    cg = build_call_graph(program)
+    seen = {program.entry}
+    stack = [program.entry]
+    while stack:
+        for callee in cg.callees[stack.pop()]:
+            if callee not in seen:
+                seen.add(callee)
+                stack.append(callee)
+    return seen
+
+
+class TestCallGraphFacts:
+    """What ``CallGraph`` records equals a direct derivation."""
+
+    def test_facts_match_references(self):
+        recursive = extern_calls = 0
+        for name, program in corpus_programs():
+            cg = build_call_graph(program)
+            assert cg.may_modify == reference_may_modify(program), name
+            assert cg.reachable == reference_reachable(program), name
+            for proc in program.procedures:
+                scan = [(nid, proc.cfg.nodes[nid].statement.callee)
+                        for nid in proc.cfg.node_ids()
+                        if proc.cfg.nodes[nid].statement.kind == StKind.CALL]
+                assert list(cg.calls[proc.name]) == scan, (name, proc.name)
+                extern_calls += any(c in program.externs for _, c in scan)
+            recursive += sum(len(scc) > 1 or scc[0] in cg.callees[scc[0]]
+                             for scc in cg.sccs)
+        assert recursive > 80 and extern_calls > 50
+
+    def test_reachable_skips_uncalled_procedures(self):
+        program = parse_program(
+            "proc main() { a(); } proc a() { skip; } proc b() { a(); }")
+        assert build_call_graph(program).reachable == {"main", "a"}
 
 
 def smallest_program(statement: Statement) -> str:

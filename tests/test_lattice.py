@@ -24,7 +24,6 @@ from fpmfp.lattice import (
     ReachingDefinitions,
     WIDEN_THRESHOLD,
     WideningState,
-    constraint_for,
     eval_expr,
     interval_leq,
     interval_meet,
@@ -32,10 +31,10 @@ from fpmfp.lattice import (
 )
 from fpmfp.lifted import NonTermination, solve_fpmfp_interprocedural
 from fpmfp.mfp import solve_mfp
-from fpmfp.mips import detect_mips
+from fpmfp.mips import Interval1D, arm_queries, detect_mips
 from fpmfp.progen import generate_multi_program
 
-from conftest import FIXTURES, fixture_program, node_of
+from conftest import FIXTURES, corpus_programs, fixture_program, node_of
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +272,26 @@ class TestIntervalRefine:
                         {"x": (0, 5), "y": (3, 9)})
         assert out["x"] == (3, 5) and out["y"] == (3, 5)
 
-    def test_constraint_table_is_exhaustive_for_comparisons(self):
-        from fpmfp.frontend import Cond
-        for op in ("<", "<=", ">", ">=", "==", "!="):
-            for taken in (True, False):
-                constraint_for(Cond(op, var="x", rhs=3), taken)  # no KeyError
+    def test_refine_follows_the_detection_arm_sets(self):
+        """Detection and refinement read one arm rule: an arm whose query
+        asks for one interval refines an unconstrained variable to exactly
+        that interval, and any other query's arm leaves it alone."""
+        intervals = others = 0
+        for name, program in corpus_programs():
+            analysis = IntervalAnalysis(program)
+            for proc in program.procedures:
+                cfg = proc.cfg
+                for query in arm_queries(proc):
+                    edge = cfg.edges[query.origin]
+                    value = {query.var: (-INF, INF)}
+                    out = analysis.refine(edge, cfg.nodes[edge.source], value)
+                    if isinstance(query.sat, Interval1D):
+                        assert out == {query.var: query.sat}, (name, edge)
+                        intervals += 1
+                    else:
+                        assert out == value, (name, edge)
+                        others += 1
+        assert intervals > 3000 and others > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from fpmfp.mips import (
     _materialize,
     Answer,
     CoPoint,
-    EdgeNotInMips,
     Interval1D,
     INF,
     Query,
@@ -462,10 +461,10 @@ class TestTrackingOps:
                 for eid in m.edges:
                     co = u.cso(eid, m)
                     assert m.id in co
-                    suffix = m.edges[m.position(eid):]
+                    suffix = m.edges[m.edges.index(eid):]
                     for oid in co:
                         other = u.by_id[oid]
-                        osuffix = other.edges[other.position(eid):]
+                        osuffix = other.edges[other.edges.index(eid):]
                         assert suffix[:len(osuffix)] == osuffix
 
     def test_cso_asymmetric_nested(self):
@@ -515,10 +514,8 @@ class TestTrackingOps:
     def test_edge_not_in_mips(self, load_program):
         u = detect(load_program("fig12"))
         (m,) = u.all
-        with pytest.raises(EdgeNotInMips):
+        with pytest.raises(ValueError):
             u.cso(2, m)
-        with pytest.raises(EdgeNotInMips):
-            m.position(99)
 
     def test_for_proc_partition(self, load_program):
         u = detect(load_program("summary_block"))
@@ -530,7 +527,7 @@ class TestTrackingOps:
 class TestSerialization:
     def test_json_shape(self, load_program):
         u = detect(load_program("fig12"))
-        (js,) = u.to_json()
+        (js,) = [m.to_json() for m in u.all]
         assert js == {
             "id": 1,
             "proc": "f",
@@ -543,7 +540,7 @@ class TestSerialization:
 
     def test_json_field_order(self, load_program):
         u = detect(load_program("fig4"))
-        for js in u.to_json():
+        for js in [m.to_json() for m in u.all]:
             assert list(js) == ["id", "proc", "edges", "start", "inner",
                                 "end", "satisfies_p"]
 
