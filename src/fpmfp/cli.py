@@ -175,12 +175,18 @@ def run() -> NoReturn:
     """The ``fpmfp`` command (``python -m fpmfp.cli`` and the console
     script): exit with ``main()``'s code.
 
-    Before it exits, and also when ``main()`` raises (``--help`` exits
-    through ``SystemExit``), it moves every object to the collector's
-    permanent generation, so that interpreter shutdown does not traverse
-    the run's objects once more.  ``sys.exit`` still runs atexit
-    handlers and flushes the streams.
+    The cyclic collector is off while ``main()`` runs: lattice values,
+    solutions and reports form no reference cycles, so reference counting
+    frees all a run drops, and the collector would only rescan the live
+    values as the heap grows.  Forked ``--jobs`` workers inherit this.
+    ``main()`` itself leaves the collector alone, so a library caller or
+    a test that runs it keeps it on.  Before it exits, and also when
+    ``main()`` raises (``--help`` exits through ``SystemExit``), it moves
+    every object to the collector's permanent generation, so that
+    interpreter shutdown does not traverse the run's objects once more.
+    ``sys.exit`` still runs atexit handlers and flushes the streams.
     """
+    gc.disable()
     try:
         code = main()
     finally:

@@ -14,7 +14,9 @@ comes later stays *dangling* until that target is allocated.  The start
 node must have no incoming edges: when the body is empty or its first node
 is an edge target (a loop head), a ``skip`` start node is added after the
 exit node.  A call to a procedure neither defined nor declared extern raises
-``UnresolvedCall``; a statement no path reaches, ``UnreachableNode``.
+``UnresolvedCall``; a statement no path reaches, ``UnreachableNode``.  A
+procedure may not be both defined and declared extern: the later of the two
+declarations is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -581,17 +583,27 @@ class _Parser:
         externs: set[str] = set()
         procs: list[Procedure] = []
         names: set[str] = set()
+
+        def defined_extern(name: str, at: int) -> ParseError:
+            return self.error(
+                f"procedure '{name}' is both defined and declared extern",
+                at)
+
         while (tok := self.peek()) != "":
             if tok in ("global", "extern"):
                 self.next()
-                (globals_ if tok == "global" else externs).add(
-                    self.expect_name())
+                name = self.expect_name()
+                if tok == "extern" and name in names:
+                    raise defined_extern(name, self.pos - 1)
+                (globals_ if tok == "global" else externs).add(name)
                 self.expect(";")
             elif tok == "proc":
                 name = self.tokens[self.pos + 1]
                 if name in names:
                     raise self.error(f"duplicate procedure '{name}'",
                                      self.pos + 1)
+                if name in externs:
+                    raise defined_extern(name, self.pos + 1)
                 names.add(name)
                 procs.append(self.parse_proc())
             else:

@@ -388,6 +388,33 @@ def _intersect_var(value: IntervalValue, var: str,
     return out
 
 
+def _bound_json(bound: float):
+    if bound == INF:
+        return "+inf"
+    if bound == -INF:
+        return "-inf"
+    return int(bound)
+
+
+def _pair_view(pair) -> tuple[list, str]:
+    """A (lo, hi) pair's read-only [lo, hi] list and its text one level
+    down."""
+    element = [_bound_json(pair[0]), _bound_json(pair[1])]
+    return element, _nested(element)
+
+
+def _item_views() -> Memo:
+    """A cache of (var, (lo, hi)) items' views: the pair's list, shared by
+    every item with that pair, and the item's '"var": [...]' line."""
+    pair_views = Memo(_pair_view)
+
+    def item_view(item) -> tuple[list, str]:
+        var, pair = item
+        element, text = pair_views[pair]
+        return element, json.dumps(var) + ": " + text
+    return Memo(item_view)
+
+
 class IntervalAnalysis(Analysis):
     """Variable ranges with branch-arm refinement.
 
@@ -401,11 +428,10 @@ class IntervalAnalysis(Analysis):
 
     def __init__(self, program: MiniIrProgram) -> None:
         super().__init__(program)
-        # Per (lo, hi) pair: its read-only [lo, hi] list and that list's
-        # text one level down; per (var, (lo, hi)) item: the same list and
-        # the item's '"var": [...]' line.
-        self._pair_views = Memo(self._pair_view)
-        self._item_views = Memo(self._item_view)
+        # Built from functions that do not hold the analysis, so an
+        # instance is in no reference cycle and reference counting frees
+        # it without the cyclic collector.
+        self._item_views = _item_views()
         # Sorted, so havocked values list the globals in one order.
         self._globals = sorted(program.globals)
         # Per edge id: what ``refine`` does there (``_refine_rule``).
@@ -514,23 +540,6 @@ class IntervalAnalysis(Analysis):
             out[g] = (-INF, INF)
         return out
 
-    @staticmethod
-    def _bound_json(bound: float):
-        if bound == INF:
-            return "+inf"
-        if bound == -INF:
-            return "-inf"
-        return int(bound)
-
-    def _pair_view(self, pair) -> tuple[list, str]:
-        element = [self._bound_json(pair[0]), self._bound_json(pair[1])]
-        return element, _nested(element)
-
-    def _item_view(self, item) -> tuple[list, str]:
-        var, pair = item
-        element, text = self._pair_views[pair]
-        return element, json.dumps(var) + ": " + text
-
     def to_json(self, value: IntervalValue) -> EncodedDict:
         items = self._item_views
         out = EncodedDict()
@@ -553,7 +562,7 @@ class IntervalAnalysis(Analysis):
     def format(self, value: IntervalValue) -> str:
         if not value:
             return "{}"
-        bound = self._bound_json
+        bound = _bound_json
         return ", ".join(f"{var}: [{bound(lo)}, {bound(hi)}]"
                          for var, (lo, hi) in sorted(value.items()))
 

@@ -423,14 +423,16 @@ class Summaries(NamedTuple):
 
 
 def _summary_exit(cfg: Cfg, universe: MipsUniverse, opts: frozenset[int], *,
-                  transfer: Callable, meet: Callable, top) -> int:
-    """Folded exit value of one summary fixpoint from the empty boundary."""
+                  transfer: Callable, meet: Callable, top, boundary=0):
+    """Folded exit value of one summary fixpoint from the empty boundary
+    (``0``, or ``(0, 0)`` for a (kill, gen) pair)."""
     flow = _Flow(
         universe, cfg.proc_name, meet=meet, top=top, refine=None,
         opts=opts,
         drop_top=3 in opts and transfer_preserves_top(cfg, transfer, top),
     )
-    node_in, _, _ = _fixpoint(cfg, boundary=0, transfer=transfer, flow=flow)
+    node_in, _, _ = _fixpoint(cfg, boundary=boundary, transfer=transfer,
+                             flow=flow)
     return _meet_all(node_in[cfg.exit], meet, top)
 
 
@@ -440,11 +442,12 @@ def compute_lifted_summaries(
         call_graph: CallGraph | None = None) -> Summaries:
     """Gen/kill masks per procedure, bottom-up over call-graph SCCs.
 
-    Both the accumulated-kill and the gen fixpoints run lifted, so a gen
+    The accumulated-kill and the gen values are solved lifted, so a gen
     or kill that only happens inside an infeasible segment of the callee
     never reaches the exit fold.  A procedure that does not call itself
     and shares its SCC with no other reads only its callees' masks, which
-    are final by then: one kill and one gen fixpoint give its masks.  In
+    are final by then: one fixpoint over (kill, gen) pairs, each
+    component transferred and met on its own, gives both its masks.  In
     a recursive SCC the kill masks are iterated to their fixpoint first
     and the gen masks second, with the kills held fixed: each loop is
     then monotone from the empty mask and ends within one round per
@@ -474,18 +477,36 @@ def compute_lifted_summaries(
             return (value & ~ksum[st.callee]) | gsum[st.callee]
         return analysis.transfer(node, value)
 
+    gen_meet = analysis.meet
+
+    def pair_xfer(node: Node, value: tuple[int, int]) -> tuple[int, int]:
+        return kill_xfer(node, value[0]), gen_xfer(node, value[1])
+
+    def pair_meet(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return a[0] & b[0], gen_meet(a[1], b[1])
+
+    pair_top = (analysis.full_mask, analysis.top())
     for scc in cg.sccs:  # bottom-up: callees before callers
         if not any(cg.callers[name] for name in scc):
             continue
         for name in scc:
             gsum[name] = 0
             ksum[name] = 0
-        # Only a recursive SCC reads masks that its own round changes.
-        recursive = len(scc) > 1 or scc[0] in cg.callees[scc[0]]
+        # Only a recursive SCC reads masks that its own round changes;
+        # any other reads final callee masks and takes one pair fixpoint.
+        if len(scc) == 1 and scc[0] not in cg.callees[scc[0]]:
+            name = scc[0]
+            kill, gen = _summary_exit(
+                program.by_name[name].cfg, universe, opts,
+                transfer=pair_xfer, meet=pair_meet, top=pair_top,
+                boundary=(0, 0))
+            ksum[name] = kill & gmask
+            gsum[name] = gen & gmask
+            continue
         rounds = len(scc) * gmask.bit_count() + 1
         for masks, transfer, meet, top in (
                 (ksum, kill_xfer, lambda a, b: a & b, analysis.full_mask),
-                (gsum, gen_xfer, analysis.meet, analysis.top())):
+                (gsum, gen_xfer, gen_meet, analysis.top())):
             for _ in range(rounds):
                 stable = True
                 for name in scc:
@@ -495,7 +516,7 @@ def compute_lifted_summaries(
                     if new != masks[name]:
                         masks[name] = new
                         stable = False
-                if stable or not recursive:
+                if stable:
                     break
             else:
                 raise NonTermination(

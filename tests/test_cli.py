@@ -231,14 +231,19 @@ class TestEntryPoint:
 
     def test_main_leaves_the_collector_alone(self, capsys):
         before = gc.get_freeze_count()
+        enabled = gc.isenabled()
         code, _, _ = run(capsys, "analyze", "--program", fix("fig2"),
                          "--analysis", "interval", "--mode", "fpmfp")
         assert code == 0
         assert gc.get_freeze_count() == before
+        assert gc.isenabled() == enabled
 
     @pytest.mark.parametrize("exit_code", [0, 3])
     def test_run_freezes_then_exits(self, monkeypatch, exit_code):
+        collecting = []
+
         def fake_main():
+            collecting.append(gc.isenabled())
             if exit_code == 0:
                 raise SystemExit(0)  # how --help leaves main()
             return exit_code
@@ -250,8 +255,10 @@ class TestEntryPoint:
                 cli.run()
             assert exc.value.code == exit_code
             assert gc.get_freeze_count() > 0
+            assert collecting == [False]
         finally:
             gc.unfreeze()
+            gc.enable()
 
 
 class TestUsageErrors:
@@ -399,7 +406,10 @@ class TestInputErrors:
     @pytest.mark.parametrize("source, message", [
         ("proc main() { foo(); }", "call to undefined procedure 'foo'"),
         ("proc main() { exit; x = 1; }", "node n2 is unreachable"),
-    ], ids=["unresolved-call", "unreachable-statement"])
+        ("extern f; proc f() { skip; } proc main() { f(); }",
+         "procedure 'f' is both defined and declared extern "
+         "(line 1, col 16)"),
+    ], ids=["unresolved-call", "unreachable-statement", "defined-extern"])
     @pytest.mark.parametrize("command", [
         ("detect-mips",), ("analyze", "--analysis", "rd", "--mode", "mfp"),
         ("compare", "--analysis", "interval"), ("dump-dot",),

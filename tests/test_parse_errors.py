@@ -16,7 +16,9 @@ import random
 import re
 from pathlib import Path
 
-from fpmfp.frontend import parse_program
+import pytest
+
+from fpmfp.frontend import ParseError, parse_program
 from fpmfp.progen import generate_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "parse_errors.json"
@@ -126,3 +128,23 @@ def test_golden_is_mostly_parse_errors():
               if text.startswith("ParseError: ")]
     assert len(errors) >= CASES * 9 // 10
     assert any("unexpected character" in text for text in errors)
+
+
+@pytest.mark.parametrize("source, line, col", [
+    ("extern f;\nglobal g;\nproc f() { g = 1; }\n"
+     "proc main() { g = 0; f(); print g; }\n", 3, 6),
+    ("global g;\nproc f() { g = 1; }\n"
+     "proc main() { g = 0; f(); print g; }\nextern  f;\n", 4, 9),
+])
+def test_a_defined_extern_is_reported_at_the_later_declaration(
+        source, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert str(exc.value) == (
+        "procedure 'f' is both defined and declared extern "
+        f"(line {line}, col {col})")
+
+
+def test_repeated_extern_declarations_are_accepted():
+    program = parse_program("extern f;\nextern f;\nproc main() { f(); }\n")
+    assert program.externs == frozenset({"f"})
