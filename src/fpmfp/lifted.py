@@ -85,34 +85,28 @@ def sorted_keys(value: LiftedValue) -> list[Key]:
     return sorted(value, key=_key_order)
 
 
-def _meet_all(value: LiftedValue, meet: Callable, top):
+def _meet_all(value: LiftedValue, meet: Callable):
+    """Meet of the stored values in key order, from the first; ``value``
+    must hold one."""
     if len(value) == 1:
         (only,) = value.values()
         return only
-    out = top
-    for key in sorted_keys(value):
+    keys = sorted(value, key=_key_order)
+    out = value[keys[0]]
+    for key in keys[1:]:
         out = meet(out, value[key])
     return out
 
 
 def fold(value: LiftedValue, analysis: Analysis):
     """Meet of all stored pair values; top when no pair is stored."""
-    if len(value) == 1:
-        (only,) = value.values()
-        return only
-    return _meet_all(value, analysis.meet, analysis.top())
+    return _meet_all(value, analysis.meet) if value else analysis.top()
 
 
 def _fold_each(values: dict[int, LiftedValue],
                analysis: Analysis) -> dict[int, object]:
     """``fold`` of every value, keyed as ``values``."""
-    out: dict[int, object] = {}
-    for i, pairs in values.items():
-        if len(pairs) == 1:
-            (out[i],) = pairs.values()
-        else:
-            out[i] = _meet_all(pairs, analysis.meet, analysis.top())
-    return out
+    return {i: fold(pairs, analysis) for i, pairs in values.items()}
 
 
 class PairStats:
@@ -175,9 +169,9 @@ class _Flow:
                 moved[tracked] = self.meet(moved[tracked], v)
             else:
                 moved[tracked] = v
-        if eid in self.back:
+        if moved and eid in self.back:
             widening = self.widening
-            widening.observe(eid, _meet_all(moved, self.meet, self.top))
+            widening.observe(eid, _meet_all(moved, self.meet))
             moved = {key: widening.apply(eid, v) for key, v in moved.items()}
         # Normalizations 1 and 2 are identities on fewer than two pairs.
         if len(moved) > 1:
@@ -433,7 +427,8 @@ def _summary_exit(cfg: Cfg, universe: MipsUniverse, opts: frozenset[int], *,
     )
     node_in, _, _ = _fixpoint(cfg, boundary=boundary, transfer=transfer,
                              flow=flow)
-    return _meet_all(node_in[cfg.exit], meet, top)
+    exit_in = node_in[cfg.exit]
+    return _meet_all(exit_in, meet) if exit_in else top
 
 
 def compute_lifted_summaries(
@@ -442,45 +437,39 @@ def compute_lifted_summaries(
         call_graph: CallGraph | None = None) -> Summaries:
     """Gen/kill masks per procedure, bottom-up over call-graph SCCs.
 
-    The accumulated-kill and the gen values are solved lifted, so a gen
-    or kill that only happens inside an infeasible segment of the callee
-    never reaches the exit fold.  A procedure that does not call itself
-    and shares its SCC with no other reads only its callees' masks, which
-    are final by then: one fixpoint over (kill, gen) pairs, each
-    component transferred and met on its own, gives both its masks.  In
-    a recursive SCC the kill masks are iterated to their fixpoint first
-    and the gen masks second, with the kills held fixed: each loop is
-    then monotone from the empty mask and ends within one round per
-    global fact and member.  (Updating both together lets a gen fact
-    produced while a callee's kill mask was still empty circle the SCC
-    forever.)  Procedures that no call site names (the entry procedure,
-    for one) get no summary: nothing reads it.
+    Each procedure's accumulated kill and gen come from one lifted
+    fixpoint over (kill, gen) pairs from ``(0, 0)``, each component
+    transferred and met on its own, so a gen or kill that only happens
+    inside an infeasible segment of the callee never reaches the exit
+    fold.  An SCC is solved in rounds of one pair fixpoint per member,
+    each reading the masks as they stand; outside a recursive SCC the
+    callees' masks are final and one round suffices.  In a recursive SCC
+    the kills never read the gens, so they climb from the empty mask as
+    if solved alone.  The gens read the kills, so every round that moves
+    a kill resets them to the empty mask: once no kill moves they climb
+    under the final kills, as if solved with the kills held fixed, and
+    the first round that changes nothing ends the loop.  (Gens kept from
+    a round whose kills were still moving can circle the SCC forever.)
+    Procedures that no call site names (the entry procedure, for one) get
+    no summary: nothing reads it.
     """
     cg = call_graph or build_call_graph(program)
     gmask = analysis.globals_mask
     gsum: dict[str, int] = {}
     ksum: dict[str, int] = {}
-
-    def kill_xfer(node: Node, value: int) -> int:
-        st = node.statement
-        if st.kind == StKind.CALL:
-            if st.callee in program.externs:
-                return value
-            return value | ksum[st.callee]
-        return value | analysis.kill_mask(node.id)
-
-    def gen_xfer(node: Node, value: int) -> int:
-        st = node.statement
-        if st.kind == StKind.CALL:
-            if st.callee in program.externs:
-                return value
-            return (value & ~ksum[st.callee]) | gsum[st.callee]
-        return analysis.transfer(node, value)
-
     gen_meet = analysis.meet
 
     def pair_xfer(node: Node, value: tuple[int, int]) -> tuple[int, int]:
-        return kill_xfer(node, value[0]), gen_xfer(node, value[1])
+        kill, gen = value
+        st = node.statement
+        if st.kind != StKind.CALL:
+            return (kill | analysis.kill_mask(node.id),
+                    analysis.transfer(node, gen))
+        if st.callee in program.externs:
+            return value
+        callee_kill = ksum[st.callee]
+        return (kill | callee_kill,
+                (gen & ~callee_kill) | gsum[st.callee])
 
     def pair_meet(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return a[0] & b[0], gen_meet(a[1], b[1])
@@ -492,36 +481,32 @@ def compute_lifted_summaries(
         for name in scc:
             gsum[name] = 0
             ksum[name] = 0
-        # Only a recursive SCC reads masks that its own round changes;
-        # any other reads final callee masks and takes one pair fixpoint.
-        if len(scc) == 1 and scc[0] not in cg.callees[scc[0]]:
-            name = scc[0]
-            kill, gen = _summary_exit(
-                program.by_name[name].cfg, universe, opts,
-                transfer=pair_xfer, meet=pair_meet, top=pair_top,
-                boundary=(0, 0))
-            ksum[name] = kill & gmask
-            gsum[name] = gen & gmask
-            continue
-        rounds = len(scc) * gmask.bit_count() + 1
-        for masks, transfer, meet, top in (
-                (ksum, kill_xfer, lambda a, b: a & b, analysis.full_mask),
-                (gsum, gen_xfer, gen_meet, analysis.top())):
-            for _ in range(rounds):
-                stable = True
+        recursive = len(scc) > 1 or scc[0] in cg.callees[scc[0]]
+        rounds = 2 * (len(scc) * gmask.bit_count() + 1)
+        for _ in range(rounds):
+            kill_moved = gen_moved = False
+            for name in scc:
+                kill, gen = _summary_exit(
+                    program.by_name[name].cfg, universe, opts,
+                    transfer=pair_xfer, meet=pair_meet, top=pair_top,
+                    boundary=(0, 0))
+                kill &= gmask
+                gen &= gmask
+                if kill != ksum[name]:
+                    ksum[name] = kill
+                    kill_moved = True
+                if gen != gsum[name]:
+                    gsum[name] = gen
+                    gen_moved = True
+            if not recursive or not (kill_moved or gen_moved):
+                break
+            if kill_moved:
                 for name in scc:
-                    new = _summary_exit(
-                        program.by_name[name].cfg, universe, opts,
-                        transfer=transfer, meet=meet, top=top) & gmask
-                    if new != masks[name]:
-                        masks[name] = new
-                        stable = False
-                if stable:
-                    break
-            else:
-                raise NonTermination(
-                    f"call summaries of {', '.join(scc)} did not "
-                    f"stabilize within {rounds} rounds")
+                    gsum[name] = 0
+        else:
+            raise NonTermination(
+                f"call summaries of {', '.join(scc)} did not "
+                f"stabilize within {rounds} rounds")
     return Summaries(gsum, ksum)
 
 
@@ -621,7 +606,6 @@ class FpmfpProgramSolution(NamedTuple):
 def solve_fpmfp_interprocedural(
         program: MiniIrProgram, analysis: Analysis,
         universe: MipsUniverse, opts: frozenset[int] = ALL_OPTS, *,
-        widen: bool = True,
         call_graph: CallGraph | None = None) -> FpmfpProgramSolution:
     """Whole-program lifted solution for one analysis.
 
@@ -642,7 +626,7 @@ def solve_fpmfp_interprocedural(
                                  call_graph=cg)
         if isinstance(analysis, BitvectorAnalysis) else None
     )
-    widening = WideningState(widen and analysis.kind == "interval")
+    widening = WideningState(analysis.kind == "interval")
     stats = PairStats()
     top = analysis.top()
     # The default refine is the identity; the engine then skips the call.

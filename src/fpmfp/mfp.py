@@ -34,9 +34,8 @@ def compute_summaries(program: MiniIrProgram, analysis: BitvectorAnalysis,
 
 
 def solve_mfp(program: MiniIrProgram, analysis: Analysis, *,
-              widen: bool = True,
               call_graph: CallGraph | None = None) -> FpmfpProgramSolution:
     """Whole-program MFP solution for one analysis."""
     return solve_fpmfp_interprocedural(
         program, analysis, MipsUniverse(program, []), frozenset(),
-        widen=widen, call_graph=call_graph)
+        call_graph=call_graph)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from fpmfp import lifted, progen
+from fpmfp import lattice, lifted, progen
 from fpmfp.frontend import StKind, build_call_graph, parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.lifted import (
@@ -24,6 +24,7 @@ from fpmfp.mips import MipsUniverse, detect_mips
 from fpmfp.oracle import Explosion, mips_free_meets, solution_semantics
 
 from conftest import fixture_program
+from test_interprocedural import MUTUAL
 
 FIXTURE_NAMES = (
     "fig2", "fig3", "fig4", "fig7", "fig8", "fig10", "fig11", "fig12",
@@ -479,15 +480,15 @@ class TestSolutionInvariants:
 
 
 class TestTermination:
-    def test_unbounded_loop_without_widening(self):
+    def test_unbounded_loop_without_widening(self, monkeypatch):
+        monkeypatch.setattr(lattice, "WIDEN_THRESHOLD", INF)
         program = parse_program(
             "proc main() { x = 0; while (x >= 0) { x = x + 1; } print x; }"
         )
         an = make_analysis("interval", program)
         universe = detect_mips(program)
         with pytest.raises(NonTermination):
-            solve_fpmfp_interprocedural(
-                program, an, universe, widen=False)
+            solve_fpmfp_interprocedural(program, an, universe)
 
     def test_same_loop_terminates_with_widening(self):
         program = parse_program(
@@ -544,9 +545,27 @@ def iterated_summaries(program, analysis, universe, opts) -> Summaries:
     return Summaries(gsum, ksum)
 
 
+# A feasible path through each callee skips the assignment to ``g``, so
+# its kill mask is empty only when the summary meets kills with ``&``.
+# Both callees hold detected segments (the second test of ``s`` and of
+# ``t`` contradicts the first on one arm), and ``q`` is recursive.  Over
+# the detected universe no generated program has such a path through a
+# procedure outside a recursive SCC.
+SKIPPED_ASSIGNMENT = (
+    "global g;\n"
+    "proc main() { g = 0; p(); q(); print g; }\n"
+    "proc p() { read s; if (s > 0) { g = 1; }"
+    " if (s > 0) { skip; } else { skip; } }\n"
+    "proc q() { read t; if (t > 0) { g = 2; q(); }"
+    " if (t > 0) { skip; } else { skip; } }\n"
+)
+
+
 def _summary_corpus():
-    """The fixtures and ``generate_multi_program`` seeds 0-296, parsed."""
+    """The fixtures, ``SKIPPED_ASSIGNMENT`` and ``generate_multi_program``
+    seeds 0-296, parsed."""
     programs = [fixture_program(name) for name in FIXTURE_NAMES]
+    programs.append(parse_program(SKIPPED_ASSIGNMENT))
     return programs + [parse_program(progen.generate_multi_program(seed))
                        for seed in range(297)]
 
@@ -610,3 +629,25 @@ class TestSummarySchedule:
                                       build_call_graph(program))
         assert sorted(calls) == sorted(f"p{i}" for i in range(depth))
         assert summaries.ksum[f"p{depth - 1}"] != 0
+
+    def test_mutual_recursion_takes_one_pair_fixpoint_per_round(
+            self, monkeypatch):
+        # p -> q -> r -> p, three members per round.  rd: the first round
+        # moves the kills, two climb the gens from 0 under them and the
+        # fourth changes nothing.  must-defined kills nothing: its gens
+        # climb in the first round and the second changes nothing.  Kill
+        # and gen loops run one after the other take 15 and 9.
+        program = parse_program(MUTUAL)
+        calls = []
+        real = lifted._summary_exit
+
+        def counted(cfg, *args, **kwargs):
+            calls.append(cfg.proc_name)
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(lifted, "_summary_exit", counted)
+        universe = detect_mips(program)
+        for name in ("rd", "must-defined"):
+            compute_lifted_summaries(program, make_analysis(name, program),
+                                     universe)
+        assert len(calls) == 18

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from fpmfp import lifted
+from fpmfp import lattice, lifted
 from fpmfp.frontend import StKind, build_call_graph, parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.lifted import NonTermination
@@ -238,13 +238,14 @@ class TestFixpointInvariants:
 
 
 class TestNonTermination:
-    def test_unbounded_loop_without_widening(self):
+    def test_unbounded_loop_without_widening(self, monkeypatch):
+        monkeypatch.setattr(lattice, "WIDEN_THRESHOLD", INF)
         program = parse_program(
             "proc main() { x = 0; while (x >= 0) { x = x + 1; } print x; }"
         )
         analysis = make_analysis("interval", program)
         with pytest.raises(NonTermination):
-            solve_mfp(program, analysis, widen=False)
+            solve_mfp(program, analysis)
 
     def test_same_loop_terminates_with_widening(self):
         program = parse_program(
@@ -254,10 +255,11 @@ class TestNonTermination:
         sol = solve_mfp(program, analysis)
         assert sol.folded_in[2]["x"] == (0, INF)
 
-    def test_bounded_loop_without_widening_is_exact(self):
+    def test_bounded_loop_without_widening_is_exact(self, monkeypatch):
+        monkeypatch.setattr(lattice, "WIDEN_THRESHOLD", INF)
         program = fixture_program("loop.mir")
         analysis = make_analysis("interval", program)
-        sol = solve_mfp(program, analysis, widen=False)
+        sol = solve_mfp(program, analysis)
         assert sol.folded_in[2] == {"x": (0, 10)}
         assert sol.folded_in[4] == {"x": (10, 10)}
 
