@@ -38,32 +38,6 @@ def _load_program(path: str):
     return program
 
 
-def _json_key(key) -> str:
-    """A non-string key as ``json.dumps`` writes it: quoted scalar text."""
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
-
-
-def _json_scalar(obj) -> str:
-    """A scalar as ``json.dumps`` writes it, tested in ``json``'s order."""
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return json.dumps(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    f"is not JSON serializable")
-
-
 def _json_text(payload) -> str:
     """What ``json.dumps`` writes with ``indent=2`` and ``sort_keys=True``,
     plus a newline.
@@ -71,11 +45,12 @@ def _json_text(payload) -> str:
     The same bytes, appended as pieces to one flat list and joined once.
     A value view from ``Analysis.json_views`` is not walked: its ``text``
     is spliced in, re-indented once per depth it occurs at, so a report
-    whose rows share views costs time in its distinct content.  Objects
-    are dispatched on their exact type (``str``, ``int``, a view type,
-    ``dict``, ``list``); anything else (bools, None, floats, tuples,
-    subclasses) takes ``isinstance`` tests.  A dict item's separator,
-    quoted key and ``": "`` are joined once per (key, depth, first item).
+    whose rows share views costs time in its distinct content.  It takes
+    exactly what reports hold, each object dispatched on its exact type:
+    ``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``float``,
+    ``bool``, ``None`` and the two view types.  Any other type, as a value
+    or a key, raises ``TypeError``.  A dict item's separator, quoted key
+    and ``": "`` are joined once per (key, depth, first item).
     """
     pieces: list[str] = []
     append = pieces.append
@@ -99,13 +74,15 @@ def _json_text(payload) -> str:
             append(text)
             return
         if cls is not dict and cls is not list:
-            if isinstance(obj, (list, tuple)):
-                cls = list
-            elif isinstance(obj, dict):
-                cls = dict
+            if cls is float:
+                append(json.dumps(obj))
+            elif cls is bool:
+                append("true" if obj else "false")
+            elif obj is None:
+                append("null")
             else:
-                append(_json_scalar(obj))
-                return
+                raise TypeError(f"a report holds no {cls.__name__}")
+            return
         if not obj:
             append("{}" if cls is dict else "[]")
             return
@@ -146,12 +123,12 @@ class _Level:
         self.rest: dict[str, str] = {}
 
     def head(self, key, heads: dict[str, str]) -> str:
-        """The text before ``key``'s value, ``heads`` being ``first`` or
-        ``rest``; kept there for a ``str`` key only, because ``1``, ``1.0``
-        and ``True`` are one dict key but are written differently."""
+        """The text before ``key``'s value, kept in ``heads``, which is
+        ``first`` or ``rest``."""
+        if type(key) is not str:
+            raise TypeError(f"a report key is a str, not a "
+                            f"{type(key).__name__}")
         sep = self.open_dict if heads is self.first else self.comma
-        if not isinstance(key, str):
-            return sep + _json_key(key) + ": "
         text = heads[key] = sep + json.dumps(key) + ": "
         return text
 

@@ -86,8 +86,7 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
         try:
             tree = path_tree(
                 proc.cfg, universe, proc.name,
-                max_len=max_length or 2 * len(proc.cfg.edges),
-                edge_cap=edge_cap)
+                max_len=max_length, edge_cap=edge_cap)
         except Explosion:
             _info("%s: procedure %s has too many paths; its path-tree "
                   "checks are skipped", name, proc.name)

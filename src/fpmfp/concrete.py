@@ -132,12 +132,15 @@ class _Choice:
         self.move_after = move_after
 
 
+# Visits of one node per activation after which a run is cut short.
+_LOOP_CAP = 64
+
+
 def execute_all(
     program: MiniIrProgram,
     *,
     lo: int = -3,
     hi: int = 3,
-    loop_cap: int = 64,
     run_limit: int = 1_000_000,
 ) -> list[list[Trace]]:
     """Concretely run the program over every choice in the input box.
@@ -152,7 +155,7 @@ def execute_all(
     def take(machine: _Machine) -> None:
         if len(runs) >= run_limit:
             raise Explosion(f"execution exceeded {run_limit} runs")
-        result = _advance_machine(machine, loop_cap)
+        result = _advance_machine(machine)
         if isinstance(result, _Choice):
             for value in box:
                 fork = machine.fork()
@@ -168,14 +171,14 @@ def execute_all(
     return runs
 
 
-def _advance_machine(machine: _Machine, loop_cap: int):
+def _advance_machine(machine: _Machine):
     """Run until completion, truncation, or the next required choice."""
     program = machine.program
     while machine.frames:
         frame = machine.frames[-1]
         cfg = frame.proc.cfg
         visits = frame.visits.get(frame.node, 0) + 1
-        if visits > loop_cap:
+        if visits > _LOOP_CAP:
             return machine.finish()  # capped: keep the partial trace
         frame.visits[frame.node] = visits
         st = cfg.nodes[frame.node].statement

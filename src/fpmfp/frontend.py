@@ -32,8 +32,6 @@ class ParseError(SyntaxError):
 
     def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
 
 
 class UnresolvedCall(Exception):
@@ -49,7 +47,6 @@ class UnreachableNode(Exception):
 
     def __init__(self, node_id: int) -> None:
         super().__init__(f"node n{node_id} is unreachable")
-        self.node_id = node_id
 
 
 # ---------------------------------------------------------------------------

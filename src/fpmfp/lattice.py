@@ -581,18 +581,16 @@ class WideningState:
     back edge, per variable and side; after ``WIDEN_THRESHOLD`` movements the
     side is forced to the corresponding infinity for the rest of the run.
     Both solvers use the same mechanism (a plain value is its own fold), which
-    keeps their loop bounds aligned.
+    keeps their loop bounds aligned.  Only a run of an analysis that widens
+    (the interval analysis) builds one.
     """
 
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._last: dict[tuple[int, str], tuple[float, float]] = {}
         self._count: dict[tuple[int, str, str], int] = {}
         self._forced: set[tuple[int, str, str]] = set()
 
     def observe(self, edge_id: int, folded: IntervalValue) -> None:
-        if not self.enabled:
-            return
         for var, (lo, hi) in folded.items():
             key = (edge_id, var)
             prev = self._last.get(key)
@@ -612,7 +610,7 @@ class WideningState:
             self._forced.add(key)
 
     def apply(self, edge_id: int, value: IntervalValue) -> IntervalValue:
-        if not self.enabled or not self._forced:
+        if not self._forced:
             return value
         out = None
         for var, (lo, hi) in value.items():

@@ -125,6 +125,8 @@ class _Flow:
 
     Bundles the lattice callables with the segment universe so both the
     main solver and the summary solvers share identical semantics.
+    ``drop_top`` is normalization 3's decision, made by the caller; ``back``
+    holds the back edges ``widening`` widens, and is empty without it.
     """
 
     def __init__(self, universe: MipsUniverse, proc_name: str, *,
@@ -139,9 +141,9 @@ class _Flow:
         self.refine = refine
         self.merge_ends = 1 in opts
         self.shift = 2 in opts
-        self.drop_top = drop_top and 3 in opts
+        self.drop_top = drop_top
         self.widening = widening
-        self.back = back if widening is not None else frozenset()
+        self.back = back
         self.stats = stats
         self.pair_limit = len(universe.for_proc(proc_name)) + 1
 
@@ -417,15 +419,15 @@ class Summaries(NamedTuple):
 
 
 def _summary_exit(cfg: Cfg, universe: MipsUniverse, opts: frozenset[int], *,
-                  transfer: Callable, meet: Callable, top, boundary=0):
-    """Folded exit value of one summary fixpoint from the empty boundary
-    (``0``, or ``(0, 0)`` for a (kill, gen) pair)."""
+                  transfer: Callable, meet: Callable, top):
+    """Folded exit (kill, gen) pair of one summary fixpoint from the empty
+    pair ``(0, 0)``."""
     flow = _Flow(
         universe, cfg.proc_name, meet=meet, top=top, refine=None,
         opts=opts,
         drop_top=3 in opts and transfer_preserves_top(cfg, transfer, top),
     )
-    node_in, _, _ = _fixpoint(cfg, boundary=boundary, transfer=transfer,
+    node_in, _, _ = _fixpoint(cfg, boundary=(0, 0), transfer=transfer,
                              flow=flow)
     exit_in = node_in[cfg.exit]
     return _meet_all(exit_in, meet) if exit_in else top
@@ -488,8 +490,7 @@ def compute_lifted_summaries(
             for name in scc:
                 kill, gen = _summary_exit(
                     program.by_name[name].cfg, universe, opts,
-                    transfer=pair_xfer, meet=pair_meet, top=pair_top,
-                    boundary=(0, 0))
+                    transfer=pair_xfer, meet=pair_meet, top=pair_top)
                 kill &= gmask
                 gen &= gmask
                 if kill != ksum[name]:
@@ -544,23 +545,14 @@ class FpmfpSolution:
 
     @cached_property
     def folded_out(self) -> dict[int, object]:
-        # The fold of each node's transferred pairs, met as ``fold`` meets
-        # them, without building ``node_out``.
+        # ``fold`` of each node's transferred pairs, one node at a time,
+        # without building ``node_out``.
         nodes = self.cfg.nodes
         transfer = self.node_transfer
         analysis = self.analysis
-        meet = analysis.meet
-        out: dict[int, object] = {}
-        for n, pairs in self.node_in.items():
-            if len(pairs) == 1:
-                (v,) = pairs.values()
-                out[n] = transfer(nodes[n], v)
-                continue
-            met = analysis.top()
-            for key in sorted_keys(pairs):
-                met = meet(met, transfer(nodes[n], pairs[key]))
-            out[n] = met
-        return out
+        return {n: fold({key: transfer(nodes[n], v)
+                         for key, v in pairs.items()}, analysis)
+                for n, pairs in self.node_in.items()}
 
     @cached_property
     def folded_edges(self) -> dict[int, object]:
@@ -626,7 +618,7 @@ def solve_fpmfp_interprocedural(
                                  call_graph=cg)
         if isinstance(analysis, BitvectorAnalysis) else None
     )
-    widening = WideningState(analysis.kind == "interval")
+    widening = WideningState() if analysis.kind == "interval" else None
     stats = PairStats()
     top = analysis.top()
     # The default refine is the identity; the engine then skips the call.
@@ -669,6 +661,8 @@ def solve_fpmfp_interprocedural(
             value, exit_values.get(st.callee, top), modified[st.callee])
 
     def widen_at(key: int, value):
+        if widening is None:
+            return value
         widening.observe(key, value)
         return widening.apply(key, value)
 
@@ -708,7 +702,7 @@ def solve_fpmfp_interprocedural(
                 drop_top=(3 in opts and transfer_preserves_top(
                     cfg, node_transfer, top)),
                 widening=widening,
-                back=cfg.back_edges() if widening.enabled else frozenset(),
+                back=frozenset() if widening is None else cfg.back_edges(),
                 stats=stats,
             )
             p_in, p_edges, p_steps = _fixpoint(

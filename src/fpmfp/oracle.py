@@ -27,6 +27,10 @@ class Explosion(RuntimeError):
     """The bounded exploration outgrew its budget."""
 
 
+# The most expansions a path tree may make before raising Explosion.
+EXPANSION_LIMIT = 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # Bounded path-tree meets with segment pruning
 # ---------------------------------------------------------------------------
@@ -36,7 +40,6 @@ class OracleMeets(NamedTuple):
 
     node_in: dict[int, object]
     edge_values: dict[int, object]
-    keyed: dict[tuple[int, frozenset[int]], object]
     expansions: int
     truncated: bool
 
@@ -65,13 +68,10 @@ class PathTree(NamedTuple):
 
     Expansion ``i`` is ``steps[i] == (node, edges)``: it reaches ``node``
     and leaves it along ``edges``, in the order the walk takes them; its
-    children are the expansions those edges lead to.  ``keys`` holds, per
-    taken edge in walk order, the edge id and the ids of the segments in
-    progress after it, or is None when they were not collected.
+    children are the expansions those edges lead to.
     """
 
     steps: list[tuple[int, tuple]]
-    keys: list[tuple[int, frozenset[int]]] | None
     truncated: bool
 
     def meets(self, *, boundary, meet, node_transfer,
@@ -84,7 +84,6 @@ class PathTree(NamedTuple):
         """
         node_in: dict[int, object] = {}
         edge_values: dict[int, object] = {}
-        outs = None if self.keys is None else []
         # Children are pushed in the order their edges were taken and
         # popped last first, which replays the walk's expansion order.
         stack = [boundary]
@@ -100,14 +99,8 @@ class PathTree(NamedTuple):
                 eid = edge.id
                 edge_values[eid] = (meet(edge_values[eid], out)
                                     if eid in edge_values else out)
-                if outs is not None:
-                    outs.append(out)
                 stack.append(out)
-        keyed: dict[tuple[int, frozenset[int]], object] = {}
-        if outs is not None:
-            for key, out in zip(self.keys, outs):
-                keyed[key] = meet(keyed[key], out) if key in keyed else out
-        return OracleMeets(node_in, edge_values, keyed, len(self.steps),
+        return OracleMeets(node_in, edge_values, len(self.steps),
                            self.truncated)
 
 
@@ -118,8 +111,6 @@ def path_tree(
     *,
     max_len: int | None = None,
     edge_cap: int = 2,
-    limit: int = 1_000_000,
-    collect_keys: bool = False,
 ) -> PathTree:
     """Enumerate the bounded path tree of one procedure.
 
@@ -127,8 +118,10 @@ def path_tree(
     edge is taken at most ``edge_cap`` times per path, and a branch is
     pruned the moment a detected infeasible segment completes on it.
     Pruning depends on the CFG and the segments only, so one tree serves
-    every analysis.  Raises :class:`Explosion` past ``limit`` expansions.
+    every analysis.  Raises :class:`Explosion` past ``EXPANSION_LIMIT``
+    expansions.
     """
+    limit = EXPANSION_LIMIT
     starts: dict[int, list] = {}
     for seg in universe.for_proc(proc_name):
         starts.setdefault(seg.start, []).append(seg)
@@ -138,7 +131,6 @@ def path_tree(
     # One tuple per distinct step: a tree near the limit holds a million
     # expansions but few distinct steps.
     shared: dict[tuple, tuple] = {}
-    keys = [] if collect_keys else None
     stack = [(cfg.start, (), {}, 0)]
     truncated = False
     while stack:
@@ -160,14 +152,12 @@ def path_tree(
             if advanced is None:
                 continue  # completing a segment: path infeasible
             edges.append(edge)
-            if keys is not None:
-                keys.append((eid, frozenset(seg.id for seg, _ in advanced)))
             new_counts = dict(counts)
             new_counts[eid] = new_counts.get(eid, 0) + 1
             stack.append((edge.target, advanced, new_counts, length + 1))
         step = (node, tuple(edges))
         steps.append(shared.setdefault(step, step))
-    return PathTree(steps, keys, truncated)
+    return PathTree(steps, truncated)
 
 
 def mips_free_meets(
@@ -181,23 +171,17 @@ def mips_free_meets(
     node_transfer,
     refine,
     max_len: int | None = None,
-    edge_cap: int = 2,
-    limit: int = 1_000_000,
-    collect_keys: bool = False,
 ) -> OracleMeets:
     """Meet propagated values over bounded segment-free paths.
 
     ``node_transfer(node_id, value)`` and ``refine(edge, value)`` supply the
     semantics (typically borrowed from a solved analysis so call nodes use
     its summaries); values are met at each node entry and after each edge.
-    With ``collect_keys`` the edge meets are additionally grouped by the
-    set of segments in progress, which is the decomposition the lifted
-    solver keys its pairs by.  This is :func:`path_tree` followed by
+    This is :func:`path_tree`, with each edge taken at most twice per path
+    and at most ``EXPANSION_LIMIT`` expansions, followed by
     :meth:`PathTree.meets`; ``top`` is not needed by either.
     """
-    tree = path_tree(cfg, universe, proc_name, max_len=max_len,
-                     edge_cap=edge_cap, limit=limit,
-                     collect_keys=collect_keys)
+    tree = path_tree(cfg, universe, proc_name, max_len=max_len)
     return tree.meets(boundary=boundary, meet=meet,
                       node_transfer=node_transfer, refine=refine)
 

@@ -15,6 +15,8 @@ import random
 
 _VALUE_VARS = ("v0", "v1", "v2", "v3")
 _SELECTORS = ("s0", "s1")
+# Correlated pairs in one generated program: one up to this many.
+_MAX_PAIRS = 3
 
 
 def _indent(lines: list[str]) -> list[str]:
@@ -113,17 +115,16 @@ def _loop(b: _Builder) -> None:
     b.define(var)
 
 
-def generate_program(seed: int, *, acyclic: bool = True,
-                     max_pairs: int = 3) -> str:
+def generate_program(seed: int, *, acyclic: bool = True) -> str:
     """One deterministic random program as MiniIR source text."""
-    rng = random.Random(f"progen-{seed}-{acyclic}-{max_pairs}")
+    rng = random.Random(f"progen-{seed}-{acyclic}-{_MAX_PAIRS}")
     b = _Builder(rng)
     selectors = list(_SELECTORS[: rng.randint(1, 2)])
     for sel in selectors:
         b.emit(f"read {sel};")
         b.define(sel)
     b.filler()
-    n_pairs = rng.randint(1, max_pairs)
+    n_pairs = rng.randint(1, _MAX_PAIRS)
     placed_loop = False
     for _ in range(n_pairs):
         sel = rng.choice(selectors)

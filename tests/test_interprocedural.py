@@ -105,8 +105,7 @@ class TestCallSummaries:
         an = make_analysis("rd", program)
         flips = iter(range(1_000_000))
 
-        def oscillating(cfg, universe, opts, *, transfer, meet, top,
-                        boundary):
+        def oscillating(cfg, universe, opts, *, transfer, meet, top):
             return next(flips) % 2 * an.globals_mask, 0
 
         monkeypatch.setattr(engine, "_summary_exit", oscillating)

@@ -461,39 +461,33 @@ class TestMonotonicity:
 
 class TestWidening:
     def test_forces_after_threshold_movements(self):
-        ws = WideningState(enabled=True)
+        ws = WideningState()
         for i in range(WIDEN_THRESHOLD + 1):
             ws.observe(4, {"x": (1, 1 + i)})
         out = ws.apply(4, {"x": (1, 99)})
         assert out["x"] == (1, INF)
 
     def test_below_threshold_is_identity(self):
-        ws = WideningState(enabled=True)
+        ws = WideningState()
         for i in range(WIDEN_THRESHOLD - 1):
             ws.observe(4, {"x": (1, 1 + i)})
         assert ws.apply(4, {"x": (1, 99)}) == {"x": (1, 99)}
 
     def test_sides_are_independent(self):
-        ws = WideningState(enabled=True)
+        ws = WideningState()
         for i in range(WIDEN_THRESHOLD + 1):
             ws.observe(4, {"x": (-i, 5)})
         out = ws.apply(4, {"x": (-9, 5)})
         assert out["x"] == (-INF, 5)
 
     def test_edges_are_independent(self):
-        ws = WideningState(enabled=True)
+        ws = WideningState()
         for i in range(WIDEN_THRESHOLD + 1):
             ws.observe(4, {"x": (1, 1 + i)})
         assert ws.apply(7, {"x": (1, 99)}) == {"x": (1, 99)}
 
-    def test_disabled_state_never_forces(self):
-        ws = WideningState(enabled=False)
-        for i in range(WIDEN_THRESHOLD * 2):
-            ws.observe(4, {"x": (1, 1 + i)})
-        assert ws.apply(4, {"x": (1, 99)}) == {"x": (1, 99)}
-
     def test_absent_variable_untouched(self):
-        ws = WideningState(enabled=True)
+        ws = WideningState()
         for i in range(WIDEN_THRESHOLD + 1):
             ws.observe(4, {"x": (1, 1 + i)})
         assert ws.apply(4, {"y": (0, 0)}) == {"y": (0, 0)}

@@ -502,7 +502,8 @@ class TestTermination:
 
 def iterated_summaries(program, analysis, universe, opts) -> Summaries:
     """Reference masks: every SCC, recursive or not, solved round after
-    round until a round changes nothing, kill masks first."""
+    round until a round changes nothing, kill masks first.  Each mask is
+    one component of a summary fixpoint's pair, the other held at 0."""
     cg = build_call_graph(program)
     gmask = analysis.globals_mask
     gsum: dict[str, int] = {}
@@ -529,16 +530,19 @@ def iterated_summaries(program, analysis, universe, opts) -> Summaries:
             continue
         for name in scc:
             gsum[name] = ksum[name] = 0
-        for masks, transfer, meet, top in (
-                (ksum, kill_xfer, lambda a, b: a & b, analysis.full_mask),
-                (gsum, gen_xfer, analysis.meet, analysis.top())):
+        for masks, transfer, meet, top, side in (
+                (ksum, lambda node, v: (kill_xfer(node, v[0]), 0),
+                 lambda a, b: (a[0] & b[0], 0), (analysis.full_mask, 0), 0),
+                (gsum, lambda node, v: (0, gen_xfer(node, v[1])),
+                 lambda a, b: (0, analysis.meet(a[1], b[1])),
+                 (0, analysis.top()), 1)):
             stable = False
             while not stable:
                 stable = True
                 for name in scc:
                     new = _summary_exit(
                         program.by_name[name].cfg, universe, opts,
-                        transfer=transfer, meet=meet, top=top) & gmask
+                        transfer=transfer, meet=meet, top=top)[side] & gmask
                     if new != masks[name]:
                         masks[name] = new
                         stable = False

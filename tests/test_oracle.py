@@ -2,7 +2,7 @@
 
 import pytest
 
-from fpmfp import progen
+from fpmfp import oracle, progen
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.mfp import solve_mfp
@@ -26,7 +26,7 @@ ALL_FIXTURES = [
 ]
 
 
-def oracle_for(program, analysis_name, proc_name=None, **kwargs):
+def oracle_for(program, analysis_name, proc_name=None):
     universe = detect_mips(program)
     analysis = make_analysis(analysis_name, program)
     solution = solve_mfp(program, analysis)
@@ -40,7 +40,6 @@ def oracle_for(program, analysis_name, proc_name=None, **kwargs):
         meet=analysis.meet,
         node_transfer=node_transfer,
         refine=refine,
-        **kwargs,
     )
     return meets, solution, analysis
 
@@ -97,29 +96,6 @@ class TestMeets:
         assert meets.edge_values[7] == {"b": (-INF, INF), "z": (0, 2)}
         assert meets.edge_values[9] == {"b": (-INF, 0), "z": (1, 1)}
 
-    def test_fig2_keys_group_by_tracked_segments(self, load_program):
-        meets, _, _ = oracle_for(
-            load_program("fig2"), "interval", collect_keys=True)
-        at_e5 = {key[1]: v for key, v in meets.keyed.items() if key[0] == 5}
-        assert at_e5 == {
-            frozenset(): {"x": (0, INF), "a": (5, 5)},
-            frozenset({1}): {"x": (-INF, -1), "a": (0, 0)},
-        }
-
-    def test_fig8_keys_at_join(self, load_program):
-        meets, _, _ = oracle_for(
-            load_program("fig8"), "interval", collect_keys=True)
-        at_e7 = {key[1]: v for key, v in meets.keyed.items() if key[0] == 7}
-        assert at_e7 == {
-            frozenset(): {"b": (-INF, INF), "z": (1, 1)},
-            frozenset({1}): {"b": (1, 1), "z": (0, 0)},
-            frozenset({2}): {"b": (2, 2), "z": (2, 2)},
-        }
-
-    def test_keys_off_by_default(self, load_program):
-        meets, _, _ = oracle_for(load_program("fig2"), "interval")
-        assert meets.keyed == {}
-
     def test_loop_is_truncated_but_sound(self, load_program):
         meets, solution, analysis = oracle_for(load_program("loop"),
                                                "interval")
@@ -155,9 +131,10 @@ class TestMeets:
             for nid, oracle_val in meets.node_in.items():
                 assert solution.folded_in[nid] == oracle_val
 
-    def test_explosion_guard(self, load_program):
+    def test_explosion_guard(self, load_program, monkeypatch):
+        monkeypatch.setattr(oracle, "EXPANSION_LIMIT", 3)
         with pytest.raises(Explosion):
-            oracle_for(load_program("fig12"), "rd", limit=3)
+            oracle_for(load_program("fig12"), "rd")
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +144,11 @@ class TestMeets:
 def reference_walk(cfg, universe, proc_name, *, boundary, meet,
                    node_transfer, refine, max_len, edge_cap, limit):
     """The one-pass walk the split walk replaced: enumeration and meets
-    interleaved, ``node_transfer`` once per taken edge, keys collected."""
+    interleaved, ``node_transfer`` once per taken edge."""
     starts = {}
     for seg in universe.for_proc(proc_name):
         starts.setdefault(seg.start, []).append(seg)
-    node_in, edge_values, keyed = {}, {}, {}
+    node_in, edge_values = {}, {}
 
     def accumulate(table, key, value):
         table[key] = meet(table[key], value) if key in table else value
@@ -198,13 +175,11 @@ def reference_walk(cfg, universe, proc_name, *, boundary, meet,
                 continue
             out_value = refine(edge, node_transfer(node, value))
             accumulate(edge_values, edge.id, out_value)
-            in_progress = frozenset(seg.id for seg, _ in advanced)
-            accumulate(keyed, (edge.id, in_progress), out_value)
             new_counts = dict(counts)
             new_counts[edge.id] = new_counts.get(edge.id, 0) + 1
             stack.append(
                 (edge.target, out_value, advanced, new_counts, length + 1))
-    return OracleMeets(node_in, edge_values, keyed, expansions, truncated)
+    return OracleMeets(node_in, edge_values, expansions, truncated)
 
 
 def _walk_sources():
@@ -226,11 +201,11 @@ class TestSplitWalk:
         except Explosion as exc:
             return "explosion", str(exc)
         # Dict order records the order of first meets.
-        return meets, [list(table) for table in meets[:3]]
+        return meets, [list(table) for table in meets[:2]]
 
     @pytest.mark.parametrize("name, source", list(_walk_sources()),
                              ids=[name for name, _ in _walk_sources()])
-    def test_equal_to_the_one_pass_walk(self, name, source):
+    def test_equal_to_the_one_pass_walk(self, name, source, monkeypatch):
         program = parse_program(source)
         universe = detect_mips(program)
         # A limit under most trees' size, so Explosion is compared too.
@@ -244,38 +219,32 @@ class TestSplitWalk:
                     cfg=proc.cfg, universe=universe, proc_name=proc.name,
                     boundary=solution.boundaries[proc.name],
                     meet=analysis.meet, node_transfer=node_transfer,
-                    refine=refine, max_len=2 * len(proc.cfg.edges),
-                    edge_cap=2)
+                    refine=refine, max_len=2 * len(proc.cfg.edges))
                 for bound in (limit, 1_000_000):
-                    expected = self.outcome(reference_walk, limit=bound,
-                                            **common)
+                    monkeypatch.setattr(oracle, "EXPANSION_LIMIT", bound)
+                    expected = self.outcome(reference_walk, edge_cap=2,
+                                            limit=bound, **common)
                     assert self.outcome(
                         mips_free_meets, top=analysis.top(),
-                        collect_keys=True, limit=bound,
                         **common) == expected, (name, proc.name)
-                    if expected[0] == "explosion":
-                        continue
-                    unkeyed = mips_free_meets(top=analysis.top(),
-                                              limit=bound, **common)
-                    assert unkeyed == expected[0]._replace(keyed={})
 
-    def test_explosion_at_the_same_limit(self, load_program):
+    def test_explosion_at_the_same_limit(self, load_program, monkeypatch):
         proc = load_program("fig12").procedures[0]
         universe = detect_mips(load_program("fig12"))
         size = len(path_tree(proc.cfg, universe, proc.name).steps)
-        assert len(path_tree(proc.cfg, universe, proc.name,
-                             limit=size).steps) == size
+        monkeypatch.setattr(oracle, "EXPANSION_LIMIT", size)
+        assert len(path_tree(proc.cfg, universe, proc.name).steps) == size
+        monkeypatch.setattr(oracle, "EXPANSION_LIMIT", size - 1)
         with pytest.raises(Explosion, match=f"exceeded {size - 1} "):
-            path_tree(proc.cfg, universe, proc.name, limit=size - 1)
+            path_tree(proc.cfg, universe, proc.name)
 
     def test_one_tree_serves_every_analysis(self, load_program):
         program = load_program("fig8")
         universe = detect_mips(program)
         proc = program.procedures[0]
-        tree = path_tree(proc.cfg, universe, proc.name, collect_keys=True)
+        tree = path_tree(proc.cfg, universe, proc.name)
         for analysis_name in ("rd", "must-defined", "interval"):
-            meets, _, analysis = oracle_for(program, analysis_name,
-                                            collect_keys=True)
+            meets, _, analysis = oracle_for(program, analysis_name)
             solution = solve_mfp(program, analysis)
             node_transfer, refine = solution_semantics(solution, proc)
             assert tree.meets(

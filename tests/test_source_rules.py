@@ -192,3 +192,221 @@ def test_public_name_rule_catches_a_planted_helper():
     readme = readme.replace("\n## Library use\n",
                             "\n## Library use\n\n`planted_helper`\n", 1)
     assert unused_public_names(sources, benchmark, readme) == []
+
+
+# ---------------------------------------------------------------------------
+# No class member or keyword parameter in ``src/`` exists only for the tests
+# ---------------------------------------------------------------------------
+
+def _class_members(tree: ast.AST):
+    """(class, member, definition) of each method, class-level field and
+    ``self.`` attribute of each class in ``tree``, dunder names aside."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = [(stmt.name, stmt)] + [
+                    (node.attr, node) for node in ast.walk(stmt)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"]
+            elif isinstance(stmt, ast.AnnAssign):
+                found = [(stmt.target.id, stmt)]
+            elif isinstance(stmt, ast.Assign):
+                found = [(target.id, stmt) for target in stmt.targets
+                         if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name, definition in found:
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield cls.name, name, definition
+
+
+def _member_reads(tree: ast.AST):
+    """(pattern, node) of each attribute ``tree`` reads: the attribute's
+    name, or for ``getattr`` with a string or f-string name, a pattern
+    with one wildcard per replacement field."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and isinstance(
+                node.target, ast.Attribute):
+            yield re.escape(node.target.attr), node
+        elif isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load):
+            yield re.escape(node.attr), node
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], (ast.Constant, ast.JoinedStr))):
+            name = node.args[1]
+            parts = name.values if isinstance(name, ast.JoinedStr) else [name]
+            yield "".join(
+                re.escape(part.value) if isinstance(part, ast.Constant)
+                else ".*" for part in parts), node
+
+
+def unread_members(sources: dict[str, str], benchmark: list[str],
+                   readme: str) -> list[str]:
+    """``module: Class.member`` for each class member in ``sources`` that
+    nothing in ``sources`` outside the member's own definition reads, no
+    ``benchmark`` module reads and README "Library use" does not name."""
+    allowed = _library_use_names(readme)
+    for text in benchmark:
+        allowed.update(node.attr for node in ast.walk(ast.parse(text))
+                       if isinstance(node, ast.Attribute))
+    trees = {name: ast.parse(text, name)
+             for name, text in sorted(sources.items())}
+    reads = [read for tree in trees.values() for read in _member_reads(tree)]
+    found = []
+    for module, tree in trees.items():
+        for cls, name, definition in _class_members(tree):
+            if name in allowed:
+                continue
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(id(node) not in own and re.fullmatch(pattern, name)
+                       for pattern, node in reads):
+                found.append(f"{module}: {cls}.{name}")
+    return sorted(set(found))
+
+
+def _defaulted(function: ast.FunctionDef, method: bool):
+    """Each parameter of ``function`` with a default, mapped to its
+    position among the arguments a call passes (None: keyword only)."""
+    args = function.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args]
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in function.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    out = {name: i for i, name in enumerate(positional) if i >= first}
+    out.update((arg.arg, None) for arg, default in zip(args.kwonlyargs,
+                                                       args.kw_defaults)
+               if default is not None)
+    return out
+
+
+def _calls(tree: ast.AST):
+    """(called name, call, parameter names of the enclosing functions,
+    enclosing function nodes) of each call in ``tree``."""
+    out = []
+
+    def visit(node, params: frozenset, enclosing: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                args = child.args
+                visit(child, params | {arg.arg for arg in (
+                    args.posonlyargs + args.args + args.kwonlyargs)},
+                    (*enclosing, child))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    out.append((func.id, child, params, enclosing))
+                elif isinstance(func, ast.Attribute):
+                    out.append((func.attr, child, params, enclosing))
+            visit(child, params, enclosing)
+
+    visit(tree, frozenset(), ())
+    return out
+
+
+def _passes(call: ast.Call, forwarded: frozenset, param: str,
+            index: int | None) -> bool:
+    """Whether ``call`` passes ``param`` (by keyword, or by position
+    ``index``) something other than an enclosing function's own parameter
+    of the same name."""
+    def passed(value) -> bool:
+        return not (isinstance(value, ast.Name) and value.id == param
+                    and param in forwarded)
+
+    if any(kw.arg is None or (kw.arg == param and passed(kw.value))
+           for kw in call.keywords):
+        return True
+    return index is not None and any(
+        isinstance(arg, ast.Starred) or (i == index and passed(arg))
+        for i, arg in enumerate(call.args[:index + 1]))
+
+
+def unpassed_keywords(sources: dict[str, str], benchmark: list[str],
+                      readme: str) -> list[str]:
+    """``module: function(param=)`` for each defaulted parameter of a
+    public function or method in ``sources`` that no call outside the
+    function passes, in ``sources`` or a ``benchmark`` module, unless
+    README "Library use" names it."""
+    allowed = _library_use_names(readme)
+    trees = {name: ast.parse(text, name)
+             for name, text in sorted(sources.items())}
+    calls = [call for tree in [*trees.values(),
+                               *map(ast.parse, benchmark)]
+             for call in _calls(tree)]
+    found = []
+    for module, tree in trees.items():
+        functions = [(stmt, False) for stmt in tree.body]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                functions += [(stmt, True) for stmt in cls.body]
+        for function, method in functions:
+            if (not isinstance(function, ast.FunctionDef)
+                    or function.name.startswith("_")):
+                continue
+            for param, index in _defaulted(function, method).items():
+                if param not in allowed and not any(
+                        name == function.name and function not in enclosing
+                        and _passes(call, forwarded, param, index)
+                        for name, call, forwarded, enclosing in calls):
+                    found.append(f"{module}: {function.name}({param}=)")
+    return found
+
+
+def test_every_member_has_a_non_test_reader():
+    """A method, property, field or ``self.`` attribute of a class in
+    ``src/fpmfp`` is read outside its own definition, by the package or
+    the benchmark, or named in README "Library use"."""
+    sources, benchmark, readme = _tree_texts()
+    assert unread_members(sources, benchmark, readme) == []
+
+
+def test_every_keyword_parameter_has_a_non_test_caller():
+    """A parameter with a default, of a public function or method in
+    ``src/fpmfp``, is passed by some call outside that function, in the
+    package or the benchmark, or named in README "Library use".  A call
+    that hands on its own function's parameter of the same name does not
+    count."""
+    sources, benchmark, readme = _tree_texts()
+    assert unpassed_keywords(sources, benchmark, readme) == []
+
+
+def test_member_rule_catches_a_planted_member():
+    sources, benchmark, readme = _tree_texts()
+    sources["progen.py"] += (
+        "\n\nclass Planted:\n"
+        "    def __init__(self):\n"
+        "        self.planted_field = 1\n\n"
+        "    def planted_method(self, n):\n"
+        "        return self.planted_method(n - 1) if n else 0\n")
+    assert unread_members(sources, benchmark, readme) == [
+        "progen.py: Planted.planted_field",
+        "progen.py: Planted.planted_method"]
+    # A read elsewhere in the package, or a name in "Library use", is
+    # enough.
+    sources["mips.py"] += "\n\nplanted = Planted().planted_method(1)\n"
+    readme = readme.replace("\n## Library use\n",
+                            "\n## Library use\n\n`planted_field`\n", 1)
+    assert unread_members(sources, benchmark, readme) == []
+
+
+def test_keyword_rule_catches_a_planted_keyword():
+    sources, benchmark, readme = _tree_texts()
+    sources["progen.py"] += (
+        "\n\ndef planted(n, width=1, *, depth=0):\n"
+        "    return planted(n - 1, depth=depth + 1) if n else width\n\n\n"
+        "def forwards(depth=0):\n"
+        "    return planted(1, depth=depth)\n")
+    assert unpassed_keywords(sources, benchmark, readme) == [
+        "progen.py: planted(width=)", "progen.py: planted(depth=)",
+        "progen.py: forwards(depth=)"]
+    # Passing a value by position or by keyword, from outside the
+    # function, is enough.
+    sources["mips.py"] += "\n\nplanted = forwards(planted(2, 3, depth=1))\n"
+    assert unpassed_keywords(sources, benchmark, readme) == []
