@@ -46,11 +46,13 @@ def _json_text(payload) -> str:
     A value view from ``Analysis.json_views`` is not walked: its ``text``
     is spliced in, re-indented once per depth it occurs at, so a report
     whose rows share views costs time in its distinct content.  It takes
-    exactly what reports hold, each object dispatched on its exact type:
+    exactly what reports hold, each value dispatched on its exact type:
     ``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``float``,
-    ``bool``, ``None`` and the two view types.  Any other type, as a value
-    or a key, raises ``TypeError``.  A dict item's separator, quoted key
-    and ``": "`` are joined once per (key, depth, first item).
+    ``bool``, ``None`` and the two view types; any other raises
+    ``TypeError``.  A dict item's separator, quoted key and ``": "`` are
+    joined once per (key, depth, first item), and only then is the key
+    checked: one not exactly a ``str`` raises, unless it equals (as a
+    ``str`` subclass can) a key already joined there, whose text it reuses.
     """
     pieces: list[str] = []
     append = pieces.append

@@ -134,30 +134,28 @@ class _Choice:
 
 # Visits of one node per activation after which a run is cut short.
 _LOOP_CAP = 64
+# The input box: the values a nondeterministic choice forks over.
+_BOX = range(-3, 4)
+# Runs after which ``execute_all`` raises ``Explosion``.
+_RUN_LIMIT = 1_000_000
 
 
-def execute_all(
-    program: MiniIrProgram,
-    *,
-    lo: int = -3,
-    hi: int = 3,
-    run_limit: int = 1_000_000,
-) -> list[list[Trace]]:
+def execute_all(program: MiniIrProgram) -> list[list[Trace]]:
     """Concretely run the program over every choice in the input box.
 
     Nondeterminism — ``read`` statements and first uses of variables that
-    never received a value — forks one run per box value; each completed
-    (or capped) run yields the edge traces of all its activations.
+    never received a value — forks one run per ``_BOX`` value; each
+    completed (or capped) run yields the edge traces of all its
+    activations.  Past ``_RUN_LIMIT`` runs it raises ``Explosion``.
     """
-    box = range(lo, hi + 1)
     runs: list[list[Trace]] = []
 
     def take(machine: _Machine) -> None:
-        if len(runs) >= run_limit:
-            raise Explosion(f"execution exceeded {run_limit} runs")
+        if len(runs) >= _RUN_LIMIT:
+            raise Explosion(f"execution exceeded {_RUN_LIMIT} runs")
         result = _advance_machine(machine)
         if isinstance(result, _Choice):
-            for value in box:
+            for value in _BOX:
                 fork = machine.fork()
                 frame = fork.frames[-1]
                 fork.store(frame, result.var, value)

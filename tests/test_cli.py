@@ -134,6 +134,19 @@ class TestJsonWriter:
             with pytest.raises(TypeError):
                 cmd_io._json_text(payload)
 
+    def test_key_type_checked_when_its_head_is_joined(self):
+        # A ``str`` subclass key raises where its head is joined first,
+        # and reuses the head of an equal key written before it at the
+        # same depth and position.
+        class Key(str):
+            pass
+
+        with pytest.raises(TypeError):
+            cmd_io._json_text([{Key("a"): 1}])
+        payload = [{"a": 1}, {Key("a"): 2}]
+        assert cmd_io._json_text(payload) == json.dumps(
+            payload, indent=2, sort_keys=True) + "\n"
+
     @staticmethod
     def views() -> list:
         """Pre-encoded value views of every analysis on a program with a

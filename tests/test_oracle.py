@@ -2,7 +2,7 @@
 
 import pytest
 
-from fpmfp import oracle, progen
+from fpmfp import concrete, oracle, progen
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.mfp import solve_mfp
@@ -304,14 +304,16 @@ class TestExecutor:
         (trace,) = run
         assert len(trace.edges) == 3
 
-    def test_read_forks_box(self):
+    def test_read_forks_box(self, monkeypatch):
+        monkeypatch.setattr(concrete, "_BOX", range(-1, 2))
         program = parse_program("""
             proc main() { read x; print x; }
         """)
-        runs = execute_all(program, lo=-1, hi=1)
+        runs = execute_all(program)
         assert len(runs) == 3
 
-    def test_choices_memoized_within_run(self):
+    def test_choices_memoized_within_run(self, monkeypatch):
+        monkeypatch.setattr(concrete, "_BOX", range(-1, 2))
         program = parse_program("""
             proc main(x) {
                 if (x > 0) { y = 1; } else { y = 2; }
@@ -320,7 +322,7 @@ class TestExecutor:
             }
         """)
         # One choice for x; correlated branches agree within each run.
-        runs = execute_all(program, lo=-1, hi=1)
+        runs = execute_all(program)
         assert len(runs) == 3
         cfg = program.procedures[0].cfg
         for run in runs:
@@ -330,9 +332,10 @@ class TestExecutor:
             kinds = {a.label.kind for a in arms}
             assert len(kinds) == 1  # both branches took the same side
 
-    def test_run_limit_explosion(self, load_program):
+    def test_run_limit_explosion(self, load_program, monkeypatch):
+        monkeypatch.setattr(concrete, "_RUN_LIMIT", 5)
         with pytest.raises(Explosion):
-            execute_all(load_program("fig12"), run_limit=5)
+            execute_all(load_program("fig12"))
 
     def test_globals_shared_across_frames(self, load_program):
         # call_a's callee writes the global the caller then prints.
