@@ -11,8 +11,11 @@ string hash seed.  The solves are ``solve_mfp`` and
 ``solve_fpmfp_interprocedural`` with normalizations none and 1,2,3 (on
 the fixtures also each normalization alone), for rd, must-defined and
 interval, over the fixtures, ``generate_program`` seeds 0-19 acyclic and
-with loops, ``generate_multi_program`` seeds 0-19 and the benchmark's
-``local_large(1, 50, 200)`` and ``call_chain(1, 40)``.
+with loops, ``generate_multi_program`` seeds 0-19, the benchmark's
+``local_large(1, 50, 200)`` and ``call_chain(1, 40)``, and ``diamonds(k)``
+for k = 2, 4 and 6 (also each normalization alone): |U| = 9, 38 and 143,
+with up to 12 pairs on an edge, where the fixtures reach few edges with
+more than one pair.
 
 Run this file as a script to rewrite the golden.
 """
@@ -35,6 +38,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "solver_fingerprints.json"
 ANALYSES = ("rd", "must-defined", "interval")
 
 
+def diamonds(k: int) -> str:
+    """A correlated ``s == 0`` pair with k independent ``c > i`` diamonds
+    between them: every walk from one arm of the first test through the
+    diamonds to the other arm of the second is a segment."""
+    body = ["read s;", "read c;", "if (s == 0) { a = 1; } else { a = 2; }"]
+    body += [f"if (c > {i}) {{ y = {i}; }} else {{ skip; }}"
+             for i in range(k)]
+    body.append("if (s == 0) { print a; } else { print y; }")
+    return "proc main() {\n  " + "\n  ".join(body) + "\n}\n"
+
+
 def corpus() -> list[tuple[str, str, bool]]:
     """(name, source, every normalization alone) for every program."""
     cases = [(f"fixture-{p.stem}", p.read_text(encoding="utf-8"), True)
@@ -48,6 +62,7 @@ def corpus() -> list[tuple[str, str, bool]]:
     workloads = perfbench_workloads()
     cases += [("local-large", workloads.local_large(1, 50, 200).source, False),
               ("call-chain", workloads.call_chain(1, 40).source, False)]
+    cases += [(f"diamonds-{k}", diamonds(k), True) for k in (2, 4, 6)]
     return cases
 
 
