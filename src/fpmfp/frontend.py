@@ -233,20 +233,14 @@ class Edge(NamedTuple):
     label: EdgeLabel = NO_LABEL
 
 
-# The (starts, continues, ends) segment sets of an edge that no infeasible
-# segment touches.
-NO_CROSSING: tuple[frozenset[int], ...] = (frozenset(),) * 3
-
-
 class CfgPlan(NamedTuple):
-    """What the fixpoint engine reads of one CFG, built once per CFG.
+    """What the fixpoint engine reads of one CFG, built once per CFG and
+    read by every solve over it.
 
     ``heap`` holds ``(RPO position, node id)`` for every node in reverse
     postorder, which is also a valid initial worklist heap.  ``outs``
     maps each node id to the node and its out-edges, each as ``(edge,
-    edge id, target, target RPO position, NO_CROSSING)``; a segment
-    universe puts its own crossing sets in the last slot of the edges its
-    segments touch (``MipsUniverse.solve_plan``).
+    edge id, target, target RPO position)``.
     """
 
     heap: tuple[tuple[int, int], ...]
@@ -328,13 +322,14 @@ class Cfg:
         return self._back
 
     def plan(self) -> CfgPlan:
-        """The fixpoint engine's view of this CFG (built on first use)."""
+        """The fixpoint engine's view of this CFG, built on first use:
+        every solve over the CFG, in any mode, reads this one plan."""
         if self._plan is None:
             pos = self._rpo_pos
             self._plan = CfgPlan(
                 tuple(enumerate(self._rpo)),
-                {n: (node, tuple([(e, e.id, e.target, pos[e.target],
-                                   NO_CROSSING) for e in self._out[n]]))
+                {n: (node, tuple([(e, e.id, e.target, pos[e.target])
+                                  for e in self._out[n]]))
                  for n, node in self.nodes.items()})
         return self._plan
 

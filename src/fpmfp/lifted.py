@@ -55,7 +55,7 @@ from .frontend import (
     build_call_graph,
 )
 from .lattice import Analysis, BitvectorAnalysis, WideningState
-from .mips import MipsUniverse
+from .mips import NO_CROSSING, MipsUniverse
 
 Key = frozenset[int]
 LiftedValue = dict[Key, object]
@@ -305,8 +305,9 @@ def _fixpoint(
     be monotone; values only descend.  The step budget grows with the CFG
     and with the number of pairs an edge may carry.
 
-    The CFG's out-edges, RPO positions and crossing triples come from the
-    universe's solve plan, built once per procedure.  When a node's In is
+    The out-edges and RPO positions come from the CFG's plan, which every
+    solve over the CFG shares, and each out-edge's crossing triple from
+    the universe's ``crossings`` table, by edge id.  When a node's In is
     one pair, it crosses each out-edge here, with the same tracking,
     blocking, refinement, top dropping and pair statistics as
     :meth:`_Flow.cross` (normalizations 1 and 2 are identities on one
@@ -329,8 +330,10 @@ def _fixpoint(
     cross = flow.cross
     stats = flow.stats
     per_edge_max = None if stats is None else stats.per_edge_max
-    heap, plan = flow.universe.solve_plan(cfg)
-    heap = list(heap)
+    plan = cfg.plan()
+    heap = list(plan.heap)
+    outs_of = plan.outs
+    crossing_of = flow.universe.crossings.get
     max_steps = flow.pair_limit * (2_000 * (len(cfg.nodes) + 1) + 10_000)
     node_in: dict[int, LiftedValue] = {n: {} for n in cfg.nodes}
     node_in[cfg.start] = {EMPTY_KEY: boundary}
@@ -346,7 +349,7 @@ def _fixpoint(
                 f"no fixpoint within {max_steps} steps in proc "
                 f"'{cfg.proc_name}'"
             )
-        node, outs = plan[n]
+        node, outs = outs_of[n]
         pairs = node_in[n]
         single = len(pairs) == 1
         if single:
@@ -354,7 +357,8 @@ def _fixpoint(
             v = transfer(node, v)
         else:
             out = {key: transfer(node, v) for key, v in pairs.items()}
-        for edge, eid, target, tpos, crossing in outs:
+        for edge, eid, target, tpos in outs:
+            crossing = crossing_of(eid, NO_CROSSING)
             if single and eid not in back:
                 starts, continues, ends = crossing
                 tracked = starts | (key & continues) if continues else starts

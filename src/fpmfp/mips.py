@@ -28,10 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .frontend import (
-    NO_CROSSING,
     CallGraph,
-    Cfg,
-    CfgPlan,
     Cond,
     EdgeLabel,
     Expr,
@@ -380,8 +377,16 @@ class Mips(NamedTuple):
         }
 
 
+# The (starts, continues, ends) sets of an edge that no segment touches.
+NO_CROSSING: tuple[frozenset[int], ...] = (frozenset(),) * 3
+
+
 class MipsUniverse:
-    """All detected segments of a program, with per-edge tracking tables."""
+    """All detected segments of a program, with per-edge tracking tables.
+
+    ``crossings`` maps each edge some segment touches to its
+    :meth:`crossing` triple; the fixpoint engine reads it by edge id.
+    """
 
     def __init__(self, program: MiniIrProgram, all_mips: list[Mips]) -> None:
         self.program = program
@@ -402,13 +407,12 @@ class MipsUniverse:
             for e in m.edges[1:]:
                 continues.setdefault(e, set()).add(m.id)
         # Every end edge is a start or a continuing edge of its segment.
-        self._crossing: dict[int, tuple[frozenset[int], ...]] = {
+        self.crossings: dict[int, tuple[frozenset[int], ...]] = {
             e: (frozenset(starts.get(e, ())), frozenset(continues.get(e, ())),
                 frozenset(ends.get(e, ())))
             for e in starts.keys() | continues.keys()
         }
         self._cso_cache: dict[tuple[int, int], frozenset[int]] = {}
-        self._plans: dict[Cfg, CfgPlan] = {}
 
     def __len__(self) -> int:
         return len(self.all)
@@ -423,31 +427,12 @@ class MipsUniverse:
         segments starting there join unconditionally, and tracked segments
         survive exactly when the edge is their next (position-determined)
         edge, which for cycle-free segments is membership past the start.
-        The pair is blocked when that set meets ``ends``.
+        The pair is blocked when that set meets ``ends``.  An edge no
+        segment touches has ``NO_CROSSING``.  The universe is the one owner
+        of these sets: every fixpoint over the program reads each edge's
+        triple here, from ``crossings``, and keeps no copy.
         """
-        return self._crossing.get(edge_id, NO_CROSSING)
-
-    def solve_plan(self, cfg: Cfg) -> CfgPlan:
-        """``cfg.plan()`` with each out-edge's last slot holding its
-        :meth:`crossing` triple.  Built once per procedure that has
-        segments; every fixpoint over the procedure reads it."""
-        plan = self._plans.get(cfg)
-        if plan is None:
-            plan = cfg.plan()
-            segments = self._by_proc.get(cfg.proc_name)
-            if segments:
-                crossing = self._crossing
-                outs = dict(plan.outs)
-                # Only a segment's edges cross anything.
-                for n in {cfg.edges[e].source for m in segments
-                          for e in m.edges}:
-                    node, edges = outs[n]
-                    outs[n] = (node, tuple([
-                        (*out[:4], crossing.get(out[1], NO_CROSSING))
-                        for out in edges]))
-                plan = CfgPlan(plan.heap, outs)
-            self._plans[cfg] = plan
-        return plan
+        return self.crossings.get(edge_id, NO_CROSSING)
 
     def cso(self, edge_id: int, mips: Mips) -> frozenset[int]:
         """Segments whose remaining path is an initial run of this one's.
