@@ -210,19 +210,20 @@ class ModeRow(NamedTuple):
     strict: bool
 
 
-def _check_refines(analysis: Analysis, flat: dict[int, object],
-                   folded: dict[int, object],
-                   what: str) -> dict[int, ModeRow]:
-    rows: dict[int, ModeRow] = {}
-    for loc in sorted(flat):
-        low, high = flat[loc], folded[loc]
-        if not analysis.leq(low, high):
-            raise PrecisionViolation(
-                f"feasible-path value at {what} {loc} does not refine the "
-                f"plain one: {analysis.format(high)} vs "
-                f"{analysis.format(low)}")
-        rows[loc] = ModeRow(low, high, low != high)
-    return rows
+def _mode_rows(analysis: Analysis, flat: dict[int, object],
+               folded: dict[int, object], what: str) -> dict[int, ModeRow]:
+    """Both modes' values per location, in location order; raises
+    ``PrecisionViolation`` for the least location
+    ``analysis.unrefined`` names."""
+    failing = analysis.unrefined(flat, folded)
+    if failing:
+        loc = min(failing)
+        raise PrecisionViolation(
+            f"feasible-path value at {what} {loc} does not refine the "
+            f"plain one: {analysis.format(folded[loc])} vs "
+            f"{analysis.format(flat[loc])}")
+    return {loc: ModeRow(flat[loc], folded[loc], flat[loc] != folded[loc])
+            for loc in sorted(flat)}
 
 
 class ComparisonReport(NamedTuple):
@@ -319,9 +320,9 @@ def compare_modes(program: MiniIrProgram, analysis: Analysis,
     lifted_edges = lifted.folded_edges
     lifted_time = time.perf_counter() - start
 
-    node_rows = _check_refines(
-        analysis, flat.folded_in, lifted.folded_in, "node")
-    edge_rows = _check_refines(analysis, flat_edges, lifted_edges, "edge")
+    node_rows = _mode_rows(analysis, flat.folded_in, lifted.folded_in,
+                           "node")
+    edge_rows = _mode_rows(analysis, flat_edges, lifted_edges, "edge")
     client = _CLIENT_REPORTS.get(analysis.name)
     return ComparisonReport(
         analysis=analysis,

@@ -64,16 +64,12 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
             continue
         folded_in = lifted.folded_in
         folded_edges = lifted.folded_edges
-        for nid, value in flat.folded_in.items():
-            if not analysis.leq(value, folded_in[nid]):
-                bad(analysis_name, "mfp-refined-by-fold", f"n{nid}",
-                    f"{analysis.format(value)} !<= "
-                    f"{analysis.format(folded_in[nid])}")
-        for eid, value in flat.folded_edges.items():
-            if not analysis.leq(value, folded_edges[eid]):
-                bad(analysis_name, "mfp-refined-by-fold", f"e{eid}",
-                    f"{analysis.format(value)} !<= "
-                    f"{analysis.format(folded_edges[eid])}")
+        for kind, low, high in (("n", flat.folded_in, folded_in),
+                                ("e", flat.folded_edges, folded_edges)):
+            for loc in analysis.unrefined(low, high):
+                bad(analysis_name, "mfp-refined-by-fold", f"{kind}{loc}",
+                    f"{analysis.format(low[loc])} !<= "
+                    f"{analysis.format(high[loc])}")
         if (folded_in != plain.folded_in
                 or lifted.folded_out != plain.folded_out
                 or folded_edges != plain.folded_edges):

@@ -75,6 +75,14 @@ class Analysis(abc.ABC):
     def transfer(self, node: Node, value):
         """Statement transfer; call nodes are handled by the solvers."""
 
+    def unrefined(self, low: dict, high: dict) -> list:
+        """The keys of ``low``, in its order, whose value is not ``leq``
+        the value ``high`` holds for the same key: where a plain solution
+        fails to lie below a folded feasible-path one."""
+        leq = self.leq
+        return [key for key, value in low.items()
+                if not leq(value, high[key])]
+
     def refine(self, edge, source_node: Node, value):
         """Branch-arm tightening along ``edge``; identity by default."""
         return value
@@ -440,11 +448,8 @@ class IntervalAnalysis(Analysis):
     def top(self) -> IntervalValue:
         return {}
 
-    def meet(self, a: IntervalValue, b: IntervalValue) -> IntervalValue:
-        return interval_meet(a, b)
-
-    def leq(self, a: IntervalValue, b: IntervalValue) -> bool:
-        return interval_leq(a, b)
+    meet = staticmethod(interval_meet)
+    leq = staticmethod(interval_leq)
 
     def transfer(self, node: Node, value: IntervalValue) -> IntervalValue:
         st = node.statement

@@ -194,11 +194,11 @@ class TestCompareModes:
         assert "n6 *" in report.to_table()
 
     def test_refinement_check_rejects_bad_values(self):
-        from fpmfp.clients import _check_refines
+        from fpmfp.clients import _mode_rows
         program = fixture_program("fig2")
         analysis = make_analysis("interval", program)
         with pytest.raises(PrecisionViolation):
-            _check_refines(
+            _mode_rows(
                 analysis,
                 {1: {"a": (0, 5)}},
                 {1: {"a": (9, 9)}},
