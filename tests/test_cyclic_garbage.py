@@ -33,10 +33,23 @@ def _source(case: str) -> str:
     return fixture_text(case)
 
 
+@pytest.fixture(scope="module")
+def frozen_heap():
+    """The heap as it stands before the first case, collected and frozen
+    once for the module, so no case's collection walks it."""
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 @pytest.fixture
-def collector_off():
-    """The collector off, and the objects that exist already frozen, so a
-    collection looks only at what the test makes."""
+def collector_off(frozen_heap):
+    """The collector off, and what was made since the last freeze
+    collected and frozen, so a collection looks only at what the test
+    makes."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -44,7 +57,6 @@ def collector_off():
     try:
         yield
     finally:
-        gc.unfreeze()
         if enabled:
             gc.enable()
 

@@ -565,13 +565,16 @@ SKIPPED_ASSIGNMENT = (
 )
 
 
-def _summary_corpus():
+@pytest.fixture(scope="module")
+def summary_corpus():
     """The fixtures, ``SKIPPED_ASSIGNMENT`` and ``generate_multi_program``
-    seeds 0-296, parsed."""
+    seeds 0-296, each parsed and detected once for the module: (program,
+    its detected universe)."""
     programs = [fixture_program(name) for name in FIXTURE_NAMES]
     programs.append(parse_program(SKIPPED_ASSIGNMENT))
-    return programs + [parse_program(progen.generate_multi_program(seed))
-                       for seed in range(297)]
+    programs += [parse_program(progen.generate_multi_program(seed))
+                 for seed in range(297)]
+    return [(program, detect_mips(program)) for program in programs]
 
 
 def _assert_summaries_equal_iterating(program, universe, opts) -> None:
@@ -585,16 +588,15 @@ def _assert_summaries_equal_iterating(program, universe, opts) -> None:
 
 
 class TestSummarySchedule:
-    def test_one_pass_equals_iterating(self):
+    def test_one_pass_equals_iterating(self, summary_corpus):
         recursive = 0
-        for program in _summary_corpus():
+        for program, universe in summary_corpus:
             cg = build_call_graph(program)
             recursive += sum(
                 1 for scc in cg.sccs
                 if any(cg.callers[name] for name in scc)
                 and (len(scc) > 1 or scc[0] in cg.callees[scc[0]]))
-            _assert_summaries_equal_iterating(
-                program, detect_mips(program), ALL_OPTS)
+            _assert_summaries_equal_iterating(program, universe, ALL_OPTS)
             _assert_summaries_equal_iterating(
                 program, MipsUniverse(program, []), frozenset())
         assert recursive > 100
@@ -602,15 +604,15 @@ class TestSummarySchedule:
     @pytest.mark.parametrize("opts", [frozenset(), frozenset({1}),
                                       frozenset({2}), frozenset({3})],
                              ids=["none", "1", "2", "3"])
-    def test_each_normalization_alone_equals_iterating(self, opts):
+    def test_each_normalization_alone_equals_iterating(self, opts,
+                                                       summary_corpus):
         """A non-recursive procedure's (kill, gen) pairs merge under
         normalization 2 only when both components are equal, and drop
         under 3 only when both are top, where the separate kill and gen
         fixpoints of the reference normalize each component on its own;
         the folded exit masks still agree."""
-        for program in _summary_corpus():
-            _assert_summaries_equal_iterating(
-                program, detect_mips(program), opts)
+        for program, universe in summary_corpus:
+            _assert_summaries_equal_iterating(program, universe, opts)
 
     def test_a_call_chain_takes_one_summary_fixpoint_each(self, monkeypatch):
         depth = 12
