@@ -382,11 +382,7 @@ NO_CROSSING: tuple[frozenset[int], ...] = (frozenset(),) * 3
 
 
 class MipsUniverse:
-    """All detected segments of a program, with per-edge tracking tables.
-
-    ``crossings`` maps each edge some segment touches to its
-    :meth:`crossing` triple; the fixpoint engine reads it by edge id.
-    """
+    """All detected segments of a program, with per-edge tracking tables."""
 
     def __init__(self, program: MiniIrProgram, all_mips: list[Mips]) -> None:
         self.program = program
@@ -429,8 +425,8 @@ class MipsUniverse:
         edge, which for cycle-free segments is membership past the start.
         The pair is blocked when that set meets ``ends``.  An edge no
         segment touches has ``NO_CROSSING``.  The universe is the one owner
-        of these sets: every fixpoint over the program reads each edge's
-        triple here, from ``crossings``, and keeps no copy.
+        of these sets: ``crossings`` maps each edge some segment touches to
+        its triple, and every fixpoint reads it there by edge id.
         """
         return self.crossings.get(edge_id, NO_CROSSING)
 
