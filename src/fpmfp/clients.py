@@ -57,6 +57,17 @@ def _use_order(pair: DefUse) -> tuple:
     return (pair.use_node, pair.var, pair.def_node)
 
 
+def _uses(program: MiniIrProgram):
+    """Each node that uses a variable, in procedure then node-id order,
+    with its used variables sorted."""
+    for proc in program.procedures:
+        nodes = proc.cfg.nodes
+        for nid in proc.cfg.node_ids():
+            used = nodes[nid].statement.uses()
+            if used:
+                yield nid, sorted(used)
+
+
 def def_use_pairs(program: MiniIrProgram,
                   solution: FpmfpProgramSolution) -> tuple[DefUse, ...]:
     """Every (def site, use site, variable) triple the solution reports.
@@ -68,16 +79,12 @@ def def_use_pairs(program: MiniIrProgram,
     values = solution.folded_in
     analysis = solution.analysis
     out: list[DefUse] = []
-    for proc in program.procedures:
-        for nid in proc.cfg.node_ids():
-            used = proc.cfg.nodes[nid].statement.uses()
-            if not used:
-                continue
-            value = values[nid]
-            for var in sorted(used):
-                for _, def_node in analysis.decode(
-                        value & analysis.var_mask.get(var, 0)):
-                    out.append(DefUse(def_node, nid, var))
+    for nid, used in _uses(program):
+        value = values[nid]
+        for var in used:
+            for _, def_node in analysis.decode(
+                    value & analysis.var_mask.get(var, 0)):
+                out.append(DefUse(def_node, nid, var))
     return tuple(sorted(out, key=_use_order))
 
 
@@ -88,15 +95,9 @@ def uninit_alarms(program: MiniIrProgram,
     values = solution.folded_in
     analysis = solution.analysis
     out: list[Alarm] = []
-    for proc in program.procedures:
-        for nid in proc.cfg.node_ids():
-            used = proc.cfg.nodes[nid].statement.uses()
-            if not used:
-                continue
-            defined = set(analysis.decode(values[nid]))
-            for var in sorted(used):
-                if var not in defined:
-                    out.append(Alarm(nid, var))
+    for nid, used in _uses(program):
+        defined = set(analysis.decode(values[nid]))
+        out += [Alarm(nid, var) for var in used if var not in defined]
     return tuple(sorted(out))
 
 
@@ -114,9 +115,10 @@ def _percent_text(value: float | None) -> str:
 class _TwoModeReport:
     """One client's findings in both modes with their removal percentage.
 
-    ``_noun`` names the findings in errors and ``_key`` in JSON; ``_order``
-    sorts them.  A report whose feasible-path findings are not a subset of
-    the plain ones is never built.
+    ``_noun`` names the findings in errors and ``_key`` in JSON;
+    ``compare_key`` is the key ``compare`` writes the report under, and
+    ``_order`` sorts the findings.  A report whose feasible-path findings
+    are not a subset of the plain ones is never built.
     """
 
     def __init__(self, mfp: tuple, fpmfp: tuple) -> None:
@@ -167,6 +169,7 @@ class DefUseReport(_TwoModeReport):
     """Def-use pairs of both modes with their removal percentage."""
 
     _noun, _key, _order = "def-use pairs", "pairs", staticmethod(_use_order)
+    compare_key = "def_use"
 
     def to_table(self) -> str:
         return self._table("def-use pairs", lambda p: (
@@ -177,6 +180,7 @@ class UninitReport(_TwoModeReport):
     """Possibly-uninitialized-use alarms of both modes."""
 
     _noun, _key, _order = "alarms", "alarms", None
+    compare_key = "alarms"
 
     def to_table(self) -> str:
         return self._table("uninitialized uses",

@@ -31,10 +31,8 @@ def handle(args: argparse.Namespace) -> int:
     else:
         payload = {"schema": SCHEMA,
                    **report.to_json(timing=not args.no_timing)}
-        if args.analysis == "rd":
-            payload["def_use"] = report.client.to_json()
-        elif args.analysis == "uninit":
-            payload["alarms"] = report.client.to_json()
+        if report.client is not None:
+            payload[report.client.compare_key] = report.client.to_json()
         text = _json_text(payload)
     _write_text(text, args.output)
     return 0

@@ -110,14 +110,21 @@ def _fold_each(values: dict[int, LiftedValue],
 
 
 class PairStats:
-    """Pair-population bookkeeping across one solver run."""
+    """Pair-population bookkeeping across one solver run.
+
+    ``per_edge_max`` maps each edge that carried a pair to the most pairs
+    one flow across it left; ``max_pairs`` is the largest of those counts.
+    """
 
     def __init__(self) -> None:
-        self.max_pairs = 0
         self.per_edge_max: dict[int, int] = {}
         self.blocked = 0
         self.end_merges = 0
         self.value_shifts = 0
+
+    @property
+    def max_pairs(self) -> int:
+        return max(self.per_edge_max.values(), default=0)
 
 
 class _Flow:
@@ -153,7 +160,7 @@ class _Flow:
         """The pairs of ``value``, the Out of ``source``, across ``edge``.
 
         ``eid`` is the edge's id and ``crossing`` its (starts, continues,
-        ends) triple, ``universe.crossing(eid)``.
+        ends) triple from ``universe.crossings``.
         """
         starts, continues, ends = crossing
         refine = self.refine
@@ -189,11 +196,8 @@ class _Flow:
                 f"pair count {count} exceeds limit {self.pair_limit} "
                 f"at edge {eid}")
         stats = self.stats
-        if stats is not None:
-            if count > stats.per_edge_max.get(eid, 0):
-                stats.per_edge_max[eid] = count
-            if count > stats.max_pairs:
-                stats.max_pairs = count
+        if stats is not None and count > stats.per_edge_max.get(eid, 0):
+            stats.per_edge_max[eid] = count
         return moved
 
     def _merge_same_ends(self, pairs: LiftedValue) -> LiftedValue:
@@ -203,12 +207,12 @@ class _Flow:
         the members of such keys block together at those shared end
         edges, and one met value is exact.
         """
-        by_id = self.universe.by_id
+        end_edge = self.universe.end_edge.__getitem__
         groups: dict[frozenset[int], list[Key]] = {}
         out: LiftedValue = {}
         for key in sorted_keys(pairs):
             if key:
-                ends = frozenset(by_id[i].end for i in key)
+                ends = frozenset(map(end_edge, key))
                 groups.setdefault(ends, []).append(key)
             else:
                 out[key] = pairs[key]
@@ -263,17 +267,9 @@ class _Flow:
                 return pairs
 
     def _covering_members(self, edge_id: int, k1: Key, k2: Key) -> Key:
-        universe = self.universe
-        by_id = universe.by_id
-        kept: set[int] = set()
-        for a in k1:
-            covered = universe.cso(edge_id, by_id[a])
-            if covered & k2:
-                kept.add(a)
-        for b in k2:
-            covered = universe.cso(edge_id, by_id[b])
-            if covered & k1:
-                kept.add(b)
+        cso = self.universe.cso
+        kept = [a for a in k1 if cso(edge_id, a) & k2]
+        kept += [b for b in k2 if cso(edge_id, b) & k1]
         return frozenset(kept)
 
 
@@ -374,8 +370,6 @@ def _fixpoint(
                 edge_vals[eid] = {tracked: w}
                 if per_edge_max is not None and eid not in per_edge_max:
                     per_edge_max[eid] = 1
-                    if not stats.max_pairs:
-                        stats.max_pairs = 1
                 old = node_in[target]
                 if tracked in old:
                     prev = old[tracked]

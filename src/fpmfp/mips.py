@@ -382,7 +382,19 @@ NO_CROSSING: tuple[frozenset[int], ...] = (frozenset(),) * 3
 
 
 class MipsUniverse:
-    """All detected segments of a program, with per-edge tracking tables."""
+    """All detected segments of a program, with per-id and per-edge tables.
+
+    The engine reads segments only here, by id.  ``crossings`` maps each
+    edge some segment touches to the segments that start at, continue over
+    and end at it; an edge no segment touches has ``NO_CROSSING``, and every
+    reader takes ``crossings.get(edge_id, NO_CROSSING)``.  A tracked set
+    ``t`` crosses the edge as ``starts | (t & continues)``: segments
+    starting there join unconditionally, and tracked segments survive
+    exactly when the edge is their next (position-determined) edge, which
+    for cycle-free segments is membership past the start.  The pair is
+    blocked when that set meets ``ends``.  ``end_edge`` maps each segment id
+    to its end edge, and :meth:`cso` names the segments one covers.
+    """
 
     def __init__(self, program: MiniIrProgram, all_mips: list[Mips]) -> None:
         self.program = program
@@ -397,9 +409,11 @@ class MipsUniverse:
         starts: dict[int, set[int]] = {}
         continues: dict[int, set[int]] = {}
         ends: dict[int, set[int]] = {}
+        self.end_edge: dict[int, int] = {}
         for m in self.all:
             starts.setdefault(m.start, set()).add(m.id)
             ends.setdefault(m.end, set()).add(m.id)
+            self.end_edge[m.id] = m.end
             for e in m.edges[1:]:
                 continues.setdefault(e, set()).add(m.id)
         # Every end edge is a start or a continuing edge of its segment.
@@ -416,44 +430,32 @@ class MipsUniverse:
     def for_proc(self, name: str) -> tuple[Mips, ...]:
         return self._by_proc.get(name, ())
 
-    def crossing(self, edge_id: int) -> tuple[frozenset[int], ...]:
-        """Segments that start at, continue over and end at an edge.
-
-        A tracked set ``t`` crosses the edge as ``starts | (t & continues)``:
-        segments starting there join unconditionally, and tracked segments
-        survive exactly when the edge is their next (position-determined)
-        edge, which for cycle-free segments is membership past the start.
-        The pair is blocked when that set meets ``ends``.  An edge no
-        segment touches has ``NO_CROSSING``.  The universe is the one owner
-        of these sets: ``crossings`` maps each edge some segment touches to
-        its triple, and every fixpoint reads it there by edge id.
-        """
-        return self.crossings.get(edge_id, NO_CROSSING)
-
-    def cso(self, edge_id: int, mips: Mips) -> frozenset[int]:
-        """Segments whose remaining path is an initial run of this one's.
+    def cso(self, edge_id: int, segment_id: int) -> frozenset[int]:
+        """Ids of the segments that segment ``segment_id`` covers on an edge.
 
         A segment qualifies when its route from this edge to its own end is
-        a prefix of ``mips``'s remaining route, so it completes at or before
-        the moment ``mips`` does whenever both continue past this edge.
-        Blocking at its end is then subsumed by tracking ``mips`` alone.
-        The relation is reflexive but not symmetric: a shorter segment that
-        peels off early never covers the longer one's tail.
+        a prefix of the given one's remaining route, so it completes at or
+        before the moment the given one does whenever both continue past
+        this edge.  Blocking at its end is then subsumed by tracking the
+        given segment alone.  The relation is reflexive but not symmetric:
+        a shorter segment that peels off early never covers the longer
+        one's tail.
         """
-        cached = self._cso_cache.get((edge_id, mips.id))
+        cached = self._cso_cache.get((edge_id, segment_id))
         if cached is not None:
             return cached
-        suffix = mips.edges[mips.edges.index(edge_id):]
+        edges = self.by_id[segment_id].edges
+        suffix = edges[edges.index(edge_id):]
         out = set()
         # The segments on this edge are those starting or continuing here.
-        starts, continues, _ = self.crossing(edge_id)
+        starts, continues, _ = self.crossings.get(edge_id, NO_CROSSING)
         for oid in starts | continues:
             other = self.by_id[oid].edges
             osuffix = other[other.index(edge_id):]
             if suffix[:len(osuffix)] == osuffix:
                 out.add(oid)
         result = frozenset(out)
-        self._cso_cache[(edge_id, mips.id)] = result
+        self._cso_cache[(edge_id, segment_id)] = result
         return result
 
 

@@ -243,7 +243,7 @@ class TestCriterion5PairBound:
             "from fpmfp.frontend import parse_program\n"
             "from fpmfp.lattice import make_analysis\n"
             "from fpmfp.lifted import PairBoundError, _Flow\n"
-            "from fpmfp.mips import Mips, MipsUniverse\n"
+            "from fpmfp.mips import NO_CROSSING, Mips, MipsUniverse\n"
             "import sys\n"
             "program = parse_program(sys.stdin.read())\n"
             "an = make_analysis('interval', program)\n"
@@ -256,7 +256,7 @@ class TestCriterion5PairBound:
             "         enumerate([(), (1,), (2,), (1, 2)])}\n"
             "try:\n"
             "    edge = cfg.edges[5]\n"
-            "    flow.cross(edge, 5, universe.crossing(5),\n"
+            "    flow.cross(edge, 5, universe.crossings.get(5, NO_CROSSING),\n"
             "               cfg.nodes[edge.source], value)\n"
             "except PairBoundError as exc:\n"
             "    print(f'debug={__debug__} raised: {exc}')\n"

@@ -204,11 +204,10 @@ def path_meets(seed: int, analysis_name: str):
 
 def mfp_not_refined(seed: int, analysis_name: str) -> list[str]:
     _, _, analysis, flat, lifted = solved(seed, analysis_name)
-    folded_in, folded_edges = lifted.folded_in, lifted.folded_edges
-    return ([f"n{n}" for n, v in flat.folded_in.items()
-             if not analysis.leq(v, folded_in[n])]
-            + [f"e{e}" for e, v in flat.folded_edges.items()
-               if not analysis.leq(v, folded_edges[e])])
+    return ([f"n{n}" for n in analysis.unrefined(flat.folded_in,
+                                                  lifted.folded_in)]
+            + [f"e{e}" for e in analysis.unrefined(flat.folded_edges,
+                                                    lifted.folded_edges)])
 
 
 def fold_above_meets(seed: int, analysis_name: str) -> list[int]:
@@ -253,7 +252,6 @@ class TestGeneratedIntervals:
     def test_fold_bounded_by_path_meets(self, seed):
         assert fold_above_meets(seed, "interval") == []
 
-    @pytest.mark.xfail(reason=WIDENING_MISALIGNMENT, strict=False)
     def test_mfp_refined_by_fold(self, seed):
         assert mfp_not_refined(seed, "interval") == []
 

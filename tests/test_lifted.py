@@ -20,7 +20,7 @@ from fpmfp.lifted import (
     transfer_preserves_top,
 )
 from fpmfp.mfp import compute_summaries, solve_mfp
-from fpmfp.mips import MipsUniverse, detect_mips
+from fpmfp.mips import NO_CROSSING, MipsUniverse, detect_mips
 from fpmfp.oracle import Explosion, mips_free_meets, solution_semantics
 
 from conftest import fixture_program
@@ -64,7 +64,8 @@ def edge_flow(universe: MipsUniverse, analysis, edge_id: int, value,
     flow = _Flow(universe, proc.name, meet=analysis.meet, top=analysis.top(),
                  refine=analysis.refine, opts=opts, drop_top=False,
                  stats=stats)
-    return flow.cross(edge, edge_id, universe.crossing(edge_id),
+    return flow.cross(edge, edge_id,
+                      universe.crossings.get(edge_id, NO_CROSSING),
                       proc.cfg.nodes[edge.source], value)
 
 

@@ -14,6 +14,7 @@ from fpmfp.mips import (
     CoPoint,
     Interval1D,
     INF,
+    NO_CROSSING,
     Query,
     arm_queries,
     contains,
@@ -405,7 +406,8 @@ def ext(universe, edge_id, tracked):
     edge = proc.cfg.edges[edge_id]
     flow = _Flow(universe, proc.name, meet=min, top=None, refine=None,
                  opts=frozenset(), drop_top=False)
-    moved = flow.cross(edge, edge_id, universe.crossing(edge_id),
+    moved = flow.cross(edge, edge_id,
+                       universe.crossings.get(edge_id, NO_CROSSING),
                        proc.cfg.nodes[edge.source], {tracked: 0})
     if not moved:
         return None
@@ -459,7 +461,7 @@ class TestTrackingOps:
             u = detect(load_program(name))
             for m in u.all:
                 for eid in m.edges:
-                    co = u.cso(eid, m)
+                    co = u.cso(eid, m.id)
                     assert m.id in co
                     suffix = m.edges[m.edges.index(eid):]
                     for oid in co:
@@ -494,28 +496,28 @@ class TestTrackingOps:
         short = next(m for m in u.all if len(m.edges) == 3)
         assert short.edges[1:] == long.edges[1:3]
         for eid in short.edges[1:]:
-            assert u.cso(eid, long) == {long.id, short.id}
-            assert u.cso(eid, short) == {short.id}
-        assert u.cso(long.edges[0], long) == {long.id}
+            assert u.cso(eid, long.id) == {long.id, short.id}
+            assert u.cso(eid, short.id) == {short.id}
+        assert u.cso(long.edges[0], long.id) == {long.id}
 
     def test_cso_shared_suffix(self, load_program):
         u = detect(load_program("fig10"))
         m1, m2 = u.all
-        assert u.cso(7, m1) == {m1.id, m2.id}
-        assert u.cso(9, m1) == {m1.id, m2.id}
-        assert u.cso(5, m1) == {m1.id}
+        assert u.cso(7, m1.id) == {m1.id, m2.id}
+        assert u.cso(9, m1.id) == {m1.id, m2.id}
+        assert u.cso(5, m1.id) == {m1.id}
 
     def test_cso_distinct_suffixes(self, load_program):
         u = detect(load_program("fig11"))
         m1, m2 = u.all
-        assert u.cso(6, m1) == {m1.id}
-        assert u.cso(6, m2) == {m2.id}
+        assert u.cso(6, m1.id) == {m1.id}
+        assert u.cso(6, m2.id) == {m2.id}
 
     def test_edge_not_in_mips(self, load_program):
         u = detect(load_program("fig12"))
         (m,) = u.all
         with pytest.raises(ValueError):
-            u.cso(2, m)
+            u.cso(2, m.id)
 
     def test_for_proc_partition(self, load_program):
         u = detect(load_program("summary_block"))

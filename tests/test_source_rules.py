@@ -410,3 +410,90 @@ def test_keyword_rule_catches_a_planted_keyword():
     # function, is enough.
     sources["mips.py"] += "\n\nplanted = forwards(planted(2, 3, depth=1))\n"
     assert unpassed_keywords(sources, benchmark, readme) == []
+
+
+# ---------------------------------------------------------------------------
+# No module constant in ``src/`` exists only for the tests
+# ---------------------------------------------------------------------------
+
+def _module_constants(tree: ast.Module):
+    """(name, assignment) of each name a top-level assignment in ``tree``
+    binds, dunder names aside."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and not (
+                        node.id.startswith("__") and node.id.endswith("__")):
+                    yield node.id, stmt
+
+
+def _loads(tree: ast.AST):
+    """(name, node) of each bare name and attribute name ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load):
+            yield node.attr, node
+
+
+def unread_constants(sources: dict[str, str], benchmark: list[str],
+                     readme: str) -> list[str]:
+    """``module: NAME`` for each module-level constant in ``sources``
+    that nothing in ``sources`` reads outside its own assignment, no
+    ``benchmark`` module reads and README "Library use" does not name.
+    Assigning a constant, as a test that patches it does, is no read."""
+    allowed = _library_use_names(readme)
+    for text in benchmark:
+        allowed.update(name for name, _ in _loads(ast.parse(text)))
+    trees = {name: ast.parse(text, name)
+             for name, text in sorted(sources.items())}
+    reads = [read for tree in trees.values() for read in _loads(tree)]
+    found = []
+    for module, tree in trees.items():
+        for name, assignment in _module_constants(tree):
+            if name in allowed:
+                continue
+            own = {id(node) for node in ast.walk(assignment)}
+            if not any(read == name and id(node) not in own
+                       for read, node in reads):
+                found.append(f"{module}: {name}")
+    return found
+
+
+def test_every_module_constant_has_a_non_test_reader():
+    """A module-level constant in ``src/fpmfp`` is read outside its own
+    assignment, by the package or the benchmark, or named in README
+    "Library use".  A constant only tests read or patch belongs next to
+    those tests."""
+    sources, benchmark, readme = _tree_texts()
+    assert unread_constants(sources, benchmark, readme) == []
+
+
+def test_constant_rule_catches_a_planted_constant():
+    sources, benchmark, readme = _tree_texts()
+    sources["progen.py"] += (
+        "\n\nPLANTED_LIMIT = 3\n"
+        "PLANTED_PAIR: tuple = (PLANTED_LIMIT, 1)\n"
+        "__planted__ = 0\n")
+    assert unread_constants(sources, benchmark, readme) == [
+        "progen.py: PLANTED_PAIR"]
+    # Patching it, as a test would, is no read.
+    sources["mips.py"] += "\n\nprogen.PLANTED_PAIR = (4, 1)\n"
+    assert unread_constants(sources, benchmark, readme) == [
+        "progen.py: PLANTED_PAIR"]
+    # A read elsewhere in the package, or a name in "Library use", is
+    # enough.
+    read = dict(sources)
+    read["lifted.py"] += (
+        "\n\ndef planted():\n    return progen.PLANTED_PAIR[0]\n")
+    assert unread_constants(read, benchmark, readme) == []
+    readme = readme.replace("\n## Library use\n",
+                            "\n## Library use\n\n`PLANTED_PAIR`\n", 1)
+    assert unread_constants(sources, benchmark, readme) == []
