@@ -257,7 +257,7 @@ class ComparisonReport(NamedTuple):
                      if row.strict)
 
     def to_json(self, *, timing: bool = True) -> dict:
-        view = self.analysis.json_views()
+        view = self.analysis.to_json
 
         def record(row: ModeRow) -> dict:
             low = view(row.mfp)

@@ -49,7 +49,7 @@ def handle(args: argparse.Namespace) -> int:
 
     program = _load_program(args.program)
     analysis = make_analysis(_ANALYSIS_FOR_FLAG[args.analysis], program)
-    view = analysis.json_views()
+    view = analysis.to_json
     if args.mode == "mfp":
         solution = solve_mfp(program, analysis)
     else:

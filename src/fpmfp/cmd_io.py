@@ -43,7 +43,7 @@ def _json_text(payload) -> str:
     plus a newline.
 
     The same bytes, appended as pieces to one flat list and joined once.
-    A value view from ``Analysis.json_views`` is not walked: its ``text``
+    A value view from ``Analysis.to_json`` is not walked: its ``text``
     is spliced in, re-indented once per depth it occurs at, so a report
     whose rows share views costs time in its distinct content.  It takes
     exactly what reports hold, each value dispatched on its exact type:

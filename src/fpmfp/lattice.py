@@ -16,7 +16,6 @@ from __future__ import annotations
 import abc
 import json
 from functools import cached_property
-from typing import Callable
 
 from . import EncodedDict, EncodedList, Memo
 from .frontend import (
@@ -58,6 +57,7 @@ class Analysis(abc.ABC):
 
     def __init__(self, program: MiniIrProgram) -> None:
         self.program = program
+        self._views: dict = {}  # ``to_json``'s views by ``_view_key``
 
     @abc.abstractmethod
     def top(self):
@@ -95,39 +95,30 @@ class Analysis(abc.ABC):
     def callee_boundary(self, proc: Procedure, met_callsite_value):
         """Boundary for a called procedure given met call-site values."""
 
-    @abc.abstractmethod
     def to_json(self, value) -> EncodedList | EncodedDict:
         """The value's JSON view: its plain JSON content (a list or dict)
         with ``text``, that content's ``json.dumps(..., indent=2)`` text.
 
-        Content and text are built in one sorted pass over the value, the
-        text joined from cached per-element texts."""
-
-    def json_views(self) -> Callable[[object], EncodedList | EncodedDict]:
-        """``to_json`` that returns one shared view per distinct value.
-
-        Views are looked up by ``_view_key``, so a report built from them
-        holds each distinct value once and ``to_json`` runs once per
-        distinct key; the CLI's writer splices a view's ``text`` instead
-        of walking it, and the content still serializes through
-        ``json.dumps``.  The views are read-only and live as long as the
-        returned function.
+        There is one view per ``_view_key``, kept on the instance, so a
+        report built from views holds each distinct value once and the
+        value is encoded once per distinct key; the CLI's writer splices
+        a view's ``text`` instead of walking it, and the content still
+        serializes through ``json.dumps``.  Views are read-only.
         """
-        views: dict = {}
-        key_of = self._view_key
-        make = self.to_json
-
-        def view(value):
-            key = key_of(value)
-            out = views.get(key)
-            if out is None:
-                out = views[key] = make(value)
-            return out
+        key = self._view_key(value)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = self._encode(value)
         return view
+
+    @abc.abstractmethod
+    def _encode(self, value) -> EncodedList | EncodedDict:
+        """A new view of ``value``: content and text built in one sorted
+        pass, the text joined from cached per-element texts."""
 
     @staticmethod
     def _view_key(value):
-        """A hashable key; equal keys imply equal ``to_json`` content.
+        """A hashable key; equal keys imply equal ``_encode`` content.
         Equal values may get different keys (and so two views with the
         same text)."""
         return value
@@ -200,7 +191,7 @@ class BitvectorAnalysis(Analysis):
         elements = self._elements()
         return elements, [_nested(element) for element in elements]
 
-    def to_json(self, value: int) -> EncodedList:
+    def _encode(self, value: int) -> EncodedList:
         elements, texts = self._element_views
         bits = _set_bits(value)
         out = EncodedList([elements[i] for i in bits])
@@ -545,7 +536,7 @@ class IntervalAnalysis(Analysis):
             out[g] = (-INF, INF)
         return out
 
-    def to_json(self, value: IntervalValue) -> EncodedDict:
+    def _encode(self, value: IntervalValue) -> EncodedDict:
         items = self._item_views
         out = EncodedDict()
         lines = []

@@ -110,7 +110,7 @@ def _fold_each(values: dict[int, LiftedValue],
 
 
 class PairStats:
-    """Pair-population bookkeeping across one solver run.
+    """Pair counts of every solve whose flow is given this instance.
 
     ``per_edge_max`` maps each edge that carried a pair to the most pairs
     one flow across it left; ``max_pairs`` is the largest of those counts.
@@ -128,31 +128,34 @@ class PairStats:
 
 
 class _Flow:
-    """Edge-flow engine for one lifted fixpoint problem.
+    """One lifted fixpoint problem, value or summary: a CFG, its node
+    transfer, the lattice callables and the segment universe.
 
-    Bundles the lattice callables with the segment universe so both the
-    main solver and the summary solvers share identical semantics.
-    ``drop_top`` is normalization 3's decision, made by the caller; ``back``
-    holds the back edges ``widening`` widens, and is empty without it.
+    It makes every per-solve decision from its own inputs.  Normalization
+    3 drops top pairs when ``3 in opts`` and ``transfer`` maps top to top
+    at every node; the CFG's back edges are widened when there is a
+    ``widening`` state; an edge carries at most one pair more than the
+    procedure has segments.  Every flow counts into ``stats``.
     """
 
-    def __init__(self, universe: MipsUniverse, proc_name: str, *,
-                 meet: Callable, top, refine: Callable | None,
-                 opts: frozenset[int], drop_top: bool,
-                 widening: WideningState | None = None,
-                 back: frozenset[int] = frozenset(),
-                 stats: PairStats | None = None) -> None:
+    def __init__(self, universe: MipsUniverse, cfg: Cfg, transfer: Callable,
+                 *, meet: Callable, top, refine: Callable | None,
+                 opts: frozenset[int], stats: PairStats,
+                 widening: WideningState | None = None) -> None:
         self.universe = universe
+        self.cfg = cfg
+        self.transfer = transfer
         self.meet = meet
         self.top = top
         self.refine = refine
         self.merge_ends = 1 in opts
         self.shift = 2 in opts
-        self.drop_top = drop_top
+        self.drop_top = 3 in opts and transfer_preserves_top(
+            cfg, transfer, top)
         self.widening = widening
-        self.back = back
+        self.back = frozenset() if widening is None else cfg.back_edges()
         self.stats = stats
-        self.pair_limit = len(universe.for_proc(proc_name)) + 1
+        self.pair_limit = len(universe.for_proc(cfg.proc_name)) + 1
 
     def cross(self, edge: Edge, eid: int,
               crossing: tuple[frozenset[int], ...], source: Node,
@@ -168,8 +171,7 @@ class _Flow:
         for key in sorted_keys(value):
             tracked = starts | (key & continues) if continues else starts
             if ends and tracked & ends:
-                if self.stats is not None:
-                    self.stats.blocked += 1
+                self.stats.blocked += 1
                 continue
             v = value[key]
             if refine is not None:
@@ -195,9 +197,9 @@ class _Flow:
             raise PairBoundError(
                 f"pair count {count} exceeds limit {self.pair_limit} "
                 f"at edge {eid}")
-        stats = self.stats
-        if stats is not None and count > stats.per_edge_max.get(eid, 0):
-            stats.per_edge_max[eid] = count
+        per_edge_max = self.stats.per_edge_max
+        if count > per_edge_max.get(eid, 0):
+            per_edge_max[eid] = count
         return moved
 
     def _merge_same_ends(self, pairs: LiftedValue) -> LiftedValue:
@@ -222,7 +224,7 @@ class _Flow:
             merged = pairs[members[0]]
             for key in members[1:]:
                 merged = self.meet(merged, pairs[key])
-            if len(members) > 1 and self.stats is not None:
+            if len(members) > 1:
                 self.stats.end_merges += 1
             if merged_key in out:
                 out[merged_key] = self.meet(out[merged_key], merged)
@@ -251,8 +253,7 @@ class _Flow:
                         continue
                     value = pairs[k1]
                     shifted = self._covering_members(edge_id, k1, k2)
-                    if self.stats is not None:
-                        self.stats.value_shifts += 1
+                    self.stats.value_shifts += 1
                     del pairs[k1]
                     del pairs[k2]
                     if shifted in pairs:
@@ -288,17 +289,13 @@ def transfer_preserves_top(cfg: Cfg, transfer: Callable, top) -> bool:
 # Intraprocedural fixpoint
 # ---------------------------------------------------------------------------
 
-def _fixpoint(
-    cfg: Cfg,
-    *,
-    boundary,
-    transfer: Callable,
-    flow: _Flow,
-) -> tuple[dict[int, LiftedValue], dict[int, LiftedValue], int]:
-    """Worklist fixpoint over lifted values for one CFG.
+def _fixpoint(flow: _Flow, boundary) -> tuple[
+        dict[int, LiftedValue], dict[int, LiftedValue], int]:
+    """Worklist fixpoint over lifted values for ``flow``'s CFG, from
+    ``boundary`` at its start node.
 
-    Returns (node In, edge values, steps).  ``transfer(node, value)`` must
-    be monotone; values only descend.  The step budget grows with the CFG
+    Returns (node In, edge values, steps).  The flow's transfer must be
+    monotone; values only descend.  The step budget grows with the CFG
     and with the number of pairs an edge may carry.
 
     The out-edges and RPO positions come from the CFG's plan, which every
@@ -318,6 +315,8 @@ def _fixpoint(
     17 ms to 21 ms on the benchmark's local-large workload, and from
     about 25 ms to 30-35 ms on call-chain.
     """
+    cfg = flow.cfg
+    transfer = flow.transfer
     meet = flow.meet
     refine = flow.refine
     top = flow.top
@@ -325,7 +324,7 @@ def _fixpoint(
     back = flow.back
     cross = flow.cross
     stats = flow.stats
-    per_edge_max = None if stats is None else stats.per_edge_max
+    per_edge_max = stats.per_edge_max
     plan = cfg.plan()
     heap = list(plan.heap)
     outs_of = plan.outs
@@ -359,8 +358,7 @@ def _fixpoint(
                 starts, continues, ends = crossing
                 tracked = starts | (key & continues) if continues else starts
                 if ends and tracked & ends:
-                    if stats is not None:
-                        stats.blocked += 1
+                    stats.blocked += 1
                     edge_vals[eid] = {}
                     continue
                 w = v if refine is None else refine(edge, node, v)
@@ -368,7 +366,7 @@ def _fixpoint(
                     edge_vals[eid] = {}
                     continue
                 edge_vals[eid] = {tracked: w}
-                if per_edge_max is not None and eid not in per_edge_max:
+                if eid not in per_edge_max:
                     per_edge_max[eid] = 1
                 old = node_in[target]
                 if tracked in old:
@@ -419,14 +417,10 @@ class Summaries(NamedTuple):
 def _summary_exit(cfg: Cfg, universe: MipsUniverse, opts: frozenset[int], *,
                   transfer: Callable, meet: Callable, top):
     """Folded exit (kill, gen) pair of one summary fixpoint from the empty
-    pair ``(0, 0)``."""
-    flow = _Flow(
-        universe, cfg.proc_name, meet=meet, top=top, refine=None,
-        opts=opts,
-        drop_top=3 in opts and transfer_preserves_top(cfg, transfer, top),
-    )
-    node_in, _, _ = _fixpoint(cfg, boundary=(0, 0), transfer=transfer,
-                             flow=flow)
+    pair ``(0, 0)``; its pair counts are its own."""
+    flow = _Flow(universe, cfg, transfer, meet=meet, top=top, refine=None,
+                 opts=opts, stats=PairStats())
+    node_in, _, _ = _fixpoint(flow, (0, 0))
     exit_in = node_in[cfg.exit]
     return _meet_all(exit_in, meet) if exit_in else top
 
@@ -693,21 +687,13 @@ def solve_fpmfp_interprocedural(
             proc = program.by_name[name]
             cfg = proc.cfg
             bi = boundary_for(proc)
+            # Without calls, node_transfer is the analysis's transfer.
             flow = _Flow(
-                universe, name,
-                meet=analysis.meet, top=top, refine=refine,
-                opts=opts,
-                drop_top=(3 in opts and transfer_preserves_top(
-                    cfg, node_transfer, top)),
-                widening=widening,
-                back=frozenset() if widening is None else cfg.back_edges(),
-                stats=stats,
-            )
-            p_in, p_edges, p_steps = _fixpoint(
-                cfg, boundary=bi, flow=flow,
-                # Without calls, node_transfer is the analysis's transfer.
-                transfer=node_transfer if cg.calls[name]
-                else analysis.transfer)
+                universe, cfg,
+                node_transfer if cg.calls[name] else analysis.transfer,
+                meet=analysis.meet, top=top, refine=refine, opts=opts,
+                stats=stats, widening=widening)
+            p_in, p_edges, p_steps = _fixpoint(flow, bi)
             p_folded = _fold_each(p_in, analysis)
             steps += p_steps
             for nid, callee in calls[name]:

@@ -242,16 +242,17 @@ class TestCriterion5PairBound:
         script = (
             "from fpmfp.frontend import parse_program\n"
             "from fpmfp.lattice import make_analysis\n"
-            "from fpmfp.lifted import PairBoundError, _Flow\n"
+            "from fpmfp.lifted import PairBoundError, PairStats, _Flow\n"
             "from fpmfp.mips import NO_CROSSING, Mips, MipsUniverse\n"
             "import sys\n"
             "program = parse_program(sys.stdin.read())\n"
             "an = make_analysis('interval', program)\n"
             "universe = MipsUniverse(program, [Mips(1, 'f', (3, 5, 6)),\n"
             "                                  Mips(2, 'f', (4, 5, 7))])\n"
-            "flow = _Flow(universe, 'f', meet=an.meet, top=an.top(),\n"
-            "             refine=None, opts=frozenset(), drop_top=False)\n"
             "cfg = program.procedures[0].cfg\n"
+            "flow = _Flow(universe, cfg, an.transfer, meet=an.meet,\n"
+            "             top=an.top(), refine=None, opts=frozenset(),\n"
+            "             stats=PairStats())\n"
             "value = {frozenset(k): {'a': (i, i)} for i, k in\n"
             "         enumerate([(), (1,), (2,), (1, 2)])}\n"
             "try:\n"

@@ -157,7 +157,7 @@ class TestJsonWriter:
                 ("rd", [0, 0b101, -1]), ("must-defined", [0, 0b11, -1]),
                 ("interval", [{}, {"l": (-INF, 3), "a": (0, 0)}])):
             analysis = make_analysis(name, program)
-            view = analysis.json_views()
+            view = analysis.to_json
             out += [view(v & analysis.full_mask) if isinstance(v, int)
                     else view(v) for v in values]
         return out
@@ -374,7 +374,7 @@ class TestInputErrors:
     ], ids=lambda c: "-".join(c[::2]))
     def test_solver_errors_exit_one(self, capsys, monkeypatch, command,
                                     error):
-        def fail(cfg, **kwargs):
+        def fail(*args, **kwargs):
             raise error("solver gave up")
 
         monkeypatch.setattr(lifted, "_fixpoint", fail)
@@ -387,7 +387,7 @@ class TestInputErrors:
     def test_oracle_explosion_is_not_a_solver_error(self, monkeypatch):
         # oracle-check catches Explosion per procedure; anywhere else it
         # is a fault and must not turn into an ordinary exit 1.
-        def fail(cfg, **kwargs):
+        def fail(*args, **kwargs):
             raise oracle.Explosion("path tree too large")
 
         monkeypatch.setattr(lifted, "_fixpoint", fail)

@@ -4,7 +4,7 @@
 object a run drops must be freed by reference counting alone.  Each step
 below runs with the collector off, and ``gc.collect()`` after it must
 find nothing: parsing and detection, the MFP and FPMFP solves of each
-analysis, their folded views through ``json_views``, ``compare_modes``
+analysis, their folded views through ``to_json``, ``compare_modes``
 with its JSON form, and finally dropping all of it.
 """
 from __future__ import annotations
@@ -74,7 +74,7 @@ def test_solving_leaves_no_cyclic_garbage(collector_off, case):
                         solve_fpmfp_interprocedural(program, analysis,
                                                     universe))
             assert gc.collect() == 0, (name, mode)
-            view = analysis.json_views()
+            view = analysis.to_json
             for values in (solution.folded_in, solution.folded_out,
                            solution.folded_edges):
                 for value in values.values():

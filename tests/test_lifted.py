@@ -61,9 +61,9 @@ def edge_flow(universe: MipsUniverse, analysis, edge_id: int, value,
     program = universe.program
     proc = next(p for p in program.procedures if edge_id in p.cfg.edges)
     edge = proc.cfg.edges[edge_id]
-    flow = _Flow(universe, proc.name, meet=analysis.meet, top=analysis.top(),
-                 refine=analysis.refine, opts=opts, drop_top=False,
-                 stats=stats)
+    flow = _Flow(universe, proc.cfg, analysis.transfer, meet=analysis.meet,
+                 top=analysis.top(), refine=analysis.refine, opts=opts,
+                 stats=stats or PairStats())
     return flow.cross(edge, edge_id,
                       universe.crossings.get(edge_id, NO_CROSSING),
                       proc.cfg.nodes[edge.source], value)
@@ -238,6 +238,29 @@ class TestTopDropOpt:
             an = make_analysis(name, program)
             assert transfer_preserves_top(
                 cfg, an.transfer, an.top()) is expected
+
+    @staticmethod
+    def flow(name: str, analysis_name: str, opts: frozenset[int],
+             widening: lattice.WideningState | None = None) -> _Flow:
+        program = fixture_program(name)
+        an = make_analysis(analysis_name, program)
+        return _Flow(detect_mips(program), program.procedures[0].cfg,
+                     an.transfer, meet=an.meet, top=an.top(), refine=None,
+                     opts=opts, stats=PairStats(), widening=widening)
+
+    def test_the_flow_decides_top_dropping(self):
+        assert not self.flow("fig2", "interval", ALL_OPTS).drop_top
+        assert self.flow("fig2", "must-defined", ALL_OPTS).drop_top
+        assert not self.flow("fig2", "must-defined",
+                             frozenset({1, 2})).drop_top
+
+    def test_the_flow_widens_back_edges_only_with_a_widening_state(self):
+        cfg = fixture_program("loop").procedures[0].cfg
+        assert cfg.back_edges()
+        assert self.flow("loop", "interval", ALL_OPTS).back == frozenset()
+        widened = self.flow("loop", "interval", ALL_OPTS,
+                            lattice.WideningState())
+        assert widened.back == cfg.back_edges()
 
     def test_uninformative_pairs_vanish_for_must_defined(self):
         an, universe, sol = solved("fig10", "must-defined", ALL_OPTS)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from fpmfp import progen
 from fpmfp.frontend import Cfg, build_call_graph, parse_program
-from fpmfp.lifted import _Flow
+from fpmfp.lifted import PairStats, _Flow
 from fpmfp.mips import (
     _materialize,
     Answer,
@@ -404,8 +404,8 @@ def ext(universe, edge_id, tracked):
     proc = next(p for p in universe.program.procedures
                 if edge_id in p.cfg.edges)
     edge = proc.cfg.edges[edge_id]
-    flow = _Flow(universe, proc.name, meet=min, top=None, refine=None,
-                 opts=frozenset(), drop_top=False)
+    flow = _Flow(universe, proc.cfg, lambda node, v: v, meet=min, top=None,
+                 refine=None, opts=frozenset(), stats=PairStats())
     moved = flow.cross(edge, edge_id,
                        universe.crossings.get(edge_id, NO_CROSSING),
                        proc.cfg.nodes[edge.source], {tracked: 0})

@@ -337,6 +337,17 @@ class TestExecutor:
         with pytest.raises(Explosion):
             execute_all(load_program("fig12"))
 
+    @pytest.mark.xfail(raises=RecursionError, strict=True, reason=(
+        "a guarded self-recursion re-reads its selector in every "
+        "activation, so one run can recurse without end, and each choice "
+        "nests another Python frame of execute_all's take"))
+    def test_recursive_program_explodes_instead_of_overflowing(
+            self, monkeypatch):
+        monkeypatch.setattr(concrete, "_RUN_LIMIT", 1_000)
+        program = parse_program(progen.generate_multi_program(1))
+        with pytest.raises(Explosion):
+            execute_all(program)
+
     def test_globals_shared_across_frames(self, load_program):
         # call_a's callee writes the global the caller then prints.
         program = load_program("call_a")
