@@ -1,25 +1,25 @@
 """Concrete execution over an input box, the second reference oracle.
 
-:func:`execute_all` runs programs concretely over a small input box,
-forking on every source of nondeterminism, and returns per-activation
-edge traces.  Its traces witness that detected segments never occur in a
-real execution.  It raises :class:`fpmfp.oracle.Explosion` instead of
-running unbounded.  No subcommand runs it, so no subcommand loads it.
+:func:`execute_all` runs a program concretely once per sequence of
+choices from a small input box and returns per-activation edge traces.
+Each run is replayed from the program's start, as in stateless search
+(Godefroid, VeriSoft, POPL 1997): nothing is copied at a choice.  A run
+takes the values of its choice tuple in order; at each later choice it
+takes the first ``_BOX`` value and leaves the tuple of every other value
+on an explicit stack, so runs come out depth first in box order.  A run
+is cut short, keeping its partial traces, when one activation visits a
+node more than ``_LOOP_CAP`` times or the activation stack would grow
+past ``_LOOP_CAP``.  The traces witness that detected segments never
+occur in a real execution.  Past ``_RUN_LIMIT`` runs it raises
+:class:`fpmfp.oracle.Explosion` instead of running unbounded.  No
+subcommand runs it, so no subcommand loads it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .frontend import (
-    Cfg,
-    Cond,
-    Expr,
-    LabelKind,
-    MiniIrProgram,
-    Procedure,
-    StKind,
-)
+from .frontend import Cfg, Cond, Expr, LabelKind, MiniIrProgram, StKind
 from .oracle import Explosion
 
 
@@ -30,111 +30,10 @@ class Trace(NamedTuple):
     edges: tuple[int, ...]
 
 
-class _Frame:
-    def __init__(self, proc: Procedure, node: int, env: dict[str, int],
-                 trace: list[int], visits: dict[int, int]) -> None:
-        self.proc = proc
-        self.node = node
-        self.env = env
-        self.trace = trace
-        self.visits = visits
-
-
-class _Machine:
-    def __init__(self, program: MiniIrProgram, frames, globals_env) -> None:
-        self.program = program
-        self.frames = frames
-        self.globals_env = globals_env
-        self.done: list[Trace] = []
-
-    @classmethod
-    def initial(cls, program: MiniIrProgram):
-        entry = program.by_name[program.entry]
-        frame = _Frame(entry, entry.cfg.start, {}, [], {})
-        return cls(program, [frame], {})
-
-    def fork(self) -> "_Machine":
-        clone = _Machine(
-            self.program,
-            [_Frame(f.proc, f.node, dict(f.env), list(f.trace),
-                    dict(f.visits)) for f in self.frames],
-            dict(self.globals_env),
-        )
-        clone.done = list(self.done)
-        return clone
-
-    def finish(self) -> list[Trace]:
-        traces = list(self.done)
-        for frame in self.frames:
-            traces.append(Trace(frame.proc.name, tuple(frame.trace)))
-        return traces
-
-    # -- variable access ----------------------------------------------------
-
-    def lookup(self, frame: _Frame, var: str):
-        """Value of a variable, or None when a choice must be made."""
-        if var in self.program.globals:
-            return self.globals_env.get(var)
-        return frame.env.get(var)
-
-    def store(self, frame: _Frame, var: str, value: int) -> None:
-        if var in self.program.globals:
-            self.globals_env[var] = value
-        else:
-            frame.env[var] = value
-
-    def free_variable(self, frame: _Frame, st) -> str | None:
-        """First variable the statement uses that has no value yet."""
-        for var in sorted(st.uses()):
-            if self.lookup(frame, var) is None:
-                return var
-        return None
-
-    # -- expression and condition evaluation --------------------------------
-
-    def eval_expr(self, frame: _Frame, expr: Expr) -> int:
-        if expr.kind == "const":
-            return expr.value
-        if expr.kind == "var":
-            return self.lookup(frame, expr.name)
-        left = self.eval_expr(frame, expr.left)
-        right = self.eval_expr(frame, expr.right)
-        return {"+": left + right, "-": left - right,
-                "*": left * right}[expr.op]
-
-    def eval_cond(self, frame: _Frame, cond: Cond) -> bool:
-        if cond.op == "&&":
-            return self.eval_cond(frame, cond.left) \
-                and self.eval_cond(frame, cond.right)
-        if cond.op == "||":
-            return self.eval_cond(frame, cond.left) \
-                or self.eval_cond(frame, cond.right)
-        if cond.op == "var":
-            return self.lookup(frame, cond.var) != 0
-        left = self.lookup(frame, cond.var)
-        right = cond.rhs if isinstance(cond.rhs, int) \
-            else self.lookup(frame, cond.rhs)
-        return {"<": left < right, "<=": left <= right,
-                ">": left > right, ">=": left >= right,
-                "==": left == right, "!=": left != right}[cond.op]
-
-
-class _Choice:
-    """A value the top frame needs before it can continue.
-
-    ``move_after`` distinguishes ``read`` (store, then step past the node)
-    from a first use of a never-assigned variable (store, then re-execute
-    the same statement, which now finds the value).
-    """
-
-    def __init__(self, var: str, move_after: bool) -> None:
-        self.var = var
-        self.move_after = move_after
-
-
-# Visits of one node per activation after which a run is cut short.
+# Visits of one node per activation, and activations on the stack, past
+# which a run is cut short.
 _LOOP_CAP = 64
-# The input box: the values a nondeterministic choice forks over.
+# The input box: the values a nondeterministic choice ranges over.
 _BOX = range(-3, 4)
 # Runs after which ``execute_all`` raises ``Explosion``.
 _RUN_LIMIT = 1_000_000
@@ -144,104 +43,155 @@ def execute_all(program: MiniIrProgram) -> list[list[Trace]]:
     """Concretely run the program over every choice in the input box.
 
     Nondeterminism — ``read`` statements and first uses of variables that
-    never received a value — forks one run per ``_BOX`` value; each
+    never received a value — takes each ``_BOX`` value in turn; each
     completed (or capped) run yields the edge traces of all its
     activations.  Past ``_RUN_LIMIT`` runs it raises ``Explosion``.
     """
+    # Each statement's variables in name order, by program-wide node id.
+    uses = {nid: sorted(node.statement.uses())
+            for proc in program.procedures
+            for nid, node in proc.cfg.nodes.items()}
     runs: list[list[Trace]] = []
-
-    def take(machine: _Machine) -> None:
+    pending: list[tuple[int, ...]] = [()]
+    while pending:
         if len(runs) >= _RUN_LIMIT:
             raise Explosion(f"execution exceeded {_RUN_LIMIT} runs")
-        result = _advance_machine(machine)
-        if isinstance(result, _Choice):
-            for value in _BOX:
-                fork = machine.fork()
-                frame = fork.frames[-1]
-                fork.store(frame, result.var, value)
-                if result.move_after:
-                    _move(frame, _sole_edge(frame.proc.cfg, frame.node))
-                take(fork)
-        else:
-            runs.append(result)
-
-    take(_Machine.initial(program))
+        runs.append(_run(program, uses, pending.pop(), pending))
     return runs
 
 
-def _advance_machine(machine: _Machine):
-    """Run until completion, truncation, or the next required choice."""
-    program = machine.program
-    while machine.frames:
-        frame = machine.frames[-1]
-        cfg = frame.proc.cfg
-        visits = frame.visits.get(frame.node, 0) + 1
-        if visits > _LOOP_CAP:
-            return machine.finish()  # capped: keep the partial trace
-        frame.visits[frame.node] = visits
-        st = cfg.nodes[frame.node].statement
+def _run(program: MiniIrProgram, uses: dict[int, list[str]],
+         choices: tuple[int, ...],
+         pending: list[tuple[int, ...]]) -> list[Trace]:
+    """One run from the start that takes ``choices`` at its first choices.
 
-        if st.kind == StKind.EXIT:
-            machine.done.append(Trace(frame.proc.name, tuple(frame.trace)))
-            machine.frames.pop()
-            if machine.frames:
-                caller = machine.frames[-1]
-                _move(caller, _sole_edge(caller.proc.cfg, caller.node))
-            continue
+    Each later choice takes ``_BOX[0]`` and pushes onto ``pending`` the
+    choice tuple of every other box value, last value first.
+    """
+    globals_env: dict[str, int] = {}
+    done: list[Trace] = []
+    callers = []  # (proc, node, env, trace, visits) of each suspended caller
+    proc = program.by_name[program.entry]
+    node, env, trace, visits = proc.cfg.start, {}, [], {}
+    taken = 0
 
-        if st.kind == StKind.READ:
-            return _Choice(st.var, move_after=True)
+    def scope(var: str) -> dict[str, int]:
+        return globals_env if var in program.globals else env
 
-        needed = machine.free_variable(frame, st)
+    def lookup(var: str) -> int | None:  # None: a choice must be made
+        return scope(var).get(var)
+
+    def choose(var: str) -> None:
+        nonlocal choices, taken
+        if taken == len(choices):
+            pending.extend(choices + (value,) for value in reversed(_BOX[1:]))
+            choices += (_BOX[0],)
+        scope(var)[var] = choices[taken]
+        taken += 1
+
+    def cut() -> list[Trace]:  # a run stopped short keeps partial traces
+        return done + [Trace(p.name, tuple(t)) for p, _, _, t, _ in callers] \
+            + [Trace(proc.name, tuple(trace))]
+
+    while True:
+        cfg = proc.cfg
+        visits[node] = visits.get(node, 0) + 1
+        if visits[node] > _LOOP_CAP:
+            return cut()
+        st = cfg.nodes[node].statement
+        needed = next((var for var in uses[node] if lookup(var) is None), None)
         if needed is not None:
-            return _Choice(needed, move_after=False)
-
-        if st.kind == StKind.ASSIGN:
-            machine.store(frame, st.var, machine.eval_expr(frame, st.expr))
-            _move(frame, _sole_edge(cfg, frame.node))
-        elif st.kind in (StKind.PRINT, StKind.SKIP):
-            _move(frame, _sole_edge(cfg, frame.node))
+            # A first use of a never-assigned variable: choose its value,
+            # then run the same node again, at the cost of one more visit.
+            choose(needed)
+            continue
+        if st.kind == StKind.EXIT:
+            done.append(Trace(proc.name, tuple(trace)))
+            if not callers:
+                return done
+            proc, node, env, trace, visits = callers.pop()
+            edge = _sole_edge(proc.cfg, node)
+        elif st.kind == StKind.READ:
+            choose(st.var)
+            edge = _sole_edge(cfg, node)
+        elif st.kind == StKind.ASSIGN:
+            scope(st.var)[st.var] = _value(st.expr, lookup)
+            edge = _sole_edge(cfg, node)
         elif st.kind == StKind.ASSERT:
-            if not machine.eval_cond(frame, st.cond):
-                return machine.finish()  # assumption violated: stop run
-            _move(frame, _sole_edge(cfg, frame.node))
+            if not _holds(st.cond, lookup):
+                return cut()  # assumption violated: stop run
+            edge = _sole_edge(cfg, node)
         elif st.kind == StKind.BRANCH:
-            taken = machine.eval_cond(frame, st.cond)
-            wanted = LabelKind.TRUE if taken else LabelKind.FALSE
-            (edge,) = [e for e in cfg.out_edges(frame.node)
+            wanted = LabelKind.TRUE if _holds(st.cond, lookup) \
+                else LabelKind.FALSE
+            (edge,) = [e for e in cfg.out_edges(node)
                        if e.label.kind == wanted]
-            _move(frame, edge)
         elif st.kind == StKind.SWITCH:
-            value = machine.lookup(frame, st.var)
-            arms = cfg.out_edges(frame.node)
+            value = lookup(st.var)
+            arms = cfg.out_edges(node)
             match = [e for e in arms if e.label.kind == LabelKind.CASE
-                     and e.label.value == value]
+                     and e.label.value == value] \
+                or [e for e in arms if e.label.kind == LabelKind.DEFAULT]
             if not match:
-                match = [e for e in arms
-                         if e.label.kind == LabelKind.DEFAULT]
-            if not match:
-                return machine.finish()  # no arm applies: stuck
-            _move(frame, match[0])
-        elif st.kind == StKind.CALL:
-            if st.callee in program.externs:
-                # Externs are modeled as no-ops here; detection already
-                # treats them as clobbering globals, so no segment spans
-                # an extern call either way.
-                _move(frame, _sole_edge(cfg, frame.node))
-            else:
-                callee = program.by_name[st.callee]
-                machine.frames.append(
-                    _Frame(callee, callee.cfg.start, {}, [], {}))
+                return cut()  # no arm applies: stuck
+            edge = match[0]
+        elif st.kind == StKind.CALL and st.callee not in program.externs:
+            if len(callers) + 1 == _LOOP_CAP:
+                return cut()  # one more activation would pass the cap
+            callers.append((proc, node, env, trace, visits))
+            proc = program.by_name[st.callee]
+            node, env, trace, visits = proc.cfg.start, {}, [], {}
+            continue
+        elif st.kind in (StKind.PRINT, StKind.SKIP, StKind.CALL):
+            # Externs are modeled as no-ops here; detection already treats
+            # them as clobbering globals, so no segment spans an extern
+            # call either way.
+            edge = _sole_edge(cfg, node)
         else:  # pragma: no cover - parser admits no other kinds
             raise AssertionError(st.kind)
-    return machine.finish()
+        trace.append(edge.id)
+        node = edge.target
+
+
+def _value(expr: Expr, lookup: Callable[[str], int]) -> int:
+    """Value of a constant, a variable or ``atom op atom``."""
+    if expr.kind != "bin":
+        return _atom(expr, lookup)
+    left, right = _atom(expr.left, lookup), _atom(expr.right, lookup)
+    return {"+": left + right, "-": left - right, "*": left * right}[expr.op]
+
+
+def _atom(expr: Expr, lookup: Callable[[str], int]) -> int:
+    return expr.value if expr.kind == "const" else lookup(expr.name)
+
+
+def _holds(cond: Cond, lookup: Callable[[str], int]) -> bool:
+    """Truth of a condition, its ``&&``/``||`` tree walked by a stack.
+
+    Every operand's variables have values, so evaluating both sides of
+    ``&&`` and ``||`` gives the short-circuit result.
+    """
+    values: list[bool] = []
+    todo: list[Cond | str] = [cond]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):  # both operands are on ``values``
+            right, left = values.pop(), values.pop()
+            values.append(left and right if item == "&&" else left or right)
+        elif item.op in ("&&", "||"):
+            todo += [item.op, item.right, item.left]
+        elif item.op == "var":
+            values.append(lookup(item.var) != 0)
+        else:
+            left = lookup(item.var)
+            right = lookup(item.rhs) if isinstance(item.rhs, str) else item.rhs
+            values.append({"<": left < right, "<=": left <= right,
+                           ">": left > right, ">=": left >= right,
+                           "==": left == right, "!=": left != right}[item.op])
+    (value,) = values
+    return value
 
 
 def _sole_edge(cfg: Cfg, node: int):
     (edge,) = cfg.out_edges(node)
     return edge
-
-
-def _move(frame: _Frame, edge) -> None:
-    frame.trace.append(edge.id)
-    frame.node = edge.target

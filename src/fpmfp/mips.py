@@ -285,7 +285,9 @@ def detect_step2(proc: Procedure, query: Query,
     Each sweep visits, in reverse postorder, only the nodes with an
     unresolved out-edge for this query: at any other node a sweep of the
     whole CFG changes nothing, so skipping it leaves every sweep's result,
-    and the number of sweeps, as they were.
+    and the number of sweeps, as they were.  One sweep is not enough: a
+    start hoisted onto a back edge after reverse postorder has passed the
+    loop head makes the head's out-edge inner only on the next sweep.
     """
     cfg = proc.cfg
     reach = step1.reached[query]

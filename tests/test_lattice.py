@@ -198,8 +198,10 @@ class TestIntervalEval:
     def test_eval_wide_multiplication(self):
         program = parse_program("proc m() { d = a * b; print d; }")
         ia = IntervalAnalysis(program)
-        out = ia.transfer(node_of(program, 1), {"a": (1, 3), "b": (4, 4)})
-        assert out["d"] == (-INF, INF)
+        # A point times a range is not a point, whichever side is wide.
+        for a, b in [((1, 3), (4, 4)), ((4, 4), (1, 3))]:
+            out = ia.transfer(node_of(program, 1), {"a": a, "b": b})
+            assert out["d"] == (-INF, INF), (a, b)
 
 
 class TestIntervalRefine:

@@ -288,6 +288,20 @@ class TestStepTwoReference:
                     segments += len(paths)
         assert queries and segments
 
+    def test_hoisting_onto_a_back_edge_needs_a_second_sweep(self):
+        # The start is hoisted from the assignment onto back edge e6 after
+        # reverse postorder has passed the loop head, so the head's
+        # out-edge e4 becomes inner only on the next sweep; one sweep
+        # finds no segment here.
+        program = parse_program("""
+            proc main() {
+                read s; read n;
+                while (n < 3) { s = 1; n = n + 1; }
+                if (s == 0) { print s; }
+            }
+        """)
+        assert [m.edges for m in detect_mips(program).all] == [(6, 4, 7)]
+
     def test_for_proc_keeps_universe_order(self):
         for seed in range(40):
             program = parse_program(progen.generate_multi_program(seed))

@@ -1,9 +1,11 @@
 """Tests for the path-tree meets oracle and the concrete executor."""
 
+import operator
+
 import pytest
 
 from fpmfp import concrete, oracle, progen
-from fpmfp.frontend import parse_program
+from fpmfp.frontend import LabelKind, parse_program
 from fpmfp.lattice import INF, make_analysis
 from fpmfp.mfp import solve_mfp
 from fpmfp.concrete import Trace, execute_all
@@ -19,6 +21,8 @@ from fpmfp.oracle import (
 
 from conftest import contains_segment, fixture_text
 
+COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+               ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 ALL_FIXTURES = [
     "fig2", "fig3", "fig4", "fig7", "fig8", "fig10", "fig11", "fig12",
     "nlkain_like", "stripcc_like", "sphinx_like", "summary_block",
@@ -312,6 +316,19 @@ class TestExecutor:
         runs = execute_all(program)
         assert len(runs) == 3
 
+    @pytest.mark.parametrize("const", [-1, 0, 2])
+    @pytest.mark.parametrize("op", sorted(COMPARISONS))
+    def test_branch_compares_like_python(self, op, const):
+        program = parse_program(
+            f"proc main() {{ read x; if (x {op} {const}) {{ skip; }} }}")
+        cfg = program.procedures[0].cfg
+        true_edges = {e.id for e in cfg.edges.values()
+                      if e.label.kind == LabelKind.TRUE}
+        taken = [run for run in execute_all(program)
+                 if true_edges & set(run[0].edges)]
+        assert len(taken) == sum(
+            1 for v in concrete._BOX if COMPARISONS[op](v, const))
+
     def test_choices_memoized_within_run(self, monkeypatch):
         monkeypatch.setattr(concrete, "_BOX", range(-1, 2))
         program = parse_program("""
@@ -337,16 +354,25 @@ class TestExecutor:
         with pytest.raises(Explosion):
             execute_all(load_program("fig12"))
 
-    @pytest.mark.xfail(raises=RecursionError, strict=True, reason=(
-        "a guarded self-recursion re-reads its selector in every "
-        "activation, so one run can recurse without end, and each choice "
-        "nests another Python frame of execute_all's take"))
     def test_recursive_program_explodes_instead_of_overflowing(
             self, monkeypatch):
+        # A guarded self-recursion re-reads its selector in every
+        # activation, so one run could recurse without end; the activation
+        # cap cuts it short and the run limit ends the search.
         monkeypatch.setattr(concrete, "_RUN_LIMIT", 1_000)
         program = parse_program(progen.generate_multi_program(1))
         with pytest.raises(Explosion):
             execute_all(program)
+
+    def test_unbounded_recursion_is_cut_at_the_activation_cap(self):
+        program = parse_program("""
+            proc main() { f(); }
+            proc f() { f(); }
+        """)
+        (run,) = execute_all(program)
+        # The cut run keeps the partial trace of every activation.
+        assert [t.proc for t in run] == \
+            ["main"] + ["f"] * (concrete._LOOP_CAP - 1)
 
     def test_globals_shared_across_frames(self, load_program):
         # call_a's callee writes the global the caller then prints.

@@ -5,10 +5,11 @@ sha256 of what it wrote to stdout and to stderr.  The runs are
 ``analyze`` (rd, uninit and interval, modes mfp and fpmfp) and
 ``compare --no-timing`` (the same three analyses, JSON and
 ``--format table``) over the fixtures, ``generate_program`` seeds 0-9
-acyclic and with loops, ``generate_multi_program`` seeds 0-9, and the
-benchmark's ``local_large(1, 50, 200)`` and ``call_chain(1, 40)``.
-Generated programs are written to a temporary directory; no report
-names its path.
+acyclic and with loops, ``generate_multi_program`` seeds 0-9, 135, 141,
+142 and 170 (whose interval ``compare`` finds a precision violation),
+and the benchmark's ``local_large(1, 50, 200)`` and ``call_chain(1, 40)``,
+plus one ``oracle-check --fixtures`` run over the fixtures.  Generated
+programs are written to a temporary directory; no report names its path.
 
 Run this file as a script to rewrite the golden.
 """
@@ -40,7 +41,7 @@ def programs(tmp: Path) -> list[tuple[str, str]]:
                      generate_program(seed, acyclic=acyclic))
                     for seed in range(10)]
     sources += [(f"multi-{seed}", generate_multi_program(seed))
-                for seed in range(10)]
+                for seed in [*range(10), 135, 141, 142, 170]]
     workloads = perfbench_workloads()
     sources += [("local-large", workloads.local_large(1, 50, 200).source),
                 ("call-chain", workloads.call_chain(1, 40).source)]
@@ -64,18 +65,25 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _fingerprint(argv: list[str], tmp: str) -> list:
+    """Exit code and stdout and stderr hashes of ``cli.main(argv)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert tmp not in stdout.getvalue() + stderr.getvalue()
+    return [code, _sha(stdout.getvalue()), _sha(stderr.getvalue())]
+
+
 def fingerprints() -> dict[str, list]:
     out: dict[str, list] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, path in programs(Path(tmp)):
             for argv in invocations():
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), \
-                        contextlib.redirect_stderr(stderr):
-                    code = main([argv[0], "--program", path, *argv[1:]])
-                assert tmp not in stdout.getvalue() + stderr.getvalue()
-                out[f"{name} {' '.join(argv)}"] = [
-                    code, _sha(stdout.getvalue()), _sha(stderr.getvalue())]
+                out[f"{name} {' '.join(argv)}"] = _fingerprint(
+                    [argv[0], "--program", path, *argv[1:]], tmp)
+        out["oracle-check --fixtures fixtures"] = _fingerprint(
+            ["oracle-check", "--fixtures", str(FIXTURES)], tmp)
     return out
 
 
