@@ -11,11 +11,11 @@ string hash seed.  The solves are ``solve_mfp`` and
 ``solve_fpmfp_interprocedural`` with normalizations none and 1,2,3 (on
 the fixtures also each normalization alone), for rd, must-defined and
 interval, over the fixtures, ``generate_program`` seeds 0-19 acyclic and
-with loops, ``generate_multi_program`` seeds 0-19, the benchmark's
-``local_large(1, 50, 200)`` and ``call_chain(1, 40)``, and ``diamonds(k)``
-for k = 2, 4 and 6 (also each normalization alone): |U| = 9, 38 and 143,
-with up to 12 pairs on an edge, where the fixtures reach few edges with
-more than one pair.
+with loops, ``generate_multi_program`` seeds 0-19, 135, 141, 142 and 170, the
+benchmark's ``local_large(1, 50, 200)`` and ``call_chain(1, 40)``, and
+``diamonds(k)`` for k = 2, 4, 6 and 8 (also each normalization alone):
+|U| = 9, 38, 143 and 540, with up to 16 pairs on an edge, where the
+fixtures reach few edges with more than one pair.
 
 Run this file as a script to rewrite the golden.
 """
@@ -58,11 +58,11 @@ def corpus() -> list[tuple[str, str, bool]]:
                    generate_program(seed, acyclic=acyclic), False)
                   for seed in range(20)]
     cases += [(f"multi-{seed}", generate_multi_program(seed), False)
-              for seed in range(20)]
+              for seed in (*range(20), 135, 141, 142, 170)]
     workloads = perfbench_workloads()
     cases += [("local-large", workloads.local_large(1, 50, 200).source, False),
               ("call-chain", workloads.call_chain(1, 40).source, False)]
-    cases += [(f"diamonds-{k}", diamonds(k), True) for k in (2, 4, 6)]
+    cases += [(f"diamonds-{k}", diamonds(k), True) for k in (2, 4, 6, 8)]
     return cases
 
 
