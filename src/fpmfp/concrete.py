@@ -1,7 +1,8 @@
 """Concrete execution over an input box, the second reference oracle.
 
 :func:`execute_all` runs a program concretely once per sequence of
-choices from a small input box and returns per-activation edge traces.
+choices from a small input box and yields each run's per-activation
+edge traces as the run finishes.
 Each run is replayed from the program's start, as in stateless search
 (Godefroid, VeriSoft, POPL 1997): nothing is copied at a choice.  A run
 takes the values of its choice tuple in order; at each later choice it
@@ -17,7 +18,7 @@ subcommand runs it, so no subcommand loads it.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .frontend import Cfg, Cond, Expr, LabelKind, MiniIrProgram, StKind
 from .oracle import Explosion
@@ -35,29 +36,30 @@ class Trace(NamedTuple):
 _LOOP_CAP = 64
 # The input box: the values a nondeterministic choice ranges over.
 _BOX = range(-3, 4)
-# Runs after which ``execute_all`` raises ``Explosion``.
+# Yielded runs after which ``execute_all`` raises ``Explosion``.
 _RUN_LIMIT = 1_000_000
 
 
-def execute_all(program: MiniIrProgram) -> list[list[Trace]]:
+def execute_all(program: MiniIrProgram) -> Iterator[list[Trace]]:
     """Concretely run the program over every choice in the input box.
 
     Nondeterminism — ``read`` statements and first uses of variables that
     never received a value — takes each ``_BOX`` value in turn; each
-    completed (or capped) run yields the edge traces of all its
-    activations.  Past ``_RUN_LIMIT`` runs it raises ``Explosion``.
+    completed (or capped) run is yielded as it finishes, as the edge
+    traces of all its activations, so no run is kept.  Past
+    ``_RUN_LIMIT`` yielded runs it raises ``Explosion``.
     """
     # Each statement's variables in name order, by program-wide node id.
     uses = {nid: sorted(node.statement.uses())
             for proc in program.procedures
             for nid, node in proc.cfg.nodes.items()}
-    runs: list[list[Trace]] = []
     pending: list[tuple[int, ...]] = [()]
+    runs = 0
     while pending:
-        if len(runs) >= _RUN_LIMIT:
+        if runs >= _RUN_LIMIT:
             raise Explosion(f"execution exceeded {_RUN_LIMIT} runs")
-        runs.append(_run(program, uses, pending.pop(), pending))
-    return runs
+        runs += 1
+        yield _run(program, uses, pending.pop(), pending)
 
 
 def _run(program: MiniIrProgram, uses: dict[int, list[str]],
@@ -129,11 +131,10 @@ def _run(program: MiniIrProgram, uses: dict[int, list[str]],
         elif st.kind == StKind.SWITCH:
             value = lookup(st.var)
             arms = cfg.out_edges(node)
+            # The parser gives every switch a default arm.
             match = [e for e in arms if e.label.kind == LabelKind.CASE
                      and e.label.value == value] \
                 or [e for e in arms if e.label.kind == LabelKind.DEFAULT]
-            if not match:
-                return cut()  # no arm applies: stuck
             edge = match[0]
         elif st.kind == StKind.CALL and st.callee not in program.externs:
             if len(callers) + 1 == _LOOP_CAP:

@@ -47,7 +47,6 @@ from . import SolverError
 from .frontend import (
     CallGraph,
     Cfg,
-    Edge,
     MiniIrProgram,
     Node,
     Procedure,
@@ -157,57 +156,40 @@ class _Flow:
         self.stats = stats
         self.pair_limit = len(universe.for_proc(cfg.proc_name)) + 1
 
-    def cross(self, edge: Edge, eid: int,
-              crossing: tuple[frozenset[int], ...], source: Node,
-              value: LiftedValue) -> LiftedValue:
-        """The pairs of ``value``, the Out of ``source``, across ``edge``.
+    def normalize(self, eid: int, pairs: LiftedValue) -> LiftedValue:
+        """Widen ``pairs``, what one flow leaves on edge ``eid``, if that
+        is a widened back edge, apply the normalizations that are on and
+        check the pair bound.
 
-        ``eid`` is the edge's id and ``crossing`` its (starts, continues,
-        ends) triple from ``universe.crossings``.
+        The engine calls this only for a value of more than one pair, or
+        of one pair on a widened back edge.
         """
-        starts, continues, ends = crossing
-        refine = self.refine
-        moved: LiftedValue = {}
-        for key in sorted_keys(value):
-            tracked = starts | (key & continues) if continues else starts
-            if ends and tracked & ends:
-                self.stats.blocked += 1
-                continue
-            v = value[key]
-            if refine is not None:
-                v = refine(edge, source, v)
-            if tracked in moved:
-                moved[tracked] = self.meet(moved[tracked], v)
-            else:
-                moved[tracked] = v
-        if moved and eid in self.back:
+        if eid in self.back:
             widening = self.widening
-            widening.observe(eid, _meet_all(moved, self.meet))
-            moved = {key: widening.apply(eid, v) for key, v in moved.items()}
+            widening.observe(eid, _meet_all(pairs, self.meet))
+            pairs = {key: widening.apply(eid, v) for key, v in pairs.items()}
         # Normalizations 1 and 2 are identities on fewer than two pairs.
-        if len(moved) > 1:
+        if len(pairs) > 1:
             if self.merge_ends:
-                moved = self._merge_same_ends(moved)
-            if self.shift and len(moved) > 1:
-                moved = self._shift_duplicates(eid, moved)
+                pairs = self._merge_same_ends(pairs)
+            if self.shift and len(pairs) > 1:
+                pairs = self._shift_duplicates(eid, pairs)
         if self.drop_top:
-            moved = {k: v for k, v in moved.items() if v != self.top}
-        count = len(moved)
-        if count > self.pair_limit:
+            pairs = {k: v for k, v in pairs.items() if v != self.top}
+        if len(pairs) > self.pair_limit:
             raise PairBoundError(
-                f"pair count {count} exceeds limit {self.pair_limit} "
+                f"pair count {len(pairs)} exceeds limit {self.pair_limit} "
                 f"at edge {eid}")
-        per_edge_max = self.stats.per_edge_max
-        if count > per_edge_max.get(eid, 0):
-            per_edge_max[eid] = count
-        return moved
+        return pairs
 
     def _merge_same_ends(self, pairs: LiftedValue) -> LiftedValue:
         """Merge pairs whose keys end on exactly the same set of edges.
 
         Every detected segment carries the start-condition property, so
         the members of such keys block together at those shared end
-        edges, and one met value is exact.
+        edges, and one met value is exact.  Each merged key is the union
+        of the keys of one end-edge set, so no two groups share it and
+        none is the empty key.
         """
         end_edge = self.universe.end_edge.__getitem__
         groups: dict[frozenset[int], list[Key]] = {}
@@ -220,16 +202,12 @@ class _Flow:
                 out[key] = pairs[key]
         for ends in sorted(groups, key=_key_order):
             members = groups[ends]
-            merged_key = frozenset().union(*members)
             merged = pairs[members[0]]
             for key in members[1:]:
                 merged = self.meet(merged, pairs[key])
             if len(members) > 1:
                 self.stats.end_merges += 1
-            if merged_key in out:
-                out[merged_key] = self.meet(out[merged_key], merged)
-            else:
-                out[merged_key] = merged
+            out[frozenset().union(*members)] = merged
         return out
 
     def _shift_duplicates(self, edge_id: int,
@@ -300,20 +278,21 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
 
     The out-edges and RPO positions come from the CFG's plan, which every
     solve over the CFG shares, and each out-edge's crossing triple from
-    the universe's ``crossings`` table, by edge id.  When a node's In is
-    one pair, it crosses each out-edge here, with the same tracking,
-    blocking, refinement, top dropping and pair statistics as
-    :meth:`_Flow.cross` (normalizations 1 and 2 are identities on one
-    pair).  A widened back edge, or an In of any other size, goes through
-    :meth:`_Flow.cross`.
+    the universe's ``crossings`` table, by edge id.  A node's In is
+    transferred once, into its pairs in key order.  One loop per out-edge
+    then takes every pair across: it moves the pair onto its tracked key,
+    drops it (a block) when that key holds a segment that ends on the
+    edge, refines its value, and meets pairs that land on one key.  An
+    edge left with more than one pair, or a widened back edge, goes
+    through :meth:`_Flow.normalize`; one pair needs only the top test of
+    normalization 3, made here.
 
-    Keep that single-pair path.  MFP and most FPMFP nodes hold one pair.
-    Sending every edge through :meth:`_Flow.cross` leaves every solver
-    fingerprint identical, but makes this loop a quarter to a third
-    slower.  On a shared 2-vCPU host, the time an in-process
-    ``oracle-check`` spends here (minimum of 25 runs) went from about
-    17 ms to 21 ms on the benchmark's local-large workload, and from
-    about 25 ms to 30-35 ms on call-chain.
+    Against an engine with a separate one-pair path (in process, shared
+    2-vCPU host, medians of 12-20 alternating rounds), the nine solves of
+    ``oracle-check`` cost 1-3 % more on the benchmark's local-large
+    workload and -1 to +1 % on call-chain; rd FPMFP on 8 and 12 diamonds
+    costs 4-7 % less.  A comprehension for a one-pair In, or
+    ``moved.items()`` in the merge loop, made local-large slower still.
     """
     cfg = flow.cfg
     transfer = flow.transfer
@@ -322,7 +301,7 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
     top = flow.top
     drop_top = flow.drop_top
     back = flow.back
-    cross = flow.cross
+    normalize = flow.normalize
     stats = flow.stats
     per_edge_max = stats.per_edge_max
     plan = cfg.plan()
@@ -346,53 +325,48 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
             )
         node, outs = outs_of[n]
         pairs = node_in[n]
-        single = len(pairs) == 1
-        if single:
+        if len(pairs) == 1:
             ((key, v),) = pairs.items()
-            v = transfer(node, v)
+            out = ((key, transfer(node, v)),)
         else:
-            out = {key: transfer(node, v) for key, v in pairs.items()}
+            out = [(key, transfer(node, pairs[key]))
+                   for key in sorted(pairs, key=_key_order)]
         for edge, eid, target, tpos in outs:
-            crossing = crossing_of(eid, NO_CROSSING)
-            if single and eid not in back:
-                starts, continues, ends = crossing
+            starts, continues, ends = crossing_of(eid, NO_CROSSING)
+            moved: LiftedValue = {}
+            for key, v in out:
                 tracked = starts | (key & continues) if continues else starts
                 if ends and tracked & ends:
                     stats.blocked += 1
-                    edge_vals[eid] = {}
                     continue
-                w = v if refine is None else refine(edge, node, v)
-                if drop_top and w == top:
-                    edge_vals[eid] = {}
-                    continue
-                edge_vals[eid] = {tracked: w}
-                if eid not in per_edge_max:
-                    per_edge_max[eid] = 1
-                old = node_in[target]
-                if tracked in old:
-                    prev = old[tracked]
-                    w = meet(prev, w)
-                    if w == prev:
+                if refine is not None:
+                    v = refine(edge, node, v)
+                if tracked in moved:
+                    v = meet(moved[tracked], v)
+                moved[tracked] = v
+            if len(moved) > 1 or eid in back and moved:
+                moved = normalize(eid, moved)
+            elif drop_top and top in moved.values():
+                moved = {}
+            edge_vals[eid] = moved
+            if not moved:
+                continue
+            if len(moved) > per_edge_max.get(eid, 0):
+                per_edge_max[eid] = len(moved)
+            old = node_in[target]
+            # Copy the target's In only once some pair of it changes.
+            new = None
+            for k in moved:
+                w = moved[k]
+                if k in old:
+                    w = meet(old[k], w)
+                    if w == old[k]:
                         continue
-                new = dict(old)
-                new[tracked] = w
-            else:
-                moved = cross(edge, eid, crossing, node,
-                              {key: v} if single else out)
-                edge_vals[eid] = moved
-                old = node_in[target]
-                # Copy the target's In only once some pair of it changes.
-                new = None
-                for k, w in moved.items():
-                    if k in old:
-                        w = meet(old[k], w)
-                        if w == old[k]:
-                            continue
-                    if new is None:
-                        new = dict(old)
-                    new[k] = w
                 if new is None:
-                    continue
+                    new = dict(old)
+                new[k] = w
+            if new is None:
+                continue
             node_in[target] = new
             if target not in queued:
                 queued.add(target)

@@ -236,14 +236,15 @@ class TestCriterion5PairBound:
 
     def test_pair_bound_is_a_real_check(self):
         # Two hand-made segments both continue through fig2's edge 5, so
-        # the four keys {}, {1}, {2}, {1, 2} stay apart there: one more
-        # pair than the procedure's segments plus one.  The check must
-        # hold under ``python -O``, which strips assertions.
+        # the four keys {}, {1}, {2}, {1, 2} can stay apart there.  Four
+        # pairs on that edge are one more than the procedure's segments
+        # plus one.  The check must hold under ``python -O``, which strips
+        # assertions.
         script = (
             "from fpmfp.frontend import parse_program\n"
             "from fpmfp.lattice import make_analysis\n"
             "from fpmfp.lifted import PairBoundError, PairStats, _Flow\n"
-            "from fpmfp.mips import NO_CROSSING, Mips, MipsUniverse\n"
+            "from fpmfp.mips import Mips, MipsUniverse\n"
             "import sys\n"
             "program = parse_program(sys.stdin.read())\n"
             "an = make_analysis('interval', program)\n"
@@ -256,9 +257,7 @@ class TestCriterion5PairBound:
             "value = {frozenset(k): {'a': (i, i)} for i, k in\n"
             "         enumerate([(), (1,), (2,), (1, 2)])}\n"
             "try:\n"
-            "    edge = cfg.edges[5]\n"
-            "    flow.cross(edge, 5, universe.crossings.get(5, NO_CROSSING),\n"
-            "               cfg.nodes[edge.source], value)\n"
+            "    flow.normalize(5, value)\n"
             "except PairBoundError as exc:\n"
             "    print(f'debug={__debug__} raised: {exc}')\n"
         )
@@ -284,13 +283,12 @@ class TestCriterion6InfeasibilityWitness:
             segments = [m for m in universe.all if m.satisfies_p]
             if not segments:
                 continue
-            runs = execute_all(program)
-            for mips in segments:
-                for run in runs:
-                    for trace in run:
-                        if trace.proc != mips.proc:
-                            continue
-                        if contains_segment(trace.edges, mips.edges):
+            # One run at a time, as the executor yields them.
+            for run in execute_all(program):
+                for trace in run:
+                    for mips in segments:
+                        if trace.proc == mips.proc and contains_segment(
+                                trace.edges, mips.edges):
                             violations.append((name, mips.id))
         assert violations == []
 

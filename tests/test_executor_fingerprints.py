@@ -1,7 +1,7 @@
 """Golden of the concrete executor: one hash per program.
 
-Each entry is the sha256 of ``repr(execute_all(program))``, every run's
-traces in the order the executor yields them, or the word ``Explosion``
+Each entry is the sha256 of ``repr(list(execute_all(program)))``, every
+run's traces in the order the executor yields them, or the word ``Explosion``
 when the program needs more than ``_RUN_LIMIT`` runs.  ``_RUN_LIMIT`` is
 patched to 2,000 so that the corpus runs in a few seconds.  The corpus
 is the fixtures, ``generate_program`` seeds 0-19 acyclic and with loops,
@@ -42,7 +42,7 @@ def sources() -> list[tuple[str, str]]:
 
 def fingerprint(source: str) -> str:
     try:
-        runs = execute_all(parse_program(source))
+        runs = list(execute_all(parse_program(source)))
     except Explosion:
         return "Explosion"
     return hashlib.sha256(repr(runs).encode("utf-8")).hexdigest()

@@ -46,6 +46,12 @@ SELF_ASCENT = (
     "proc main() { g = 0; p(); print g; }\n"
     "proc p() { read s; if (s == 0) { p(); } g = g + 1; }\n"
 )
+# The entry procedure, with a parameter, is also called back by f.
+CALLED_ENTRY = (
+    "global g;\n"
+    "proc main(p) { read c; if (c == 0) { f(); } print g; }\n"
+    "proc f() { g = 1; main(); }\n"
+)
 MUTUAL = (
     "global g;\n"
     "proc main() { p(); print g; }\n"
@@ -153,6 +159,31 @@ class TestWorklistDriver:
                                          "s": (-INF, INF)}
         assert flat.folded_in[3] == {"g": (1, INF)}
         assert lifted.folded_in == flat.folded_in
+
+    def test_called_entry_meets_its_entry_boundary(self):
+        # f defines g and then calls main, so g is must-defined at that
+        # call site; but main also starts the program, where g is not.
+        # main's boundary is the meet of both: its parameter p alone.
+        program = parse_program(CALLED_ENTRY)
+        an = make_analysis("must-defined", program)
+        for sol in (solve_mfp(program, an), solve_fpmfp_interprocedural(
+                program, an, detect_mips(program))):
+            assert an.decode(sol.boundaries["main"]) == ["p"]
+            assert an.decode(sol.boundaries["f"]) == []
+
+    def test_called_procedure_parameters_are_unbounded(self):
+        # Calls pass no arguments, so a called procedure's parameter may
+        # hold any value; the globals come from the call site.
+        program = parse_program(
+            "global g;\n"
+            "proc main() { g = 1; h(); }\n"
+            "proc h(x) { y = x; }\n")
+        an = make_analysis("interval", program)
+        for sol in (solve_mfp(program, an), solve_fpmfp_interprocedural(
+                program, an, detect_mips(program))):
+            assert sol.boundaries["h"] == {"g": (1, 1), "x": (-INF, INF)}
+            assert sol.exit_values["h"] == {
+                "g": (1, 1), "x": (-INF, INF), "y": (-INF, INF)}
 
     def test_solutions_keep_the_transfer_they_were_solved_with(self):
         program = parse_program(SELF_ASCENT)

@@ -274,6 +274,23 @@ class TestIntervalRefine:
                         {"x": (0, 5), "y": (3, 9)})
         assert out["x"] == (3, 5) and out["y"] == (3, 5)
 
+    @pytest.mark.parametrize("defs, false_arm", [
+        # y never receives a value, so no run reaches the true arm.
+        ("x = 1;", {"x": (1, 1)}),
+        ("x = 1; y = 2;", {"x": (1, 1), "y": (2, 2)}),
+    ])
+    def test_var_eq_var_true_empties_both_when_no_value_agrees(
+            self, defs, false_arm):
+        program = parse_program(
+            f"proc m() {{ {defs} if (x == y) {{ print x; }} }}")
+        flat = solve_mfp(program, make_analysis("interval", program))
+        cfg = program.procedures[0].cfg
+        true_edge, false_edge = (
+            next(e.id for e in cfg.edges.values() if e.label.kind == kind)
+            for kind in ("true", "false"))
+        assert flat.folded_edges[true_edge] == {}
+        assert flat.folded_edges[false_edge] == false_arm
+
     def test_refine_follows_the_detection_arm_sets(self):
         """Detection and refinement read one arm rule: an arm whose query
         asks for one interval refines an unconstrained variable to exactly

@@ -20,7 +20,7 @@ from fpmfp.lifted import (
     transfer_preserves_top,
 )
 from fpmfp.mfp import compute_summaries, solve_mfp
-from fpmfp.mips import NO_CROSSING, MipsUniverse, detect_mips
+from fpmfp.mips import MipsUniverse, detect_mips
 from fpmfp.oracle import Explosion, mips_free_meets, solution_semantics
 
 from conftest import fixture_program
@@ -53,20 +53,6 @@ def solved(name: str, analysis_name: str, opts: frozenset[int] = ALL_OPTS):
     universe = detect_mips(program)
     sol = solve_fpmfp_interprocedural(program, analysis, universe, opts)
     return analysis, universe, sol
-
-
-def edge_flow(universe: MipsUniverse, analysis, edge_id: int, value,
-              opts: frozenset[int] = ALL_OPTS, stats: PairStats | None = None):
-    """One edge flow through the solver's engine, for one procedure."""
-    program = universe.program
-    proc = next(p for p in program.procedures if edge_id in p.cfg.edges)
-    edge = proc.cfg.edges[edge_id]
-    flow = _Flow(universe, proc.cfg, analysis.transfer, meet=analysis.meet,
-                 top=analysis.top(), refine=analysis.refine, opts=opts,
-                 stats=stats or PairStats())
-    return flow.cross(edge, edge_id,
-                      universe.crossings.get(edge_id, NO_CROSSING),
-                      proc.cfg.nodes[edge.source], value)
 
 
 def keyed(sol, edge_id: int) -> dict[tuple[int, ...], object]:
@@ -102,35 +88,33 @@ class TestLiftedOps:
 
 class TestEdgeFlowUnit:
     def test_blocking_drops_the_completing_pair(self):
-        # At the end edge of fig2's segment, the tracked pair dies and only
-        # the untracked one flows through the a == 5 arm.
-        program = fixture_program("fig2")
-        an = make_analysis("interval", program)
-        universe = detect_mips(program)
-        stats = PairStats()
-        value = {
-            EMPTY_KEY: {"a": (5, 5)},
-            frozenset({1}): {"a": (0, 0)},
+        # fig2's segment runs over edges 3, 5 and 6.  Edge 5 carries its
+        # tracked pair beside the untracked one; at the end edge 6 the
+        # tracked pair dies and only the a == 5 value flows on.
+        an, universe, sol = solved("fig2", "interval")
+        assert keyed(sol, 5) == {
+            (): {"x": (0, INF), "a": (5, 5)},
+            (1,): {"x": (-INF, -1), "a": (0, 0)},
         }
-        out = edge_flow(universe, an, 6, value, stats=stats)
-        assert out == {EMPTY_KEY: {"a": (5, 5)}}
-        assert stats.blocked == 1
+        assert keyed(sol, 6) == {(): {"x": (5, 5), "a": (5, 5)}}
+        assert sol.stats.blocked == 1
 
     def test_start_edge_creates_the_tracked_key(self):
-        program = fixture_program("fig2")
-        an = make_analysis("interval", program)
-        universe = detect_mips(program)
-        out = edge_flow(universe, an, 3, {EMPTY_KEY: {"a": (0, 0)}})
-        assert set(out) == {frozenset({1})}
+        # Edge 3, the x < 0 arm, starts fig2's segment; the other arm
+        # keeps the empty key.
+        an, universe, sol = solved("fig2", "interval")
+        assert keyed(sol, 3) == {(1,): {"x": (-INF, -1), "a": (0, 0)}}
+        assert set(keyed(sol, 2)) == {()}
 
     def test_leaving_the_route_clears_the_tracking(self):
-        # fig11's first segment covers edges (4, 6, 7); edge 8 is not on its
-        # route, so a pair tracking it maps back to the empty key there.
-        program = fixture_program("fig11")
-        an = make_analysis("must-defined", program)
-        universe = detect_mips(program)
-        out = edge_flow(universe, an, 8, {frozenset({1}): 3}, frozenset())
-        assert out == {EMPTY_KEY: 3}
+        # fig11's segments cover edges (4, 6, 7) and (5, 6, 8).  Edge 8 is
+        # not on the first one's route, so the pair tracking it maps back
+        # to the empty key there, while the pair tracking the second one
+        # is blocked; edge 7 blocks the first pair the same way.
+        an, universe, sol = solved("fig11", "must-defined", frozenset())
+        assert keyed(sol, 6) == {(1,): 3, (2,): 3}
+        assert keyed(sol, 8) == {(): 3}
+        assert sol.stats.blocked == 2
 
     def test_stats_track_pair_counts_per_edge(self):
         an, universe, sol = solved("fig8", "interval")

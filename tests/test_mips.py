@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from fpmfp import progen
 from fpmfp.frontend import Cfg, build_call_graph, parse_program
-from fpmfp.lifted import PairStats, _Flow
 from fpmfp.mips import (
     _materialize,
     Answer,
@@ -108,6 +107,16 @@ class TestFixtureUniverses:
     def test_summary_block_callee_arms(self, load_program):
         u = detect(load_program("summary_block"))
         assert routes(u) == [("helper", (8, 10)), ("helper", (9, 10))]
+
+    def test_folded_constant_answers_the_later_test(self):
+        # s = 1 + 2 (edge 4) contradicts the s == 3 false arm (edge 7),
+        # and s = 0 (edge 5) the true arm (edge 6).  Without folding
+        # 1 + 2 only the second segment is found.
+        program = parse_program(
+            "proc main() { read c; if (c == 0) { s = 1 + 2; } "
+            "else { s = 0; } if (s == 3) { print s; } }")
+        assert routes(detect(program)) == [("main", (5, 6)),
+                                           ("main", (4, 7))]
 
     def test_ids_are_dense_from_one(self, load_program):
         for name in ("fig4", "fig8", "nlkain_like", "stripcc_like"):
@@ -413,20 +422,12 @@ class TestOneDSets:
 # ---------------------------------------------------------------------------
 
 def ext(universe, edge_id, tracked):
-    """Tracked set of one pair after the solver's engine flows it over an
-    edge, or None when a tracked segment completes there (blocked)."""
-    proc = next(p for p in universe.program.procedures
-                if edge_id in p.cfg.edges)
-    edge = proc.cfg.edges[edge_id]
-    flow = _Flow(universe, proc.cfg, lambda node, v: v, meet=min, top=None,
-                 refine=None, opts=frozenset(), stats=PairStats())
-    moved = flow.cross(edge, edge_id,
-                       universe.crossings.get(edge_id, NO_CROSSING),
-                       proc.cfg.nodes[edge.source], {tracked: 0})
-    if not moved:
-        return None
-    (key,) = moved
-    return key
+    """Tracked set of one pair after it crosses an edge, by the rule the
+    engine applies to the edge's ``universe.crossings`` triple, or None
+    when a tracked segment completes there (blocked)."""
+    starts, continues, ends = universe.crossings.get(edge_id, NO_CROSSING)
+    key = starts | (tracked & continues)
+    return None if key & ends else key
 
 
 class TestTrackingOps:

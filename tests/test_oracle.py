@@ -135,6 +135,21 @@ class TestMeets:
             for nid, oracle_val in meets.node_in.items():
                 assert solution.folded_in[nid] == oracle_val
 
+    def test_max_len_truncates_a_longer_path(self):
+        # Edges 1, 2, 3 run n1 -> n2 -> n3 -> n4.  With paths of at most
+        # two edges, n3 is reached but not left.
+        program = parse_program("proc main() { a = 1; b = 2; c = 3; }")
+        cfg = program.procedures[0].cfg
+        universe = detect_mips(program)
+        short = path_tree(cfg, universe, "main", max_len=2)
+        assert short.truncated
+        assert [(node, [e.id for e in edges])
+                for node, edges in short.steps] == [
+            (1, [1]), (2, [2]), (3, [])]
+        full = path_tree(cfg, universe, "main")  # max_len 6
+        assert not full.truncated
+        assert [node for node, _ in full.steps] == [1, 2, 3, 4]
+
     def test_explosion_guard(self, load_program, monkeypatch):
         monkeypatch.setattr(oracle, "EXPANSION_LIMIT", 3)
         with pytest.raises(Explosion):
@@ -261,16 +276,16 @@ class TestExecutor:
         expected = {"fig2": 7, "fig3": 25, "fig7": 1, "fig12": 49,
                     "loop": 1, "straight": 1, "stripcc_like": 49}
         for name, count in expected.items():
-            assert len(execute_all(load_program(name))) == count, name
+            assert len(list(execute_all(load_program(name)))) == count, name
 
     def test_loop_runs_to_completion(self, load_program):
-        (run,) = execute_all(load_program("loop"))
+        (run,) = list(execute_all(load_program("loop")))
         (trace,) = run
         assert trace == Trace(
             "main", (1,) + (2, 4) * 10 + (3, 5))
 
     def test_call_produces_callee_trace_first(self, load_program):
-        (run,) = execute_all(load_program("fig7"))
+        (run,) = list(execute_all(load_program("fig7")))
         assert [(t.proc, t.edges) for t in run] == [
             ("q", (8, 9)),
             ("p", (1, 2, 3, 4, 6)),
@@ -282,7 +297,7 @@ class TestExecutor:
         universe = detect_mips(program)
         if not len(universe):
             return
-        runs = execute_all(program)
+        runs = list(execute_all(program))
         for m in universe.all:
             for run in runs:
                 for trace in run:
@@ -295,7 +310,7 @@ class TestExecutor:
         program = parse_program("""
             proc main() { x = 1; assert (x == 0); print x; }
         """)
-        (run,) = execute_all(program)
+        (run,) = list(execute_all(program))
         (trace,) = run
         # Only the edge out of the assignment was taken.
         assert len(trace.edges) == 1
@@ -304,7 +319,7 @@ class TestExecutor:
         program = parse_program("""
             proc main() { x = 1; assert (x == 1); print x; }
         """)
-        (run,) = execute_all(program)
+        (run,) = list(execute_all(program))
         (trace,) = run
         assert len(trace.edges) == 3
 
@@ -313,7 +328,7 @@ class TestExecutor:
         program = parse_program("""
             proc main() { read x; print x; }
         """)
-        runs = execute_all(program)
+        runs = list(execute_all(program))
         assert len(runs) == 3
 
     @pytest.mark.parametrize("const", [-1, 0, 2])
@@ -329,6 +344,34 @@ class TestExecutor:
         assert len(taken) == sum(
             1 for v in concrete._BOX if COMPARISONS[op](v, const))
 
+    @pytest.mark.parametrize("cond, python", [
+        ("@atomic_cond x > 0 && y < 1", lambda x, y: x > 0 and y < 1),
+        ("@atomic_cond x > 0 || y < 1", lambda x, y: x > 0 or y < 1),
+        ("x", lambda x, y: x != 0),
+    ])
+    def test_one_node_condition_like_python(self, cond, python):
+        program = parse_program(
+            f"proc main() {{ read x; read y; if ({cond}) {{ skip; }} }}")
+        cfg = program.procedures[0].cfg
+        true_edges = {e.id for e in cfg.edges.values()
+                      if e.label.kind == LabelKind.TRUE}
+        taken = [run for run in execute_all(program)
+                 if true_edges & set(run[0].edges)]
+        assert len(taken) == sum(
+            1 for x in concrete._BOX for y in concrete._BOX if python(x, y))
+
+    def test_endless_loop_is_cut_at_the_visit_cap(self):
+        # Edge 1 reads x; the loop head takes edge 2 into the body and
+        # edge 4 back while x > 0, and edge 3 out otherwise.  A run with
+        # x > 0 is cut at the head's visit past _LOOP_CAP.
+        program = parse_program(
+            "proc main() { read x; while (x > 0) { skip; } }")
+        runs = [run for (run,) in execute_all(program)]
+        cap = concrete._LOOP_CAP
+        assert runs == [
+            Trace("main", (1, 3) if x <= 0 else (1,) + (2, 4) * cap)
+            for x in concrete._BOX]
+
     def test_choices_memoized_within_run(self, monkeypatch):
         monkeypatch.setattr(concrete, "_BOX", range(-1, 2))
         program = parse_program("""
@@ -339,7 +382,7 @@ class TestExecutor:
             }
         """)
         # One choice for x; correlated branches agree within each run.
-        runs = execute_all(program)
+        runs = list(execute_all(program))
         assert len(runs) == 3
         cfg = program.procedures[0].cfg
         for run in runs:
@@ -352,7 +395,7 @@ class TestExecutor:
     def test_run_limit_explosion(self, load_program, monkeypatch):
         monkeypatch.setattr(concrete, "_RUN_LIMIT", 5)
         with pytest.raises(Explosion):
-            execute_all(load_program("fig12"))
+            list(execute_all(load_program("fig12")))
 
     def test_recursive_program_explodes_instead_of_overflowing(
             self, monkeypatch):
@@ -362,14 +405,14 @@ class TestExecutor:
         monkeypatch.setattr(concrete, "_RUN_LIMIT", 1_000)
         program = parse_program(progen.generate_multi_program(1))
         with pytest.raises(Explosion):
-            execute_all(program)
+            list(execute_all(program))
 
     def test_unbounded_recursion_is_cut_at_the_activation_cap(self):
         program = parse_program("""
             proc main() { f(); }
             proc f() { f(); }
         """)
-        (run,) = execute_all(program)
+        (run,) = list(execute_all(program))
         # The cut run keeps the partial trace of every activation.
         assert [t.proc for t in run] == \
             ["main"] + ["f"] * (concrete._LOOP_CAP - 1)
@@ -377,7 +420,7 @@ class TestExecutor:
     def test_globals_shared_across_frames(self, load_program):
         # call_a's callee writes the global the caller then prints.
         program = load_program("call_a")
-        runs = execute_all(program)
+        runs = list(execute_all(program))
         assert runs  # completes without stuck frames
 
 
