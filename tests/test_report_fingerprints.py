@@ -8,7 +8,11 @@ sha256 of what it wrote to stdout and to stderr.  The runs are
 acyclic and with loops, ``generate_multi_program`` seeds 0-9, 135, 141,
 142 and 170 (whose interval ``compare`` finds a precision violation),
 and the benchmark's ``local_large(1, 50, 200)`` and ``call_chain(1, 40)``,
-plus one ``oracle-check --fixtures`` run over the fixtures.  Generated
+plus one ``oracle-check --fixtures`` run over the fixtures and
+``oracle-check --random 50 --jobs 1`` at seeds 0 and 1.  Every fixture
+also gets a ``dump-dot`` run and a ``detect-mips --dot`` run, whose
+entry adds the hash of the DOT file; its JSON report, pinned in
+``detect_fingerprints.json``, goes to the null device.  Generated
 programs are written to a temporary directory; no report names its path.
 
 Run this file as a script to rewrite the golden.
@@ -19,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -84,6 +89,17 @@ def fingerprints() -> dict[str, list]:
                     [argv[0], "--program", path, *argv[1:]], tmp)
         out["oracle-check --fixtures fixtures"] = _fingerprint(
             ["oracle-check", "--fixtures", str(FIXTURES)], tmp)
+        for seed in ("0", "1"):
+            out[f"oracle-check --random 50 --jobs 1 --seed {seed}"] = \
+                _fingerprint(["oracle-check", "--random", "50", "--jobs", "1",
+                              "--seed", seed], tmp)
+        dot = Path(tmp, "overlay.dot")
+        for p in sorted(FIXTURES.glob("*.mir")):
+            out[f"fixture-{p.stem} dump-dot"] = _fingerprint(
+                ["dump-dot", "--program", str(p)], tmp)
+            out[f"fixture-{p.stem} detect-mips --dot"] = _fingerprint(
+                ["detect-mips", "--program", str(p), "--output", os.devnull,
+                 "--dot", str(dot)], tmp) + [_sha(dot.read_text("utf-8"))]
     return out
 
 
