@@ -62,7 +62,7 @@ def _uses(program: MiniIrProgram):
     with its used variables sorted."""
     for proc in program.procedures:
         nodes = proc.cfg.nodes
-        for nid in proc.cfg.node_ids():
+        for nid in sorted(nodes):
             used = nodes[nid].statement.uses()
             if used:
                 yield nid, sorted(used)

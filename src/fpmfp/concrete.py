@@ -126,11 +126,11 @@ def _run(program: MiniIrProgram, uses: dict[int, list[str]],
         elif st.kind == StKind.BRANCH:
             wanted = LabelKind.TRUE if _holds(st.cond, lookup) \
                 else LabelKind.FALSE
-            (edge,) = [e for e in cfg.out_edges(node)
+            (edge,) = [e for e in cfg.out_of[node]
                        if e.label.kind == wanted]
         elif st.kind == StKind.SWITCH:
             value = lookup(st.var)
-            arms = cfg.out_edges(node)
+            arms = cfg.out_of[node]
             # The parser gives every switch a default arm.
             match = [e for e in arms if e.label.kind == LabelKind.CASE
                      and e.label.value == value] \
@@ -194,5 +194,5 @@ def _holds(cond: Cond, lookup: Callable[[str], int]) -> bool:
 
 
 def _sole_edge(cfg: Cfg, node: int):
-    (edge,) = cfg.out_edges(node)
+    (edge,) = cfg.out_of[node]
     return edge

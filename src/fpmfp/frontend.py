@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -251,10 +252,12 @@ class Cfg:
     """Control-flow graph of one procedure.
 
     Exactly one start node with no incoming edges, exactly one exit node with
-    no outgoing edges, and every node reachable from the start.  One
+    no outgoing edges, and every node reachable from the start.  ``out_of``
+    and ``into`` list each node's out- and in-edges in id order.  One
     depth-first walk from the start, over each node's out-edges in id
-    order, gives the reverse postorder and the back edges when the CFG is
-    built.
+    order, gives the reverse postorder ``rpo`` (``rpo_pos`` maps a node to
+    its index there) and the ids of the ``back`` edges, those entering an
+    ancestor in the walk's spanning tree, when the CFG is built.
     """
 
     def __init__(self, proc_name: str, nodes: dict[int, Node],
@@ -264,14 +267,13 @@ class Cfg:
         self.edges = edges
         self.start = start
         self.exit = exit
-        self._out: dict[int, list[Edge]] = {n: [] for n in nodes}
-        self._in: dict[int, list[Edge]] = {n: [] for n in nodes}
+        self.out_of: dict[int, list[Edge]] = {n: [] for n in nodes}
+        self.into: dict[int, list[Edge]] = {n: [] for n in nodes}
         for e in edges.values():  # in id order
-            self._out[e.source].append(e)
-            self._in[e.target].append(e)
-        self._rpo, self._back = self._walk()
-        self._rpo_pos = {n: i for i, n in enumerate(self._rpo)}
-        self._plan: CfgPlan | None = None
+            self.out_of[e.source].append(e)
+            self.into[e.target].append(e)
+        self.rpo, self.back = self._walk()
+        self.rpo_pos = {n: i for i, n in enumerate(self.rpo)}
 
     def _walk(self) -> tuple[list[int], frozenset[int]]:
         """Reverse postorder and back edges: a back edge enters a node
@@ -279,14 +281,14 @@ class Cfg:
         on_stack = {self.start: True}  # False once the node is done
         post: list[int] = []
         back: set[int] = set()
-        stack = [(self.start, iter(self._out[self.start]))]
+        stack = [(self.start, iter(self.out_of[self.start]))]
         while stack:
             node, outs = stack[-1]
             for e in outs:
                 state = on_stack.get(e.target)
                 if state is None:
                     on_stack[e.target] = True
-                    stack.append((e.target, iter(self._out[e.target])))
+                    stack.append((e.target, iter(self.out_of[e.target])))
                     break
                 if state:
                     back.add(e.id)
@@ -297,41 +299,16 @@ class Cfg:
         post.reverse()
         return post, frozenset(back)
 
-    def out_edges(self, node_id: int) -> list[Edge]:
-        return self._out[node_id]
-
-    def in_edges(self, node_id: int) -> list[Edge]:
-        return self._in[node_id]
-
-    def node_ids(self) -> list[int]:
-        return sorted(self.nodes)
-
-    def edge_ids(self) -> list[int]:
-        return sorted(self.edges)
-
-    def rpo(self) -> list[int]:
-        """Reverse postorder of the nodes reachable from the start."""
-        return self._rpo
-
-    def rpo_position(self) -> dict[int, int]:
-        """Each node's index in ``rpo()``."""
-        return self._rpo_pos
-
-    def back_edges(self) -> frozenset[int]:
-        """Edges whose target is an ancestor in the DFS spanning tree."""
-        return self._back
-
+    @cached_property
     def plan(self) -> CfgPlan:
         """The fixpoint engine's view of this CFG, built on first use:
         every solve over the CFG, in any mode, reads this one plan."""
-        if self._plan is None:
-            pos = self._rpo_pos
-            self._plan = CfgPlan(
-                tuple(enumerate(self._rpo)),
-                {n: (node, tuple([(e, e.id, e.target, pos[e.target])
-                                  for e in self._out[n]]))
-                 for n, node in self.nodes.items()})
-        return self._plan
+        pos = self.rpo_pos
+        return CfgPlan(
+            tuple(enumerate(self.rpo)),
+            {n: (node, tuple([(e, e.id, e.target, pos[e.target])
+                              for e in self.out_of[n]]))
+             for n, node in self.nodes.items()})
 
 
 class Procedure(NamedTuple):
@@ -855,7 +832,7 @@ def _validate(program: MiniIrProgram) -> None:
             if st.kind == StKind.CALL:
                 if st.callee not in defined and st.callee not in program.externs:
                     raise UnresolvedCall(st.callee)
-        seen = set(cfg.rpo())  # the nodes reachable from the start
+        seen = set(cfg.rpo)  # the nodes reachable from the start
         for nid in sorted(cfg.nodes):
             if nid not in seen:
                 raise UnreachableNode(nid)
@@ -886,11 +863,11 @@ def emit_dot_program(program: MiniIrProgram,
         cfg = proc.cfg
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f'    label="{proc.name}";')
-        for nid in cfg.node_ids():
+        for nid in sorted(cfg.nodes):
             st = cfg.nodes[nid].statement
             text = st.to_text().replace('"', '\\"')
             lines.append(f'    n{nid} [label="n{nid}: {text}"];')
-        for eid in cfg.edge_ids():
+        for eid in sorted(cfg.edges):
             e = cfg.edges[eid]
             parts = []
             if e.label.kind != LabelKind.NONE:

@@ -178,9 +178,6 @@ class BitvectorAnalysis(Analysis):
     def transfer(self, node: Node, value: int) -> int:
         return (value & ~self.kill.get(node.id, 0)) | self.gen.get(node.id, 0)
 
-    def kill_mask(self, node_id: int) -> int:
-        return self.kill.get(node_id, 0)
-
     @abc.abstractmethod
     def _elements(self) -> list:
         """The JSON element of each bit, in bit order."""
@@ -214,8 +211,8 @@ class ReachingDefinitions(BitvectorAnalysis):
         self.facts: list[tuple[str, int]] = []
         for proc in self.program.procedures:
             cfg = proc.cfg
-            for nid in cfg.node_ids():
-                st = cfg.nodes[nid].statement
+            for nid, node in cfg.nodes.items():
+                st = node.statement
                 if st.kind in (StKind.ASSIGN, StKind.READ):
                     self.facts.append((st.var, nid))
         self.facts.sort(key=lambda f: (f[1], f[0]))

@@ -152,9 +152,9 @@ class _Flow:
         self.drop_top = 3 in opts and transfer_preserves_top(
             cfg, transfer, top)
         self.widening = widening
-        self.back = frozenset() if widening is None else cfg.back_edges()
+        self.back = frozenset() if widening is None else cfg.back
         self.stats = stats
-        self.pair_limit = len(universe.for_proc(cfg.proc_name)) + 1
+        self.pair_limit = len(universe.by_proc[cfg.proc_name]) + 1
 
     def normalize(self, eid: int, pairs: LiftedValue) -> LiftedValue:
         """Widen ``pairs``, what one flow leaves on edge ``eid``, if that
@@ -304,7 +304,7 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
     normalize = flow.normalize
     stats = flow.stats
     per_edge_max = stats.per_edge_max
-    plan = cfg.plan()
+    plan = cfg.plan
     heap = list(plan.heap)
     outs_of = plan.outs
     crossing_of = flow.universe.crossings.get
@@ -431,7 +431,7 @@ def compute_lifted_summaries(
         kill, gen = value
         st = node.statement
         if st.kind != StKind.CALL:
-            return (kill | analysis.kill_mask(node.id),
+            return (kill | analysis.kill.get(node.id, 0),
                     analysis.transfer(node, gen))
         if st.callee in program.externs:
             return value

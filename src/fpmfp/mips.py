@@ -172,7 +172,7 @@ def edge_assertion(cfg, edge) -> tuple[str, OneDSet] | None:
     every value but that case."""
     st = cfg.nodes[edge.source].statement
     if st.kind == StKind.SWITCH and edge.label.kind == LabelKind.DEFAULT:
-        arms = cfg.out_edges(edge.source)
+        arms = cfg.out_of[edge.source]
         if len(arms) == 2:
             return st.var, CoPoint(arms[0].label.value)
         return None
@@ -259,7 +259,7 @@ def detect_step1(program: MiniIrProgram, proc: Procedure,
     for query in queries:
         reach: dict[int, str | None] = {}
         origin = cfg.edges[query.origin]
-        stack = [e.id for e in reversed(cfg.in_edges(origin.source))]
+        stack = [e.id for e in reversed(cfg.into[origin.source])]
         while stack:
             eid = stack.pop()
             if eid in reach:
@@ -269,7 +269,7 @@ def detect_step1(program: MiniIrProgram, proc: Procedure,
             reach[eid] = answer
             if answer is None:
                 stack.extend(
-                    e.id for e in reversed(cfg.in_edges(edge.source)))
+                    e.id for e in reversed(cfg.into[edge.source]))
         reached[query] = reach
     return Step1Result(queries, reached)
 
@@ -298,9 +298,8 @@ def detect_step2(proc: Procedure, query: Query,
     for eid, answer in reach.items():
         if answer is None:
             outs_at.setdefault(cfg.edges[eid].source, []).append(eid)
-    pos = cfg.rpo_position()
-    region = [(outs_at[n], [e.id for e in cfg.in_edges(n)])
-              for n in sorted(outs_at, key=pos.__getitem__)]
+    region = [(outs_at[n], [e.id for e in cfg.into[n]])
+              for n in sorted(outs_at, key=cfg.rpo_pos.__getitem__)]
     inner: set[int] = set()
     for _ in range(len(cfg.nodes) + 2):
         changed = False
@@ -339,7 +338,7 @@ def _materialize(cfg, query: Query, start: set[int],
             if tail.target == origin_source:
                 paths.append(tuple(path) + (query.origin,))
                 continue  # stop this branch at emission
-            for e in reversed(cfg.out_edges(tail.target)):
+            for e in reversed(cfg.out_of[tail.target]):
                 if e.id in inner and e.target not in visited:
                     stack.append((path + [e.id], visited | {e.target}))
     return paths
@@ -386,7 +385,8 @@ NO_CROSSING: tuple[frozenset[int], ...] = (frozenset(),) * 3
 class MipsUniverse:
     """All detected segments of a program, with per-id and per-edge tables.
 
-    The engine reads segments only here, by id.  ``crossings`` maps each
+    The engine reads segments only here, by id.  ``by_proc`` maps every
+    procedure of the program to its segments.  ``crossings`` maps each
     edge some segment touches to the segments that start at, continue over
     and end at it; an edge no segment touches has ``NO_CROSSING``, and every
     reader takes ``crossings.get(edge_id, NO_CROSSING)``.  A tracked set
@@ -405,7 +405,7 @@ class MipsUniverse:
         grouped: dict[str, list[Mips]] = {}
         for m in self.all:
             grouped.setdefault(m.proc, []).append(m)
-        self._by_proc: dict[str, tuple[Mips, ...]] = {
+        self.by_proc: dict[str, tuple[Mips, ...]] = {
             proc.name: tuple(grouped.get(proc.name, ()))
             for proc in program.procedures}
         starts: dict[int, set[int]] = {}
@@ -428,9 +428,6 @@ class MipsUniverse:
 
     def __len__(self) -> int:
         return len(self.all)
-
-    def for_proc(self, name: str) -> tuple[Mips, ...]:
-        return self._by_proc.get(name, ())
 
     def cso(self, edge_id: int, segment_id: int) -> frozenset[int]:
         """Ids of the segments that segment ``segment_id`` covers on an edge.

@@ -123,7 +123,7 @@ def path_tree(
     """
     limit = EXPANSION_LIMIT
     starts: dict[int, list] = {}
-    for seg in universe.for_proc(proc_name):
+    for seg in universe.by_proc[proc_name]:
         starts.setdefault(seg.start, []).append(seg)
     if max_len is None:
         max_len = 2 * len(cfg.edges)
@@ -143,7 +143,7 @@ def path_tree(
             steps.append(shared.setdefault((node, ()), (node, ())))
             continue
         edges = []
-        for edge in reversed(cfg.out_edges(node)):
+        for edge in reversed(cfg.out_of[node]):
             eid = edge.id
             if counts.get(eid, 0) >= edge_cap:
                 truncated = True

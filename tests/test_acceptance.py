@@ -226,7 +226,7 @@ class TestCriterion5PairBound:
                     solution = solve_fpmfp_interprocedural(
                         program, analysis, universe, opts)
                     for proc in program.procedures:
-                        bound = len(universe.for_proc(proc.name)) + 1
+                        bound = len(universe.by_proc[proc.name]) + 1
                         for eid in proc.cfg.edges:
                             seen = solution.stats.per_edge_max.get(eid, 0)
                             if seen > bound:

@@ -1043,7 +1043,7 @@ class TestOracleCheckFaults:
 
     @staticmethod
     def exit_edges(cfg):
-        return {edge.id for edge in cfg.in_edges(cfg.exit)}
+        return {edge.id for edge in cfg.into[cfg.exit]}
 
     def test_without_a_fault_nothing_is_reported(self, capsys, programs):
         assert self.records(capsys, programs) == []

@@ -26,12 +26,12 @@ from conftest import (
 def edge_table(cfg: Cfg) -> list[tuple[int, int, int, str]]:
     return [
         (e.id, e.source, e.target, e.label.to_text())
-        for e in (cfg.edges[i] for i in cfg.edge_ids())
+        for e in (cfg.edges[i] for i in sorted(cfg.edges))
     ]
 
 
 def stmt_texts(cfg: Cfg) -> dict[int, str]:
-    return {n: cfg.nodes[n].statement.to_text() for n in cfg.node_ids()}
+    return {n: cfg.nodes[n].statement.to_text() for n in sorted(cfg.nodes)}
 
 
 class TestFixtureShapes:
@@ -93,8 +93,8 @@ class TestFixtureShapes:
         assert [p.name for p in program.procedures] == ["p", "q"]
         assert program.entry == "p"
         p_cfg, q_cfg = (proc.cfg for proc in program.procedures)
-        assert p_cfg.node_ids() == [1, 2, 3, 4, 5, 6, 7]
-        assert q_cfg.node_ids() == [8, 9, 10]
+        assert sorted(p_cfg.nodes) == [1, 2, 3, 4, 5, 6, 7]
+        assert sorted(q_cfg.nodes) == [8, 9, 10]
         assert edge_table(q_cfg) == [(8, 8, 9, "none"), (9, 9, 10, "none")]
         assert p_cfg.nodes[4].statement.kind == StKind.CALL
         assert p_cfg.nodes[4].statement.callee == "q"
@@ -145,16 +145,16 @@ class TestFixtureShapes:
             (4, 3, 2, "none"),
             (5, 4, 5, "none"),
         ]
-        assert cfg.back_edges() == frozenset({4})
+        assert cfg.back == frozenset({4})
         assert cfg.nodes[2].statement.is_loop
 
     def test_interprocedural_pair(self):
         program = fixture_program("summary_block.mir")
         main_cfg = program.by_name["main"].cfg
         helper_cfg = program.by_name["helper"].cfg
-        assert main_cfg.node_ids() == [1, 2, 3, 4]
-        assert helper_cfg.node_ids() == [5, 6, 7, 8, 9, 10, 11, 12]
-        assert helper_cfg.edge_ids() == [4, 5, 6, 7, 8, 9, 10, 11, 12]
+        assert sorted(main_cfg.nodes) == [1, 2, 3, 4]
+        assert sorted(helper_cfg.nodes) == [5, 6, 7, 8, 9, 10, 11, 12]
+        assert sorted(helper_cfg.edges) == [4, 5, 6, 7, 8, 9, 10, 11, 12]
         assert program.globals == frozenset({"g"})
 
 
@@ -182,16 +182,16 @@ class TestRecords:
 class TestRpo:
     def test_rpo_starts_at_start_node(self):
         cfg = fixture_program("fig2.mir").procedures[0].cfg
-        order = cfg.rpo()
+        order = cfg.rpo
         assert order[0] == cfg.start
         assert order[-1] == cfg.exit
-        assert sorted(order) == cfg.node_ids()
+        assert sorted(order) == sorted(cfg.nodes)
 
     def test_rpo_respects_forward_edges(self):
         cfg = fixture_program("loop.mir").procedures[0].cfg
-        pos = {n: i for i, n in enumerate(cfg.rpo())}
+        pos = {n: i for i, n in enumerate(cfg.rpo)}
         for e in cfg.edges.values():
-            if e.id not in cfg.back_edges():
+            if e.id not in cfg.back:
                 assert pos[e.source] < pos[e.target]
 
 
@@ -202,7 +202,7 @@ def reference_rpo(cfg: Cfg) -> list[int]:
     stack = [(cfg.start, 0)]
     while stack:
         node, idx = stack[-1]
-        outs = cfg.out_edges(node)
+        outs = cfg.out_of[node]
         if idx < len(outs):
             stack[-1] = (node, idx + 1)
             nxt = outs[idx].target
@@ -215,14 +215,14 @@ def reference_rpo(cfg: Cfg) -> list[int]:
     return order[::-1]
 
 
-def reference_back_edges(cfg: Cfg) -> frozenset[int]:
+def reference_back(cfg: Cfg) -> frozenset[int]:
     """Edges into a node on the stack of a second depth-first walk."""
     color = {cfg.start: 1}  # 1 = on stack, 2 = done
     back: set[int] = set()
     stack = [(cfg.start, 0)]
     while stack:
         node, idx = stack[-1]
-        outs = cfg.out_edges(node)
+        outs = cfg.out_of[node]
         if idx < len(outs):
             stack[-1] = (node, idx + 1)
             e = outs[idx]
@@ -246,12 +246,12 @@ class TestCfgWalk:
         for name, program in corpus_programs():
             for proc in program.procedures:
                 cfg = proc.cfg
-                assert cfg.rpo() == reference_rpo(cfg), (name, proc.name)
-                assert cfg.back_edges() == reference_back_edges(cfg), \
+                assert cfg.rpo == reference_rpo(cfg), (name, proc.name)
+                assert cfg.back == reference_back(cfg), \
                     (name, proc.name)
-                assert cfg.rpo_position() == {
-                    n: i for i, n in enumerate(cfg.rpo())}
-                loops += bool(cfg.back_edges())
+                assert cfg.rpo_pos == {
+                    n: i for i, n in enumerate(cfg.rpo)}
+                loops += bool(cfg.back)
         assert loops > 200
 
 
@@ -263,7 +263,7 @@ class TestSyntheticNodes:
         cfg = program.procedures[0].cfg
         start = cfg.nodes[cfg.start]
         assert start.statement.kind == StKind.SKIP
-        assert not cfg.in_edges(cfg.start)
+        assert not cfg.into[cfg.start]
 
     def test_no_synthetic_start_when_unneeded(self):
         cfg = fixture_program("fig3.mir").procedures[0].cfg
@@ -280,7 +280,7 @@ class TestSyntheticNodes:
         # The explicit `exit;` plus the synthetic exit node.
         assert len(exit_stmts) == 2
         explicit = min(n.id for n in exit_stmts)
-        (out,) = cfg.out_edges(explicit)
+        (out,) = cfg.out_of[explicit]
         assert out.target == cfg.exit
 
     def test_statement_after_exit_is_unreachable(self):
@@ -300,7 +300,7 @@ class TestCompoundConditions:
         ]
         assert len(branches) == 2
         first, second = sorted(branches)
-        outs1 = {e.label.kind: e.target for e in cfg.out_edges(first)}
+        outs1 = {e.label.kind: e.target for e in cfg.out_of[first]}
         print_node = next(
             n.id for n in cfg.nodes.values()
             if n.statement.kind == StKind.PRINT
@@ -317,7 +317,7 @@ class TestCompoundConditions:
             n.id for n in cfg.nodes.values()
             if n.statement.kind == StKind.BRANCH
         )
-        outs1 = {e.label.kind: e.target for e in cfg.out_edges(first)}
+        outs1 = {e.label.kind: e.target for e in cfg.out_of[first]}
         assign = next(
             n.id for n in cfg.nodes.values()
             if n.statement.kind == StKind.ASSIGN
@@ -516,7 +516,7 @@ class TestCallGraphFacts:
             assert cg.reachable == reference_reachable(program), name
             for proc in program.procedures:
                 scan = [(nid, proc.cfg.nodes[nid].statement.callee)
-                        for nid in proc.cfg.node_ids()
+                        for nid in sorted(proc.cfg.nodes)
                         if proc.cfg.nodes[nid].statement.kind == StKind.CALL]
                 assert list(cg.calls[proc.name]) == scan, (name, proc.name)
                 extern_calls += any(c in program.externs for _, c in scan)

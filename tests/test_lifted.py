@@ -240,11 +240,11 @@ class TestTopDropOpt:
 
     def test_the_flow_widens_back_edges_only_with_a_widening_state(self):
         cfg = fixture_program("loop").procedures[0].cfg
-        assert cfg.back_edges()
+        assert cfg.back
         assert self.flow("loop", "interval", ALL_OPTS).back == frozenset()
         widened = self.flow("loop", "interval", ALL_OPTS,
                             lattice.WideningState())
-        assert widened.back == cfg.back_edges()
+        assert widened.back == cfg.back
 
     def test_uninformative_pairs_vanish_for_must_defined(self):
         an, universe, sol = solved("fig10", "must-defined", ALL_OPTS)
@@ -476,7 +476,7 @@ class TestSolutionInvariants:
         universe = detect_mips(program)
         sol = solve_fpmfp_interprocedural(program, an, universe, frozenset())
         for proc in program.procedures:
-            bound = len(universe.for_proc(proc.name)) + 1
+            bound = len(universe.by_proc[proc.name]) + 1
             for eid in proc.cfg.edges:
                 assert sol.stats.per_edge_max.get(eid, 0) <= bound
 
@@ -523,7 +523,7 @@ def iterated_summaries(program, analysis, universe, opts) -> Summaries:
             if st.callee in program.externs:
                 return value
             return value | ksum[st.callee]
-        return value | analysis.kill_mask(node.id)
+        return value | analysis.kill.get(node.id, 0)
 
     def gen_xfer(node, value):
         st = node.statement

@@ -210,8 +210,8 @@ class TestFixpointInvariants:
         widening = states[0] if states else None
         for proc in program.procedures:
             cfg = proc.cfg
-            for nid in cfg.node_ids():
-                ins = cfg.in_edges(nid)
+            for nid in sorted(cfg.nodes):
+                ins = cfg.into[nid]
                 if not ins:
                     assert node_in[nid] == sol.boundaries[proc.name]
                     continue
@@ -219,8 +219,8 @@ class TestFixpointInvariants:
                 for e in ins:
                     met = analysis.meet(met, edge_values[e.id])
                 assert node_in[nid] == met
-            back = cfg.back_edges()
-            for eid in cfg.edge_ids():
+            back = cfg.back
+            for eid in sorted(cfg.edges):
                 e = cfg.edges[eid]
                 node = cfg.nodes[e.source]
                 expect = analysis.refine(

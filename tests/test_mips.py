@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fpmfp import progen
-from fpmfp.frontend import Cfg, build_call_graph, parse_program
+from fpmfp.frontend import build_call_graph, parse_program
 from fpmfp.mips import (
     _materialize,
     Answer,
@@ -246,11 +246,11 @@ def dense_step2(proc, query, step1, answers):
     inner = set()
     for _ in range(len(cfg.nodes) + 2):
         changed = False
-        for n in cfg.rpo():
-            outs = [e.id for e in cfg.out_edges(n) if unresolved(e.id)]
+        for n in cfg.rpo:
+            outs = [e.id for e in cfg.out_of[n] if unresolved(e.id)]
             if not outs:
                 continue
-            ins = [e.id for e in cfg.in_edges(n)]
+            ins = [e.id for e in cfg.into[n]]
             if ins and all(i in start for i in ins):
                 for o in outs:
                     if o not in start:
@@ -316,12 +316,12 @@ class TestStepTwoReference:
             program = parse_program(progen.generate_multi_program(seed))
             u = detect_mips(program)
             for proc in program.procedures:
-                assert u.for_proc(proc.name) == tuple(
+                assert u.by_proc[proc.name] == tuple(
                     m for m in u.all if m.proc == proc.name)
 
 
 class TestStepTwoScaling:
-    def test_adjacency_reads_grow_linearly(self, monkeypatch):
+    def test_adjacency_reads_grow_linearly(self):
         # Detection reads each edge list a bounded number of times per
         # query region, so doubling the program (modules and filler
         # alike) at most doubles the reads, give or take a constant.
@@ -329,20 +329,20 @@ class TestStepTwoScaling:
         large = parse_program(perf_program(200, 4000))
         reads = [0]
 
-        def counted(method):
-            def read(cfg, node_id):
+        class Counted(dict):
+            def __getitem__(self, node_id):
                 reads[0] += 1
-                return method(cfg, node_id)
-            return read
+                return super().__getitem__(node_id)
 
-        monkeypatch.setattr(Cfg, "out_edges", counted(Cfg.out_edges))
-        monkeypatch.setattr(Cfg, "in_edges", counted(Cfg.in_edges))
         counts = []
         for program in (small, large):
+            for proc in program.procedures:
+                proc.cfg.out_of = Counted(proc.cfg.out_of)
+                proc.cfg.into = Counted(proc.cfg.into)
             reads[0] = 0
             assert len(detect_mips(program)) > 0
             counts.append(reads[0])
-        assert counts[1] <= 2.5 * counts[0], counts
+        assert 0 < counts[1] <= 2.5 * counts[0], counts
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +534,9 @@ class TestTrackingOps:
         with pytest.raises(ValueError):
             u.cso(2, m.id)
 
-    def test_for_proc_partition(self, load_program):
+    def test_by_proc_partition(self, load_program):
         u = detect(load_program("summary_block"))
-        assert u.for_proc("helper") == u.all
-        assert u.for_proc("main") == ()
-        assert u.for_proc("missing") == ()
+        assert u.by_proc == {"main": (), "helper": u.all}
 
 
 class TestSerialization:

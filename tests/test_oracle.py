@@ -165,7 +165,7 @@ def reference_walk(cfg, universe, proc_name, *, boundary, meet,
     """The one-pass walk the split walk replaced: enumeration and meets
     interleaved, ``node_transfer`` once per taken edge."""
     starts = {}
-    for seg in universe.for_proc(proc_name):
+    for seg in universe.by_proc[proc_name]:
         starts.setdefault(seg.start, []).append(seg)
     node_in, edge_values = {}, {}
 
@@ -185,7 +185,7 @@ def reference_walk(cfg, universe, proc_name, *, boundary, meet,
         if length >= max_len:
             truncated = True
             continue
-        for edge in reversed(cfg.out_edges(node)):
+        for edge in reversed(cfg.out_of[node]):
             if counts.get(edge.id, 0) >= edge_cap:
                 truncated = True
                 continue
