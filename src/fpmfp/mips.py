@@ -352,7 +352,6 @@ class Mips(NamedTuple):
     id: int
     proc: str
     edges: tuple[int, ...]
-    satisfies_p: bool = True
 
     @property
     def start(self) -> int:
@@ -374,7 +373,6 @@ class Mips(NamedTuple):
             "start": f"e{self.start}",
             "inner": [f"e{e}" for e in self.inner],
             "end": f"e{self.end}",
-            "satisfies_p": self.satisfies_p,
         }
 
 

@@ -280,7 +280,7 @@ class TestCriterion6InfeasibilityWitness:
         for name in FIXTURE_NAMES:
             program = parse_program(fixture_text(name))
             universe = detect_mips(program)
-            segments = [m for m in universe.all if m.satisfies_p]
+            segments = universe.all
             if not segments:
                 continue
             # One run at a time, as the executor yields them.

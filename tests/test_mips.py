@@ -79,7 +79,6 @@ class TestFixtureUniverses:
         assert m.start == 3
         assert m.inner == (6, 7)
         assert m.end == 8
-        assert m.satisfies_p is True
 
     def test_loop_exit_arm(self, load_program):
         u = detect(load_program("loop"))
@@ -550,14 +549,13 @@ class TestSerialization:
             "start": "e3",
             "inner": ["e6", "e7"],
             "end": "e8",
-            "satisfies_p": True,
         }
 
     def test_json_field_order(self, load_program):
         u = detect(load_program("fig4"))
         for js in [m.to_json() for m in u.all]:
             assert list(js) == ["id", "proc", "edges", "start", "inner",
-                                "end", "satisfies_p"]
+                                "end"]
 
 
 class TestDeterminism:
@@ -577,7 +575,7 @@ class TestRecords:
         query = Query(3, "x", Interval1D(0, 0))
         for record, field in ((query, "sat"), (query, "origin"),
                               (universe.all[0], "edges"),
-                              (universe.all[0], "satisfies_p")):
+                              (universe.all[0], "proc")):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
 
