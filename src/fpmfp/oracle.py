@@ -117,6 +117,8 @@ def path_tree(
     A path ends at ``max_len`` edges (default: twice the edge count), an
     edge is taken at most ``edge_cap`` times per path, and a branch is
     pruned the moment a detected infeasible segment completes on it.
+    The tree is ``truncated`` when either bound stops a path that had an
+    out-edge left to take.
     Pruning depends on the CFG and the segments only, so one tree serves
     every analysis.  Raises :class:`Explosion` past ``EXPANSION_LIMIT``
     expansions.
@@ -139,7 +141,8 @@ def path_tree(
             raise Explosion(
                 f"path tree of {proc_name} exceeded {limit} expansions")
         if length >= max_len:
-            truncated = True
+            # A path that ends where no edge leaves is whole.
+            truncated = truncated or bool(cfg.out_of[node])
             steps.append(shared.setdefault((node, ()), (node, ())))
             continue
         edges = []

@@ -1124,6 +1124,17 @@ class TestOracleCheckFaults:
 
         monkeypatch.setattr(oracle, "solution_semantics", semantics)
 
+    def test_distributive_equality_on_a_path_of_max_length(
+            self, monkeypatch):
+        # The one path has exactly --max-length 3 edges and ends at the
+        # exit, so the walk is whole and equality is checked.
+        self.fault_on_exit_edges(monkeypatch, "rd", lambda value: 0)
+        task = ("three", "proc main() { a = 1; b = 2; c = 3; }", 3, 2)
+        assert cmd_oracle_check._check_program(task) == [{
+            "program": "three", "analysis": "rd",
+            "property": "distributive-equality", "location": "n4",
+            "detail": "a@n1, b@n2, c@n3 != {}"}]
+
     def test_fold_bounded_by_path_meets(self, capsys, monkeypatch,
                                         programs):
         # Interval is not distributive, so widening every variable on the

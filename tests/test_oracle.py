@@ -150,6 +150,16 @@ class TestMeets:
         assert not full.truncated
         assert [node for node, _ in full.steps] == [1, 2, 3, 4]
 
+    def test_path_ending_at_max_len_on_the_exit_is_whole(self):
+        # The only path has three edges and ends at the exit, n4, which
+        # no edge leaves: a bound of three edges cuts nothing off.
+        program = parse_program("proc main() { a = 1; b = 2; c = 3; }")
+        cfg = program.procedures[0].cfg
+        universe = detect_mips(program)
+        exact = path_tree(cfg, universe, "main", max_len=3)
+        assert not exact.truncated
+        assert exact == path_tree(cfg, universe, "main")
+
     def test_explosion_guard(self, load_program, monkeypatch):
         monkeypatch.setattr(oracle, "EXPANSION_LIMIT", 3)
         with pytest.raises(Explosion):
@@ -183,7 +193,7 @@ def reference_walk(cfg, universe, proc_name, *, boundary, meet,
                 f"path tree of {proc_name} exceeded {limit} expansions")
         accumulate(node_in, node, value)
         if length >= max_len:
-            truncated = True
+            truncated = truncated or bool(cfg.out_of[node])
             continue
         for edge in reversed(cfg.out_of[node]):
             if counts.get(edge.id, 0) >= edge_cap:
