@@ -11,6 +11,8 @@ import pytest
 
 from fpmfp.frontend import MiniIrProgram, Node, parse_program
 
+from shapes import perf_program  # noqa: F401  (re-exported to the tests)
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PERFBENCH = FIXTURES.parent / "perfbench"
 
@@ -60,32 +62,6 @@ def node_of(program: MiniIrProgram, nid: int) -> Node:
     """The node with id ``nid``, in whichever procedure has it."""
     return next(proc.cfg.nodes[nid] for proc in program.procedures
                 if nid in proc.cfg.nodes)
-
-
-def perf_program(modules: int = 100, target_nodes: int = 2000) -> str:
-    """One large single-procedure program with many local segments.
-
-    Each module is a fig2-style correlated pair over its own selector, so
-    segments never span modules and the tracked-pair population stays
-    small at every edge while the universe grows with ``modules``.
-    Straight-line filler pads the program to ``target_nodes`` statements.
-    """
-    lines: list[str] = []
-    for i in range(modules):
-        sel = f"s{i}"
-        var = f"v{i % 8}"
-        lines.append(f"read {sel};")
-        lines.append(f"if ({sel} == 0) {{ {var} = 1; }} "
-                     f"else {{ {var} = 2; }}")
-        lines.append(f"if ({var} == 3) {{ print {var}; }}")
-    # Each module contributes ~6 nodes once parsed; pad the rest with
-    # straight-line assignments.
-    filler = 0
-    while modules * 6 + filler < target_nodes:
-        lines.append(f"f{filler % 16} = {filler % 11};")
-        filler += 1
-    body = "\n".join("  " + line for line in lines)
-    return f"proc main() {{\n{body}\n}}\n"
 
 
 def contains_segment(trace_edges, segment_edges) -> bool:

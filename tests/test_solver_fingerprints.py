@@ -33,20 +33,10 @@ from fpmfp.mips import detect_mips
 from fpmfp.progen import generate_multi_program, generate_program
 
 from conftest import FIXTURES, perfbench_workloads
+from shapes import diamonds
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "solver_fingerprints.json"
 ANALYSES = ("rd", "must-defined", "interval")
-
-
-def diamonds(k: int) -> str:
-    """A correlated ``s == 0`` pair with k independent ``c > i`` diamonds
-    between them: every walk from one arm of the first test through the
-    diamonds to the other arm of the second is a segment."""
-    body = ["read s;", "read c;", "if (s == 0) { a = 1; } else { a = 2; }"]
-    body += [f"if (c > {i}) {{ y = {i}; }} else {{ skip; }}"
-             for i in range(k)]
-    body.append("if (s == 0) { print a; } else { print y; }")
-    return "proc main() {\n  " + "\n  ".join(body) + "\n}\n"
 
 
 def corpus() -> list[tuple[str, str, bool]]:
