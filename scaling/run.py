@@ -52,7 +52,7 @@ from fpmfp.mips import detect_mips  # noqa: E402
 from shapes import diamonds, perf_program  # noqa: E402
 
 NODES_PER_MODULE = 20
-REPORT_NODES = 2_000
+REPORT_NODES = 2_048
 ANALYSES = ("rd", "interval")
 SIZES = {"diamonds": (8, 12, 14), "perf_program": (2_000, 8_000)}
 SMOKE_SIZES = {"diamonds": (2, 3), "perf_program": (100, 200)}
