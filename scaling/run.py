@@ -1,8 +1,8 @@
 """Scaling harness: counts per workload and size, one entry per run.
 
-Each run appends one entry to ``BENCH_scaling.json`` at the repository
-root (or to ``--output``).  The entry holds the commit, the host's CPU
-count and Python version, and per workload and size these counts:
+Each run prints one entry and appends it to ``BENCH_scaling.json`` at
+the repository root.  The entry holds the commit, the host's CPU count
+and Python version, and per workload and size these counts:
 
 * ``nodes``: CFG nodes over all procedures;
 * ``segments``: detected segments, |U|;
@@ -22,8 +22,8 @@ The workloads are ``diamonds(k)`` and ``perf_program`` at one module per
 no host noise: two runs of one commit give the same entry apart from the
 commit and the host.  No timings yet.
 
-    python3 scaling/run.py            # full sizes, appends to BENCH_scaling.json
-    python3 scaling/run.py --smoke    # tiny sizes, in seconds
+    python3 scaling/run.py            # full sizes, appended to the record
+    python3 scaling/run.py --smoke    # tiny sizes, in seconds; printed only
 
 Only the standard library and the package under ``src/`` are used.
 """
@@ -41,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RECORD = ROOT / "BENCH_scaling.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from fpmfp import cli, lifted  # noqa: E402
@@ -138,13 +139,11 @@ def commit() -> str:
     return head + ("+dirty" if dirty else "")
 
 
-def entry(smoke: bool) -> dict:
-    sizes = SMOKE_SIZES if smoke else SIZES
+def entry(sizes: dict[str, tuple[int, ...]]) -> dict:
     return {
         "commit": commit(),
         "host": {"cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        "smoke": smoke,
         "workloads": {workload: {str(size): measure(source(workload, size))
                                  for size in workload_sizes}
                       for workload, workload_sizes in sizes.items()},
@@ -154,17 +153,16 @@ def entry(smoke: bool) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny sizes, finishing in seconds")
-    parser.add_argument("--output", type=Path,
-                        default=ROOT / "BENCH_scaling.json",
-                        help="JSON list the entry is appended to")
+                        help="tiny sizes, finishing in seconds; the entry "
+                             "is printed, not recorded")
     args = parser.parse_args(argv)
-    new = entry(args.smoke)
-    entries = (json.loads(args.output.read_text(encoding="utf-8"))
-               if args.output.exists() else [])
-    entries.append(new)
-    args.output.write_text(json.dumps(entries, indent=1) + "\n",
-                           encoding="utf-8")
+    new = entry(SMOKE_SIZES if args.smoke else SIZES)
+    if not args.smoke:
+        entries = (json.loads(RECORD.read_text(encoding="utf-8"))
+                   if RECORD.exists() else [])
+        entries.append(new)
+        RECORD.write_text(json.dumps(entries, indent=1) + "\n",
+                          encoding="utf-8")
     json.dump(new, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

@@ -16,13 +16,13 @@ def load_harness():
     return module
 
 
-def test_two_smoke_runs_append_the_same_counts(tmp_path):
+def test_two_smoke_runs_give_the_same_counts(capsys):
     harness = load_harness()
-    output = tmp_path / "BENCH_scaling.json"
+    runs = []
     for _ in range(2):
-        assert harness.main(["--smoke", "--output", str(output)]) == 0
-    first, second = json.loads(output.read_text(encoding="utf-8"))
-    assert first["smoke"] is second["smoke"] is True
+        assert harness.main(["--smoke"]) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    first, second = runs
     assert first["workloads"] == second["workloads"]
     diamonds = first["workloads"]["diamonds"]
     assert list(diamonds) == ["2", "3"]
