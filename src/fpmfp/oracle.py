@@ -141,7 +141,6 @@ def path_tree(
             raise Explosion(
                 f"path tree of {proc_name} exceeded {limit} expansions")
         if length >= max_len:
-            # A path that ends where no edge leaves is whole.
             truncated = truncated or bool(cfg.out_of[node])
             steps.append(shared.setdefault((node, ()), (node, ())))
             continue
