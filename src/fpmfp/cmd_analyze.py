@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 
 from . import _ANALYSIS_FOR_FLAG, SCHEMA
-from .cmd_io import _json_text, _load_program, _write_text
+from .cmd_io import _load_program, _write_json
 
 
 def _node_records(program, view, ins: dict, outs: dict):
@@ -68,5 +68,5 @@ def handle(args: argparse.Namespace) -> int:
         payload["opts"] = sorted(args.opts)
         payload["edge_pairs"] = _edge_pair_records(
             program, view, solution.edge_values)
-    _write_text(_json_text(payload), args.output)
+    _write_json(payload, args.output)
     return 0

@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from . import _ANALYSIS_FOR_FLAG, SCHEMA
-from .cmd_io import _json_text, _load_program, _write_text
+from .cmd_io import _load_program, _write_json, _write_text
 
 
 def handle(args: argparse.Namespace) -> int:
@@ -28,11 +28,11 @@ def handle(args: argparse.Namespace) -> int:
             text += "\n" + report.client.to_table()
         if not text.endswith("\n"):
             text += "\n"
-    else:
-        payload = {"schema": SCHEMA,
-                   **report.to_json(timing=not args.no_timing)}
-        if report.client is not None:
-            payload[report.client.compare_key] = report.client.to_json()
-        text = _json_text(payload)
-    _write_text(text, args.output)
+        _write_text(text, args.output)
+        return 0
+    payload = {"schema": SCHEMA,
+               **report.to_json(timing=not args.no_timing)}
+    if report.client is not None:
+        payload[report.client.compare_key] = report.client.to_json()
+    _write_json(payload, args.output)
     return 0

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 
 from . import SCHEMA, _info
-from .cmd_io import _json_text, _load_program, _write_text
+from .cmd_io import _load_program, _write_json, _write_text
 
 
 def _overlay_annotations(universe) -> dict[int, str]:
@@ -34,7 +34,7 @@ def handle(args: argparse.Namespace) -> int:
         "schema": SCHEMA,
         "mips": [m.to_json() for m in universe.all],
     }
-    _write_text(_json_text(payload), args.output)
+    _write_json(payload, args.output)
     if args.dot is not None:
         overlay = emit_dot_program(program, _overlay_annotations(universe))
         _write_text(overlay, args.dot)

@@ -1,8 +1,10 @@
 """What the subcommand modules share: reading a program, and writing a
-report atomically, JSON reports byte-identical to ``json.dumps``.
+report atomically.
 
-Every subcommand loads this module, and with it ``json``; ``--help`` and
-usage errors do not.
+A JSON report is never built as one string: ``_write_json`` streams its
+payload to the destination in chunks, and the bytes are those of
+``json.dumps``.  Every subcommand loads this module, and with it
+``json``; ``--help`` and usage errors do not.
 """
 from __future__ import annotations
 
@@ -38,79 +40,100 @@ def _load_program(path: str):
     return program
 
 
-def _json_text(payload) -> str:
-    """What ``json.dumps`` writes with ``indent=2`` and ``sort_keys=True``,
-    plus a newline.
+# Reports reach their destination in chunks of about this many
+# characters.  A chunk is joined and encoded in blocks that malloc reuses;
+# at 128 KiB glibc maps each block afresh, and each of its pages costs a
+# fault on first touch.
+_CHUNK = 32768
 
-    The same bytes, appended as pieces to one flat list and joined once.
-    A value view from ``Analysis.to_json`` is not walked: its ``text``
-    is spliced in, re-indented once per depth it occurs at, so a report
-    whose rows share views costs time in its distinct content.  It takes
-    exactly what reports hold, each value dispatched on its exact type:
-    ``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``float``,
-    ``bool``, ``None`` and the two view types; any other raises
-    ``TypeError``.  A dict item's separator, quoted key and ``": "`` are
-    joined once per (key, depth, first item), and only then is the key
-    checked: one not exactly a ``str`` raises, unless it equals (as a
-    ``str`` subclass can) a key already joined there, whose text it reuses.
+
+def _stream_json(payload, write) -> None:
+    """Hand ``write``, in chunks, what ``json.dumps`` writes with
+    ``indent=2`` and ``sort_keys=True``, plus a newline.
+
+    The pieces of the text are appended to a list, joined and written
+    once they hold ``_CHUNK`` characters: each chunk is written after the
+    list or dict item that filled it, so it exceeds ``_CHUNK`` by at most
+    one piece and the separators around it.  A value view from
+    ``Analysis.to_json`` is not walked: its ``text`` is one piece,
+    re-indented once per depth it occurs at and kept for the rest of the
+    report, so a report whose rows share views costs time in its distinct
+    content.  It takes exactly what reports hold, each value dispatched on
+    its exact type: ``dict`` with ``str`` keys, ``list``, ``str``,
+    ``int``, ``float``, ``bool``, ``None`` and the two view types; any
+    other raises ``TypeError``, with the chunks before it written.  A dict
+    item's separator, quoted key and ``": "`` are joined once per (key,
+    depth, first item), and only then is the key checked: one not exactly
+    a ``str`` raises, unless it equals (as a ``str`` subclass can) a key
+    already joined there, whose text it reuses.
     """
     pieces: list[str] = []
     append = pieces.append
     spliced: dict[tuple[int, int], str] = {}
     quoted = Memo(json.dumps)
     levels = Memo(_Level)
+    room = _CHUNK  # characters the pieces may still take
 
     def encode(obj, depth: int) -> None:
+        nonlocal room
         cls = type(obj)
         if cls is str:
-            append(quoted[obj])
-            return
-        if cls is int:
-            append(int.__repr__(obj))
-            return
-        if cls is EncodedDict or cls is EncodedList:
+            text = quoted[obj]
+        elif cls is int:
+            text = int.__repr__(obj)
+        elif cls is EncodedDict or cls is EncodedList:
             text = spliced.get((id(obj), depth))
             if text is None:
                 text = spliced[id(obj), depth] = obj.text.replace(
                     "\n", "\n" + "  " * depth)
-            append(text)
-            return
-        if cls is not dict and cls is not list:
+        elif cls is not dict and cls is not list:
             if cls is float:
-                append(json.dumps(obj))
+                text = json.dumps(obj)
             elif cls is bool:
-                append("true" if obj else "false")
+                text = "true" if obj else "false"
             elif obj is None:
-                append("null")
+                text = "null"
             else:
                 raise TypeError(f"a report holds no {cls.__name__}")
-            return
-        if not obj:
-            append("{}" if cls is dict else "[]")
-            return
-        level = levels[depth]
-        if cls is dict:
-            heads = level.first
-            for key, value in sorted(obj.items()):
-                append(heads.get(key) or level.head(key, heads))
-                encode(value, depth + 1)
-                heads = level.rest
-            append(level.close_dict)
+        elif not obj:
+            text = "{}" if cls is dict else "[]"
         else:
-            sep = level.open_list
-            for item in obj:
-                append(sep)
-                encode(item, depth + 1)
-                sep = level.comma
-            append(level.close_list)
+            level = levels[depth]
+            if cls is dict:
+                heads = level.first
+                for key, value in sorted(obj.items()):
+                    head = heads.get(key) or level.head(key, heads)
+                    append(head)
+                    room -= len(head)
+                    encode(value, depth + 1)
+                    heads = level.rest
+                    if room < 0:
+                        write("".join(pieces))
+                        pieces.clear()
+                        room = _CHUNK
+                text = level.close_dict
+            else:
+                sep = level.open_list
+                for item in obj:
+                    append(sep)
+                    room -= len(sep)
+                    encode(item, depth + 1)
+                    sep = level.comma
+                    if room < 0:
+                        write("".join(pieces))
+                        pieces.clear()
+                        room = _CHUNK
+                text = level.close_list
+        append(text)
+        room -= len(text)
 
     encode(payload, 0)
     append("\n")
-    return "".join(pieces)
+    write("".join(pieces))
 
 
 class _Level:
-    """The separators of a list or dict at one depth of ``_json_text``,
+    """The separators of a list or dict at one depth of ``_stream_json``,
     and its dict-item heads: ``first`` for the first item, ``rest`` for
     the others."""
 
@@ -135,25 +158,47 @@ class _Level:
         return text
 
 
-def _write_text(text: str, path: str | None) -> None:
-    """Write to stdout, or atomically replace ``path``.
+def _write_json(payload, path: str | None) -> None:
+    """Write ``payload``'s JSON report to stdout, or atomically to
+    ``path``."""
+    with _destination(path) as write:
+        _stream_json(payload, write)
 
-    Destinations that exist but are not regular files (devices, FIFOs)
-    are written through directly; replacing them would be destructive.
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to stdout, or atomically to ``path``, in chunks of
+    ``_CHUNK`` characters."""
+    with _destination(path) as write:
+        for start in range(0, len(text), _CHUNK):
+            write(text[start:start + _CHUNK])
+
+
+@contextlib.contextmanager
+def _destination(path: str | None):
+    """The ``write`` of stdout, or of a new text file that atomically
+    replaces ``path`` when the ``with`` block ends without an error.
+
+    The file is a temporary one beside ``path``; any error removes it and
+    leaves ``path`` as it was.  A destination that exists but is not a
+    regular file (a device, a FIFO) is written through directly:
+    replacing it would be destructive.  An ``OSError`` of the file
+    becomes a ``_Failure``.
     """
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
     dest = Path(path)
     try:
         if dest.exists() and not dest.is_file():
-            dest.write_text(text, encoding="utf-8")
+            with dest.open("w", encoding="utf-8") as out:
+                yield out.write
             return
         tmp = dest.with_name(f"{dest.name}.tmp{os.getpid()}")
         try:
-            tmp.write_text(text, encoding="utf-8")
+            with tmp.open("w", encoding="utf-8") as out:
+                yield out.write
             os.replace(tmp, dest)
-        except OSError:
+        except BaseException:
             with contextlib.suppress(OSError):
                 tmp.unlink()
             raise

@@ -10,7 +10,7 @@ import os
 from pathlib import Path
 
 from . import SCHEMA, _Failure, _info, _UsageError
-from .cmd_io import _json_text, _read_source, _write_text
+from .cmd_io import _read_source, _write_json
 
 _SUITE_ANALYSES = ("rd", "must-defined", "interval")
 
@@ -148,5 +148,5 @@ def handle(args: argparse.Namespace) -> int:
         "analyses": list(_SUITE_ANALYSES),
         "violations": violations,
     }
-    _write_text(_json_text(payload), args.output)
+    _write_json(payload, args.output)
     return 2 if violations else 0

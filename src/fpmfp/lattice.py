@@ -113,8 +113,9 @@ class Analysis(abc.ABC):
 
     @abc.abstractmethod
     def _encode(self, value) -> EncodedList | EncodedDict:
-        """A new view of ``value``: content and text built in one sorted
-        pass, the text joined from cached per-element texts."""
+        """A new view of ``value``: content and text built in one pass in
+        sorted order, both assembled from cached pieces: a bit set's per
+        (byte index, byte value), an interval value's per item."""
 
     @staticmethod
     def _view_key(value):
@@ -183,16 +184,34 @@ class BitvectorAnalysis(Analysis):
         """The JSON element of each bit, in bit order."""
 
     @cached_property
-    def _element_views(self) -> tuple[list, list[str]]:
-        """Each bit's JSON element, and its text one level down."""
+    def _byte_pieces(self) -> Memo:
+        """``(elements, text)`` per ``(index, byte)`` of a value's
+        little-endian bytes: the JSON elements of the bits ``byte`` sets
+        there, and their texts one level down, joined as list items."""
         elements = self._elements()
-        return elements, [_nested(element) for element in elements]
+        texts = [_nested(element) for element in elements]
+
+        def piece(key: tuple[int, int]) -> tuple[list, str]:
+            index, byte = key
+            bits = [8 * index + bit for bit in range(8) if byte >> bit & 1]
+            return ([elements[i] for i in bits],
+                    ",\n  ".join([texts[i] for i in bits]))
+
+        return Memo(piece)
 
     def _encode(self, value: int) -> EncodedList:
-        elements, texts = self._element_views
-        bits = _set_bits(value)
-        out = EncodedList([elements[i] for i in bits])
-        out.text = _joined([texts[i] for i in bits], "[]")
+        """The view of ``value``, assembled a byte at a time from
+        ``_byte_pieces``; zero bytes are skipped."""
+        pieces = self._byte_pieces
+        out = EncodedList()
+        texts = []
+        data = value.to_bytes((value.bit_length() + 7) // 8, "little")
+        for key in enumerate(data):
+            if key[1]:
+                elements, text = pieces[key]
+                out += elements
+                texts.append(text)
+        out.text = _joined(texts, "[]")
         return out
 
 
@@ -537,9 +556,11 @@ class IntervalAnalysis(Analysis):
         items = self._item_views
         out = EncodedDict()
         lines = []
-        for item in sorted(value.items()):
-            pair, line = items[item]
-            out[item[0]] = pair
+        # Names are unique: sorting them orders the items as sorting the
+        # items would, without comparing tuples.
+        for var in sorted(value):
+            pair, line = items[var, value[var]]
+            out[var] = pair
             lines.append(line)
         out.text = _joined(lines, "{}")
         return out

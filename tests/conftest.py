@@ -3,18 +3,28 @@ lookup by id."""
 from __future__ import annotations
 
 import importlib.util
+import io
 import sys
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
+from fpmfp import cmd_io
 from fpmfp.frontend import MiniIrProgram, Node, parse_program
 
 from shapes import perf_program  # noqa: F401  (re-exported to the tests)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PERFBENCH = FIXTURES.parent / "perfbench"
+
+
+def json_text(payload) -> str:
+    """The JSON report the CLI writes for ``payload``, streamed into a
+    string."""
+    out = io.StringIO()
+    cmd_io._stream_json(payload, out.write)
+    return out.getvalue()
 
 
 @lru_cache(maxsize=None)

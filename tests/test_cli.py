@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 
 import fpmfp
 from fpmfp import (
-    cli, clients, cmd_analyze, cmd_compare, cmd_detect_mips, cmd_io,
-    cmd_oracle_check, frontend, lifted, mfp, mips, oracle, progen)
+    cli, clients, cmd_io, cmd_oracle_check, frontend, lifted, mfp, mips,
+    oracle, progen)
 from fpmfp.cli import main
 from fpmfp.frontend import MAX_NESTING, MAX_OPERANDS
 from fpmfp.lattice import (
@@ -32,6 +33,7 @@ from conftest import (
     FIXTURES,
     fixture_program,
     fixture_text,
+    json_text,
     perf_program,
     perfbench_workloads,
 )
@@ -103,7 +105,8 @@ def _mutated_sources(draw):
 
 
 class TestJsonWriter:
-    """``cmd_io._json_text`` writes exactly what ``json.dumps`` would."""
+    """``cmd_io._stream_json`` streams exactly what ``json.dumps`` would
+    write."""
 
     @staticmethod
     def expected(payload) -> str:
@@ -112,17 +115,17 @@ class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(_VALUES)
     def test_matches_json_dumps(self, payload):
-        assert cmd_io._json_text(payload) == self.expected(payload)
+        assert json_text(payload) == self.expected(payload)
 
     @settings(max_examples=100, deadline=None)
     @given(_sharing_payloads())
     def test_shared_containers_match_json_dumps(self, payload):
-        assert cmd_io._json_text(payload) == self.expected(payload)
+        assert json_text(payload) == self.expected(payload)
 
     def test_special_floats_and_empty_containers(self):
         payload = {"f": [float("inf"), -float("inf"), float("nan"), -0.0],
                    "e": [[], {}, [[]]], "s": "\"\\\x01\u00e9"}
-        assert cmd_io._json_text(payload) == self.expected(payload)
+        assert json_text(payload) == self.expected(payload)
 
     def test_rejects_what_reports_never_hold(self):
         # ``json.dumps`` writes all but the set; no report holds any.
@@ -132,7 +135,7 @@ class TestJsonWriter:
         for payload in ({1: "a"}, {"a": {2: 3}}, [(1, 2)], {"a": Rows()},
                         {"a": {1, 2}}):
             with pytest.raises(TypeError):
-                cmd_io._json_text(payload)
+                json_text(payload)
 
     def test_key_type_checked_when_its_head_is_joined(self):
         # A ``str`` subclass key raises where its head is joined first,
@@ -142,9 +145,9 @@ class TestJsonWriter:
             pass
 
         with pytest.raises(TypeError):
-            cmd_io._json_text([{Key("a"): 1}])
+            json_text([{Key("a"): 1}])
         payload = [{"a": 1}, {Key("a"): 2}]
-        assert cmd_io._json_text(payload) == json.dumps(
+        assert json_text(payload) == json.dumps(
             payload, indent=2, sort_keys=True) + "\n"
 
     @staticmethod
@@ -165,13 +168,13 @@ class TestJsonWriter:
     def test_view_at_two_depths(self):
         for view in self.views():
             payload = {"a": view, "b": [{"c": view}, view], "d": [[[view]]]}
-            assert cmd_io._json_text(payload) == self.expected(payload)
+            assert json_text(payload) == self.expected(payload)
 
     def test_view_inside_a_repeated_plain_container(self):
         for view in self.views():
             shared = {"x": [view, 1], "y": view, "z": True}
             payload = [shared, {"w": shared}, shared, [view]]
-            assert cmd_io._json_text(payload) == self.expected(payload)
+            assert json_text(payload) == self.expected(payload)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -179,7 +182,7 @@ class TestJsonWriter:
         leaves = _SCALARS | st.sampled_from(self.views())
         payload = data.draw(st.recursive(leaves, _containers,
                                          max_leaves=25))
-        assert cmd_io._json_text(payload) == self.expected(payload)
+        assert json_text(payload) == self.expected(payload)
 
 
 class TestReportPayloads:
@@ -193,18 +196,21 @@ class TestReportPayloads:
 
     @pytest.fixture
     def written(self, monkeypatch) -> list:
-        """(payload, text) of each report ``_json_text`` writes."""
+        """(payload, text) of each report the JSON writer streams."""
         written = []
-        write = cmd_io._json_text
+        stream = cmd_io._stream_json
 
-        def spy(payload):
-            text = write(payload)
-            written.append((payload, text))
-            return text
+        def spy(payload, write):
+            chunks = []
 
-        for command in (cmd_analyze, cmd_compare, cmd_detect_mips,
-                        cmd_oracle_check):
-            monkeypatch.setattr(command, "_json_text", spy)
+            def tee(chunk: str) -> None:
+                chunks.append(chunk)
+                write(chunk)
+
+            stream(payload, tee)
+            written.append((payload, "".join(chunks)))
+
+        monkeypatch.setattr(cmd_io, "_stream_json", spy)
         return written
 
     @staticmethod
@@ -238,6 +244,47 @@ class TestReportPayloads:
                            str(tmp_path), "--random", "2")
         assert code == 2
         self.check(written, out)
+
+    def test_streaming_holds_a_fraction_of_the_report(
+            self, monkeypatch, tmp_path, program):
+        """Streaming the ``compare --analysis rd`` report allocates under
+        a third of its bytes at peak, and no ``write`` gets more than a
+        chunk, one spliced view and the separators around it."""
+        stream = cmd_io._stream_json
+        payloads = []
+        monkeypatch.setattr(cmd_io, "_stream_json",
+                            lambda payload, write: payloads.append(payload))
+        assert main(["compare", "--analysis", "rd", "--no-timing",
+                     "--program", program,
+                     "--output", str(tmp_path / "report.json")]) == 0
+        [payload] = payloads
+        sizes = []
+        tracemalloc.start()
+        try:
+            stream(payload, lambda chunk: sizes.append(len(chunk)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = sum(sizes)
+        assert report > 2_000_000
+        assert peak < report / 3
+        assert max(sizes) <= cmd_io._CHUNK + self.longest_view(payload) + 64
+
+    @staticmethod
+    def longest_view(payload) -> int:
+        """The length of the longest view text as spliced into
+        ``payload``'s report."""
+        longest = 0
+        stack = [(payload, 0)]
+        while stack:
+            obj, depth = stack.pop()
+            if isinstance(obj, (fpmfp.EncodedList, fpmfp.EncodedDict)):
+                longest = max(longest, len(obj.text.replace(
+                    "\n", "\n" + "  " * depth)))
+            elif isinstance(obj, (dict, list)):
+                items = obj.values() if isinstance(obj, dict) else obj
+                stack += [(item, depth + 1) for item in items]
+        return longest
 
 
 class TestEntryPoint:
@@ -518,6 +565,23 @@ class TestInputErrors:
         assert err == (f"fpmfp: error: cannot write {dest}: "
                        f"Permission denied\n")
         assert not dest.exists()
+
+    def test_failed_report_leaves_the_destination_intact(
+            self, capsys, tmp_path):
+        """An error while a report streams removes the temporary file,
+        whatever the error, and leaves the old report as it was."""
+        dest = tmp_path / "report.json"
+        code, _, _ = run(capsys, "detect-mips", "--program", fix("fig12"),
+                         "--output", str(dest))
+        assert code == 0
+        before = dest.read_bytes()
+        # The rows before the set fill several chunks.
+        payload = {"rows": ["x" * 1000] * (3 * cmd_io._CHUNK // 1000),
+                   "z": {1, 2}}
+        with pytest.raises(TypeError):
+            cmd_io._write_json(payload, str(dest))
+        assert dest.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp*"))
 
     def test_special_file_destinations_are_written_through(
             self, capsys, tmp_path):

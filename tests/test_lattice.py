@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpmfp
-from fpmfp import cmd_io
 from fpmfp.frontend import parse_program
 from fpmfp.lattice import (
     INF,
@@ -34,7 +33,8 @@ from fpmfp.mfp import solve_mfp
 from fpmfp.mips import Interval1D, arm_queries, detect_mips
 from fpmfp.progen import generate_multi_program
 
-from conftest import FIXTURES, corpus_programs, fixture_program, node_of
+from conftest import (
+    FIXTURES, corpus_programs, fixture_program, json_text, node_of)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +575,7 @@ def _assert_text_matches(analysis, value, depth: int) -> None:
     for level in range(depth):
         nested_view = [nested_view] if level % 2 else {"v": nested_view}
         nested_plain = [nested_plain] if level % 2 else {"v": nested_plain}
-    assert (cmd_io._json_text(nested_view)
+    assert (json_text(nested_view)
             == json.dumps(nested_plain, indent=2, sort_keys=True) + "\n")
 
 
@@ -624,7 +624,7 @@ class TestEncodedViews:
             payload = {"a": one, "b": other, "c": [one, other], "d": payload}
             plain = {"a": dict(one), "b": dict(one), "c": [dict(one)] * 2,
                      "d": plain}
-            assert (cmd_io._json_text(payload)
+            assert (json_text(payload)
                     == json.dumps(plain, indent=2, sort_keys=True) + "\n")
 
     def test_equal_values_share_one_view(self):

@@ -497,3 +497,64 @@ def test_constant_rule_catches_a_planted_constant():
     readme = readme.replace("\n## Library use\n",
                             "\n## Library use\n\n`PLANTED_PAIR`\n", 1)
     assert unread_constants(sources, benchmark, readme) == []
+
+
+# ---------------------------------------------------------------------------
+# Every JSON report streams through ``cmd_io``'s writer
+# ---------------------------------------------------------------------------
+
+# What a subcommand module would use to build a report's whole text
+# instead of handing the payload to ``cmd_io._write_json``.
+WHOLE_TEXT = {"json", "io", "dumps", "dump", "JSONEncoder", "StringIO",
+              "getvalue"}
+
+
+def whole_report_builders(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each use in ``sources`` of what builds a JSON
+    report other than by streaming it: the encoder ``_stream_json``
+    anywhere but ``cmd_io.py``, and in a ``cmd_*`` module any name of
+    ``WHOLE_TEXT``, imported, read or called."""
+    found = set()
+    for module, text in sorted(sources.items()):
+        if module == "cmd_io.py":
+            continue
+        tree = ast.parse(text, module)
+        names = _referenced(tree) | {name for _, name in _imports(tree)}
+        banned = {"_stream_json"}
+        if module.startswith("cmd_"):
+            banned |= WHOLE_TEXT
+        found.update(f"{module}: {name}" for name in names & banned)
+    return sorted(found)
+
+
+def test_only_cmd_io_builds_json_reports():
+    """A subcommand hands its payload to ``cmd_io._write_json``, which
+    streams it to the destination in chunks; no module but ``cmd_io``
+    calls the encoder, and no subcommand builds a report's whole text."""
+    sources, _, _ = _tree_texts()
+    assert {"cmd_analyze.py", "cmd_compare.py", "cmd_io.py"} <= set(sources)
+    assert whole_report_builders(sources) == []
+
+
+def test_report_rule_catches_planted_builders():
+    sources, _, _ = _tree_texts()
+    sources["cmd_compare.py"] += (
+        "\n\nimport json\n\n\n"
+        "def planted(payload):\n"
+        "    return json.dumps(payload, indent=2, sort_keys=True)\n")
+    sources["cmd_analyze.py"] += (
+        "\n\ndef planted(payload):\n"
+        "    from io import StringIO\n"
+        "    from .cmd_io import _stream_json\n"
+        "    out = StringIO()\n"
+        "    _stream_json(payload, out.write)\n"
+        "    return out.getvalue()\n")
+    sources["lattice.py"] += (
+        "\n\ndef planted(payload, write):\n"
+        "    from . import cmd_io\n"
+        "    cmd_io._stream_json(payload, write)\n")
+    assert whole_report_builders(sources) == [
+        "cmd_analyze.py: StringIO", "cmd_analyze.py: _stream_json",
+        "cmd_analyze.py: getvalue", "cmd_analyze.py: io",
+        "cmd_compare.py: dumps", "cmd_compare.py: json",
+        "lattice.py: _stream_json"]
