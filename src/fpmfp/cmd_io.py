@@ -74,6 +74,12 @@ def _stream_json(payload, write) -> None:
     levels = Memo(_Level)
     room = _CHUNK  # characters the pieces may still take
 
+    def flush() -> None:
+        nonlocal room
+        write("".join(pieces))
+        pieces.clear()
+        room = _CHUNK
+
     def encode(obj, depth: int) -> None:
         nonlocal room
         cls = type(obj)
@@ -108,9 +114,7 @@ def _stream_json(payload, write) -> None:
                     encode(value, depth + 1)
                     heads = level.rest
                     if room < 0:
-                        write("".join(pieces))
-                        pieces.clear()
-                        room = _CHUNK
+                        flush()
                 text = level.close_dict
             else:
                 sep = level.open_list
@@ -120,16 +124,14 @@ def _stream_json(payload, write) -> None:
                     encode(item, depth + 1)
                     sep = level.comma
                     if room < 0:
-                        write("".join(pieces))
-                        pieces.clear()
-                        room = _CHUNK
+                        flush()
                 text = level.close_list
         append(text)
         room -= len(text)
 
     encode(payload, 0)
     append("\n")
-    write("".join(pieces))
+    flush()
 
 
 class _Level:
@@ -166,11 +168,9 @@ def _write_json(payload, path: str | None) -> None:
 
 
 def _write_text(text: str, path: str | None) -> None:
-    """Write ``text`` to stdout, or atomically to ``path``, in chunks of
-    ``_CHUNK`` characters."""
+    """Write ``text`` to stdout, or atomically to ``path``."""
     with _destination(path) as write:
-        for start in range(0, len(text), _CHUNK):
-            write(text[start:start + _CHUNK])
+        write(text)
 
 
 @contextlib.contextmanager

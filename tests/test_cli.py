@@ -575,9 +575,8 @@ class TestInputErrors:
                          "--output", str(dest))
         assert code == 0
         before = dest.read_bytes()
-        # The rows before the set fill several chunks.
-        payload = {"rows": ["x" * 1000] * (3 * cmd_io._CHUNK // 1000),
-                   "z": {1, 2}}
+        # The 100 kB of rows before the set fill several chunks.
+        payload = {"rows": ["x" * 1000] * 100, "z": {1, 2}}
         with pytest.raises(TypeError):
             cmd_io._write_json(payload, str(dest))
         assert dest.read_bytes() == before

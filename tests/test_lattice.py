@@ -34,7 +34,8 @@ from fpmfp.mips import Interval1D, arm_queries, detect_mips
 from fpmfp.progen import generate_multi_program
 
 from conftest import (
-    FIXTURES, corpus_programs, fixture_program, json_text, node_of)
+    FIXTURES, corpus_programs, fixture_program, json_text, node_of,
+    perf_program)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +560,12 @@ def _solved_values(source: str, analysis_name: str):
     return analysis, values
 
 
+@lru_cache(maxsize=None)
+def _wide_program():
+    """A program with over 32 facts of each bit-vector analysis."""
+    return parse_program(perf_program(20, 200))
+
+
 def _assert_text_matches(analysis, value, depth: int) -> None:
     """The value's pre-encoded text, spliced at ``depth``, is what
     ``json.dumps`` writes for ``to_json(value)`` at that depth, both
@@ -626,6 +633,22 @@ class TestEncodedViews:
                      "d": plain}
             assert (json_text(payload)
                     == json.dumps(plain, indent=2, sort_keys=True) + "\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bit_set_views_list_the_decoded_facts(self, data):
+        """A bit set's view, assembled a byte at a time, lists the facts
+        ``decode`` finds bit by bit, whichever bytes are zero."""
+        program = _wide_program()
+        for analysis in (ReachingDefinitions(program), MustDefined(program)):
+            width = analysis.full_mask.bit_length()
+            assert width > 32
+            bits = data.draw(st.lists(st.integers(0, width - 1)))
+            value = sum(1 << bit for bit in set(bits))
+            view = analysis.to_json(value)
+            assert view == [list(fact) if isinstance(fact, tuple) else fact
+                            for fact in analysis.decode(value)]
+            _assert_text_matches(analysis, value, 3)
 
     def test_equal_values_share_one_view(self):
         ia = IntervalAnalysis(fixture_program("fig2.mir"))
