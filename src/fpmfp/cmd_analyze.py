@@ -3,8 +3,6 @@ JSON.
 """
 from __future__ import annotations
 
-import argparse
-
 from . import _ANALYSIS_FOR_FLAG, SCHEMA
 from .cmd_io import _load_program, _write_json
 
@@ -40,7 +38,7 @@ def _edge_pair_records(program, view, edge_values):
     return records
 
 
-def handle(args: argparse.Namespace) -> int:
+def handle(args) -> int:
     from .frontend import build_call_graph
     from .lattice import make_analysis
     from .lifted import solve_fpmfp_interprocedural

@@ -3,14 +3,13 @@ solution is strictly more precise, with the client summaries.
 """
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import _ANALYSIS_FOR_FLAG, SCHEMA
 from .cmd_io import _load_program, _write_json, _write_text
 
 
-def handle(args: argparse.Namespace) -> int:
+def handle(args) -> int:
     from .clients import PrecisionViolation, compare_modes
     from .lattice import make_analysis
 

@@ -3,8 +3,6 @@ segments, and draw them over its CFG with ``--dot``.
 """
 from __future__ import annotations
 
-import argparse
-
 from . import SCHEMA, _info
 from .cmd_io import _load_program, _write_json, _write_text
 
@@ -23,7 +21,7 @@ def _overlay_annotations(universe) -> dict[int, str]:
     return {eid: ",".join(tags) for eid, tags in sorted(parts.items())}
 
 
-def handle(args: argparse.Namespace) -> int:
+def handle(args) -> int:
     from .frontend import emit_dot_program
     from .mips import detect_mips
 

@@ -2,12 +2,10 @@
 """
 from __future__ import annotations
 
-import argparse
-
 from .cmd_io import _load_program, _write_text
 
 
-def handle(args: argparse.Namespace) -> int:
+def handle(args) -> int:
     from .frontend import emit_dot_program
 
     program = _load_program(args.program)

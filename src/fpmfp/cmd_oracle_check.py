@@ -5,7 +5,6 @@ Workers of ``--jobs`` find ``_check_program`` by this module's name.
 """
 from __future__ import annotations
 
-import argparse
 import os
 from pathlib import Path
 
@@ -15,8 +14,10 @@ from .cmd_io import _read_source, _write_json
 _SUITE_ANALYSES = ("rd", "must-defined", "interval")
 
 
-def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
-    """All property checks for one program; returns violation records.
+def _check_program(task: tuple[str, str, int | None, int]
+                   ) -> tuple[list[dict], list[dict]]:
+    """All property checks for one program; returns its violation
+    records and the records of the path-tree checks it skipped.
 
     What does not depend on the analysis is done once per program: the
     call graph, segment detection, and each procedure's path tree.
@@ -34,6 +35,7 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
     # Records per analysis, so the report stays analysis-major although
     # each path tree serves every analysis.
     found: dict[str, list[dict]] = {}
+    skipped: dict[str, list[dict]] = {}
 
     def bad(analysis_name: str, prop: str, where: str, detail: str) -> None:
         found[analysis_name].append({
@@ -45,12 +47,12 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
         program = parse_program(source)
     except (ParseError, UnresolvedCall, UnreachableNode) as exc:
         return [{"program": name, "analysis": "-", "property": "parse",
-                 "location": "-", "detail": str(exc)}]
+                 "location": "-", "detail": str(exc)}], []
     call_graph = build_call_graph(program)
     universe = detect_mips(program, call_graph)
     solved = []
     for analysis_name in _SUITE_ANALYSES:
-        found[analysis_name] = []
+        found[analysis_name], skipped[analysis_name] = [], []
         analysis = make_analysis(analysis_name, program)
         try:
             flat = solve_mfp(program, analysis, call_graph=call_graph)
@@ -86,30 +88,43 @@ def _check_program(task: tuple[str, str, int | None, int]) -> list[dict]:
         except Explosion:
             _info("%s: procedure %s has too many paths; its path-tree "
                   "checks are skipped", name, proc.name)
-            continue
+            tree = None
         for analysis_name, analysis, lifted, folded_in in solved:
-            node_transfer, refine = solution_semantics(lifted, proc)
-            oracle = tree.meets(
-                boundary=lifted.boundaries[proc.name], meet=analysis.meet,
-                node_transfer=node_transfer, refine=refine)
-            for nid, meets in oracle.node_in.items():
-                if not analysis.leq(folded_in[nid], meets):
-                    bad(analysis_name, "fold-bounded-by-path-meets",
-                        f"n{nid}",
-                        f"{analysis.format(folded_in[nid])} !<= "
-                        f"{analysis.format(meets)}")
-            if analysis.is_distributive and not oracle.truncated:
+            unchecked = []
+            if tree is None:
+                reason, unchecked = "explosion", ["fold-bounded-by-path-meets"]
+            else:
+                node_transfer, refine = solution_semantics(lifted, proc)
+                oracle = tree.meets(
+                    boundary=lifted.boundaries[proc.name],
+                    meet=analysis.meet, node_transfer=node_transfer,
+                    refine=refine)
+                for nid, meets in oracle.node_in.items():
+                    if not analysis.leq(folded_in[nid], meets):
+                        bad(analysis_name, "fold-bounded-by-path-meets",
+                            f"n{nid}",
+                            f"{analysis.format(folded_in[nid])} !<= "
+                            f"{analysis.format(meets)}")
+                reason = "truncated" if oracle.truncated else None
+            if analysis.is_distributive and reason is None:
                 for nid, meets in oracle.node_in.items():
                     if folded_in[nid] != meets:
                         bad(analysis_name, "distributive-equality",
                             f"n{nid}",
                             f"{analysis.format(folded_in[nid])} != "
                             f"{analysis.format(meets)}")
+            elif analysis.is_distributive:
+                unchecked.append("distributive-equality")
+            skipped[analysis_name] += [
+                {"program": name, "procedure": proc.name,
+                 "analysis": analysis_name, "property": prop,
+                 "reason": reason} for prop in unchecked]
         del tree
-    return [record for records in found.values() for record in records]
+    return ([record for records in found.values() for record in records],
+            [record for records in skipped.values() for record in records])
 
 
-def handle(args: argparse.Namespace) -> int:
+def handle(args) -> int:
     sources: list[tuple[str, str]] = []
     if args.fixtures is not None:
         root = Path(args.fixtures)
@@ -139,7 +154,7 @@ def handle(args: argparse.Namespace) -> int:
             per_program = list(pool.map(_check_program, tasks))
     else:
         per_program = [_check_program(task) for task in tasks]
-    violations = [record for group in per_program for record in group]
+    violations = [record for group, _ in per_program for record in group]
     _info("checked %d program(s): %d violation(s)",
           len(tasks), len(violations))
     payload = {
@@ -147,6 +162,7 @@ def handle(args: argparse.Namespace) -> int:
         "programs": len(tasks),
         "analyses": list(_SUITE_ANALYSES),
         "violations": violations,
+        "skipped": [record for _, group in per_program for record in group],
     }
     _write_json(payload, args.output)
     return 2 if violations else 0

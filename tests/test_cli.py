@@ -1,11 +1,13 @@
 """Command-line tests: flags, exit codes, golden outputs, determinism."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
 import json
 import os
+import random
 import re
 import stat
 import subprocess
@@ -396,6 +398,283 @@ class TestUsageErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "detect-mips" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",), ("-h",), ("--he",), ("compare", "-h"),
+        ("oracle-check", "--max-le", "3", "--h"),
+        ("analyze", "--program", "p.mir", "-hh"),
+    ])
+    def test_help_lists_every_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        name = argv[0] if argv[0] in cli._commands() else None
+        assert out.startswith(cli._usage(name, cli._commands()) + "\n\n")
+        listed = (cli._commands()[name][1] if name else cli._commands())
+        assert all(f"\n  {entry}" in out for entry in listed)
+
+
+# ---------------------------------------------------------------------------
+# The command line parses as it did under argparse
+# ---------------------------------------------------------------------------
+
+class _Rejected(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Rejected(message)
+
+
+def _reference_opts(text: str) -> frozenset[int]:
+    if text == "none":
+        return frozenset()
+    try:
+        opts = frozenset(int(part) for part in text.split(","))
+    except ValueError:
+        opts = frozenset()
+    if not opts or not opts <= {1, 2, 3}:
+        raise argparse.ArgumentTypeError(
+            f"--opts takes a comma list from 1,2,3 or 'none' (got {text!r})")
+    return opts
+
+
+def _reference_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _reference_parser() -> _ReferenceParser:
+    """The argparse parser the CLI used before its flag table, help texts
+    aside."""
+    parser = _ReferenceParser(prog="fpmfp")
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+
+    def common(sub, *, analysis=False, mode=False, opts=False):
+        sub.add_argument("--program", required=True, metavar="FILE")
+        sub.add_argument("--output", metavar="FILE")
+        if analysis:
+            sub.add_argument("--analysis", required=True,
+                             choices=sorted(fpmfp._ANALYSIS_FOR_FLAG))
+        if mode:
+            sub.add_argument("--mode", required=True,
+                             choices=["mfp", "fpmfp"])
+        if opts:
+            sub.add_argument("--opts", type=_reference_opts,
+                             default="1,2,3", metavar="1,2,3|none")
+
+    detect = commands.add_parser("detect-mips")
+    common(detect)
+    detect.add_argument("--dot", metavar="FILE")
+    common(commands.add_parser("analyze"), analysis=True, mode=True,
+           opts=True)
+    compare = commands.add_parser("compare")
+    common(compare, analysis=True, opts=True)
+    compare.add_argument("--format", choices=["json", "table"],
+                         default="json")
+    compare.add_argument("--no-timing", action="store_true")
+    oracle_check = commands.add_parser("oracle-check")
+    oracle_check.add_argument("--fixtures", metavar="DIR")
+    oracle_check.add_argument("--random", type=_reference_at_least(0),
+                              default=0, metavar="N")
+    oracle_check.add_argument("--seed", type=int, default=0)
+    oracle_check.add_argument("--max-length", type=_reference_at_least(1),
+                              default=None, metavar="L")
+    oracle_check.add_argument("--max-loop", type=_reference_at_least(1),
+                              default=2, metavar="K")
+    oracle_check.add_argument("--jobs", type=_reference_at_least(1),
+                              default=1, metavar="N")
+    oracle_check.add_argument("--output", metavar="FILE")
+    common(commands.add_parser("dump-dot"))
+    return parser
+
+
+# A valid value per flag, and values each flag rejects.
+_GOOD = {"--program": ["p.mir", "-", "a b.mir", "-5"], "--output": ["r"],
+         "--dot": ["d.dot"], "--fixtures": ["fixtures"],
+         "--analysis": ["rd", "uninit", "interval"],
+         "--mode": ["mfp", "fpmfp"], "--format": ["json", "table"],
+         "--opts": ["1,2,3", "none", "2", "3,1", " 1"],
+         "--random": ["0", "7"], "--seed": ["-3", "12", "-0"],
+         "--max-length": ["1", "30"], "--max-loop": ["2"], "--jobs": ["1"]}
+_BAD = {"--analysis": ["bogus", "RD"], "--mode": ["both"],
+        "--format": ["xml"], "--opts": ["9", "1,4", "", "first"],
+        "--random": ["-1", "x"], "--seed": ["1.5", "s"],
+        "--max-length": ["0", "L"], "--max-loop": ["-2"], "--jobs": ["0"]}
+
+
+def _spellings(flag: str, flags) -> list[str]:
+    """``flag`` and each of its prefixes no other flag (or ``--help``)
+    shares."""
+    others = [other for other in [*flags, "--help"] if other != flag]
+    return [flag[:end] for end in range(3, len(flag) + 1)
+            if not any(other.startswith(flag[:end]) for other in others)]
+
+
+def _argv_corpus(seed: int, count: int):
+    """``count`` seeded argv: every required flag and some optional ones
+    in random spellings, repeats, and in about half of them one fault."""
+    rng = random.Random(seed)
+    table = cli._commands()
+    faults = ["unknown-flag", "bad-value", "no-value", "drop-token",
+              "no-command", "unknown-command", "ambiguous", "extra",
+              "dashes"]
+    for _ in range(count):
+        name = rng.choice(list(table))
+        flags = table[name][1]
+        chosen = [flag for flag, spec in flags.items()
+                  if spec[1] or rng.random() < 0.5]
+        chosen += rng.sample(list(flags), rng.randint(0, 2))  # repeats
+        rng.shuffle(chosen)
+        argv = [name]
+        for flag in chosen:
+            spelled = rng.choice(_spellings(flag, flags))
+            if flags[flag][0] is None:
+                argv.append(spelled)
+            elif rng.random() < 0.3:
+                argv.append(f"{spelled}={rng.choice(_GOOD[flag])}")
+            else:
+                argv += [spelled, rng.choice(_GOOD[flag])]
+        fault = rng.choice(faults) if rng.random() < 0.5 else None
+        at = rng.randint(1, len(argv))
+        if fault == "unknown-flag":
+            argv.insert(at, rng.choice(["--bogus", "-x", "--no-such=1"]))
+        elif fault == "bad-value" and set(_BAD) & set(flags):
+            flag = rng.choice(sorted(set(_BAD) & set(flags)))
+            argv[at:at] = [flag, rng.choice(_BAD[flag])]
+        elif fault == "no-value":
+            argv.append(rng.choice([f for f in flags if flags[f][0]]))
+        elif fault == "drop-token" and len(argv) > 1:
+            del argv[rng.randrange(1, len(argv))]
+        elif fault == "no-command":
+            del argv[0]
+        elif fault == "unknown-command":
+            argv[0] = rng.choice(["frobnicate", "detect", "Compare"])
+        elif fault == "ambiguous" and name in ("compare", "oracle-check"):
+            argv.insert(at, "--o" if name == "compare" else "--max")
+        elif fault == "extra":
+            argv.insert(at, rng.choice(["stray", "-7", "-"]))
+        elif fault == "dashes":
+            argv.insert(at, "--")
+        yield argv
+
+
+def _reference(argv: list[str]):
+    """("ok", vars), ("exit", code) or ("usage", first stderr line)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", vars(_REFERENCE.parse_args(argv))
+    except _Rejected as exc:
+        return "usage", f"fpmfp: {exc}".split("\n")[0]
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def _ours(argv: list[str]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", vars(cli._parse(list(argv)))
+    except SystemExit as exc:
+        return "exit", exc.code
+    except fpmfp._UsageError:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(list(argv))
+        assert code == 64
+        return "usage", stderr.getvalue().split("\n")[0]
+
+
+_REFERENCE = _reference_parser()
+
+
+class TestArgvParity:
+    """Every argv reads as the argparse parser read it: the same values,
+    or exit 64 with the same first line."""
+
+    ACCEPTED = [
+        ["analyze", "--program=p.mir", "--analysis=uninit", "--mode=mfp"],
+        ["analyze", "--prog", "p.mir", "--an", "rd", "--mo", "fpmfp",
+         "--op", "none"],
+        ["compare", "--program", "a", "--program", "b", "--analysis", "rd",
+         "--analysis", "interval", "--no-timing", "--no-timing",
+         "--format", "json", "--format=table"],
+        ["compare", "--program", "-", "--analysis", "rd", "--opts", "3,1"],
+        ["oracle-check", "--seed", "-4", "--seed=-5", "--rand", "0",
+         "--max-le", "1", "--max-lo=9", "--j", "3", "--f", "dir"],
+        ["oracle-check", "--seed", "-0"],
+        ["detect-mips", "--program", "a b", "--dot=", "--out", "-1.5"],
+        ["dump-dot", "--program", "-.5", "--output=--program"],
+    ]
+    REJECTED = [
+        [], ["--"], ["frobnicate"], ["--bogus"], ["-x", "detect-mips"],
+        ["analyze", "--analysis", "rd", "--mode", "mfp"],
+        ["analyze", "--program", "p", "--analysis", "bogus", "--mode", "mfp"],
+        ["oracle-check", "--seed", "x"],
+        ["oracle-check", "--max-length", "0"],
+        ["oracle-check", "--random=-1"],
+        ["oracle-check", "--jobs", "0", "--max-loop", "0"],
+        ["detect-mips", "--program", "p", "--bogus"],
+        ["detect-mips", "--program", "p", "stray", "--dot=x", "more"],
+        ["detect-mips", "--program"],
+        ["detect-mips", "--program", "--output", "r"],
+        ["detect-mips", "--program", "--", "p"],
+        ["detect-mips", "--program", "p", "--", "--dot", "d"],
+        ["analyze", "--program", "p", "--analysis", "rd", "--mode", "mfp",
+         "--opts", "9"],
+        ["compare", "--o", "r", "--program", "p", "--analysis", "rd"],
+        ["compare", "--program", "p", "--analysis", "rd", "--no-timing=1"],
+        ["oracle-check", "--max", "3"],
+        ["oracle-check", "--h=x"], ["oracle-check", "-hx"], ["-h="],
+        ["--bogus", "dump-dot", "--program", "p", "extra"],
+    ]
+
+    @pytest.mark.parametrize("argv", ACCEPTED, ids=lambda a: " ".join(a))
+    def test_accepted(self, argv):
+        outcome = _reference(argv)
+        assert outcome[0] == "ok"
+        assert _ours(argv) == outcome
+
+    @pytest.mark.parametrize("argv", REJECTED, ids=lambda a: " ".join(a))
+    def test_rejected(self, argv):
+        outcome = _reference(argv)
+        assert outcome[0] == "usage"
+        assert _ours(argv) == outcome
+
+    def test_first_line_of_a_bound(self, capsys):
+        code, _, err = run(capsys, "oracle-check", "--max-len=0")
+        assert code == 64
+        assert err.split("\n")[0] == (
+            "fpmfp: argument --max-length: must be at least 1, got 0")
+
+    def test_seeded_corpus(self):
+        outcomes = {"ok": 0, "usage": 0, "exit": 0}
+        for argv in _argv_corpus(seed=30, count=400):
+            outcome = _reference(argv)
+            assert _ours(argv) == outcome, argv
+            outcomes[outcome[0]] += 1
+        assert outcomes["ok"] >= 100 and outcomes["usage"] >= 100
+
+    def test_dashes_as_an_attached_value(self):
+        # argparse drops ``--`` from ``--flag=--`` and stores an empty
+        # list, unconverted; the table parser takes ``--`` as the value.
+        assert vars(_REFERENCE.parse_args(["dump-dot", "--program=--"]))[
+            "program"] == []
+        assert cli._parse(["dump-dot", "--program=--"]).program == "--"
+        assert _ours(["oracle-check", "--jobs=--"]) == (
+            "usage", "fpmfp: argument --jobs: invalid int value: '--'")
 
 
 class TestInputErrors:
@@ -930,6 +1209,50 @@ class TestOracleCheck:
         assert data["violations"][0]["property"] == "parse"
 
 
+class TestSkippedChecks:
+    """The report names every path-tree check it did not make, analysis
+    by analysis within each program, as ``violations`` are ordered."""
+
+    @staticmethod
+    def skipped(capsys, tmp_path, *names: str, bound=()) -> list[tuple]:
+        for name in names:
+            (tmp_path / f"{name}.mir").write_text(fixture_text(name))
+        code, out, _ = run(capsys, "oracle-check", "--fixtures",
+                           str(tmp_path), *bound)
+        data = json.loads(out)
+        assert (code, data["violations"]) == (0, [])
+        assert all(sorted(record) == ["analysis", "procedure", "program",
+                                      "property", "reason"]
+                   for record in data["skipped"])
+        return [(r["program"], r["analysis"], r["procedure"],
+                 r["property"], r["reason"]) for r in data["skipped"]]
+
+    def test_a_truncated_tree_skips_distributive_equality(self, capsys,
+                                                           tmp_path):
+        # fig2's branches put no path to the exit within 3 edges; the
+        # interval analysis is not distributive and checks no equality.
+        assert self.skipped(capsys, tmp_path, "fig2",
+                            bound=("--max-length", "3")) == [
+            ("fig2.mir", name, "f", "distributive-equality", "truncated")
+            for name in ("rd", "must-defined")]
+        assert self.skipped(capsys, tmp_path, "fig2") == []
+
+    def test_an_exploding_tree_skips_every_check(self, capsys, monkeypatch,
+                                                 tmp_path):
+        monkeypatch.setattr(oracle, "EXPANSION_LIMIT", 1)
+        tree_checks = {"rd": ["fold-bounded-by-path-meets",
+                              "distributive-equality"],
+                       "must-defined": ["fold-bounded-by-path-meets",
+                                        "distributive-equality"],
+                       "interval": ["fold-bounded-by-path-meets"]}
+        assert self.skipped(capsys, tmp_path, "fig2", "fig7") == [
+            (program, name, proc, prop, "explosion")
+            for program, procs in (("fig2.mir", ["f"]),
+                                   ("fig7.mir", ["p", "q"]))
+            for name, props in tree_checks.items()
+            for proc in procs for prop in props]
+
+
 class TestSharedWork:
     """Work that does not depend on the analysis is done once per
     program."""
@@ -991,7 +1314,7 @@ class TestSharedWork:
 
     def test_oracle_check_builds_one_call_graph_and_one_tree_per_procedure(
             self, call_graphs, walks):
-        assert self.check_fig7() == []
+        assert self.check_fig7() == ([], [])
         assert len(call_graphs) == 1
         assert walks["built"] == ["p", "q"]
         assert walks["evaluated"] == 3 * ["p"] + 3 * ["q"]
@@ -1007,14 +1330,23 @@ class TestSharedWork:
 
         def reached():
             out = {}
-            for v in self.check_fig7():
+            violations, skipped = self.check_fig7()
+            for v in violations:
                 if v["property"] == "fold-bounded-by-path-meets":
                     out.setdefault(v["analysis"], set()).add(v["location"])
-            return out
+            return out, [(v["analysis"], v["procedure"], v["property"],
+                          v["reason"]) for v in skipped]
 
-        everywhere = reached()
+        everywhere, none_skipped = reached()
         walks["explode"] = ("q",)
-        without_q = reached()
+        without_q, skipped = reached()
+        assert none_skipped == []
+        assert skipped == [
+            (name, "q", prop, "explosion")
+            for name in cmd_oracle_check._SUITE_ANALYSES
+            for prop in ("fold-bounded-by-path-meets",
+                         "distributive-equality")
+            if name != "interval" or prop != "distributive-equality"]
         assert walks["built"] == 2 * ["p", "q"]
         assert walks["evaluated"] == 3 * ["p"] + 3 * ["q"] + 3 * ["p"]
         in_q = {f"n{nid}" for nid in fixture_program("fig7").by_name["q"]
@@ -1045,9 +1377,11 @@ class TestSharedWork:
             raise lifted.NonTermination("step budget exceeded")
 
         monkeypatch.setattr(lifted, "solve_fpmfp_interprocedural", diverge)
-        assert [(v["analysis"], v["property"]) for v in self.check_fig7()] \
-            == [(name, "termination")
-                for name in cmd_oracle_check._SUITE_ANALYSES]
+        violations, skipped = self.check_fig7()
+        assert [(v["analysis"], v["property"]) for v in violations] == [
+            (name, "termination")
+            for name in cmd_oracle_check._SUITE_ANALYSES]
+        assert skipped == []
         assert walks["built"] == []
 
     def test_oracle_check_builds_one_cfg_plan_per_procedure(
@@ -1064,7 +1398,7 @@ class TestSharedWork:
         monkeypatch.setattr(frontend, "CfgPlan", counted)
         source = perfbench_workloads().call_chain(1, 40).source
         assert cmd_oracle_check._check_program(
-            ("chain", source, None, 2)) == []
+            ("chain", source, None, 2)) == ([], [])
         program = frontend.parse_program(source)
         assert len(program.procedures) == 41
         assert sorted(built) == sorted(sorted(proc.cfg.nodes)
@@ -1193,10 +1527,10 @@ class TestOracleCheckFaults:
         # exit, so the walk is whole and equality is checked.
         self.fault_on_exit_edges(monkeypatch, "rd", lambda value: 0)
         task = ("three", "proc main() { a = 1; b = 2; c = 3; }", 3, 2)
-        assert cmd_oracle_check._check_program(task) == [{
+        assert cmd_oracle_check._check_program(task) == ([{
             "program": "three", "analysis": "rd",
             "property": "distributive-equality", "location": "n4",
-            "detail": "a@n1, b@n2, c@n3 != {}"}]
+            "detail": "a@n1, b@n2, c@n3 != {}"}], [])
 
     def test_fold_bounded_by_path_meets(self, capsys, monkeypatch,
                                         programs):
@@ -1300,8 +1634,8 @@ class TestStartup:
     ``json`` only after it has looked.
     """
 
-    HEAVY = ["concurrent.futures", "dataclasses", "inspect", "json",
-             "logging"]
+    HEAVY = ["argparse", "concurrent.futures", "dataclasses", "gettext",
+             "inspect", "json", "locale", "logging"]
     SCRIPT = (
         "import sys\n"
         "from fpmfp import cli\n"
@@ -1337,8 +1671,10 @@ class TestStartup:
         code, modules, heavy = json.loads(child.stdout.splitlines()[-1])
         return code, modules, heavy
 
-    @pytest.mark.parametrize("argv, code", [(("--help",), 0), ((), 64)],
-                             ids=["help", "usage"])
+    @pytest.mark.parametrize("argv, code", [
+        (("--help",), 0), ((), 64), (("compare", "-h"), 0),
+        (("analyze", "--mode", "both"), 64)],
+        ids=["help", "usage", "command-help", "command-usage"])
     def test_the_entry_alone(self, tmp_path, argv, code):
         """``--help`` and a usage error compile ``cli.py`` and the
         package root, and import no ``json``."""
@@ -1367,8 +1703,9 @@ class TestStartup:
             0, self.ORACLE, ["json"])
 
     def test_only_jobs_load_the_process_pool(self, tmp_path):
-        """The pool, and the logging it imports, load only when two
-        programs can be checked on two CPUs."""
+        """The pool, and the logging it imports and the locale its
+        ``subprocess`` imports, load only when two programs can be
+        checked on two CPUs."""
         for name in ("fig2", "fig3"):
             (tmp_path / f"{name}.mir").write_text(fixture_text(name))
         code, modules, heavy = self.loaded(
@@ -1376,6 +1713,7 @@ class TestStartup:
             "--output", "report")
         assert code == 0
         assert ("concurrent.futures" in heavy) == ((os.cpu_count() or 1) > 1)
+        assert not {"argparse", "gettext"} & set(heavy)
         assert "progen" not in modules
 
     @pytest.mark.parametrize("argv", [

@@ -24,11 +24,13 @@ def test_no_assert_statements():
 
 # Standard modules that take milliseconds to import (``dataclasses`` pulls
 # in ``inspect``, ``dis`` and ``ast``; ``logging`` pulls in ``traceback``
-# and ``tokenize``), which every CLI run would pay before doing any work,
-# and ``enum``, whose members resolve through a Python-level descriptor:
-# ``kind == StKind.CALL`` on an ``Enum`` costs several times a comparison
-# of plain constants, on every transfer, refine and path-tree step.
-SLOW_IMPORTS = {"dataclasses", "enum", "logging"}
+# and ``tokenize``; ``argparse`` pulls in ``gettext`` and ``locale``, and
+# building its parsers costs as much again), which every CLI run would pay
+# before doing any work, and ``enum``, whose members resolve through a
+# Python-level descriptor: ``kind == StKind.CALL`` on an ``Enum`` costs
+# several times a comparison of plain constants, on every transfer, refine
+# and path-tree step.
+SLOW_IMPORTS = {"argparse", "dataclasses", "enum", "logging"}
 
 
 def _imports(tree: ast.AST):
@@ -558,3 +560,63 @@ def test_report_rule_catches_planted_builders():
         "cmd_analyze.py: getvalue", "cmd_analyze.py: io",
         "cmd_compare.py: dumps", "cmd_compare.py: json",
         "lattice.py: _stream_json"]
+
+
+# ---------------------------------------------------------------------------
+# A subcommand reads only the flags the CLI's table gives it
+# ---------------------------------------------------------------------------
+
+def unknown_flags(sources: dict[str, str], commands: dict) -> list[str]:
+    """``module: args.name`` for each attribute that a ``cmd_<x>.handle``
+    in ``sources`` reads from its parameter and that is neither
+    ``command`` nor the name of a flag ``commands`` (``cli._commands()``)
+    defines for subcommand ``<x>``."""
+    found = []
+    for module, text in sorted(sources.items()):
+        if not module.startswith("cmd_"):
+            continue
+        handles = [node for node in ast.parse(text, module).body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "handle"]
+        if not handles:
+            continue
+        (handle,) = handles
+        flags = commands[module[4:-3].replace("_", "-")][1]
+        known = {"command"} | {flag[2:].replace("-", "_") for flag in flags}
+        param = handle.args.args[0].arg
+        found += sorted({
+            f"{module}: {param}.{node.attr}" for node in ast.walk(handle)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == param
+            and node.attr not in known})
+    return found
+
+
+def test_subcommands_read_only_their_flags():
+    """A typo in ``args.<flag>`` would raise ``AttributeError`` only when
+    that line runs; the table says which names each ``handle`` gets."""
+    from fpmfp import cli
+
+    sources, _, _ = _tree_texts()
+    handled = [module for module in sources if module.startswith("cmd_")
+               and "\ndef handle(" in sources[module]]
+    assert len(handled) == len(cli._commands()) == 5
+    assert unknown_flags(sources, cli._commands()) == []
+
+
+def test_flag_rule_catches_a_planted_misspelling():
+    from fpmfp import cli
+
+    sources, _, _ = _tree_texts()
+    text = sources["cmd_oracle_check.py"]
+    assert text.count("args.max_length") == 1
+    sources["cmd_oracle_check.py"] = text.replace(
+        "args.max_length", "args.max_lenght")
+    # A flag of another subcommand is no flag of this one.
+    sources["cmd_dump_dot.py"] += (
+        "\n\ndef handle(opts):\n    return opts.analysis, opts.command\n")
+    sources["cmd_dump_dot.py"] = sources["cmd_dump_dot.py"].replace(
+        "def handle(args)", "def old_handle(args)")
+    assert unknown_flags(sources, cli._commands()) == [
+        "cmd_dump_dot.py: opts.analysis",
+        "cmd_oracle_check.py: args.max_lenght"]
