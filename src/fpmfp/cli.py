@@ -21,9 +21,10 @@ Start-up: this file is only the entry and the argument wiring, read from
 one table with no ``argparse``.  At module level it imports ``gc``,
 ``sys``, ``types``, ``typing`` and the package root, and nothing else:
 ``--help`` and usage errors compile this file and ``fpmfp/__init__.py``
-and import no ``json``.  ``main`` imports the chosen subcommand's module,
-``fpmfp.cmd_<subcommand>``, when it dispatches, and hands its ``handle``
-a ``types.SimpleNamespace`` of ``command`` and the flags; that module and
+only, and no run imports ``json``.  ``main`` imports the chosen
+subcommand's module, ``fpmfp.cmd_<subcommand>``, when it dispatches, and
+hands its ``handle`` a ``types.SimpleNamespace`` of ``command`` and the
+flags; that module and
 ``fpmfp.cmd_io`` (program loading and the report writer) import the
 layers the subcommand runs, each at the top of the function that runs
 it.  The names both sides need (``SCHEMA``, the analysis flags, the two

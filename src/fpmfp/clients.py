@@ -13,14 +13,13 @@ segments), so every reader takes the folded views of either alike.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .frontend import MiniIrProgram, build_call_graph
 from .lattice import Analysis
 from .lifted import (
     ALL_OPTS,
     FpmfpProgramSolution,
-    PairStats,
     solve_fpmfp_interprocedural,
 )
 from .mfp import solve_mfp
@@ -31,19 +30,18 @@ class PrecisionViolation(RuntimeError):
     """The feasible-path solution failed to refine the plain solution."""
 
 
-class DefUse(NamedTuple):
-    """One definition reaching one use of a variable."""
+class DefUse(namedtuple("DefUse", "def_node use_node var")):
+    """One definition (node ``def_node``) reaching one use (node
+    ``use_node``) of variable ``var``."""
 
-    def_node: int
-    use_node: int
-    var: str
+    __slots__ = ()
 
 
-class Alarm(NamedTuple):
-    """A use of a variable that may be uninitialized there."""
+class Alarm(namedtuple("Alarm", "use_node var")):
+    """A use (node ``use_node``) of variable ``var``, which may be
+    uninitialized there."""
 
-    use_node: int
-    var: str
+    __slots__ = ()
 
 
 def _require(solution, analysis_name: str, what: str) -> None:
@@ -108,10 +106,6 @@ def _reduction(before: int, after: int) -> float | None:
     return 100.0 * (before - after) / before
 
 
-def _percent_text(value: float | None) -> str:
-    return "-" if value is None else f"{value:.1f}%"
-
-
 class _TwoModeReport:
     """One client's findings in both modes with their removal percentage.
 
@@ -155,15 +149,6 @@ class _TwoModeReport:
                 None if reduction is None else round(reduction, 2)),
         }
 
-    def _table(self, header: str, row) -> str:
-        lines = [f"{header}  mfp={len(self.mfp)}  fpmfp={len(self.fpmfp)}"
-                 f"  reduction={_percent_text(self.reduction)}"]
-        fpmfp = set(self.fpmfp)
-        for item in self.mfp:
-            kept = "kept " if item in fpmfp else "gone "
-            lines.append(f"  {kept} {row(item)}")
-        return "\n".join(lines)
-
 
 class DefUseReport(_TwoModeReport):
     """Def-use pairs of both modes with their removal percentage."""
@@ -171,20 +156,12 @@ class DefUseReport(_TwoModeReport):
     _noun, _key, _order = "def-use pairs", "pairs", staticmethod(_use_order)
     compare_key = "def_use"
 
-    def to_table(self) -> str:
-        return self._table("def-use pairs", lambda p: (
-            f"n{p.def_node} -> n{p.use_node}  {p.var}"))
-
 
 class UninitReport(_TwoModeReport):
     """Possibly-uninitialized-use alarms of both modes."""
 
     _noun, _key, _order = "alarms", "alarms", None
     compare_key = "alarms"
-
-    def to_table(self) -> str:
-        return self._table("uninitialized uses",
-                           lambda a: f"n{a.use_node}  {a.var}")
 
 
 def def_use_report(program: MiniIrProgram, flat: FpmfpProgramSolution,
@@ -206,12 +183,11 @@ def uninit_report(program: MiniIrProgram, flat: FpmfpProgramSolution,
 _CLIENT_REPORTS = {"rd": def_use_report, "must-defined": uninit_report}
 
 
-class ModeRow(NamedTuple):
-    """One location's value in both modes."""
+class ModeRow(namedtuple("ModeRow", "mfp fpmfp strict")):
+    """One location's value in both modes, and whether the feasible-path
+    one is strictly more precise."""
 
-    mfp: object
-    fpmfp: object
-    strict: bool
+    __slots__ = ()
 
 
 def _mode_rows(analysis: Analysis, flat: dict[int, object],
@@ -230,21 +206,19 @@ def _mode_rows(analysis: Analysis, flat: dict[int, object],
             for loc in sorted(flat)}
 
 
-class ComparisonReport(NamedTuple):
+class ComparisonReport(namedtuple("ComparisonReport", (
+        "analysis", "opts", "segment_count", "node_rows", "edge_rows",
+        "times", "stats", "client"))):
     """Both modes on one program: values, strictness, times, pair stats.
 
-    ``client`` is the def-use (rd) or alarm (must-defined) report of both
-    modes, and None for other analyses.
+    ``node_rows`` and ``edge_rows`` map each location to its ``ModeRow``,
+    ``times`` each mode to its wall time, and ``stats`` holds the
+    feasible-path solve's ``PairStats``.  ``client`` is the def-use (rd)
+    or alarm (must-defined) report of both modes, and None for other
+    analyses.
     """
 
-    analysis: Analysis
-    opts: tuple[int, ...]
-    segment_count: int
-    node_rows: dict[int, ModeRow]
-    edge_rows: dict[int, ModeRow]
-    times: dict[str, float]
-    stats: PairStats
-    client: DefUseReport | UninitReport | None
+    __slots__ = ()
 
     @property
     def strict_nodes(self) -> tuple[int, ...]:
@@ -284,19 +258,6 @@ class ComparisonReport(NamedTuple):
         if timing:
             out["times"] = dict(self.times)
         return out
-
-    def to_table(self) -> str:
-        fmt = self.analysis.format
-        lines = [
-            f"analysis={self.analysis.name}  segments={self.segment_count}"
-            f"  strict nodes={list(self.strict_nodes)}"
-            f"  strict edges={list(self.strict_edges)}",
-        ]
-        for nid, row in sorted(self.node_rows.items()):
-            mark = "*" if row.strict else " "
-            lines.append(f"  n{nid} {mark} mfp: {fmt(row.mfp)}")
-            lines.append(f"       {mark} fp:  {fmt(row.fpmfp)}")
-        return "\n".join(lines)
 
 
 def compare_modes(program: MiniIrProgram, analysis: Analysis,

@@ -22,9 +22,11 @@ def handle(args) -> int:
         sys.stderr.write(f"fpmfp: precision violation: {exc}\n")
         return 2
     if args.format == "table":
-        text = report.to_table()
+        from .render import client_table, comparison_table
+
+        text = comparison_table(report)
         if report.client is not None:
-            text += "\n" + report.client.to_table()
+            text += "\n" + client_table(report.client)
         if not text.endswith("\n"):
             text += "\n"
         _write_text(text, args.output)

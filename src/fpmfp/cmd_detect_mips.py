@@ -22,7 +22,6 @@ def _overlay_annotations(universe) -> dict[int, str]:
 
 
 def handle(args) -> int:
-    from .frontend import emit_dot_program
     from .mips import detect_mips
 
     program = _load_program(args.program)
@@ -34,6 +33,8 @@ def handle(args) -> int:
     }
     _write_json(payload, args.output)
     if args.dot is not None:
+        from .render import emit_dot_program
+
         overlay = emit_dot_program(program, _overlay_annotations(universe))
         _write_text(overlay, args.dot)
     return 0

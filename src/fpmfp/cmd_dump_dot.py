@@ -6,7 +6,7 @@ from .cmd_io import _load_program, _write_text
 
 
 def handle(args) -> int:
-    from .frontend import emit_dot_program
+    from .render import emit_dot_program
 
     program = _load_program(args.program)
     _write_text(emit_dot_program(program), args.output)

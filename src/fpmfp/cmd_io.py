@@ -3,13 +3,12 @@ report atomically.
 
 A JSON report is never built as one string: ``_write_json`` streams its
 payload to the destination in chunks, and the bytes are those of
-``json.dumps``.  Every subcommand loads this module, and with it
-``json``; ``--help`` and usage errors do not.
+``json.dumps``.  No run imports ``json``: each scalar's text comes from
+``jsontext.scalar_text``, imported when a report is first streamed.
 """
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -67,10 +66,12 @@ def _stream_json(payload, write) -> None:
     a ``str`` raises, unless it equals (as a ``str`` subclass can) a key
     already joined there, whose text it reuses.
     """
+    from .jsontext import scalar_text
+
     pieces: list[str] = []
     append = pieces.append
     spliced: dict[tuple[int, int], str] = {}
-    quoted = Memo(json.dumps)
+    quoted = Memo(scalar_text)
     levels = Memo(_Level)
     room = _CHUNK  # characters the pieces may still take
 
@@ -94,7 +95,7 @@ def _stream_json(payload, write) -> None:
                     "\n", "\n" + "  " * depth)
         elif cls is not dict and cls is not list:
             if cls is float:
-                text = json.dumps(obj)
+                text = scalar_text(obj)
             elif cls is bool:
                 text = "true" if obj else "false"
             elif obj is None:
@@ -108,7 +109,7 @@ def _stream_json(payload, write) -> None:
             if cls is dict:
                 heads = level.first
                 for key, value in sorted(obj.items()):
-                    head = heads.get(key) or level.head(key, heads)
+                    head = heads.get(key) or level.head(key, heads, quoted)
                     append(head)
                     room -= len(head)
                     encode(value, depth + 1)
@@ -149,14 +150,14 @@ class _Level:
         self.first: dict[str, str] = {}
         self.rest: dict[str, str] = {}
 
-    def head(self, key, heads: dict[str, str]) -> str:
+    def head(self, key, heads: dict[str, str], quoted: Memo) -> str:
         """The text before ``key``'s value, kept in ``heads``, which is
-        ``first`` or ``rest``."""
+        ``first`` or ``rest``; ``quoted`` holds the keys' texts."""
         if type(key) is not str:
             raise TypeError(f"a report key is a str, not a "
                             f"{type(key).__name__}")
         sep = self.open_dict if heads is self.first else self.comma
-        text = heads[key] = sep + json.dumps(key) + ": "
+        text = heads[key] = sep + quoted[key] + ": "
         return text
 
 

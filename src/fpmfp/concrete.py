@@ -18,17 +18,18 @@ subcommand runs it, so no subcommand loads it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from collections import namedtuple
+from typing import Callable, Iterator
 
 from .frontend import Cfg, Cond, Expr, LabelKind, MiniIrProgram, StKind
 from .oracle import Explosion
 
 
-class Trace(NamedTuple):
-    """Edge trail of one procedure activation."""
+class Trace(namedtuple("Trace", "proc edges")):
+    """Edge trail of one activation of procedure ``proc``: its edge
+    ids, in the order taken."""
 
-    proc: str
-    edges: tuple[int, ...]
+    __slots__ = ()
 
 
 # Visits of one node per activation, and activations on the stack, past

@@ -1,4 +1,4 @@
-"""MiniIR frontend: lexing, parsing, CFG construction, call graph, DOT output.
+"""MiniIR frontend: lexing, parsing, CFG construction, call graph.
 
 A program is a sequence of ``global``/``extern`` declarations followed by
 procedures.  Each statement becomes one CFG node (a compound ``&&``/``||``
@@ -22,10 +22,10 @@ declarations is a ``ParseError``.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import islice
-from typing import NamedTuple
 
 
 class ParseError(SyntaxError):
@@ -54,15 +54,15 @@ class UnreachableNode(Exception):
 # Expressions and conditions
 # ---------------------------------------------------------------------------
 
-class Expr(NamedTuple):
-    """Arithmetic expression: a constant, a variable, or ``atom op atom``."""
+class Expr(namedtuple("Expr", "kind value name op left right",
+                       defaults=(None,) * 5)):
+    """Arithmetic expression: a constant, a variable, or ``atom op atom``.
 
-    kind: str  # "const" | "var" | "bin"
-    value: int | None = None
-    name: str | None = None
-    op: str | None = None  # "+", "-", "*"
-    left: "Expr | None" = None
-    right: "Expr | None" = None
+    ``kind`` is "const" (``value``), "var" (``name``) or "bin" (``left
+    op right``, ``op`` one of "+", "-", "*").
+    """
+
+    __slots__ = ()
 
     def variables(self) -> frozenset[str]:
         if self.kind == "var":
@@ -70,13 +70,6 @@ class Expr(NamedTuple):
         if self.kind == "bin":
             return self.left.variables() | self.right.variables()
         return frozenset()
-
-    def to_text(self) -> str:
-        if self.kind == "const":
-            return str(self.value)
-        if self.kind == "var":
-            return self.name
-        return f"{self.left.to_text()} {self.op} {self.right.to_text()}"
 
 
 CONST_EXPR_OPS = {"+", "-", "*"}
@@ -90,22 +83,18 @@ MAX_NESTING = 200
 MAX_OPERANDS = 200
 
 
-class Cond(NamedTuple):
+class Cond(namedtuple("Cond", "op var rhs left right atomic",
+                       defaults=(None, None, None, None, False))):
     """Branch condition.
 
     ``op`` is a comparison ("<", "<=", ">", ">=", "==", "!="), "var" for a bare
-    variable (truthy iff nonzero), or "&&"/"||" for a compound condition.
-    Comparisons are variable-vs-constant except "=="/"!=", which also allow a
-    variable on the right.  ``atomic`` marks an ``@atomic_cond`` condition that
-    analyses must treat as opaque.
+    variable (truthy iff nonzero), or "&&"/"||" for a compound condition of
+    ``left`` and ``right``.  A comparison tests ``var`` against ``rhs``, a
+    constant, or for "=="/"!=" also a variable name.  ``atomic`` marks an
+    ``@atomic_cond`` condition that analyses must treat as opaque.
     """
 
-    op: str
-    var: str | None = None
-    rhs: int | str | None = None
-    left: "Cond | None" = None
-    right: "Cond | None" = None
-    atomic: bool = False
+    __slots__ = ()
 
     def variables(self) -> frozenset[str]:
         if self.op in ("&&", "||"):
@@ -118,15 +107,6 @@ class Cond(NamedTuple):
     def is_simple(self) -> bool:
         """True for a non-compound, non-atomic condition usable 1-D."""
         return not self.atomic and self.op not in ("&&", "||")
-
-    def to_text(self) -> str:
-        if self.op in ("&&", "||"):
-            text = f"{self.left.to_text()} {self.op} {self.right.to_text()}"
-        elif self.op == "var":
-            text = self.var
-        else:
-            text = f"{self.var} {self.op} {self.rhs}"
-        return f"@atomic_cond {text}" if self.atomic else text
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +129,15 @@ class StKind:
     EXIT = "exit"
 
 
-class Statement(NamedTuple):
-    kind: str  # a StKind constant
-    var: str | None = None  # assign/read target, switch selector
-    expr: Expr | None = None  # assign rhs, print argument
-    cond: Cond | None = None  # assert/branch condition
-    callee: str | None = None
-    is_loop: bool = False  # branch node heading a while
+class Statement(namedtuple("Statement", "kind var expr cond callee is_loop",
+                            defaults=(None, None, None, None, False))):
+    """One CFG node's statement: ``kind`` is a ``StKind`` constant; ``var``
+    is an assign or read target or a switch selector, ``expr`` an assign's
+    right side or a print's argument, ``cond`` an assert or branch
+    condition, ``callee`` a call's target; ``is_loop`` marks the branch
+    heading a while."""
+
+    __slots__ = ()
 
     def defs(self) -> frozenset[str]:
         """Variables this statement (re)defines; calls are handled separately."""
@@ -174,27 +156,6 @@ class Statement(NamedTuple):
             return frozenset((self.var,))
         return frozenset()
 
-    def to_text(self) -> str:
-        k = self.kind
-        if k == StKind.ASSIGN:
-            return f"{self.var} = {self.expr.to_text()};"
-        if k == StKind.READ:
-            return f"read {self.var};"
-        if k == StKind.PRINT:
-            return f"print {self.expr.to_text()};"
-        if k == StKind.ASSERT:
-            return f"assert({self.cond.to_text()});"
-        if k == StKind.BRANCH:
-            head = "while" if self.is_loop else "if"
-            return f"{head} ({self.cond.to_text()})"
-        if k == StKind.SWITCH:
-            return f"switch ({self.var})"
-        if k == StKind.CALL:
-            return f"{self.callee}();"
-        if k == StKind.SKIP:
-            return "skip;"
-        return "exit;"
-
 
 class LabelKind:
     """Edge label kinds, plain string constants like :class:`StKind`."""
@@ -206,14 +167,8 @@ class LabelKind:
     DEFAULT = "default"
 
 
-class EdgeLabel(NamedTuple):
-    kind: str  # a LabelKind constant
-    value: int | None = None  # case constant
-
-    def to_text(self) -> str:
-        if self.kind == LabelKind.CASE:
-            return f"case {self.value}"
-        return self.kind
+# ``kind`` is a LabelKind constant, ``value`` a case constant.
+EdgeLabel = namedtuple("EdgeLabel", "kind value", defaults=(None,))
 
 
 NO_LABEL = EdgeLabel(LabelKind.NONE)
@@ -222,19 +177,11 @@ FALSE = EdgeLabel(LabelKind.FALSE)
 DEFAULT = EdgeLabel(LabelKind.DEFAULT)
 
 
-class Node(NamedTuple):
-    id: int
-    statement: Statement
+Node = namedtuple("Node", "id statement")
+Edge = namedtuple("Edge", "id source target label", defaults=(NO_LABEL,))
 
 
-class Edge(NamedTuple):
-    id: int
-    source: int
-    target: int
-    label: EdgeLabel = NO_LABEL
-
-
-class CfgPlan(NamedTuple):
+class CfgPlan(namedtuple("CfgPlan", "heap outs")):
     """What the fixpoint engine reads of one CFG, built once per CFG and
     read by every solve over it.
 
@@ -244,8 +191,7 @@ class CfgPlan(NamedTuple):
     edge id, target, target RPO position)``.
     """
 
-    heap: tuple[tuple[int, int], ...]
-    outs: dict[int, tuple[Node, tuple[tuple, ...]]]
+    __slots__ = ()
 
 
 class Cfg:
@@ -311,10 +257,7 @@ class Cfg:
              for n, node in self.nodes.items()})
 
 
-class Procedure(NamedTuple):
-    name: str
-    params: tuple[str, ...]
-    cfg: Cfg
+Procedure = namedtuple("Procedure", "name params cfg")
 
 
 class CallGraph:
@@ -848,36 +791,3 @@ def parse_program(source: str) -> MiniIrProgram:
 
 def build_call_graph(program: MiniIrProgram) -> CallGraph:
     return CallGraph(program)
-
-
-# ---------------------------------------------------------------------------
-# DOT output
-# ---------------------------------------------------------------------------
-
-def emit_dot_program(program: MiniIrProgram,
-                     annotations: dict[int, str] | None = None) -> str:
-    """One digraph with a cluster per procedure."""
-    annotations = annotations or {}
-    lines = ["digraph program {", "  node [shape=box];"]
-    for idx, proc in enumerate(program.procedures):
-        cfg = proc.cfg
-        lines.append(f"  subgraph cluster_{idx} {{")
-        lines.append(f'    label="{proc.name}";')
-        for nid in sorted(cfg.nodes):
-            st = cfg.nodes[nid].statement
-            text = st.to_text().replace('"', '\\"')
-            lines.append(f'    n{nid} [label="n{nid}: {text}"];')
-        for eid in sorted(cfg.edges):
-            e = cfg.edges[eid]
-            parts = []
-            if e.label.kind != LabelKind.NONE:
-                parts.append(e.label.to_text())
-            if eid in annotations:
-                parts.append(annotations[eid])
-            label = f"e{eid}"
-            if parts:
-                label += ": " + ", ".join(parts)
-            lines.append(f'    n{e.source} -> n{e.target} [label="{label}"];')
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

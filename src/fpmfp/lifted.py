@@ -40,8 +40,9 @@ met folded call-site In values projected to globals (plus parameters).
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 from . import SolverError
 from .frontend import (
@@ -53,8 +54,11 @@ from .frontend import (
     StKind,
     build_call_graph,
 )
-from .lattice import Analysis, BitvectorAnalysis, WideningState
+from .lattice import Analysis, BitvectorAnalysis
 from .mips import NO_CROSSING, MipsUniverse
+
+if TYPE_CHECKING:
+    from .interval import WideningState
 
 Key = frozenset[int]
 LiftedValue = dict[Key, object]
@@ -378,14 +382,14 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
 # Gen/kill call summaries
 # ---------------------------------------------------------------------------
 
-class Summaries(NamedTuple):
-    """Per-procedure call-transfer masks, projected to globals.
+class Summaries(namedtuple("Summaries", "gsum ksum")):
+    """Per-procedure call-transfer masks, projected to globals: ``gsum``
+    and ``ksum`` map a procedure name to its gen and kill mask.
 
     A call to ``p`` transforms a set as ``(X & ~ksum[p]) | gsum[p]``.
     """
 
-    gsum: dict[str, int]
-    ksum: dict[str, int]
+    __slots__ = ()
 
 
 def _summary_exit(cfg: Cfg, universe: MipsUniverse, opts: frozenset[int], *,
@@ -525,23 +529,22 @@ class FpmfpSolution:
         return _fold_each(self.edge_values, self.analysis)
 
 
-class FpmfpProgramSolution(NamedTuple):
+class FpmfpProgramSolution(namedtuple("FpmfpProgramSolution", (
+        "analysis", "procs", "boundaries", "exit_values", "stats", "steps",
+        "node_transfer"))):
     """Whole-program lifted solution, of either mode.
 
+    ``procs`` maps each procedure name to its ``FpmfpSolution``,
+    ``boundaries`` and ``exit_values`` to its boundary and folded exit
+    value; ``stats`` and ``steps`` count the whole solve, and
+    ``node_transfer`` is the folded (plain-lattice) node transfer the
+    driver solved with, for path-oracle comparison.
     ``folded_in``, ``folded_out`` and ``folded_edges`` are the plain
     values; an MFP solution (one pair everywhere) is read through them.
     Each merged view is rebuilt from ``procs`` on every read.
     """
 
-    analysis: Analysis
-    procs: dict[str, FpmfpSolution]
-    boundaries: dict[str, object]
-    exit_values: dict[str, object]
-    stats: PairStats
-    steps: int
-    # Folded (plain-lattice) node transfer the driver solved with, for
-    # path-oracle comparison.
-    node_transfer: Callable
+    __slots__ = ()
 
     def _merged(self, view: str) -> dict:
         """One per-procedure view merged over all procedures."""
@@ -584,7 +587,11 @@ def solve_fpmfp_interprocedural(
                                  call_graph=cg)
         if isinstance(analysis, BitvectorAnalysis) else None
     )
-    widening = WideningState() if analysis.kind == "interval" else None
+    widening = None
+    if analysis.kind == "interval":
+        from .interval import WideningState
+
+        widening = WideningState()
     stats = PairStats()
     top = analysis.top()
     # The default refine is the identity; the engine then skips the call.

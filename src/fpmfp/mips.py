@@ -25,7 +25,8 @@ work on plain sets.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
+from functools import cached_property
 
 from .frontend import (
     CallGraph,
@@ -48,17 +49,16 @@ from .frontend import (
 INF = float("inf")
 
 
-class Interval1D(NamedTuple):
+class Interval1D(namedtuple("Interval1D", "lo hi")):
     """Closed integer interval [lo, hi] with optionally infinite endpoints."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
 
-class CoPoint(NamedTuple):
-    """All integers except one."""
+class CoPoint(namedtuple("CoPoint", "k")):
+    """All integers except one, ``k``."""
 
-    k: int
+    __slots__ = ()
 
 
 OneDSet = Interval1D | CoPoint
@@ -123,15 +123,14 @@ def outcome_set(cond: Cond, taken: bool) -> OneDSet | None:
 # Queries and answers
 # ---------------------------------------------------------------------------
 
-class Query(NamedTuple):
+class Query(namedtuple("Query", "origin var sat")):
     """One conditional arm's question, propagated backwards.
 
-    ``sat`` is the set of values of ``var`` that take the arm at ``origin``.
+    ``sat`` (a ``OneDSet``) is the set of values of ``var`` that take the
+    arm at edge ``origin``.
     """
 
-    origin: int
-    var: str
-    sat: OneDSet
+    __slots__ = ()
 
 
 class Answer:
@@ -232,15 +231,15 @@ class _Resolver:
         return var in self.cg.may_modify[callee]
 
 
-class Step1Result(NamedTuple):
+class Step1Result(namedtuple("Step1Result", "queries reached")):
     """Backward propagation state: what each query reached.
 
-    ``reached[query]`` maps every edge the query reached to that edge's
-    answer, or to None where it stayed unresolved and propagated on.
+    ``queries`` lists the procedure's queries.  ``reached[query]`` maps
+    every edge the query reached to that edge's answer, or to None where
+    it stayed unresolved and propagated on.
     """
 
-    queries: list[Query]
-    reached: dict[Query, dict[int, str | None]]
+    __slots__ = ()
 
     @property
     def answers(self) -> dict[tuple[int, Query], str]:
@@ -348,10 +347,10 @@ def _materialize(cfg, query: Query, start: set[int],
 # The universe of detected segments
 # ---------------------------------------------------------------------------
 
-class Mips(NamedTuple):
-    id: int
-    proc: str
-    edges: tuple[int, ...]
+class Mips(namedtuple("Mips", "id proc edges")):
+    """Segment ``id`` of procedure ``proc``: its edge ids, in path order."""
+
+    __slots__ = ()
 
     @property
     def start(self) -> int:
@@ -393,7 +392,9 @@ class MipsUniverse:
     exactly when the edge is their next (position-determined) edge, which
     for cycle-free segments is membership past the start.  The pair is
     blocked when that set meets ``ends``.  ``end_edge`` maps each segment id
-    to its end edge, and :meth:`cso` names the segments one covers.
+    to its end edge, and :meth:`cso` names the segments one covers.  Both
+    tables are built on first read, so a run that only detects segments
+    builds neither.
     """
 
     def __init__(self, program: MiniIrProgram, all_mips: list[Mips]) -> None:
@@ -406,23 +407,28 @@ class MipsUniverse:
         self.by_proc: dict[str, tuple[Mips, ...]] = {
             proc.name: tuple(grouped.get(proc.name, ()))
             for proc in program.procedures}
+        self._cso_cache: dict[tuple[int, int], frozenset[int]] = {}
+
+    @cached_property
+    def end_edge(self) -> dict[int, int]:
+        return {m.id: m.end for m in self.all}
+
+    @cached_property
+    def crossings(self) -> dict[int, tuple[frozenset[int], ...]]:
         starts: dict[int, set[int]] = {}
         continues: dict[int, set[int]] = {}
         ends: dict[int, set[int]] = {}
-        self.end_edge: dict[int, int] = {}
         for m in self.all:
             starts.setdefault(m.start, set()).add(m.id)
             ends.setdefault(m.end, set()).add(m.id)
-            self.end_edge[m.id] = m.end
             for e in m.edges[1:]:
                 continues.setdefault(e, set()).add(m.id)
         # Every end edge is a start or a continuing edge of its segment.
-        self.crossings: dict[int, tuple[frozenset[int], ...]] = {
+        return {
             e: (frozenset(starts.get(e, ())), frozenset(continues.get(e, ())),
                 frozenset(ends.get(e, ())))
             for e in starts.keys() | continues.keys()
         }
-        self._cso_cache: dict[tuple[int, int], frozenset[int]] = {}
 
     def __len__(self) -> int:
         return len(self.all)

@@ -17,7 +17,7 @@ Both raise :class:`Explosion` instead of running unbounded.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .frontend import Cfg, Procedure
 from .mips import MipsUniverse
@@ -35,13 +35,13 @@ EXPANSION_LIMIT = 1_000_000
 # Bounded path-tree meets with segment pruning
 # ---------------------------------------------------------------------------
 
-class OracleMeets(NamedTuple):
-    """Meets over explored feasible (segment-free) bounded paths."""
+class OracleMeets(namedtuple(
+        "OracleMeets", "node_in edge_values expansions truncated")):
+    """Meets over explored feasible (segment-free) bounded paths: per
+    node entry and per edge, with the tree's expansion count and whether
+    it was truncated."""
 
-    node_in: dict[int, object]
-    edge_values: dict[int, object]
-    expansions: int
-    truncated: bool
+    __slots__ = ()
 
 
 def _advance(starts, progress: tuple, edge_id: int):
@@ -63,16 +63,16 @@ def _advance(starts, progress: tuple, edge_id: int):
     return tuple(out)
 
 
-class PathTree(NamedTuple):
+class PathTree(namedtuple("PathTree", "steps truncated")):
     """The bounded segment-free path tree of one procedure, in walk order.
 
     Expansion ``i`` is ``steps[i] == (node, edges)``: it reaches ``node``
     and leaves it along ``edges``, in the order the walk takes them; its
-    children are the expansions those edges lead to.
+    children are the expansions those edges lead to.  ``truncated`` is
+    set when a bound of ``path_tree`` stopped a path short.
     """
 
-    steps: list[tuple[int, tuple]]
-    truncated: bool
+    __slots__ = ()
 
     def meets(self, *, boundary, meet, node_transfer,
               refine) -> OracleMeets:

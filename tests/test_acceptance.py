@@ -21,10 +21,10 @@ import fpmfp
 from fpmfp.clients import def_use_report, uninit_report
 from fpmfp.concrete import execute_all
 from fpmfp.frontend import parse_program
-from fpmfp.lattice import INF, make_analysis
+from fpmfp.lattice import make_analysis
 from fpmfp.lifted import ALL_OPTS, solve_fpmfp_interprocedural
 from fpmfp.mfp import solve_mfp
-from fpmfp.mips import detect_mips
+from fpmfp.mips import INF, detect_mips
 from fpmfp.oracle import mips_free_meets, solution_semantics
 from fpmfp.progen import check_programs
 

@@ -15,8 +15,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from fpmfp.frontend import emit_dot_program, parse_program
+from fpmfp.frontend import parse_program
 from fpmfp.progen import generate_multi_program, generate_program
+from fpmfp.render import emit_dot_program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cfg_shapes.json"

@@ -28,8 +28,10 @@ from fpmfp import (
     oracle, progen)
 from fpmfp.cli import main
 from fpmfp.frontend import MAX_NESTING, MAX_OPERANDS
-from fpmfp.lattice import (
-    INF, BitvectorAnalysis, IntervalAnalysis, make_analysis)
+from fpmfp.interval import IntervalAnalysis
+from fpmfp.jsontext import scalar_text
+from fpmfp.lattice import BitvectorAnalysis, make_analysis
+from fpmfp.mips import INF
 
 from conftest import (
     FIXTURES,
@@ -185,6 +187,47 @@ class TestJsonWriter:
         payload = data.draw(st.recursive(leaves, _containers,
                                          max_leaves=25))
         assert json_text(payload) == self.expected(payload)
+
+
+class TestScalarText:
+    """``jsontext.scalar_text``, the text of every scalar in a report, is
+    ``json.dumps`` of that scalar."""
+
+    @staticmethod
+    def mismatches(values) -> list:
+        return [value for value in values
+                if scalar_text(value) != json.dumps(value)]
+
+    def test_ascii(self):
+        chars = [chr(code) for code in range(0x80)]
+        assert self.mismatches(
+            ["", "".join(chars), *chars, *(f"a{c}b" for c in chars)]) == []
+
+    def test_beyond_ascii(self):
+        assert self.mismatches([
+            "\u00e9", "caf\u00e9 \u4e2d\u6587", "\u0080\u07ff\u0800",
+            "\ufeff\uffff", "\U0001f600", "x\U00010000y\U0010ffff",
+            "\ud800", "a\udfffb", "\udbff\udc00", "\ud83d\U0001f600",
+        ]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_any_text(self, text):
+        assert scalar_text(text) == json.dumps(text)
+
+    def test_numbers_and_constants(self):
+        assert self.mismatches([
+            0.0, -0.0, 1e-7, 1e300, 1.5, -2.25, float("inf"), -float("inf"),
+            float("nan"), 0, -1, 2 ** 64, -(10 ** 40), True, False, None,
+        ]) == []
+
+    def test_other_types_raise(self):
+        class Name(str):
+            pass
+
+        for value in ((1,), [1], {"a": 1}, Name("a"), b"a"):
+            with pytest.raises(TypeError):
+                scalar_text(value)
 
 
 class TestReportPayloads:
@@ -1652,13 +1695,16 @@ class TestStartup:
         "print(json.dumps(found))\n"
     )
     PACKAGE = Path(fpmfp.__file__).resolve().parent
-    FRONT = ["frontend", "mips"]
+    # What every run that writes JSON, or solves, loads: the front end,
+    # detection and the scalar text of the JSON writer and value views.
+    FRONT = ["frontend", "jsontext", "mips"]
     SOLVE = sorted(FRONT + ["lattice", "lifted", "mfp"])
-    # Everything but the clients, the concrete executor and the other
-    # subcommands: a new module must be placed here.
+    # Everything but the clients, the concrete executor, the renderer and
+    # the other subcommands: a new module must be placed here.
     ORACLE = sorted({path.stem for path in PACKAGE.glob("*.py")}
                     - {"__init__", "clients", "concrete", "cmd_analyze",
-                       "cmd_compare", "cmd_detect_mips", "cmd_dump_dot"})
+                       "cmd_compare", "cmd_detect_mips", "cmd_dump_dot",
+                       "render"})
 
     def loaded(self, tmp_path, *argv: str):
         """The exit code, the fpmfp modules and the ``HEAVY`` modules
@@ -1682,25 +1728,36 @@ class TestStartup:
 
     @pytest.mark.parametrize("argv, expected", [
         (("detect-mips",), ["cmd_detect_mips"] + FRONT),
-        (("dump-dot",), ["cmd_dump_dot", "frontend"]),
+        (("dump-dot",), ["cmd_dump_dot", "frontend", "render"]),
         (("analyze", "--analysis", "rd", "--mode", "mfp"),
          ["cmd_analyze"] + SOLVE),
         (("analyze", "--analysis", "interval", "--mode", "fpmfp"),
-         ["cmd_analyze"] + SOLVE),
+         ["cmd_analyze", "interval"] + SOLVE),
         (("compare", "--analysis", "uninit"),
          ["clients", "cmd_compare"] + SOLVE),
+        (("detect-mips", "--dot", "dot"),
+         ["cmd_detect_mips", "render"] + FRONT),
+        (("compare", "--analysis", "rd"), ["clients", "cmd_compare"] + SOLVE),
+        (("compare", "--analysis", "interval"),
+         ["clients", "cmd_compare", "interval"] + SOLVE),
+        (("compare", "--analysis", "uninit", "--format", "table"),
+         ["clients", "cmd_compare", "render"] + SOLVE),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_program_commands(self, tmp_path, argv, expected):
+        """A bit-vector run loads neither the interval domain nor the
+        renderer, only the DOT and table outputs load the renderer, and
+        no run imports ``json``."""
         argv += ("--program", fix("fig2"), "--output", "report")
         assert self.loaded(tmp_path, *argv) == (
-            0, sorted(["cli", "cmd_io"] + expected), ["json"])
+            0, sorted(["cli", "cmd_io"] + expected), [])
 
     def test_oracle_check(self, tmp_path):
-        assert {"progen", "cmd_io", "cmd_oracle_check"} <= set(self.ORACLE)
+        assert {"progen", "cmd_io", "cmd_oracle_check",
+                "interval"} <= set(self.ORACLE)
         (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
         assert self.loaded(tmp_path, "oracle-check", "--fixtures", ".",
                            "--random", "1", "--output", "report") == (
-            0, self.ORACLE, ["json"])
+            0, self.ORACLE, [])
 
     def test_only_jobs_load_the_process_pool(self, tmp_path):
         """The pool, and the logging it imports and the locale its

@@ -20,6 +20,7 @@ from fpmfp.lattice import make_analysis
 from fpmfp.lifted import solve_fpmfp_interprocedural
 from fpmfp.mfp import solve_mfp
 from fpmfp.mips import MipsUniverse, detect_mips
+from fpmfp.render import client_table, comparison_table
 
 from conftest import fixture_program
 
@@ -108,7 +109,7 @@ class TestUninitAlarms:
         assert report.mfp == report.fpmfp == ()
         assert report.reduction is None
         assert report.to_json()["reduction_percent"] is None
-        assert "reduction=-" in report.to_table()
+        assert "reduction=-" in client_table(report)
 
     def test_wrong_analysis_is_rejected(self):
         program, flat, _ = both_modes("nlkain_like", "rd")
@@ -191,7 +192,7 @@ class TestCompareModes:
 
     def test_table_marks_strict_rows(self):
         report = compare("fig2", "interval")
-        assert "n6 *" in report.to_table()
+        assert "n6 *" in comparison_table(report)
 
     def test_refinement_check_rejects_bad_values(self):
         from fpmfp.clients import _mode_rows

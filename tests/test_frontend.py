@@ -14,10 +14,10 @@ from fpmfp.frontend import (
     UnreachableNode,
     UnresolvedCall,
     build_call_graph,
-    emit_dot_program,
     parse_program,
 )
 from fpmfp.progen import generate_multi_program, generate_program
+from fpmfp.render import emit_dot_program, label_text, statement_text
 
 from conftest import (
     FIXTURES, corpus_programs, fixture_program, fixture_text, node_of)
@@ -25,13 +25,13 @@ from conftest import (
 
 def edge_table(cfg: Cfg) -> list[tuple[int, int, int, str]]:
     return [
-        (e.id, e.source, e.target, e.label.to_text())
+        (e.id, e.source, e.target, label_text(e.label))
         for e in (cfg.edges[i] for i in sorted(cfg.edges))
     ]
 
 
 def stmt_texts(cfg: Cfg) -> dict[int, str]:
-    return {n: cfg.nodes[n].statement.to_text() for n in sorted(cfg.nodes)}
+    return {n: statement_text(cfg.nodes[n].statement) for n in sorted(cfg.nodes)}
 
 
 class TestFixtureShapes:
@@ -162,7 +162,7 @@ class TestProgramIndex:
     def test_global_lookups(self):
         program = fixture_program("fig7.mir")
         assert 9 in program.by_name["q"].cfg.nodes
-        assert node_of(program, 6).statement.to_text() == "print a;"
+        assert statement_text(node_of(program, 6).statement) == "print a;"
 
 
 class TestRecords:
@@ -532,7 +532,7 @@ class TestCallGraphFacts:
 
 def smallest_program(statement: Statement) -> str:
     """The smallest program whose node 1 carries ``statement``'s text."""
-    text = statement.to_text()
+    text = statement_text(statement)
     if statement.kind == StKind.CALL:
         return f"extern {statement.callee}; proc main() {{ {text} }}"
     if statement.kind == StKind.SWITCH:

@@ -9,14 +9,14 @@ import pytest
 from fpmfp import lifted as engine
 from fpmfp.clients import compare_modes
 from fpmfp.frontend import build_call_graph, parse_program
-from fpmfp.lattice import INF, make_analysis
+from fpmfp.lattice import make_analysis
 from fpmfp.lifted import (
     NonTermination,
     compute_lifted_summaries,
     solve_fpmfp_interprocedural,
 )
 from fpmfp.mfp import compute_summaries, solve_mfp
-from fpmfp.mips import detect_mips
+from fpmfp.mips import INF, detect_mips
 from fpmfp.oracle import mips_free_meets, solution_semantics
 from fpmfp.progen import generate_multi_program
 

@@ -14,24 +14,26 @@ from hypothesis import strategies as st
 
 import fpmfp
 from fpmfp.frontend import parse_program
-from fpmfp.lattice import (
-    INF,
-    EncodedDict,
-    EncodedList,
-    IntervalAnalysis,
-    MustDefined,
-    ReachingDefinitions,
+from fpmfp.interval import (
     WIDEN_THRESHOLD,
+    IntervalAnalysis,
     WideningState,
     eval_expr,
     interval_leq,
     interval_meet,
+)
+from fpmfp.lattice import (
+    EncodedDict,
+    EncodedList,
+    MustDefined,
+    ReachingDefinitions,
     make_analysis,
 )
 from fpmfp.lifted import NonTermination, solve_fpmfp_interprocedural
 from fpmfp.mfp import solve_mfp
-from fpmfp.mips import Interval1D, arm_queries, detect_mips
+from fpmfp.mips import INF, Interval1D, arm_queries, detect_mips
 from fpmfp.progen import generate_multi_program
+from fpmfp.render import label_text
 
 from conftest import (
     FIXTURES, corpus_programs, fixture_program, json_text, node_of,
@@ -260,7 +262,7 @@ class TestIntervalRefine:
         cfg = program.procedures[0].cfg
         ia = IntervalAnalysis(program)
         false_edge = next(e for e in cfg.edges.values()
-                          if e.label.to_text() == "false")
+                          if label_text(e.label) == "false")
         out = ia.refine(false_edge, cfg.nodes[false_edge.source],
                         {"x": (-5, 5)})
         assert out["x"] == (0, 0)
@@ -270,7 +272,7 @@ class TestIntervalRefine:
         cfg = program.procedures[0].cfg
         ia = IntervalAnalysis(program)
         true_edge = next(e for e in cfg.edges.values()
-                         if e.label.to_text() == "true")
+                         if label_text(e.label) == "true")
         out = ia.refine(true_edge, cfg.nodes[true_edge.source],
                         {"x": (0, 5), "y": (3, 9)})
         assert out["x"] == (3, 5) and out["y"] == (3, 5)

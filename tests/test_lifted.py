@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import pytest
 
-from fpmfp import lattice, lifted, progen
+from fpmfp import interval, lifted, progen
 from fpmfp.frontend import StKind, build_call_graph, parse_program
-from fpmfp.lattice import INF, make_analysis
+from fpmfp.lattice import make_analysis
 from fpmfp.lifted import (
     ALL_OPTS,
     EMPTY_KEY,
@@ -20,7 +20,7 @@ from fpmfp.lifted import (
     transfer_preserves_top,
 )
 from fpmfp.mfp import compute_summaries, solve_mfp
-from fpmfp.mips import MipsUniverse, detect_mips
+from fpmfp.mips import INF, MipsUniverse, detect_mips
 from fpmfp.oracle import Explosion, mips_free_meets, solution_semantics
 
 from conftest import fixture_program
@@ -225,7 +225,7 @@ class TestTopDropOpt:
 
     @staticmethod
     def flow(name: str, analysis_name: str, opts: frozenset[int],
-             widening: lattice.WideningState | None = None) -> _Flow:
+             widening: interval.WideningState | None = None) -> _Flow:
         program = fixture_program(name)
         an = make_analysis(analysis_name, program)
         return _Flow(detect_mips(program), program.procedures[0].cfg,
@@ -243,7 +243,7 @@ class TestTopDropOpt:
         assert cfg.back
         assert self.flow("loop", "interval", ALL_OPTS).back == frozenset()
         widened = self.flow("loop", "interval", ALL_OPTS,
-                            lattice.WideningState())
+                            interval.WideningState())
         assert widened.back == cfg.back
 
     def test_uninformative_pairs_vanish_for_must_defined(self):
@@ -489,7 +489,7 @@ class TestSolutionInvariants:
 
 class TestTermination:
     def test_unbounded_loop_without_widening(self, monkeypatch):
-        monkeypatch.setattr(lattice, "WIDEN_THRESHOLD", INF)
+        monkeypatch.setattr(interval, "WIDEN_THRESHOLD", INF)
         program = parse_program(
             "proc main() { x = 0; while (x >= 0) { x = x + 1; } print x; }"
         )

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import pytest
 
-from fpmfp import lattice, lifted
+from fpmfp import interval
 from fpmfp.frontend import StKind, build_call_graph, parse_program
-from fpmfp.lattice import INF, make_analysis
+from fpmfp.lattice import make_analysis
 from fpmfp.lifted import NonTermination
 from fpmfp.mfp import compute_summaries, solve_mfp
+from fpmfp.mips import INF
 
 from conftest import fixture_program
 
@@ -195,12 +196,12 @@ class TestFixpointInvariants:
         # Keep the solver's widening state, to replay its back-edge widening.
         states = []
 
-        class RecordedWidening(lifted.WideningState):
+        class RecordedWidening(interval.WideningState):
             def __init__(self) -> None:
                 super().__init__()
                 states.append(self)
 
-        monkeypatch.setattr(lifted, "WideningState", RecordedWidening)
+        monkeypatch.setattr(interval, "WideningState", RecordedWidening)
         program = fixture_program(name)
         analysis = make_analysis(analysis_name, program)
         sol = solve_mfp(program, analysis)
@@ -241,7 +242,7 @@ class TestFixpointInvariants:
 
 class TestNonTermination:
     def test_unbounded_loop_without_widening(self, monkeypatch):
-        monkeypatch.setattr(lattice, "WIDEN_THRESHOLD", INF)
+        monkeypatch.setattr(interval, "WIDEN_THRESHOLD", INF)
         program = parse_program(
             "proc main() { x = 0; while (x >= 0) { x = x + 1; } print x; }"
         )
@@ -258,7 +259,7 @@ class TestNonTermination:
         assert sol.folded_in[2]["x"] == (0, INF)
 
     def test_bounded_loop_without_widening_is_exact(self, monkeypatch):
-        monkeypatch.setattr(lattice, "WIDEN_THRESHOLD", INF)
+        monkeypatch.setattr(interval, "WIDEN_THRESHOLD", INF)
         program = fixture_program("loop.mir")
         analysis = make_analysis("interval", program)
         sol = solve_mfp(program, analysis)

@@ -538,6 +538,20 @@ class TestTrackingOps:
         assert u.by_proc == {"main": (), "helper": u.all}
 
 
+class TestLazyTables:
+    def test_detection_builds_neither_table(self, load_program):
+        """``detect-mips`` reads neither ``crossings`` nor ``end_edge``:
+        detection leaves both unbuilt, and the first read builds each."""
+        u = detect(load_program("fig12"))
+        assert "crossings" not in vars(u) and "end_edge" not in vars(u)
+        (m,) = u.all
+        assert u.end_edge == {m.id: m.end}
+        assert u.crossings == {
+            3: ({m.id}, set(), set()), 6: (set(), {m.id}, set()),
+            7: (set(), {m.id}, set()), 8: (set(), {m.id}, {m.id})}
+        assert {"crossings", "end_edge"} <= set(vars(u))
+
+
 class TestSerialization:
     def test_json_shape(self, load_program):
         u = detect(load_program("fig12"))

@@ -6,10 +6,10 @@ import pytest
 
 from fpmfp import concrete, oracle, progen
 from fpmfp.frontend import LabelKind, parse_program
-from fpmfp.lattice import INF, make_analysis
+from fpmfp.lattice import make_analysis
 from fpmfp.mfp import solve_mfp
 from fpmfp.concrete import Trace, execute_all
-from fpmfp.mips import detect_mips
+from fpmfp.mips import INF, detect_mips
 from fpmfp.oracle import (
     Explosion,
     OracleMeets,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -73,6 +74,32 @@ def test_only_the_entry_function_uses_the_collector():
                       for node in ast.walk(function))
                   or any(name == "gc" for _, name in _imports(function)))}
     assert users == {"run"}
+
+
+def test_records_are_slotted_namedtuples():
+    """Records are ``collections.namedtuple`` classes, subclassed with
+    ``__slots__ = ()`` where they add methods: no ``typing.NamedTuple``,
+    whose every class compiles a ``ForwardRef`` per field when the
+    module loads, and no per-instance ``__dict__``."""
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                  and "NamedTuple" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None),
+                                       getattr(node, "name", None))]
+    assert named == []
+    records = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "fpmfp" if path.stem == "__init__" else f"fpmfp.{path.stem}"
+        module = importlib.import_module(name)
+        records += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, tuple)
+                    and obj.__module__ == name]
+    assert len(records) >= 20
+    assert [cls.__qualname__ for cls in records
+            if not hasattr(cls, "_fields") or cls.__dictoffset__] == []
 
 
 def test_benchmark_imports_resolve():
