@@ -183,10 +183,21 @@ def _destination(path: str | None):
     leaves ``path`` as it was.  A destination that exists but is not a
     regular file (a device, a FIFO) is written through directly:
     replacing it would be destructive.  An ``OSError`` of the file
-    becomes a ``_Failure``.
+    becomes a ``_Failure``.  So does a stdout whose reader has gone (a
+    closed pipe); stdout is then pointed at the null device, as Python's
+    ``signal`` documentation advises, so that the flush at interpreter
+    exit does not fail again.
     """
     if path is None:
-        yield sys.stdout.write
+        try:
+            yield sys.stdout.write
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _Failure(
+                f"cannot write <stdout>: {exc.strerror}") from exc
         return
     dest = Path(path)
     try:

@@ -181,14 +181,14 @@ Node = namedtuple("Node", "id statement")
 Edge = namedtuple("Edge", "id source target label", defaults=(NO_LABEL,))
 
 
-class CfgPlan(namedtuple("CfgPlan", "heap outs")):
+class CfgPlan(namedtuple("CfgPlan", "order outs")):
     """What the fixpoint engine reads of one CFG, built once per CFG and
     read by every solve over it.
 
-    ``heap`` holds ``(RPO position, node id)`` for every node in reverse
-    postorder, which is also a valid initial worklist heap.  ``outs``
-    maps each node id to the node and its out-edges, each as ``(edge,
-    edge id, target, target RPO position)``.
+    ``order`` holds every node id in reverse postorder, the order the
+    engine's worklist sweeps.  ``outs`` maps each node id to the node and
+    its out-edges, each as ``(edge, edge id, target, target RPO
+    position)``.
     """
 
     __slots__ = ()
@@ -251,7 +251,7 @@ class Cfg:
         every solve over the CFG, in any mode, reads this one plan."""
         pos = self.rpo_pos
         return CfgPlan(
-            tuple(enumerate(self.rpo)),
+            tuple(self.rpo),
             {n: (node, tuple([(e, e.id, e.target, pos[e.target])
                               for e in self.out_of[n]]))
              for n, node in self.nodes.items()})

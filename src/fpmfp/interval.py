@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from . import EncodedDict, Memo
 from .frontend import Expr, LabelKind, MiniIrProgram, Node, Procedure, StKind
-from .jsontext import scalar_text
 from .lattice import Analysis, _joined, _nested
 from .mips import INF, Interval1D, arm_set
 
@@ -116,6 +115,8 @@ def _item_views() -> Memo:
     pair_views = Memo(_pair_view)
 
     def item_view(item) -> tuple[list, str]:
+        from .jsontext import scalar_text
+
         var, pair = item
         element, text = pair_views[pair]
         return element, scalar_text(var) + ": " + text

@@ -17,12 +17,14 @@ from functools import cached_property
 
 from . import EncodedDict, EncodedList, Memo
 from .frontend import MiniIrProgram, Node, Procedure, StKind
-from .jsontext import scalar_text
 
 
 def _nested(element) -> str:
     """The ``indent=2`` text of a scalar or a flat list of scalars, as it
-    appears one level down."""
+    appears one level down.  Only value views need it, so a run that
+    builds none (``compare --format table``) never loads ``jsontext``."""
+    from .jsontext import scalar_text
+
     if isinstance(element, list):
         return _joined([scalar_text(x) for x in element], "[]").replace(
             "\n", "\n  ")

@@ -39,7 +39,6 @@ met folded call-site In values projected to globals (plus parameters).
 
 from __future__ import annotations
 
-import heapq
 from collections import namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -280,6 +279,15 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
     monotone; values only descend.  The step budget grows with the CFG
     and with the number of pairs an edge may carry.
 
+    The worklist is a sweep over the plan's reverse postorder: one byte
+    per RPO position marks the nodes whose In changed since their last
+    visit, and a cursor moves forward to the next marked position.  A
+    change to a target behind the cursor, the head of a back edge, moves
+    the cursor back onto it.  No position behind the cursor is ever
+    marked, so the next node visited is always the least marked
+    position: the order a heap of RPO positions pops, at O(1) per visit
+    instead of O(log n), with the same steps, values and widening.
+
     The out-edges and RPO positions come from the CFG's plan, which every
     solve over the CFG shares, and each out-edge's crossing triple from
     the universe's ``crossings`` table, by edge id.  A node's In is
@@ -309,18 +317,22 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
     stats = flow.stats
     per_edge_max = stats.per_edge_max
     plan = cfg.plan
-    heap = list(plan.heap)
+    order = plan.order
     outs_of = plan.outs
     crossing_of = flow.universe.crossings.get
     max_steps = flow.pair_limit * (2_000 * (len(cfg.nodes) + 1) + 10_000)
     node_in: dict[int, LiftedValue] = {n: {} for n in cfg.nodes}
     node_in[cfg.start] = {EMPTY_KEY: boundary}
     edge_vals: dict[int, LiftedValue] = {}
-    queued = set(cfg.nodes)
-    steps = 0
-    while heap:
-        _, n = heapq.heappop(heap)
-        queued.discard(n)
+    dirty = bytearray(b"\x01") * len(order)
+    next_dirty = dirty.find
+    pos = steps = 0
+    while True:
+        pos = next_dirty(1, pos)
+        if pos < 0:
+            break
+        dirty[pos] = 0
+        n = order[pos]
         steps += 1
         if steps > max_steps:
             raise NonTermination(
@@ -372,9 +384,9 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
             if new is None:
                 continue
             node_in[target] = new
-            if target not in queued:
-                queued.add(target)
-                heapq.heappush(heap, (tpos, target))
+            dirty[tpos] = 1
+            if tpos < pos:
+                pos = tpos
     return node_in, edge_vals, steps
 
 

@@ -35,6 +35,7 @@ from fpmfp.mips import INF
 
 from conftest import (
     FIXTURES,
+    corpus_programs,
     fixture_program,
     fixture_text,
     json_text,
@@ -361,6 +362,31 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         assert (child.returncode, child.stdout, child.stderr) == (
             expected, captured.out.encode(), captured.err.encode())
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--program", "fig2.mir", "--analysis", "interval",
+         "--mode", "fpmfp"),
+        ("compare", "--program", "large.mir", "--analysis", "rd"),
+        ("dump-dot", "--program", "fig2.mir"),
+    ], ids=["json-in-one-chunk", "json-in-many-chunks", "text"])
+    def test_stdout_without_a_reader(self, tmp_path, argv):
+        """A report written to a pipe whose reader has closed is one error
+        line and exit 1: no traceback, and no error from the flush at
+        interpreter exit."""
+        (tmp_path / "fig2.mir").write_text(fixture_text("fig2"))
+        (tmp_path / "large.mir").write_text(perf_program(20, 400))
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(fpmfp.__file__).resolve().parent.parent))
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "fpmfp.cli", *argv], stdout=writer,
+                stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=120)
+        finally:
+            os.close(writer)
+        assert (child.returncode, child.stderr) == (
+            1, b"fpmfp: error: cannot write <stdout>: Broken pipe\n")
 
     def test_main_leaves_the_collector_alone(self, capsys):
         before = gc.get_freeze_count()
@@ -1434,9 +1460,9 @@ class TestSharedWork:
         built = []
         real = frontend.CfgPlan
 
-        def counted(heap, outs):
+        def counted(order, outs):
             built.append(sorted(outs))
-            return real(heap, outs)
+            return real(order, outs)
 
         monkeypatch.setattr(frontend, "CfgPlan", counted)
         source = perfbench_workloads().call_chain(1, 40).source
@@ -1546,6 +1572,63 @@ class TestOracleCheckFaults:
              "folds differ between --opts 1,2,3 and --opts none"),
         ]
 
+    @staticmethod
+    def neutrality_records(records):
+        return [r for r in records if r[2] == "optimization-neutrality"]
+
+    def test_neutrality_at_call_nodes_alone(self, capsys, monkeypatch,
+                                            programs):
+        # After the all-opts rd solve, q's gen mask gains every global
+        # definition in the transfer the solution's Outs are folded with.
+        # The pair maps of both solves stay equal everywhere, and only
+        # the Out of fig7's call node differs.
+        real = lifted.solve_fpmfp_interprocedural
+
+        def solve(program, analysis, universe, opts=lifted.ALL_OPTS,
+                  **kwargs):
+            solution = real(program, analysis, universe, opts, **kwargs)
+            if opts and analysis.name == "rd" and "q" in program.by_name:
+                transfer = solution.node_transfer
+                gens = analysis.globals_mask
+
+                def faulty(node, value):
+                    out = transfer(node, value)
+                    if node.statement.callee == "q":
+                        out |= gens
+                    return out
+
+                for sol in solution.procs.values():
+                    sol.node_transfer = faulty
+            return solution
+
+        monkeypatch.setattr(lifted, "solve_fpmfp_interprocedural", solve)
+        assert self.records(capsys, programs) == [
+            ("fig7.mir", "rd", "optimization-neutrality", "-",
+             "folds differ between --opts 1,2,3 and --opts none"),
+        ]
+
+    def test_neutrality_of_a_normalized_pair(self, capsys, monkeypatch,
+                                             programs):
+        # In every all-opts rd value solve, normalization changes the
+        # value of one pair, the last in key order, on the first edge it
+        # leaves pairs on.
+        real = lifted._Flow.normalize
+        faulted = {}
+
+        def normalize(self, eid, pairs):
+            pairs = real(self, eid, pairs)
+            if (self.merge_ends and type(self.top) is int and self.top == 0
+                    and pairs and faulted.setdefault(self, eid) == eid):
+                key = lifted.sorted_keys(pairs)[-1]
+                pairs = {**pairs, key: pairs[key] ^ 1}
+            return pairs
+
+        monkeypatch.setattr(lifted._Flow, "normalize", normalize)
+        assert self.neutrality_records(self.records(capsys, programs)) == [
+            ("fig2.mir", "rd", "optimization-neutrality", "-",
+             "folds differ between --opts 1,2,3 and --opts none"),
+        ]
+
     def fault_on_exit_edges(self, monkeypatch, analysis_name, change):
         """The path oracle's refine applies ``change`` on every edge into
         an exit node, for one analysis."""
@@ -1606,6 +1689,44 @@ class TestOracleCheckFaults:
             ("fig7.mir", "rd", "distributive-equality", "n10",
              "l@n9 != {}"),
         ]
+
+
+def merged_folds_differ(one, other) -> bool:
+    """The optimization-neutrality test as it compared two whole
+    solutions: their merged folded In, Out and edge views."""
+    return (one.folded_in != other.folded_in
+            or one.folded_out != other.folded_out
+            or one.folded_edges != other.folded_edges)
+
+
+class TestNeutralityShortcut:
+    def test_agrees_with_comparing_the_merged_folds(self):
+        """Over the fixtures and the generated corpus, folding only at
+        call nodes and where pair maps differ says what comparing the
+        merged folds says: of FPMFP with and without normalizations,
+        which agree, and of each of them and MFP, which often do not."""
+        differ = 0
+        for _, program in corpus_programs():
+            call_graph = frontend.build_call_graph(program)
+            universe = mips.detect_mips(program, call_graph)
+            for name in cmd_oracle_check._SUITE_ANALYSES:
+                analysis = make_analysis(name, program)
+                try:
+                    solutions = [
+                        lifted.solve_fpmfp_interprocedural(
+                            program, analysis, universe, opts,
+                            call_graph=call_graph)
+                        for opts in (lifted.ALL_OPTS, frozenset())]
+                except lifted.NonTermination:
+                    continue
+                solutions.append(
+                    mfp.solve_mfp(program, analysis, call_graph=call_graph))
+                for one, other in ((0, 1), (0, 2), (1, 2)):
+                    one, other = solutions[one], solutions[other]
+                    got = cmd_oracle_check._folds_differ(one, other)
+                    assert got == merged_folds_differ(one, other)
+                    differ += got
+        assert differ > 1000
 
 
 class TestDumpDot:
@@ -1741,12 +1862,14 @@ class TestStartup:
         (("compare", "--analysis", "interval"),
          ["clients", "cmd_compare", "interval"] + SOLVE),
         (("compare", "--analysis", "uninit", "--format", "table"),
-         ["clients", "cmd_compare", "render"] + SOLVE),
+         ["clients", "cmd_compare", "render"]
+         + [stem for stem in SOLVE if stem != "jsontext"]),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_program_commands(self, tmp_path, argv, expected):
         """A bit-vector run loads neither the interval domain nor the
-        renderer, only the DOT and table outputs load the renderer, and
-        no run imports ``json``."""
+        renderer, only the DOT and table outputs load the renderer, a
+        table builds no value views and so loads no ``jsontext``, and no
+        run imports ``json``."""
         argv += ("--program", fix("fig2"), "--output", "report")
         assert self.loaded(tmp_path, *argv) == (
             0, sorted(["cli", "cmd_io"] + expected), [])

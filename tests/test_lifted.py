@@ -1,6 +1,8 @@
 """Lifted solver tests: pair flows, merge rules, frozen fixture solutions."""
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
 from fpmfp import interval, lifted, progen
@@ -17,10 +19,11 @@ from fpmfp.lifted import (
     compute_lifted_summaries,
     fold,
     solve_fpmfp_interprocedural,
+    sorted_keys,
     transfer_preserves_top,
 )
 from fpmfp.mfp import compute_summaries, solve_mfp
-from fpmfp.mips import INF, MipsUniverse, detect_mips
+from fpmfp.mips import INF, NO_CROSSING, MipsUniverse, detect_mips
 from fpmfp.oracle import Explosion, mips_free_meets, solution_semantics
 
 from conftest import fixture_program
@@ -665,3 +668,113 @@ class TestSummarySchedule:
             compute_lifted_summaries(program, make_analysis(name, program),
                                      universe)
         assert len(calls) == 18
+
+
+def heap_fixpoint(flow, boundary):
+    """Reference worklist: the engine's fixpoint with a heap of (RPO
+    position, node id) in place of the sweep, and no pair statistics;
+    steps, pair flows and the calls that widen are the engine's."""
+    cfg = flow.cfg
+    outs_of = cfg.plan.outs
+    crossing_of = flow.universe.crossings.get
+    node_in = {n: {} for n in cfg.nodes}
+    node_in[cfg.start] = {EMPTY_KEY: boundary}
+    edge_vals = {}
+    heap = [(i, n) for i, n in enumerate(cfg.rpo)]
+    queued = set(cfg.nodes)
+    steps = 0
+    while heap:
+        _, n = heapq.heappop(heap)
+        queued.discard(n)
+        steps += 1
+        node, outs = outs_of[n]
+        pairs = node_in[n]
+        out = [(key, flow.transfer(node, pairs[key]))
+               for key in sorted_keys(pairs)]
+        for edge, eid, target, tpos in outs:
+            starts, continues, ends = crossing_of(eid, NO_CROSSING)
+            moved = {}
+            for key, v in out:
+                tracked = starts | (key & continues)
+                if tracked & ends:
+                    continue
+                if flow.refine is not None:
+                    v = flow.refine(edge, node, v)
+                if tracked in moved:
+                    v = flow.meet(moved[tracked], v)
+                moved[tracked] = v
+            if len(moved) > 1 or eid in flow.back and moved:
+                moved = flow.normalize(eid, moved)
+            elif flow.drop_top and flow.top in moved.values():
+                moved = {}
+            edge_vals[eid] = moved
+            old = node_in[target]
+            new = dict(old)
+            for k, w in moved.items():
+                if k in old:
+                    w = flow.meet(old[k], w)
+                if k not in old or w != old[k]:
+                    new[k] = w
+            if new != old:
+                node_in[target] = new
+                if target not in queued:
+                    queued.add(target)
+                    heapq.heappush(heap, (tpos, target))
+    return node_in, edge_vals, steps
+
+
+def recorded_solve(monkeypatch, engine, program, analysis_name, universe):
+    """A whole-program solve whose every fixpoint runs ``engine`` with a
+    transfer that records the node of each call; returns the solution
+    and, per fixpoint, the recorded node ids."""
+    visits = []
+
+    def fixpoint(flow, boundary):
+        real = flow.transfer
+        log = []
+
+        def recording(node, value):
+            log.append(node.id)
+            return real(node, value)
+
+        flow.transfer = recording
+        visits.append(log)
+        return engine(flow, boundary)
+
+    monkeypatch.setattr(lifted, "_fixpoint", fixpoint)
+    analysis = make_analysis(analysis_name, program)
+    return solve_fpmfp_interprocedural(program, analysis, universe), visits
+
+
+class TestVisitOrder:
+    def test_sweep_visits_as_a_heap_worklist_pops(self, monkeypatch):
+        """The reverse-postorder sweep visits the nodes in the order a
+        heap of RPO positions pops them, over the fixtures, generated
+        programs with loops and generated multi-procedure programs, in
+        every summary and value fixpoint and over both the detected and
+        the empty universe.  The fingerprints pin only the counts."""
+        engine = lifted._fixpoint
+        programs = [fixture_program(name) for name in FIXTURE_NAMES]
+        programs += [parse_program(progen.generate_program(seed,
+                                                           acyclic=False))
+                     for seed in range(40)]
+        programs += [parse_program(progen.generate_multi_program(seed))
+                     for seed in range(40)]
+        rewinds = 0
+        for program in programs:
+            rpo_pos = {n: i for proc in program.procedures
+                       for i, n in enumerate(proc.cfg.rpo)}
+            for universe in (detect_mips(program), MipsUniverse(program, [])):
+                for name in ANALYSES:
+                    got, got_visits = recorded_solve(
+                        monkeypatch, engine, program, name, universe)
+                    want, want_visits = recorded_solve(
+                        monkeypatch, heap_fixpoint, program, name, universe)
+                    assert got_visits == want_visits
+                    assert got.steps == want.steps
+                    assert got.node_in == want.node_in
+                    assert got.edge_values == want.edge_values
+                    rewinds += sum(1 for log in got_visits
+                                   for a, b in zip(log, log[1:])
+                                   if rpo_pos[b] < rpo_pos[a])
+        assert rewinds > 100
