@@ -8,6 +8,8 @@ variable in a branch condition behaves nondeterministically.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import EncodedDict, Memo
 from .frontend import Expr, LabelKind, MiniIrProgram, Node, Procedure, StKind
 from .lattice import Analysis, _joined, _nested
@@ -102,21 +104,18 @@ def _bound_json(bound: float):
     return int(bound)
 
 
-def _pair_view(pair) -> tuple[list, str]:
-    """A (lo, hi) pair's read-only [lo, hi] list and its text one level
-    down."""
-    element = [_bound_json(pair[0]), _bound_json(pair[1])]
-    return element, _nested(element)
+def _new_item_views() -> Memo:
+    """A cache of (var, (lo, hi)) items' views: the pair's read-only
+    [lo, hi] list, shared by every item with that pair, and the item's
+    '"var": [...]' line."""
+    from .jsontext import scalar_text
 
-
-def _item_views() -> Memo:
-    """A cache of (var, (lo, hi)) items' views: the pair's list, shared by
-    every item with that pair, and the item's '"var": [...]' line."""
-    pair_views = Memo(_pair_view)
+    def pair_view(pair) -> tuple[list, str]:
+        element = [_bound_json(pair[0]), _bound_json(pair[1])]
+        return element, _nested(element, scalar_text)
+    pair_views = Memo(pair_view)
 
     def item_view(item) -> tuple[list, str]:
-        from .jsontext import scalar_text
-
         var, pair = item
         element, text = pair_views[pair]
         return element, scalar_text(var) + ": " + text
@@ -136,10 +135,6 @@ class IntervalAnalysis(Analysis):
 
     def __init__(self, program: MiniIrProgram) -> None:
         super().__init__(program)
-        # Built from functions that do not hold the analysis, so an
-        # instance is in no reference cycle and reference counting frees
-        # it without the cyclic collector.
-        self._item_views = _item_views()
         # Sorted, so havocked values list the globals in one order.
         self._globals = sorted(program.globals)
         # Per edge id: what ``refine`` does there (``_refine_rule``).
@@ -244,6 +239,14 @@ class IntervalAnalysis(Analysis):
         for g in self._globals:
             out[g] = (-INF, INF)
         return out
+
+    @cached_property
+    def _item_views(self) -> Memo:
+        # Built on the first view, so a run that builds none loads no
+        # ``jsontext``.  The cache's functions do not hold the analysis,
+        # so an instance is in no reference cycle and reference counting
+        # frees it without the cyclic collector.
+        return _new_item_views()
 
     def _encode(self, value: IntervalValue) -> EncodedDict:
         items = self._item_views

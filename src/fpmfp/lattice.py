@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import abc
 from functools import cached_property
+from typing import Callable
 
 from . import EncodedDict, EncodedList, Memo
 from .frontend import MiniIrProgram, Node, Procedure, StKind
 
 
-def _nested(element) -> str:
+def _nested(element, scalar_text: Callable[[object], str]) -> str:
     """The ``indent=2`` text of a scalar or a flat list of scalars, as it
-    appears one level down.  Only value views need it, so a run that
-    builds none (``compare --format table``) never loads ``jsontext``."""
-    from .jsontext import scalar_text
-
+    appears one level down, from ``jsontext.scalar_text``.  The view
+    builders import that when they first build, so a run that builds no
+    view (``compare --format table``) never loads ``jsontext``."""
     if isinstance(element, list):
         return _joined([scalar_text(x) for x in element], "[]").replace(
             "\n", "\n  ")
@@ -179,8 +179,10 @@ class BitvectorAnalysis(Analysis):
         """``(elements, text)`` per ``(index, byte)`` of a value's
         little-endian bytes: the JSON elements of the bits ``byte`` sets
         there, and their texts one level down, joined as list items."""
+        from .jsontext import scalar_text
+
         elements = self._elements()
-        texts = [_nested(element) for element in elements]
+        texts = [_nested(element, scalar_text) for element in elements]
 
         def piece(key: tuple[int, int]) -> tuple[list, str]:
             index, byte = key

@@ -281,12 +281,15 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
 
     The worklist is a sweep over the plan's reverse postorder: one byte
     per RPO position marks the nodes whose In changed since their last
-    visit, and a cursor moves forward to the next marked position.  A
-    change to a target behind the cursor, the head of a back edge, moves
-    the cursor back onto it.  No position behind the cursor is ever
-    marked, so the next node visited is always the least marked
-    position: the order a heap of RPO positions pops, at O(1) per visit
-    instead of O(log n), with the same steps, values and widening.
+    visit, and a cursor moves forward to the next marked position; it
+    tests the byte it rests on before it searches, since that is most
+    often the next node.  Visiting a node leaves the cursor just past
+    it, and a change to a target behind the cursor (the head of a back
+    edge, or the node itself over a self-loop) moves the cursor back
+    onto it.  No position behind the cursor is ever marked, so the next
+    node visited is always the least marked position: the order a heap
+    of RPO positions pops, at O(1) per visit instead of O(log n), with
+    the same steps, values and widening.
 
     The out-edges and RPO positions come from the CFG's plan, which every
     solve over the CFG shares, and each out-edge's crossing triple from
@@ -325,14 +328,17 @@ def _fixpoint(flow: _Flow, boundary) -> tuple[
     node_in[cfg.start] = {EMPTY_KEY: boundary}
     edge_vals: dict[int, LiftedValue] = {}
     dirty = bytearray(b"\x01") * len(order)
+    dirty.append(0)  # the cursor may rest one past the last position
     next_dirty = dirty.find
     pos = steps = 0
     while True:
-        pos = next_dirty(1, pos)
-        if pos < 0:
-            break
+        if not dirty[pos]:
+            pos = next_dirty(1, pos)
+            if pos < 0:
+                break
         dirty[pos] = 0
         n = order[pos]
+        pos += 1
         steps += 1
         if steps > max_steps:
             raise NonTermination(

@@ -746,15 +746,22 @@ def recorded_solve(monkeypatch, engine, program, analysis_name, universe):
     return solve_fpmfp_interprocedural(program, analysis, universe), visits
 
 
+# The loop head's true edge is a self-loop that starts the segment its
+# false edge ends, so a pair comes back to the head on a new key.
+SELF_LOOP = "proc main() { read x; while (x > 0) { } print x; }"
+
+
 class TestVisitOrder:
     def test_sweep_visits_as_a_heap_worklist_pops(self, monkeypatch):
         """The reverse-postorder sweep visits the nodes in the order a
-        heap of RPO positions pops them, over the fixtures, generated
-        programs with loops and generated multi-procedure programs, in
-        every summary and value fixpoint and over both the detected and
-        the empty universe.  The fingerprints pin only the counts."""
+        heap of RPO positions pops them, over the fixtures, a self-loop,
+        generated programs with loops and generated multi-procedure
+        programs, in every summary and value fixpoint and over both the
+        detected and the empty universe.  The fingerprints pin only the
+        counts."""
         engine = lifted._fixpoint
         programs = [fixture_program(name) for name in FIXTURE_NAMES]
+        programs.append(parse_program(SELF_LOOP))
         programs += [parse_program(progen.generate_program(seed,
                                                            acyclic=False))
                      for seed in range(40)]
