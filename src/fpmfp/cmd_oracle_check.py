@@ -44,8 +44,6 @@ def _folds_differ(one, other) -> bool:
             if outs[0] != outs[1]:
                 return True
         edges = b.edge_values
-        if a.edge_values.keys() != edges.keys():
-            return True
         for eid, pairs in a.edge_values.items():
             if (pairs != edges[eid]
                     and fold(pairs, analysis) != fold(edges[eid], analysis)):
